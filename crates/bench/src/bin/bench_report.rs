@@ -60,8 +60,9 @@ fn run_case(name: &str, cfg: TestbedConfig, spec: FioSpec, profile: bool) -> Ben
     let agg = aggregate(&results);
     let (stages, saturated, peak_qd) = world
         .tb
+        .observer()
         .metrics()
-        .read(|m| {
+        .map(|m| {
             let end = m.last_sample().unwrap_or(SimTime::ZERO);
             let report = m.bottleneck_report(end, 3);
             let stages: Vec<(String, f64)> = report

@@ -784,7 +784,7 @@ fn main() {
         );
     }
     if args.metrics {
-        let dumped = world.tb.metrics().read(|m| {
+        let dumped = world.tb.observer().metrics().map(|m| {
             let exposition = prometheus(m);
             let end = m.last_sample().unwrap_or(SimTime::ZERO);
             let table = render_bottleneck(&m.bottleneck_report(end, 5));

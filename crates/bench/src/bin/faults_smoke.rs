@@ -24,8 +24,8 @@ use bm_sim::faults::{FaultKind, FaultPlan};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use bm_testbed::{
-    BufferId, Client, ClientOutput, Completion, DeviceId, FaultLog, FaultTraceEvent, IoOp,
-    IoRequest, Testbed, TestbedConfig, World,
+    BufferId, Client, ClientOutput, Completion, DeviceId, FaultTraceEvent, IoOp, IoRequest,
+    Testbed, TestbedConfig, World,
 };
 use bmstore_core::controller::commands::BmsCommand;
 use bmstore_core::{FailPolicy, RecoveryEvent};
@@ -176,8 +176,6 @@ fn main() {
     };
     let mut world = World::new(tb);
     world.add_client(Box::new(client));
-    let log = Rc::new(RefCell::new(FaultLog::default()));
-    world.set_observer(log.clone());
     if builtin {
         // The MCTP drop at 950µs tears this request's first
         // transmission; the console retransmits under the same tag.
@@ -197,9 +195,8 @@ fn main() {
         .engine()
         .expect("BM-Store scheme")
         .resilience_stats();
-    let log = log.borrow();
     let count = |f: &dyn Fn(&FaultTraceEvent) -> bool| {
-        log.events().iter().filter(|(_, e)| f(e)).count() as u64
+        world.fault_events().iter().filter(|(_, e)| f(e)).count() as u64
     };
     let injected = count(&|e| matches!(e, FaultTraceEvent::Injected(_)));
     let mctp_dropped = count(&|e| matches!(e, FaultTraceEvent::MctpPacketDropped));
@@ -237,10 +234,7 @@ fn main() {
     );
 
     let responses = world.mgmt_responses();
-    let upgrade_ok = responses
-        .borrow()
-        .iter()
-        .all(|(_, r)| r.status.is_success());
+    let upgrade_ok = responses.iter().all(|(_, r)| r.status.is_success());
     assert_eq!(
         tally.success + tally.error + tally.aborted,
         total,

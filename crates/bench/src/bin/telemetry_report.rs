@@ -152,9 +152,9 @@ fn main() {
     }
     let world = world.run(None);
 
-    let telemetry = world.tb.telemetry();
+    let telemetry = world.tb.observer().telemetry();
     telemetry
-        .read(|rec| {
+        .map(|rec| {
             header(
                 "per-stage latency (all tenants, µs)",
                 &["count", "mean", "p50", "p99", "max"],
@@ -253,7 +253,6 @@ fn main() {
     // final f0, final f1).
     let responses = world.mgmt_responses();
     let pages: Vec<TelemetryLogPage> = responses
-        .borrow()
         .iter()
         .map(|(_, r)| TelemetryLogPage::from_bytes(&r.payload).expect("log page decodes"))
         .collect();
@@ -290,12 +289,12 @@ fn main() {
     );
 
     if let Some(path) = trace_path {
-        let trace = telemetry.read(chrome_trace).expect("telemetry enabled");
+        let trace = telemetry.map(chrome_trace).expect("telemetry enabled");
         std::fs::write(&path, trace).expect("trace file writable");
         println!("\nChrome trace written to {path}");
     }
     if let Some(path) = jsonl_path {
-        let dump = telemetry.read(jsonl).expect("telemetry enabled");
+        let dump = telemetry.map(jsonl).expect("telemetry enabled");
         std::fs::write(&path, dump).expect("jsonl file writable");
         println!("event dump written to {path}");
     }

@@ -87,8 +87,9 @@ fn main() {
 
     let trace = world
         .tb
+        .observer()
         .telemetry()
-        .read(chrome_trace)
+        .map(chrome_trace)
         .expect("telemetry enabled");
     let spans = parse_chrome_trace(&trace).expect("exported trace must parse");
     assert!(spans.len() > 1_000, "trace suspiciously small");

@@ -17,9 +17,7 @@
 use bm_nvme::types::Lba;
 use bm_sim::{SimDuration, SimTime};
 use bm_testbed::{BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, Testbed};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// Distinct byte patterns per block; writes rotate through them.
 pub(crate) const VERSIONS: usize = 4;
@@ -68,7 +66,7 @@ pub(crate) struct LbaState {
     pub seq: usize,
 }
 
-/// State shared between the live client and the post-run oracles.
+/// What the live client records for the post-run oracles.
 #[derive(Debug, Default)]
 pub(crate) struct TenantShared {
     /// I/Os issued.
@@ -97,19 +95,20 @@ pub(crate) struct ChaosTenant {
     verify_at: SimTime,
     cursor: usize,
     next_tag: u64,
-    shared: Rc<RefCell<TenantShared>>,
+    /// Read back after the run through `World::client_as`.
+    pub(crate) shared: TenantShared,
 }
 
 impl ChaosTenant {
     /// Registers buffers (write versions pre-filled with their
-    /// patterns) and returns the client plus its shared state.
+    /// patterns) and builds the client.
     pub(crate) fn new(
         tb: &mut Testbed,
         dev: DeviceId,
         n_lbas: usize,
         churn_end: SimTime,
         verify_at: SimTime,
-    ) -> (Self, Rc<RefCell<TenantShared>>) {
+    ) -> Self {
         let d = dev.0;
         let mut lbas = Vec::with_capacity(n_lbas);
         for i in 0..n_lbas {
@@ -131,27 +130,26 @@ impl ChaosTenant {
             });
         }
         let scratch = tb.register_buffer(BLOCK as u64);
-        let shared = Rc::new(RefCell::new(TenantShared {
-            verify: vec![VerifyOutcome::NotIssued; n_lbas],
-            lbas,
-            ..TenantShared::default()
-        }));
-        let tenant = ChaosTenant {
+        ChaosTenant {
             dev,
             scratch,
             churn_end,
             verify_at,
             cursor: 0,
             next_tag: 0,
-            shared: Rc::clone(&shared),
-        };
-        (tenant, shared)
+            shared: TenantShared {
+                verify: vec![VerifyOutcome::NotIssued; n_lbas],
+                lbas,
+                ..TenantShared::default()
+            },
+        }
     }
 
     /// Next write for block `i`, or `None` while one is outstanding
     /// (at most one in-flight write per block keeps the expected
     /// content unambiguous).
-    fn write_req(&mut self, s: &mut TenantShared, i: usize) -> Option<IoRequest> {
+    fn write_req(&mut self, i: usize) -> Option<IoRequest> {
+        let s = &mut self.shared;
         if s.lbas[i].pending.is_some() {
             return None;
         }
@@ -172,13 +170,13 @@ impl ChaosTenant {
     }
 
     /// A read of block `i` into `buf`.
-    fn read_req(&mut self, s: &mut TenantShared, i: usize, buf: BufferId) -> IoRequest {
+    fn read_req(&mut self, i: usize, buf: BufferId) -> IoRequest {
         self.next_tag += 1;
-        s.issued += 1;
+        self.shared.issued += 1;
         IoRequest {
             dev: self.dev,
             op: IoOp::Read,
-            lba: s.lbas[i].lba,
+            lba: self.shared.lbas[i].lba,
             blocks: 1,
             buf,
             tag: self.next_tag,
@@ -188,10 +186,8 @@ impl ChaosTenant {
 
 impl Client for ChaosTenant {
     fn start(&mut self, now: SimTime) -> ClientOutput {
-        let shared = Rc::clone(&self.shared);
-        let mut s = shared.borrow_mut();
-        let n = s.lbas.len();
-        let requests = (0..n).filter_map(|i| self.write_req(&mut s, i)).collect();
+        let n = self.shared.lbas.len();
+        let requests = (0..n).filter_map(|i| self.write_req(i)).collect();
         ClientOutput {
             requests,
             next_timer: Some(now + SimDuration::from_us(CHURN_STEP_US)),
@@ -199,8 +195,7 @@ impl Client for ChaosTenant {
     }
 
     fn on_completion(&mut self, _now: SimTime, c: Completion) -> ClientOutput {
-        let shared = Rc::clone(&self.shared);
-        let mut s = shared.borrow_mut();
+        let s = &mut self.shared;
         if !s.seen.insert(c.tag) {
             s.duplicates.push(c.tag);
             return ClientOutput::idle();
@@ -222,21 +217,19 @@ impl Client for ChaosTenant {
     }
 
     fn on_timer(&mut self, now: SimTime) -> ClientOutput {
-        let shared = Rc::clone(&self.shared);
-        let mut s = shared.borrow_mut();
+        let n = self.shared.lbas.len();
         if now >= self.verify_at {
             // Drain phase: read back every block whose writes have all
             // resolved. A block with a write still pending here is left
             // unverified — if that write is genuinely stuck, the
             // exactly-once oracle reports it.
             let mut requests = Vec::new();
-            let n = s.lbas.len();
             for i in 0..n {
-                if s.lbas[i].pending.is_none() {
-                    let buf = s.lbas[i].vbuf;
-                    let req = self.read_req(&mut s, i, buf);
-                    s.verify_tags.insert(req.tag, i);
-                    s.verify[i] = VerifyOutcome::Pending;
+                if self.shared.lbas[i].pending.is_none() {
+                    let buf = self.shared.lbas[i].vbuf;
+                    let req = self.read_req(i, buf);
+                    self.shared.verify_tags.insert(req.tag, i);
+                    self.shared.verify[i] = VerifyOutcome::Pending;
                     requests.push(req);
                 }
             }
@@ -247,15 +240,14 @@ impl Client for ChaosTenant {
         }
         if now < self.churn_end {
             self.cursor += 1;
-            let n = s.lbas.len();
             let i = self.cursor % n;
             let j = (self.cursor * 3 + 1) % n;
             let mut requests = Vec::new();
-            if let Some(w) = self.write_req(&mut s, i) {
+            if let Some(w) = self.write_req(i) {
                 requests.push(w);
             }
             let scratch = self.scratch;
-            requests.push(self.read_req(&mut s, j, scratch));
+            requests.push(self.read_req(j, scratch));
             ClientOutput {
                 requests,
                 next_timer: Some(now + SimDuration::from_us(CHURN_STEP_US)),

@@ -42,9 +42,10 @@ use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
 use bm_pcie::{FunctionId, HostMemory, PciAddr, SriovConfig};
-use bm_sim::metrics::{names as metric_names, stages as metric_stages, MetricKey, MetricsHandle};
+use bm_sim::metrics::{names as metric_names, stages as metric_stages, MetricKey};
+use bm_sim::observe::Observer;
 use bm_sim::resource::BandwidthLink;
-use bm_sim::telemetry::{CmdId, TelemetryEventKind, TelemetryHandle, TelemetryStage};
+use bm_sim::telemetry::{CmdId, TelemetryEventKind, TelemetryStage};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -449,12 +450,10 @@ pub struct BmsEngine {
     restart_at: SimTime,
     /// The persistent-model journal region written by [`Self::crash`].
     journal: Vec<u8>,
-    /// Span/event recorder shared with the testbed (disabled by default;
-    /// every call is then a no-op, keeping the pipeline byte-identical).
-    telemetry: TelemetryHandle,
-    /// Counter/gauge registry shared with the testbed sampler (disabled
-    /// by default; same no-op discipline as `telemetry`).
-    metrics: MetricsHandle,
+    /// Where spans and stage accounting go. Off by default (every call
+    /// is then a no-op); a harness lends its own for one call at a time
+    /// through [`Self::with_observer`].
+    obs: Observer,
     /// Per-function metric keys, built once so the per-I/O metrics
     /// blocks never allocate label strings on the hot path.
     func_metric_keys: Vec<FuncMetricKeys>,
@@ -587,8 +586,7 @@ impl BmsEngine {
             crashed_at: SimTime::ZERO,
             restart_at: SimTime::ZERO,
             journal: Vec::new(),
-            telemetry: TelemetryHandle::disabled(),
-            metrics: MetricsHandle::disabled(),
+            obs: Observer::default(),
             func_metric_keys,
             span_scratch: Vec::new(),
             sqe_scratch: Vec::new(),
@@ -596,24 +594,19 @@ impl BmsEngine {
         }
     }
 
-    /// Attaches a telemetry recorder; the engine records per-stage spans
-    /// (fetch, translate, QoS, DMA, completion) against the [`CmdId`]s
-    /// the submitter opened.
-    pub fn set_telemetry(&mut self, handle: TelemetryHandle) {
-        self.telemetry = handle;
-    }
-
-    /// Attaches a metrics registry; the engine accumulates per-stage
-    /// busy time and pipeline counters into it as events fire. The
-    /// periodic sampler reads occupancy gauges through [`Self::adaptor`]
-    /// and [`Self::backlog_len`] instead of hooking the hot path.
-    pub fn set_metrics(&mut self, handle: MetricsHandle) {
-        self.metrics = handle;
-    }
-
-    /// The attached metrics registry handle (disabled by default).
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
+    /// Runs `f` with `obs` installed as the engine's observer, then
+    /// swaps it back out: the one way a harness lends its observer to
+    /// the engine for a call, without sharing it. Inside, the engine
+    /// records per-stage spans (fetch, translate, QoS, DMA, completion)
+    /// against the [`CmdId`]s the submitter opened, and accumulates
+    /// per-stage busy time and pipeline counters. The periodic sampler
+    /// reads occupancy through [`Self::adaptor`] and
+    /// [`Self::backlog_len`] instead of hooking the hot path.
+    pub fn with_observer<R>(&mut self, obs: &mut Observer, f: impl FnOnce(&mut Self) -> R) -> R {
+        std::mem::swap(&mut self.obs, obs);
+        let out = f(self);
+        std::mem::swap(&mut self.obs, obs);
+        out
     }
 
     /// Read-only view of the back-end ports (the metrics sampler reads
@@ -660,7 +653,7 @@ impl BmsEngine {
     /// when telemetry is off, the slot is free, or the slot is a zombie
     /// (stale completion of an abandoned command).
     pub fn record_backend_span(
-        &self,
+        &mut self,
         ssd: SsdId,
         backend_cid: Cid,
         start: SimTime,
@@ -669,16 +662,16 @@ impl BmsEngine {
     ) {
         // The SSD service interval is the `ssd` stage of the bottleneck
         // report, charged whether or not a span recorder is attached.
-        self.metrics
-            .with(|m| m.stage_busy(metric_stages::SSD, end.saturating_since(start), 1));
-        if !self.telemetry.is_enabled() {
+        self.obs
+            .stage_busy(metric_stages::SSD, end.saturating_since(start), 1);
+        if self.obs.telemetry().is_none() {
             return;
         }
         let Some(origin) = self.adaptor.port(ssd).origin_of(backend_cid) else {
             return;
         };
         if origin.cmd.is_some() {
-            self.telemetry.span(
+            self.obs.span(
                 origin.cmd,
                 origin.func.index() as u16,
                 origin.func.index(),
@@ -894,12 +887,11 @@ impl BmsEngine {
         };
         debug_assert_eq!(origin.seq, seq);
         self.resilience.timeouts += 1;
-        self.metrics
-            .with(|m| m.counter_add(MetricKey::new(metric_names::ENGINE_TIMEOUTS), 1));
+        self.obs.count(metric_names::ENGINE_TIMEOUTS, 1);
         // The abandoned attempt's DMA window closes here, unsuccessfully;
         // retry/abort events attach to the same owning command.
         if origin.cmd.is_some() {
-            self.telemetry.span(
+            self.obs.span(
                 origin.cmd,
                 origin.func.index() as u16,
                 origin.func.index(),
@@ -916,14 +908,13 @@ impl BmsEngine {
         if io.retries < self.cfg.max_retries {
             io.retries += 1;
             self.resilience.retries += 1;
-            self.metrics
-                .with(|m| m.counter_add(MetricKey::new(metric_names::ENGINE_RETRIES), 1));
+            self.obs.count(metric_names::ENGINE_RETRIES, 1);
             self.recovery_log.push(RecoveryEvent::TimeoutRetry {
                 ssd,
                 attempt: io.retries,
             });
             if origin.cmd.is_some() {
-                self.telemetry.event(
+                self.obs.event(
                     now,
                     origin.cmd,
                     tenant,
@@ -944,7 +935,7 @@ impl BmsEngine {
                         cid: origin.host_cid,
                     });
                     if origin.cmd.is_some() {
-                        self.telemetry.event(
+                        self.obs.event(
                             now,
                             origin.cmd,
                             tenant,
@@ -965,7 +956,7 @@ impl BmsEngine {
                         buffered: self.backlog[ssd.0 as usize].len(),
                     });
                     if origin.cmd.is_some() {
-                        self.telemetry.event(
+                        self.obs.event(
                             now,
                             origin.cmd,
                             tenant,
@@ -1290,11 +1281,9 @@ impl BmsEngine {
             .push(RecoveryEvent::EngineRecovered { replayed, aborted });
         // The outage window on the metrics timeline: incident reports
         // and blame attribution read these back as crash-recovery time.
-        if self.metrics.is_enabled() {
+        if let Some(m) = self.obs.metrics_mut() {
             let label = format!("recovery:replayed={replayed} aborted={aborted}");
-            let crashed_at = self.crashed_at;
-            self.metrics
-                .with(|m| m.annotate(crashed_at, Some(now), label));
+            m.annotate(self.crashed_at, Some(now), label);
         }
         coalesce_actions(&mut actions);
         actions
@@ -1371,8 +1360,7 @@ impl BmsEngine {
         if !sqes.is_empty() {
             let n = sqes.len() as u64;
             let busy = self.cfg.timing.command_fetch * n;
-            self.metrics
-                .with(|m| m.stage_busy(metric_stages::FRONT_END, busy, n));
+            self.obs.stage_busy(metric_stages::FRONT_END, busy, n);
         }
         let mut actions = Vec::new();
         for sqe in sqes.drain(..) {
@@ -1400,9 +1388,9 @@ impl BmsEngine {
                 Opcode::Io(_) => {
                     // Join the submitter's span tree: the doorbell →
                     // SQE-fetched window is the SR-IOV layer's share.
-                    let (cmd, opcode) = self.telemetry.lookup(func.index() as u16, sqe.cid.0);
+                    let (cmd, opcode) = self.obs.lookup(func.index() as u16, sqe.cid.0);
                     if cmd.is_some() {
-                        self.telemetry.span(
+                        self.obs.span(
                             cmd,
                             func.index() as u16,
                             func.index(),
@@ -1506,9 +1494,9 @@ impl BmsEngine {
     }
 
     /// Records one engine stage span for `io` (no-op without a CmdId).
-    fn tel_span(&self, io: &PendingIo, stage: TelemetryStage, start: SimTime, end: SimTime) {
+    fn tel_span(&mut self, io: &PendingIo, stage: TelemetryStage, start: SimTime, end: SimTime) {
         if io.cmd.is_some() {
-            self.telemetry.span(
+            self.obs.span(
                 io.cmd,
                 io.func.index() as u16,
                 io.func.index(),
@@ -1564,15 +1552,12 @@ impl BmsEngine {
         // The command is now inside the pipeline: gauge it and attribute
         // the mapping/rewrite pipeline window to the Translate stage.
         self.counters.command_started(io.func);
-        if self.metrics.is_enabled() {
-            let pipe = self.cfg.timing.pipeline;
+        if let Some(m) = self.obs.metrics_mut() {
             let outstanding = self.counters.regs(io.func).outstanding;
             let keys = &self.func_metric_keys[idx];
-            self.metrics.with(|m| {
-                m.stage_busy(metric_stages::TARGET_CTRL, pipe, 1);
-                m.counter_add_ref(&keys.started, 1);
-                m.gauge_set_ref(now, &keys.outstanding, f64::from(outstanding));
-            });
+            m.stage_busy(metric_stages::TARGET_CTRL, self.cfg.timing.pipeline, 1);
+            m.counter_add(&keys.started, 1);
+            m.gauge_set(now, &keys.outstanding, f64::from(outstanding));
         }
         self.tel_span(
             &io,
@@ -1588,8 +1573,7 @@ impl BmsEngine {
                 Admission::Deferred(at) => {
                     self.counters.record_deferred(io.func);
                     let wait = at.saturating_since(now);
-                    self.metrics
-                        .with(|m| m.stage_busy(metric_stages::QOS, wait, 1));
+                    self.obs.stage_busy(metric_stages::QOS, wait, 1);
                     self.tel_span(&io, TelemetryStage::Qos, now, at);
                     self.qos_seq += 1;
                     self.qos_heap.push(QosRelease {
@@ -1624,8 +1608,7 @@ impl BmsEngine {
             ssds.dedup();
             let n = ssds.len() as u64;
             let busy = self.cfg.timing.pipeline * n;
-            self.metrics
-                .with(|m| m.stage_busy(metric_stages::MAPPING, busy, n));
+            self.obs.stage_busy(metric_stages::MAPPING, busy, n);
             // Single-target commands skip the fan-out table:
             // `finish_origin` treats an untracked origin as its own
             // completion, with the same status and timing.
@@ -1645,8 +1628,7 @@ impl BmsEngine {
         self.split_spans_into(&io, &mut spans);
         let n = spans.len() as u64;
         let busy = self.cfg.timing.pipeline * n;
-        self.metrics
-            .with(|m| m.stage_busy(metric_stages::MAPPING, busy, n));
+        self.obs.stage_busy(metric_stages::MAPPING, busy, n);
         // Single-span commands skip the fan-out table (see the flush
         // branch above).
         if spans.len() > 1 {
@@ -1836,8 +1818,7 @@ impl BmsEngine {
         // Forward window: ring push + doorbell, plus any store-and-
         // forward link wait (the DMA-bound case the profiler must name).
         let busy = at.saturating_since(now);
-        self.metrics
-            .with(|m| m.stage_busy(metric_stages::DMA_ROUTING, busy, 1));
+        self.obs.stage_busy(metric_stages::DMA_ROUTING, busy, 1);
         actions.push(EngineAction::BackendDoorbell { ssd, tail, at });
     }
 
@@ -1902,7 +1883,7 @@ impl BmsEngine {
             // One DMA-routing span per forwarding attempt: push into the
             // back-end ring → back-end completion observed.
             if origin.cmd.is_some() {
-                self.telemetry.span(
+                self.obs.span(
                     origin.cmd,
                     origin.func.index() as u16,
                     origin.func.index(),
@@ -1965,7 +1946,7 @@ impl BmsEngine {
             // outstanding gauge.
             self.counters
                 .command_finished(origin.func, at.saturating_since(origin.fetched_at));
-            if self.metrics.is_enabled() {
+            if let Some(m) = self.obs.metrics_mut() {
                 // Any wait beyond the CQE forward slot is store-and-
                 // forward copy time: it belongs to the DMA routing
                 // stage, not the host adaptor (busy only — forwards
@@ -1974,17 +1955,15 @@ impl BmsEngine {
                 let busy = at.saturating_since(now) + self.cfg.timing.interrupt - copy_wait;
                 let outstanding = self.counters.regs(origin.func).outstanding;
                 let keys = &self.func_metric_keys[origin.func.index() as usize];
-                self.metrics.with(|m| {
-                    if copy_wait > SimDuration::ZERO {
-                        m.stage_busy(metric_stages::DMA_ROUTING, copy_wait, 0);
-                    }
-                    m.stage_busy(metric_stages::HOST_ADAPTOR, busy, 1);
-                    m.counter_add_ref(&keys.finished, 1);
-                    m.gauge_set_ref(now, &keys.outstanding, f64::from(outstanding));
-                });
+                if copy_wait > SimDuration::ZERO {
+                    m.stage_busy(metric_stages::DMA_ROUTING, copy_wait, 0);
+                }
+                m.stage_busy(metric_stages::HOST_ADAPTOR, busy, 1);
+                m.counter_add(&keys.finished, 1);
+                m.gauge_set(now, &keys.outstanding, f64::from(outstanding));
             }
             if origin.cmd.is_some() {
-                self.telemetry.span(
+                self.obs.span(
                     origin.cmd,
                     origin.func.index() as u16,
                     origin.func.index(),

@@ -92,14 +92,6 @@ impl Baseline {
         for rule in Rule::ALL {
             out.push('\n');
             out.push_str(&format!("[{}]\n", rule.id()));
-            if rule == Rule::ShardSafety {
-                out.push_str(
-                    "# Path to zero (blocks ROADMAP item 1, parallel shards): replace the\n\
-                     # metrics/telemetry Rc<RefCell<…>> handles with per-shard sinks merged\n\
-                     # at the barrier, then move chaos/testbed shared state behind &mut\n\
-                     # World. Pragmas are acceptable only for state proven shard-confined.\n",
-                );
-            }
             let mut wrote = false;
             if rule == Rule::IterOrder {
                 for cr in crate::rules::SIM_CRITICAL {

@@ -8,8 +8,8 @@
 //! hand-rolled two-pass token-stream analyzer in the spirit of the
 //! vendored `crates/compat` subsets: no dependencies, no proc macros,
 //! no network. Pass 1 lexes every workspace file ([`lexer`]) and
-//! builds a cross-crate symbol table ([`symbols`]: enum variants,
-//! statics, `thread_local!`s); pass 2 runs the rules over each file's
+//! builds a cross-crate symbol table ([`symbols`]: enum variants);
+//! pass 2 runs the rules over each file's
 //! token stream with that table in scope:
 //!
 //! | id | rule |
@@ -22,7 +22,6 @@
 //! | `wildcard-arm`       | matches over `Effect`/`FaultKind`/`BmsCommand`/`Stage` handle every variant (resolved cross-crate) |
 //! | `float-determinism`  | no `partial_cmp`, order-sensitive float accumulation, or ns→float casts in sim-critical code |
 //! | `time-unit`          | no raw integer literals mixed with `_ns` values without a named unit constructor |
-//! | `shard-safety`       | no process-global/thread-affine state blocking parallel shards (ROADMAP 1) |
 //!
 //! Violations are suppressed per-site with
 //! `// bm-lint: allow(<rule>): <justification>` (the justification is

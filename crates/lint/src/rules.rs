@@ -40,16 +40,13 @@ pub enum Rule {
     /// R8: raw integer literals mixed with nanosecond-denominated
     /// values without a named unit constructor.
     TimeUnit,
-    /// R9: process-global or thread-affine state that blocks running
-    /// one `World` per shard thread (ROADMAP item 1).
-    ShardSafety,
     /// A malformed or justification-less `bm-lint:` pragma.
     BadPragma,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::WallClock,
         Rule::IterOrder,
         Rule::UnseededRng,
@@ -58,7 +55,6 @@ impl Rule {
         Rule::WildcardArm,
         Rule::FloatDet,
         Rule::TimeUnit,
-        Rule::ShardSafety,
         Rule::BadPragma,
     ];
 
@@ -73,7 +69,6 @@ impl Rule {
             Rule::WildcardArm => "wildcard-arm",
             Rule::FloatDet => "float-determinism",
             Rule::TimeUnit => "time-unit",
-            Rule::ShardSafety => "shard-safety",
             Rule::BadPragma => "bad-pragma",
         }
     }
@@ -156,16 +151,6 @@ impl Rule {
                  Build durations with `SimDuration::from_us`/`from_ms`/`from_nanos` \
                  at the literal site, or name the constant so the unit is in the \
                  identifier."
-            }
-            Rule::ShardSafety => {
-                "R9 shard-safety: ROADMAP item 1 runs one `World` per shard thread \
-                 with a deterministic cross-shard merge. Any process-global mutable \
-                 state (a `static` with interior mutability, `static mut`, a \
-                 process-wide registry), `thread_local!` storage, or single-thread \
-                 `Rc`/`RefCell` ownership in sim-critical code either breaks under \
-                 concurrent shards or silently couples them, making the merge \
-                 nondeterministic. This category must ratchet to zero before any \
-                 parallel-shard code lands."
             }
             Rule::BadPragma => {
                 "bad-pragma: a `// bm-lint: allow(<rule>)` suppression must carry a \
@@ -265,7 +250,7 @@ fn applies(rule: Rule, ctx: &FileCtx) -> bool {
         Rule::WildcardArm => {
             ctx.crate_id != "compat" && matches!(ctx.kind, FileKind::Lib | FileKind::Bin)
         }
-        Rule::FloatDet | Rule::TimeUnit | Rule::ShardSafety => {
+        Rule::FloatDet | Rule::TimeUnit => {
             ctx.sim_critical() && matches!(ctx.kind, FileKind::Lib | FileKind::Bin)
         }
         Rule::BadPragma => true,
@@ -383,30 +368,6 @@ fn test_marks(toks: &[Tok]) -> Vec<bool> {
 
 /// Enums whose matches must be exhaustive (R6).
 const WATCHED_ENUMS: &[&str] = &["Effect", "FaultKind", "BmsCommand", "Stage"];
-
-/// Type names with interior mutability (R9, judged on `static` items).
-const INTERIOR_MUTABLE: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "RefCell",
-    "Cell",
-    "UnsafeCell",
-    "OnceCell",
-    "OnceLock",
-    "LazyLock",
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "AtomicPtr",
-];
 
 /// How a catch-all arm was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -846,80 +807,6 @@ fn time_unit(toks: &[Tok], in_test: &[bool]) -> Vec<(u32, String)> {
     found
 }
 
-/// R9 shard-safety detectors: statics/thread_locals come from the
-/// pass-1 symbol table (filtered to this file); `Rc<`/`RefCell<` type
-/// positions are detected token-locally. Emits `(line, detail)` pairs.
-fn shard_safety(
-    rel_path: &str,
-    toks: &[Tok],
-    in_test: &[bool],
-    table: &SymbolTable,
-) -> Vec<(u32, String)> {
-    let mut found = Vec::new();
-    let test_lines: BTreeSet<u32> = toks
-        .iter()
-        .zip(in_test.iter())
-        .filter(|(_, &m)| m)
-        .map(|(t, _)| t.line)
-        .collect();
-    for s in table.statics.iter().filter(|s| s.path == rel_path) {
-        if test_lines.contains(&s.line) {
-            continue;
-        }
-        if s.mutable {
-            found.push((
-                s.line,
-                format!(
-                    "`static mut {}` is process-global mutable state; parallel \
-                     shards (ROADMAP 1) require per-World ownership",
-                    s.name
-                ),
-            ));
-        } else if let Some(ty) = s.ty.iter().find(|t| INTERIOR_MUTABLE.contains(&t.as_str())) {
-            found.push((
-                s.line,
-                format!(
-                    "static `{}` has interior mutability ({}); process-global \
-                     state couples shards and breaks the deterministic merge \
-                     (ROADMAP 1)",
-                    s.name, ty
-                ),
-            ));
-        }
-    }
-    for tl in table.thread_locals.iter().filter(|t| t.path == rel_path) {
-        if test_lines.contains(&tl.line) {
-            continue;
-        }
-        found.push((
-            tl.line,
-            "thread_local! state outlives a `World` and is invisible to the \
-             cross-shard merge; shards must own their state (ROADMAP 1)"
-                .to_string(),
-        ));
-    }
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if (t.is_ident("Rc") || t.is_ident("RefCell"))
-            && toks.get(i + 1).map(|n| n.is_punct("<")).unwrap_or(false)
-        {
-            found.push((
-                t.line,
-                format!(
-                    "`{}<…>` is single-thread-only; state crossing a shard \
-                     boundary (ROADMAP 1) needs exclusive per-World ownership \
-                     (or a pragma documenting confinement)",
-                    t.text
-                ),
-            ));
-        }
-    }
-    found
-}
-
 /// Scans one file's source, returning **all** findings; suppressed ones
 /// carry `suppressed: true` (a well-formed, justified pragma on the
 /// finding's line or the line directly above).
@@ -1034,11 +921,6 @@ pub fn scan_source(
     if applies(Rule::TimeUnit, ctx) && !in_test_file {
         for (line, detail) in time_unit(toks, &marks) {
             raw.push(mk(Rule::TimeUnit, line, detail));
-        }
-    }
-    if applies(Rule::ShardSafety, ctx) && !in_test_file {
-        for (line, detail) in shard_safety(rel_path, toks, &marks, table) {
-            raw.push(mk(Rule::ShardSafety, line, detail));
         }
     }
 
@@ -1297,23 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_safety_statics_thread_locals_and_rc() {
-        let src = "static REG: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
-                   static TABLE: [u8; 4] = [0; 4];\n\
-                   thread_local! { static TL: u32 = 0; }\n\
-                   struct S { inner: Rc<RefCell<u32>> }\n";
-        let v = active(src, &FileCtx::new("testbed", FileKind::Lib));
-        let lines: Vec<usize> = v
-            .iter()
-            .filter(|v| v.rule == Rule::ShardSafety)
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(lines, vec![1, 3, 4], "{v:?}");
-        // Not sim-critical → silent.
-        assert!(active(src, &FileCtx::new("host", FileKind::Lib)).is_empty());
-    }
-
-    #[test]
     fn new_rules_suppressible_with_justified_pragma() {
         for (src, rule) in [
             (
@@ -1323,10 +1188,6 @@ mod tests {
             (
                 "// bm-lint: allow(time-unit): protocol-defined 500ns hold-off\nfn f(t_ns: u64) -> u64 { t_ns + 500 }\n",
                 Rule::TimeUnit,
-            ),
-            (
-                "// bm-lint: allow(shard-safety): const lookup table, never written\nstatic T: AtomicU64 = AtomicU64::new(0);\n",
-                Rule::ShardSafety,
             ),
             (
                 "enum Effect { A, B }\nfn f(e: Effect) -> u8 {\n    match e {\n        Effect::A => 1,\n        // bm-lint: allow(wildcard-arm): forward-compat shim\n        _ => 0,\n    }\n}\n",

@@ -95,14 +95,6 @@ const SOURCES: &[(&str, &str)] = &[
         include_str!("../tests/fixtures/time_unit_allowed.rs"),
     ),
     (
-        "shard_safety_bad.rs",
-        include_str!("../tests/fixtures/shard_safety_bad.rs"),
-    ),
-    (
-        "shard_safety_allowed.rs",
-        include_str!("../tests/fixtures/shard_safety_allowed.rs"),
-    ),
-    (
         "pragma_bad.rs",
         include_str!("../tests/fixtures/pragma_bad.rs"),
     ),
@@ -247,23 +239,6 @@ pub const CASES: &[Case] = &[
         crate_id: "sim",
         companions: &[],
         expected: &[("time-unit", 4, true)],
-    },
-    Case {
-        file: "shard_safety_bad.rs",
-        crate_id: "testbed",
-        companions: &[],
-        expected: &[
-            ("shard-safety", 5, false),
-            ("shard-safety", 7, false),
-            ("shard-safety", 8, false),
-            ("shard-safety", 12, false),
-        ],
-    },
-    Case {
-        file: "shard_safety_allowed.rs",
-        crate_id: "testbed",
-        companions: &[],
-        expected: &[("shard-safety", 5, true)],
     },
     Case {
         file: "pragma_bad.rs",

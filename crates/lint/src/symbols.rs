@@ -3,13 +3,9 @@
 //! Before any rule runs, every workspace file is lexed once and
 //! harvested for the symbols that cross-file rules need:
 //!
-//! * **enum definitions** with their variant lists — the
-//!   enum-exhaustiveness rule resolves `match` arms in one crate
-//!   against a definition in another;
-//! * **`static` items** with their type tokens — the shard-safety rule
-//!   flags process-global state with interior mutability;
-//! * **`thread_local!` declarations** — per-thread state breaks the
-//!   "one `World` per shard thread" model before it starts.
+//! **enum definitions** with their variant lists, so the
+//! enum-exhaustiveness rule can resolve `match` arms in one crate
+//! against a definition in another.
 //!
 //! The table is deterministic (BTreeMap, files visited in sorted
 //! order) so reports and baselines never depend on walk order.
@@ -32,44 +28,12 @@ pub struct EnumDef {
     pub variants: Vec<String>,
 }
 
-/// A `static` item (pass-1 record; judged by the shard-safety rule).
-#[derive(Debug, Clone)]
-pub struct StaticDef {
-    /// Item name.
-    pub name: String,
-    /// Crate the item lives in.
-    pub crate_id: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Whether it is `static mut`.
-    pub mutable: bool,
-    /// The type's token texts, `=`/`;` exclusive.
-    pub ty: Vec<String>,
-}
-
-/// A `thread_local!` declaration site.
-#[derive(Debug, Clone)]
-pub struct ThreadLocalDef {
-    /// Crate the declaration lives in.
-    pub crate_id: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
 /// The cross-file symbol table rules run against.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
     /// Enum name → all definitions with that name (normally one; the
     /// exhaustiveness rule disambiguates collisions by variant set).
     pub enums: BTreeMap<String, Vec<EnumDef>>,
-    /// Every `static` item, in (path, line) order.
-    pub statics: Vec<StaticDef>,
-    /// Every `thread_local!` site, in (path, line) order.
-    pub thread_locals: Vec<ThreadLocalDef>,
 }
 
 impl SymbolTable {
@@ -97,20 +61,6 @@ impl SymbolTable {
                     i = next.1;
                     continue;
                 }
-            } else if t.is_ident("static") && !prev_is_path_sep(toks, i) {
-                if let Some((def, next)) = parse_static(toks, i, rel_path, crate_id) {
-                    self.statics.push(def);
-                    i = next;
-                    continue;
-                }
-            } else if t.is_ident("thread_local")
-                && toks.get(i + 1).map(|n| n.is_punct("!")).unwrap_or(false)
-            {
-                self.thread_locals.push(ThreadLocalDef {
-                    crate_id: crate_id.to_string(),
-                    path: rel_path.to_string(),
-                    line: t.line,
-                });
             }
             i += 1;
         }
@@ -223,60 +173,6 @@ fn advance_enum(
     None
 }
 
-/// Parses `static [mut] NAME: Type = …;` starting at `static`.
-fn parse_static(
-    toks: &[Tok],
-    at: usize,
-    rel_path: &str,
-    crate_id: &str,
-) -> Option<(StaticDef, usize)> {
-    let mut i = at + 1;
-    let mutable = toks.get(i).map(|t| t.is_ident("mut")).unwrap_or(false);
-    if mutable {
-        i += 1;
-    }
-    let name_tok = toks.get(i)?;
-    if name_tok.kind != TokKind::Ident {
-        return None; // `impl Trait for &'static …` style uses.
-    }
-    let name = name_tok.text.clone();
-    i += 1;
-    if !toks.get(i)?.is_punct(":") {
-        return None;
-    }
-    i += 1;
-    let mut ty = Vec::new();
-    let mut depth = 0i32;
-    while let Some(t) = toks.get(i) {
-        if depth == 0 && (t.is_punct("=") || t.is_punct(";")) {
-            break;
-        }
-        // `<<`/`>>` close two generic levels at once (`Mutex<Vec<u32>>`).
-        match t.text.as_str() {
-            "(" | "[" | "{" if t.kind == TokKind::Punct => depth += 1,
-            ")" | "]" | "}" if t.kind == TokKind::Punct => depth -= 1,
-            "<" | "<<" if t.kind == TokKind::Punct => depth += t.text.len() as i32,
-            ">" | ">>" if t.kind == TokKind::Punct => depth -= t.text.len() as i32,
-            _ => {}
-        }
-        if t.kind == TokKind::Ident || t.kind == TokKind::Punct {
-            ty.push(t.text.clone());
-        }
-        i += 1;
-    }
-    Some((
-        StaticDef {
-            name,
-            crate_id: crate_id.to_string(),
-            path: rel_path.to_string(),
-            line: toks[at].line,
-            mutable,
-            ty,
-        },
-        i,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,24 +205,6 @@ mod tests {
         let t = table_of("fn f() { enum Inner { X, Y } }\nenum Outer { Z }");
         assert_eq!(t.enums["Inner"][0].variants, vec!["X", "Y"]);
         assert_eq!(t.enums["Outer"][0].variants, vec!["Z"]);
-    }
-
-    #[test]
-    fn harvests_statics_and_thread_locals() {
-        let t = table_of(
-            "static TABLE: [u8; 4] = [0; 4];\npub static REG: Mutex<Vec<u32>> = Mutex::new(Vec::new());\nthread_local! { static TL: RefCell<u32> = RefCell::new(0); }\n",
-        );
-        assert_eq!(t.statics.len(), 3); // TABLE, REG, and TL inside the macro
-        assert_eq!(t.statics[0].name, "TABLE");
-        assert!(t.statics[1].ty.contains(&"Mutex".to_string()));
-        assert_eq!(t.thread_locals.len(), 1);
-        assert_eq!(t.thread_locals[0].line, 3);
-    }
-
-    #[test]
-    fn static_lifetimes_are_not_static_items() {
-        let t = table_of("fn f(x: &'static str) -> &'static [u8] { b\"\" }");
-        assert!(t.statics.is_empty());
     }
 
     #[test]

@@ -78,10 +78,9 @@ fn sim_critical_scoping_is_enforced_per_rule() {
     let vs = scan_fixture("unseeded_rng_bad.rs", &FileCtx::new("sim", FileKind::Test));
     assert_eq!(vs.len(), 2, "{vs:#?}");
     assert!(vs.iter().all(|v| v.rule == Rule::UnseededRng));
-    // The three new determinism rules are scoped to sim-critical code.
+    // The float-determinism and time-unit rules are scoped to sim-critical code.
     assert!(scan_fixture("float_det_bad.rs", &lib("bench")).is_empty());
     assert!(scan_fixture("time_unit_bad.rs", &lib("workloads")).is_empty());
-    assert!(scan_fixture("shard_safety_bad.rs", &lib("bench")).is_empty());
     assert!(scan_fixture("float_det_bad.rs", &FileCtx::new("sim", FileKind::Test)).is_empty());
 }
 

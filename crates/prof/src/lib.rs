@@ -39,8 +39,6 @@
 pub mod alloc;
 pub mod report;
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -163,9 +161,8 @@ pub struct Snapshot {
 
 /// The profiler: an interned scope tree plus the sampler state.
 ///
-/// Scope boundaries are driven through [`ProfHandle`]; the tree lives
-/// behind `Rc<RefCell<…>>` so guards can own a handle without tying
-/// borrows to the world.
+/// The simulator owns one inside its observer and brackets every
+/// dispatch with [`Profiler::enter`]/[`Profiler::exit`].
 #[derive(Debug)]
 pub struct Profiler {
     nodes: Vec<Node>,
@@ -395,109 +392,6 @@ impl Profiler {
     }
 }
 
-/// Shared, optionally-inert handle to a [`Profiler`] — same pattern as
-/// the telemetry and metrics handles: a disabled handle is a no-op at
-/// every call site, so the instrumented hot path stays branch-cheap.
-#[derive(Debug, Clone, Default)]
-pub struct ProfHandle(Option<Rc<RefCell<Profiler>>>);
-
-impl ProfHandle {
-    /// A live handle with default parameters.
-    pub fn enabled() -> ProfHandle {
-        ProfHandle(Some(Rc::new(RefCell::new(Profiler::new()))))
-    }
-
-    /// A live handle around a custom-configured profiler.
-    pub fn from_profiler(p: Profiler) -> ProfHandle {
-        ProfHandle(Some(Rc::new(RefCell::new(p))))
-    }
-
-    /// An inert handle: every operation is a no-op.
-    pub fn disabled() -> ProfHandle {
-        ProfHandle(None)
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Enters `seg`, returning a guard that exits on drop. The guard
-    /// owns its own handle clone, so it borrows nothing from the
-    /// caller.
-    #[must_use = "the scope ends when the guard drops"]
-    pub fn scope(&self, seg: &'static str) -> Scope {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().enter(seg);
-        }
-        Scope {
-            inner: self.0.clone(),
-        }
-    }
-
-    /// Enters `seg` without a guard — for straight-line hot paths
-    /// where the matching [`ProfHandle::exit`] is guaranteed by
-    /// control flow. Prefer [`ProfHandle::scope`] around anything with
-    /// early returns.
-    pub fn enter(&self, seg: &'static str) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().enter(seg);
-        }
-    }
-
-    /// Exits the innermost scope; see [`ProfHandle::enter`].
-    pub fn exit(&self) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().exit();
-        }
-    }
-
-    /// See [`Profiler::run_begin`].
-    pub fn run_begin(&self) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().run_begin();
-        }
-    }
-
-    /// See [`Profiler::run_end`].
-    pub fn run_end(&self) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().run_end();
-        }
-    }
-
-    /// See [`Profiler::on_event_retired`].
-    pub fn on_event_retired(&self, events_fired: u64, arena_slots: usize) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().on_event_retired(events_fired, arena_slots);
-        }
-    }
-
-    /// Runs `f` against the profiler; `None` when disabled.
-    pub fn read<R>(&self, f: impl FnOnce(&Profiler) -> R) -> Option<R> {
-        self.0.as_ref().map(|p| f(&p.borrow()))
-    }
-
-    /// The end-of-run view; `None` when disabled.
-    pub fn snapshot(&self) -> Option<Snapshot> {
-        self.read(Profiler::snapshot)
-    }
-}
-
-/// RAII scope guard returned by [`ProfHandle::scope`].
-#[derive(Debug)]
-pub struct Scope {
-    inner: Option<Rc<RefCell<Profiler>>>,
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if let Some(p) = &self.inner {
-            p.borrow_mut().exit();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,32 +404,21 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_is_inert() {
-        let h = ProfHandle::disabled();
-        assert!(!h.is_enabled());
-        h.run_begin();
-        {
-            let _g = h.scope("stage");
-            let _h = h.scope("inner");
-        }
-        h.on_event_retired(1, 1);
-        h.run_end();
-        assert!(h.snapshot().is_none());
-    }
-
-    #[test]
     fn scope_tree_interns_paths_and_counts_exactly() {
         // Stride 1: every dispatch timed.
-        let h = ProfHandle::from_profiler(Profiler::with_params(1, u64::MAX / 4));
-        h.run_begin();
+        let mut p = Profiler::with_params(1, u64::MAX / 4);
+        p.run_begin();
         for i in 0..10u64 {
-            let _stage = h.scope("stage");
-            let _kind = h.scope(if i % 2 == 0 { "Doorbell" } else { "Forward" });
-            let _fx = h.scope("ScheduleAt");
+            p.enter("stage");
+            p.enter(if i % 2 == 0 { "Doorbell" } else { "Forward" });
+            p.enter("ScheduleAt");
             spin(2_000);
+            p.exit();
+            p.exit();
+            p.exit();
         }
-        h.run_end();
-        let snap = h.snapshot().unwrap();
+        p.run_end();
+        let snap = p.snapshot();
         let keys: Vec<String> = snap.scopes.iter().map(ScopeStat::key).collect();
         assert_eq!(
             keys,
@@ -561,15 +444,17 @@ mod tests {
 
     #[test]
     fn scaled_self_ns_sums_to_total_run_ns() {
-        let h = ProfHandle::from_profiler(Profiler::with_params(3, u64::MAX / 4));
-        h.run_begin();
+        let mut p = Profiler::with_params(3, u64::MAX / 4);
+        p.run_begin();
         for _ in 0..30u64 {
-            let _stage = h.scope("stage");
-            let _fx = h.scope("effect");
+            p.enter("stage");
+            p.enter("effect");
             spin(1_000);
+            p.exit();
+            p.exit();
         }
-        h.run_end();
-        let snap = h.snapshot().unwrap();
+        p.run_end();
+        let snap = p.snapshot();
         assert!(snap.total_run_ns > 0);
         assert!(snap.timed_self_ns > 0);
         let sum: u64 = snap.scopes.iter().map(|s| s.self_ns).sum();
@@ -584,13 +469,14 @@ mod tests {
 
     #[test]
     fn untimed_dispatches_still_count() {
-        let h = ProfHandle::from_profiler(Profiler::with_params(1000, u64::MAX / 4));
-        h.run_begin();
+        let mut p = Profiler::with_params(1000, u64::MAX / 4);
+        p.run_begin();
         for _ in 0..10u64 {
-            let _g = h.scope("stage");
+            p.enter("stage");
+            p.exit();
         }
-        h.run_end();
-        let snap = h.snapshot().unwrap();
+        p.run_end();
+        let snap = p.snapshot();
         assert_eq!(snap.scopes[0].count, 10);
         assert_eq!(snap.scopes[0].timed_count, 1, "only dispatch 0 timed");
     }
@@ -598,17 +484,16 @@ mod tests {
     #[test]
     fn sampler_emits_monotonic_points() {
         // 1 ns interval: every timed dispatch emits a point.
-        let h = ProfHandle::from_profiler(Profiler::with_params(1, 1));
-        h.run_begin();
+        let mut p = Profiler::with_params(1, 1);
+        p.run_begin();
         for i in 0..5u64 {
-            {
-                let _g = h.scope("stage");
-                spin(500);
-            }
-            h.on_event_retired(i + 1, 4 + i as usize);
+            p.enter("stage");
+            spin(500);
+            p.exit();
+            p.on_event_retired(i + 1, 4 + i as usize);
         }
-        h.run_end();
-        let snap = h.snapshot().unwrap();
+        p.run_end();
+        let snap = p.snapshot();
         assert!(!snap.samples.is_empty());
         for w in snap.samples.windows(2) {
             assert!(w[0].wall_ns <= w[1].wall_ns);
@@ -619,15 +504,12 @@ mod tests {
 
     #[test]
     fn unbalanced_exit_is_ignored() {
-        let h = ProfHandle::enabled();
-        h.read(|_| ()).unwrap();
-        if let Some(p) = &h.0 {
-            p.borrow_mut().exit();
-            p.borrow_mut().enter("stage");
-            p.borrow_mut().exit();
-            p.borrow_mut().exit();
-        }
-        let snap = h.snapshot().unwrap();
+        let mut p = Profiler::new();
+        p.exit();
+        p.enter("stage");
+        p.exit();
+        p.exit();
+        let snap = p.snapshot();
         assert_eq!(snap.scopes.len(), 1);
         assert_eq!(snap.scopes[0].count, 1);
     }

@@ -526,24 +526,17 @@ impl<W> Simulation<W> {
     /// to `deadline` if it ends earlier. Returns the number of events fired.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut fired = 0;
-        while self.sched.peek_next_at().is_some_and(|at| at <= deadline) {
-            let Some((_, action)) = self.sched.pop_due() else {
-                break;
-            };
-            action(&mut self.world, &mut self.sched);
+        while self.step_until(deadline) {
             fired += 1;
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
         }
         fired
     }
 
     /// Fires the next event if it is due at or before `deadline`;
     /// returns whether one fired. Once the queue holds nothing due, the
-    /// clock is advanced to `deadline` (matching [`Simulation::run_until`],
-    /// which this decomposes one event at a time — callers that observe
-    /// each event, e.g. a profiling harness, loop on it instead).
+    /// clock is advanced to `deadline`. [`Simulation::run_until`] is
+    /// this in a loop; callers that observe each event, e.g. a
+    /// profiling harness, loop on it themselves.
     pub fn step_until(&mut self, deadline: SimTime) -> bool {
         if self.sched.peek_next_at().is_some_and(|at| at <= deadline) {
             if let Some((_, action)) = self.sched.pop_due() {

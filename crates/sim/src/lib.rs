@@ -27,7 +27,10 @@
 //!   aggregated into per-`(tenant, opcode)` blame profiles,
 //! * [`slo`] — a per-tenant SLO engine with multi-window burn-rate
 //!   alerting, a progress-stall watchdog, and deterministic incident
-//!   reports correlating alerts, fault windows and blame profiles.
+//!   reports correlating alerts, fault windows and blame profiles,
+//! * [`observe`] — the one owned [`Observer`] that holds the telemetry
+//!   recorder, metrics registry, SLO engine and self-profiler and feeds
+//!   them one event stream.
 //!
 //! # Examples
 //!
@@ -51,6 +54,7 @@
 pub mod engine;
 pub mod faults;
 pub mod metrics;
+pub mod observe;
 pub mod resource;
 pub mod rng;
 pub mod slo;
@@ -60,8 +64,8 @@ pub mod time;
 
 pub use engine::{SchedulePastError, Scheduler, Simulation};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use metrics::MetricsHandle;
+pub use observe::Observer;
 pub use rng::SimRng;
 pub use slo::{Alert, SloConfig, SloEngine, SloSpec};
-pub use telemetry::{CmdId, TelemetryHandle};
+pub use telemetry::CmdId;
 pub use time::{SimDuration, SimTime};

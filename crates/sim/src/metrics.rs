@@ -26,8 +26,9 @@
 //! is a *simulator event* (the testbed schedules it only when metrics
 //! are enabled), so with metrics off the event stream — and therefore
 //! every figure table — is byte-identical to a build without this
-//! module. A disabled [`MetricsHandle`] makes every call a no-op, the
-//! same contract as [`TelemetryHandle`](crate::telemetry::TelemetryHandle).
+//! module. Components reach the registry through the
+//! [`Observer`](crate::observe::Observer), which skips every call when
+//! the registry is off.
 //!
 //! # Bottleneck analysis
 //!
@@ -42,33 +43,23 @@
 //! # Examples
 //!
 //! ```
-//! use bm_sim::metrics::{MetricKey, MetricsHandle};
+//! use bm_sim::metrics::{MetricKey, MetricsRegistry};
 //! use bm_sim::{SimDuration, SimTime};
 //!
-//! let m = MetricsHandle::enabled();
+//! let mut r = MetricsRegistry::new();
 //! let t0 = SimTime::ZERO;
-//! m.with(|r| {
-//!     r.stage_busy("ssd", SimDuration::from_us(80), 1);
-//!     r.gauge_set(t0, MetricKey::new("depth"), 4.0);
-//!     r.sample(t0, MetricKey::new("depth"), 4.0);
-//! });
-//! let report = m
-//!     .read(|r| r.bottleneck_report(SimTime::ZERO + SimDuration::from_us(100), 4))
-//!     .unwrap();
+//! r.stage_busy("ssd", SimDuration::from_us(80), 1);
+//! r.gauge_set(t0, &MetricKey::new("depth"), 4.0);
+//! r.sample(t0, &MetricKey::new("depth"), 4.0);
+//! let report = r.bottleneck_report(SimTime::ZERO + SimDuration::from_us(100), 4);
 //! assert_eq!(report.saturated.as_deref(), Some("ssd"));
-//!
-//! // Disabled handles are inert: no allocation, no recording.
-//! let off = MetricsHandle::disabled();
-//! assert!(off.with(|r| r.counter_add(MetricKey::new("x"), 1)).is_none());
 //! ```
 
 use crate::stats::TimeSeries;
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Default capacity of each bounded time series (samples per key).
 pub const DEFAULT_SERIES_CAPACITY: usize = 1 << 14;
@@ -370,7 +361,7 @@ pub struct BottleneckReport {
 
 /// The metrics store: counters, gauges, bounded series, annotations.
 ///
-/// Not used directly by components — they hold a [`MetricsHandle`].
+/// Components reach it through the [`Observer`](crate::observe::Observer).
 #[derive(Debug)]
 pub struct MetricsRegistry {
     series_capacity: usize,
@@ -407,21 +398,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` to a counter, creating it at zero.
-    pub fn counter_add(&mut self, key: MetricKey, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Adds `delta` to a counter through a borrowed key: the hot-path
-    /// variant for call sites that cache their [`MetricKey`]s. Clones
-    /// the key only on first use.
-    pub fn counter_add_ref(&mut self, key: &MetricKey, delta: u64) {
-        match self.counters.get_mut(key) {
-            Some(v) => *v += delta,
-            None => {
-                self.counters.insert(key.clone(), delta);
-            }
-        }
+    /// Adds `delta` to a counter, creating it at zero. Call sites on
+    /// the hot path cache their [`MetricKey`]s: the key is cloned only
+    /// on first use.
+    pub fn counter_add(&mut self, key: &MetricKey, delta: u64) {
+        add(&mut self.counters, key, delta);
     }
 
     /// Reads a counter (zero if never written).
@@ -430,19 +411,7 @@ impl MetricsRegistry {
     }
 
     /// Sets a gauge, folding the elapsed interval into its integral.
-    pub fn gauge_set(&mut self, now: SimTime, key: MetricKey, value: f64) {
-        match self.gauges.get_mut(&key) {
-            Some(g) => g.set(now, value),
-            None => {
-                self.gauges.insert(key, GaugeState::new(now, value));
-            }
-        }
-    }
-
-    /// Sets a gauge through a borrowed key: the hot-path variant for
-    /// call sites that cache their [`MetricKey`]s. Clones the key only
-    /// on first use.
-    pub fn gauge_set_ref(&mut self, now: SimTime, key: &MetricKey, value: f64) {
+    pub fn gauge_set(&mut self, now: SimTime, key: &MetricKey, value: f64) {
         match self.gauges.get_mut(key) {
             Some(g) => g.set(now, value),
             None => {
@@ -457,48 +426,22 @@ impl MetricsRegistry {
     }
 
     /// Appends one point to a bounded series, creating it on first use.
-    pub fn sample(&mut self, at: SimTime, key: MetricKey, value: f64) {
-        match self.series.get_mut(&key) {
-            Some(s) => s.push(at, value),
-            None => {
-                let mut s = BoundedSeries::new(&key.render(), self.series_capacity);
-                s.push(at, value);
-                self.series.insert(key, s);
-            }
-        }
-    }
-
-    /// Appends one point through a borrowed key: the hot-path variant
-    /// for call sites that cache their [`MetricKey`]s. Clones the key
-    /// only when the series is first created.
-    pub fn sample_ref(&mut self, at: SimTime, key: &MetricKey, value: f64) {
-        match self.series.get_mut(key) {
-            Some(s) => s.push(at, value),
-            None => {
-                let mut s = BoundedSeries::new(&key.render(), self.series_capacity);
-                s.push(at, value);
-                self.series.insert(key.clone(), s);
-            }
-        }
+    pub fn sample(&mut self, at: SimTime, key: &MetricKey, value: f64) {
+        push(&mut self.series, self.series_capacity, key, at, value);
     }
 
     /// Snapshots every gauge's current value into its series at `now`
     /// — the periodic sampler's bulk step, equivalent to calling
-    /// [`MetricsRegistry::sample`] per gauge but without cloning every
-    /// key on every tick.
+    /// [`MetricsRegistry::sample`] per gauge.
     pub fn snapshot_gauges(&mut self, now: SimTime) {
-        let capacity = self.series_capacity;
-        let (gauges, series) = (&self.gauges, &mut self.series);
-        for (key, gauge) in gauges {
-            let value = gauge.value();
-            match series.get_mut(key) {
-                Some(s) => s.push(now, value),
-                None => {
-                    let mut s = BoundedSeries::new(&key.render(), capacity);
-                    s.push(now, value);
-                    series.insert(key.clone(), s);
-                }
-            }
+        for (key, gauge) in &self.gauges {
+            push(
+                &mut self.series,
+                self.series_capacity,
+                key,
+                now,
+                gauge.value(),
+            );
         }
     }
 
@@ -517,19 +460,9 @@ impl MetricsRegistry {
                 MetricKey::labeled(names::STAGE_ARRIVALS, "stage", stage),
             )
         });
-        match self.counters.get_mut(busy_key) {
-            Some(v) => *v += busy.as_nanos(),
-            None => {
-                self.counters.insert(busy_key.clone(), busy.as_nanos());
-            }
-        }
+        add(&mut self.counters, busy_key, busy.as_nanos());
         if arrivals > 0 {
-            match self.counters.get_mut(arrivals_key) {
-                Some(v) => *v += arrivals,
-                None => {
-                    self.counters.insert(arrivals_key.clone(), arrivals);
-                }
-            }
+            add(&mut self.counters, arrivals_key, arrivals);
         }
     }
 
@@ -652,51 +585,37 @@ impl MetricsRegistry {
     }
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
+/// Adds `delta` to the counter `key`, cloning the key only on first use.
+fn add(counters: &mut BTreeMap<MetricKey, u64>, key: &MetricKey, delta: u64) {
+    match counters.get_mut(key) {
+        Some(v) => *v += delta,
+        None => {
+            counters.insert(key.clone(), delta);
+        }
     }
 }
 
-/// A cheaply clonable, possibly-disabled reference to a registry.
-///
-/// Disabled handles make every access a no-op, so metrics-off runs are
-/// bit-identical to a tree without the instrumentation (the same
-/// contract as [`TelemetryHandle`](crate::telemetry::TelemetryHandle)).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsHandle(Option<Rc<RefCell<MetricsRegistry>>>);
-
-impl MetricsHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        MetricsHandle(None)
+/// Appends `(at, value)` to the series `key`, creating it on first use.
+fn push(
+    series: &mut BTreeMap<MetricKey, BoundedSeries>,
+    capacity: usize,
+    key: &MetricKey,
+    at: SimTime,
+    value: f64,
+) {
+    match series.get_mut(key) {
+        Some(s) => s.push(at, value),
+        None => {
+            let mut s = BoundedSeries::new(&key.render(), capacity);
+            s.push(at, value);
+            series.insert(key.clone(), s);
+        }
     }
+}
 
-    /// A live handle over a fresh registry.
-    pub fn enabled() -> Self {
-        MetricsHandle(Some(Rc::new(RefCell::new(MetricsRegistry::new()))))
-    }
-
-    /// A live handle with a custom per-series capacity.
-    pub fn enabled_with_capacity(series_capacity: usize) -> Self {
-        MetricsHandle(Some(Rc::new(RefCell::new(MetricsRegistry::with_capacity(
-            series_capacity,
-        )))))
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Runs `f` with mutable access to the registry, if enabled.
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| f(&mut r.borrow_mut()))
-    }
-
-    /// Runs `f` with shared access to the registry, if enabled.
-    pub fn read<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| f(&r.borrow()))
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -826,8 +745,8 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let key = MetricKey::labeled(names::ENGINE_STARTED, "function", 0);
         assert_eq!(reg.counter(&key), 0);
-        reg.counter_add(key.clone(), 2);
-        reg.counter_add(key.clone(), 3);
+        reg.counter_add(&key, 2);
+        reg.counter_add(&key, 3);
         assert_eq!(reg.counter(&key), 5);
     }
 
@@ -836,8 +755,8 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let key = MetricKey::new("depth");
         // 0..10µs at 4, 10..20µs at 8 → mean 6 over 20µs.
-        reg.gauge_set(us(0), key.clone(), 4.0);
-        reg.gauge_set(us(10), key.clone(), 8.0);
+        reg.gauge_set(us(0), &key, 4.0);
+        reg.gauge_set(us(10), &key, 8.0);
         let g = reg.gauge(&key).unwrap();
         assert_eq!(g.value(), 8.0);
         assert_eq!(g.peak(), 8.0);
@@ -849,7 +768,7 @@ mod tests {
     fn gauge_created_mid_window_counts_zero_before() {
         let mut reg = MetricsRegistry::new();
         let key = MetricKey::new("depth");
-        reg.gauge_set(us(10), key.clone(), 10.0);
+        reg.gauge_set(us(10), &key, 10.0);
         // 0..10µs implicit zero, 10..20µs at 10 → mean 5.
         let mean = reg.gauge(&key).unwrap().mean_over(SimTime::ZERO, us(20));
         assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
@@ -860,7 +779,7 @@ mod tests {
         let mut reg = MetricsRegistry::with_capacity(2);
         let key = MetricKey::new("s");
         for i in 0..5u64 {
-            reg.sample(us(i), key.clone(), i as f64);
+            reg.sample(us(i), &key, i as f64);
         }
         let s = reg.series(&key).unwrap();
         assert_eq!(s.points().len(), 2);
@@ -892,7 +811,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         for (f, depth) in [(0u8, 2.0), (1, 9.0), (2, 4.0)] {
             let key = MetricKey::labeled(names::ENGINE_OUTSTANDING, "function", format!("f{f}"));
-            reg.gauge_set(us(0), key, depth);
+            reg.gauge_set(us(0), &key, depth);
         }
         let report = reg.bottleneck_report(us(100), 2);
         assert_eq!(report.top_tenants.len(), 2);
@@ -913,9 +832,9 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_deterministic_and_typed() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_add(MetricKey::labeled(names::SSD_OPS, "ssd", 1), 7);
-        reg.counter_add(MetricKey::labeled(names::SSD_OPS, "ssd", 0), 3);
-        reg.gauge_set(us(5), MetricKey::new(names::DMA_INFLIGHT_BYTES), 4096.0);
+        reg.counter_add(&MetricKey::labeled(names::SSD_OPS, "ssd", 1), 7);
+        reg.counter_add(&MetricKey::labeled(names::SSD_OPS, "ssd", 0), 3);
+        reg.gauge_set(us(5), &MetricKey::new(names::DMA_INFLIGHT_BYTES), 4096.0);
         reg.annotate(us(1), Some(us(2)), "fault: spike ssd0");
         let text = prometheus(&reg);
         let again = prometheus(&reg);
@@ -934,29 +853,12 @@ mod tests {
     fn csv_lists_every_sample() {
         let mut reg = MetricsRegistry::new();
         let key = MetricKey::labeled(names::BACKEND_INFLIGHT, "ssd", 0);
-        reg.sample(us(1), key.clone(), 3.0);
-        reg.sample(us(2), key, 5.0);
+        reg.sample(us(1), &key, 3.0);
+        reg.sample(us(2), &key, 5.0);
         let text = csv(&reg);
         assert!(text.starts_with("series,t_ns,value\n"));
         assert!(text.contains("\"bm_backend_sq_inflight{ssd=\"0\"}\",1000,3"));
         assert!(text.contains("\"bm_backend_sq_inflight{ssd=\"0\"}\",2000,5"));
-    }
-
-    #[test]
-    fn disabled_handle_is_inert() {
-        let h = MetricsHandle::disabled();
-        assert!(!h.is_enabled());
-        assert!(h.with(|r| r.counter_add(MetricKey::new("x"), 1)).is_none());
-        assert!(h.read(|r| r.sample_ticks()).is_none());
-    }
-
-    #[test]
-    fn handle_clones_share_the_registry() {
-        let h = MetricsHandle::enabled();
-        let h2 = h.clone();
-        h.with(|r| r.counter_add(MetricKey::new("x"), 1));
-        h2.with(|r| r.counter_add(MetricKey::new("x"), 2));
-        assert_eq!(h.read(|r| r.counter(&MetricKey::new("x"))), Some(3));
     }
 
     #[test]

@@ -114,26 +114,28 @@ pub struct TestbedConfig {
     /// command. Never set outside tests.
     #[doc(hidden)]
     pub engine_drop_journal_tail: bool,
-    /// Enables the telemetry recorder (per-command spans, tenant
-    /// aggregation, trace export). Off by default: a disabled handle is
-    /// inert — no events are recorded and no state is touched — so
-    /// telemetry-off runs are bit-identical to builds without it.
+    /// Puts a telemetry recorder (per-command spans, tenant
+    /// aggregation, trace export) into the testbed's observer. Off by
+    /// default: with no recorder every telemetry call is a skipped
+    /// branch, so telemetry-off runs are bit-identical to builds
+    /// without it.
     pub telemetry: bool,
-    /// Enables the metrics registry and its periodic sampler (counters,
-    /// gauges, bounded time series, bottleneck report). Same inert-off
-    /// discipline as `telemetry`: disabled runs are bit-identical.
+    /// Puts a metrics registry into the observer and schedules its
+    /// periodic sampler (counters, gauges, bounded time series,
+    /// bottleneck report). Off, it costs the same skipped branch as
+    /// `telemetry`, and runs are bit-identical.
     pub metrics: bool,
     /// Sampling period of the metrics time-series event (ignored when
     /// `metrics` is off).
     pub metrics_interval: SimDuration,
-    /// Per-tenant SLO policy, evaluated on every sampler tick. `None`
-    /// is inert; setting it implies `metrics` (alerts are recorded as
-    /// metric annotations).
+    /// Per-tenant SLO policy: the observer's SLO engine, evaluated on
+    /// every sampler tick. `None` leaves it out; setting it implies
+    /// `metrics` (alerts are recorded as metric annotations).
     pub slo: Option<SloConfig>,
-    /// Enables the wall-clock self-profiler (`bm-prof`): scoped timers
-    /// around event dispatch, allocation attribution, and the
-    /// events/sec sampler. Read-only with respect to the simulation —
-    /// profiler-on runs are byte-identical to profiler-off runs (the
+    /// Puts the wall-clock self-profiler (`bm-prof`) into the observer:
+    /// scoped timers around event dispatch, allocation attribution, and
+    /// the events/sec sampler. Read-only with respect to the simulation
+    /// — profiler-on runs are byte-identical to profiler-off runs (the
     /// property `bmstore_cli prof --smoke` gates on).
     pub profiler: bool,
 }

@@ -9,7 +9,7 @@ use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
 use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::QueueId;
-use bm_pcie::FunctionId;
+use bm_pcie::{FunctionId, HostMemory};
 use bm_sim::resource::FifoServer;
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::{Ssd, SsdId};
@@ -37,8 +37,6 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
     engine_cfg.fail_policy = ctx.cfg.engine_fail_policy;
     engine_cfg.debug_drop_journal_tail = ctx.cfg.engine_drop_journal_tail;
     let mut engine = Box::new(BmsEngine::new(engine_cfg));
-    engine.set_telemetry(ctx.telemetry.clone());
-    engine.set_metrics(ctx.metrics.clone());
     let controller = Box::new(BmsController::new(bm_pcie::mctp::Eid(8)));
     for (i, ssd) in ctx.ssds.iter_mut().enumerate() {
         let (sq, cq) = engine.ssd_rings(SsdId(i as u8));
@@ -74,64 +72,187 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
     })
 }
 
-impl BmStoreScheme {
-    /// Maps front-end identity back to the device.
-    fn device_for(&self, func: FunctionId, qid: QueueId) -> DeviceId {
-        self.funcs
-            .iter()
-            .position(|&(f, q)| f == func && q == qid)
-            .map(DeviceId)
-            .expect("device for function")
-    }
+/// Maps front-end identity back to the device.
+fn device_for(funcs: &[(FunctionId, QueueId)], func: FunctionId, qid: QueueId) -> DeviceId {
+    funcs
+        .iter()
+        .position(|&(f, q)| f == func && q == qid)
+        .map(DeviceId)
+        .expect("device for function")
+}
 
-    /// Engine actions become scheduled pipeline stages, in order.
-    /// Recovery events the engine logged while producing them are
-    /// drained first, so observers see the recovery before its
-    /// consequences.
-    fn actions_to_effects(&mut self, actions: Vec<EngineAction>) -> Vec<Effect> {
-        let mut effects: Vec<Effect> = self
-            .engine
-            .take_recovery_events()
-            .into_iter()
-            .map(|event| Effect::FaultTrace {
-                event: FaultTraceEvent::EngineRecovery(event),
-            })
-            .collect();
-        let engine = &self.engine;
-        effects.extend(actions.into_iter().map(|action| match action {
-            EngineAction::BackendDoorbell { ssd, tail, at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineBackendDoorbell {
-                    ssd,
-                    tail,
-                    epoch: engine.ring_epoch(ssd),
-                },
+/// Engine actions become scheduled pipeline stages, in order. Recovery
+/// events the engine logged while producing them are drained first, so
+/// observers see the recovery before its consequences.
+fn actions_to_effects(engine: &mut BmsEngine, actions: Vec<EngineAction>) -> Vec<Effect> {
+    let mut effects: Vec<Effect> = engine
+        .take_recovery_events()
+        .into_iter()
+        .map(|event| Effect::FaultTrace {
+            event: FaultTraceEvent::EngineRecovery(event),
+        })
+        .collect();
+    effects.extend(actions.into_iter().map(|action| match action {
+        EngineAction::BackendDoorbell { ssd, tail, at } => Effect::ScheduleAt {
+            at,
+            stage: Stage::EngineBackendDoorbell {
+                ssd,
+                tail,
+                epoch: engine.ring_epoch(ssd),
             },
-            EngineAction::HostCompletion {
+        },
+        EngineAction::HostCompletion {
+            func,
+            qid,
+            cid,
+            status,
+            at,
+        } => Effect::ScheduleAt {
+            at,
+            stage: Stage::EngineHostCompletion {
                 func,
                 qid,
                 cid,
                 status,
-                at,
-            } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineHostCompletion {
-                    func,
-                    qid,
+            },
+        },
+        EngineAction::QosWakeup { at } => Effect::ScheduleAt {
+            at,
+            stage: Stage::EngineQosWakeup,
+        },
+        EngineAction::CommandDeadline { ssd, seq, at } => Effect::ScheduleAt {
+            at,
+            stage: Stage::EngineDeadline { ssd, seq },
+        },
+    }));
+    effects
+}
+
+/// One engine pipeline stage, run while the engine holds the world's
+/// observer.
+fn engine_stage(
+    engine: &mut BmsEngine,
+    funcs: &[(FunctionId, QueueId)],
+    now: SimTime,
+    stage: Stage,
+    host_mem: &mut HostMemory,
+    ssds: &mut [Ssd],
+) -> Vec<Effect> {
+    match stage {
+        Stage::EngineDoorbell { func, qid, tail } => {
+            if engine.is_crashed() {
+                // The doorbell write sits in the fabric until the
+                // card reboots; the recovery action is scheduled at
+                // the same instant but was inserted first, so the
+                // engine is back up when this lands again.
+                return vec![Effect::ScheduleAt {
+                    at: engine.restart_at().max(now),
+                    stage: Stage::EngineDoorbell { func, qid, tail },
+                }];
+            }
+            let actions = engine.host_doorbell_write(
+                now,
+                func,
+                DoorbellLayout::sq_tail_offset(qid),
+                tail,
+                host_mem,
+            );
+            actions_to_effects(engine, actions)
+        }
+        Stage::EngineBackendDoorbell { ssd, tail, epoch } => {
+            if epoch != engine.ring_epoch(ssd) {
+                // Minted before this SSD's rings were reset (engine
+                // crash, hot-plug swap, or surprise re-insert).
+                return Vec::new();
+            }
+            let mut router = engine.dma_router(host_mem);
+            let completions =
+                ssds[ssd.0 as usize].ring_sq_doorbell(now, QueueId(1), tail, &mut router);
+            // Consecutive completions sharing an instant become one
+            // scheduled event; they held consecutive sequence
+            // numbers before, so batching cannot reorder anything.
+            let mut effects = Vec::new();
+            let mut iter = completions.into_iter().peekable();
+            while let Some(io) = iter.next() {
+                let at = io.at;
+                let mut ios = vec![io];
+                while let Some(next) = iter.next_if(|n| n.at == at) {
+                    ios.push(next);
+                }
+                effects.push(Effect::ScheduleAt {
+                    at,
+                    stage: Stage::EngineBackendComplete { ssd, ios, epoch },
+                });
+            }
+            effects
+        }
+        Stage::EngineBackendComplete { ssd, ios, epoch } => {
+            if epoch != engine.ring_epoch(ssd) {
+                return Vec::new();
+            }
+            let mut effects = Vec::new();
+            for io in ios {
+                // Device-service span, recorded while the back-end CID
+                // still resolves to its origin (the drain below frees it).
+                engine.record_backend_span(
+                    ssd,
+                    io.cid,
+                    io.submitted_at,
+                    now,
+                    io.status.is_success(),
+                );
+                {
+                    let mut router = engine.dma_router(host_mem);
+                    Ssd::deliver_read_payload(&io, &mut router);
+                    let _ = ssds[ssd.0 as usize].post_completion(&io, &mut router);
+                }
+                let (actions, cq_head) = engine.on_backend_completion(now, ssd, host_mem);
+                ssds[ssd.0 as usize].ring_cq_doorbell(QueueId(1), cq_head);
+                effects.extend(actions_to_effects(engine, actions));
+            }
+            effects
+        }
+        Stage::EngineHostCompletion {
+            func,
+            qid,
+            cid,
+            status,
+        } => {
+            if !engine.deliver_host_completion(func, qid, cid, status, host_mem) {
+                // Host CQ full: retry after the host consumes.
+                return vec![Effect::ScheduleAt {
+                    at: now + SimDuration::from_us(2),
+                    stage: Stage::EngineHostCompletion {
+                        func,
+                        qid,
+                        cid,
+                        status,
+                    },
+                }];
+            }
+            let dev = device_for(funcs, func, qid);
+            vec![
+                Effect::Trace {
+                    stage: PipelineStage::Backend,
+                },
+                Effect::RaiseInterrupt {
+                    at: now + engine.timing().interrupt,
+                    dev,
                     cid,
                     status,
                 },
-            },
-            EngineAction::QosWakeup { at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineQosWakeup,
-            },
-            EngineAction::CommandDeadline { ssd, seq, at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineDeadline { ssd, seq },
-            },
-        }));
-        effects
+            ]
+        }
+        Stage::EngineQosWakeup => {
+            let actions = engine.qos_wakeup(now, host_mem);
+            actions_to_effects(engine, actions)
+        }
+        Stage::EngineDeadline { ssd, seq } => {
+            let actions = engine.check_deadline(now, ssd, seq, host_mem);
+            actions_to_effects(engine, actions)
+        }
+        // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
+        other => unreachable!("bm-store scheme never schedules {other:?}"),
     }
 }
 
@@ -155,128 +276,11 @@ impl Scheme for BmStoreScheme {
     }
 
     fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx) -> Vec<Effect> {
-        match stage {
-            Stage::EngineDoorbell { func, qid, tail } => {
-                if self.engine.is_crashed() {
-                    // The doorbell write sits in the fabric until the
-                    // card reboots; the recovery action is scheduled at
-                    // the same instant but was inserted first, so the
-                    // engine is back up when this lands again.
-                    return vec![Effect::ScheduleAt {
-                        at: self.engine.restart_at().max(now),
-                        stage: Stage::EngineDoorbell { func, qid, tail },
-                    }];
-                }
-                let actions = self.engine.host_doorbell_write(
-                    now,
-                    func,
-                    DoorbellLayout::sq_tail_offset(qid),
-                    tail,
-                    ctx.host_mem,
-                );
-                self.actions_to_effects(actions)
-            }
-            Stage::EngineBackendDoorbell { ssd, tail, epoch } => {
-                if epoch != self.engine.ring_epoch(ssd) {
-                    // Minted before this SSD's rings were reset (engine
-                    // crash, hot-plug swap, or surprise re-insert).
-                    return Vec::new();
-                }
-                let mut router = self.engine.dma_router(ctx.host_mem);
-                let completions =
-                    ctx.ssds[ssd.0 as usize].ring_sq_doorbell(now, QueueId(1), tail, &mut router);
-                // Consecutive completions sharing an instant become one
-                // scheduled event; they held consecutive sequence
-                // numbers before, so batching cannot reorder anything.
-                let mut effects = Vec::new();
-                let mut iter = completions.into_iter().peekable();
-                while let Some(io) = iter.next() {
-                    let at = io.at;
-                    let mut ios = vec![io];
-                    while let Some(next) = iter.next_if(|n| n.at == at) {
-                        ios.push(next);
-                    }
-                    effects.push(Effect::ScheduleAt {
-                        at,
-                        stage: Stage::EngineBackendComplete { ssd, ios, epoch },
-                    });
-                }
-                effects
-            }
-            Stage::EngineBackendComplete { ssd, ios, epoch } => {
-                if epoch != self.engine.ring_epoch(ssd) {
-                    return Vec::new();
-                }
-                let mut effects = Vec::new();
-                for io in ios {
-                    // Device-service span, recorded while the back-end CID
-                    // still resolves to its origin (the drain below frees it).
-                    self.engine.record_backend_span(
-                        ssd,
-                        io.cid,
-                        io.submitted_at,
-                        now,
-                        io.status.is_success(),
-                    );
-                    {
-                        let mut router = self.engine.dma_router(ctx.host_mem);
-                        Ssd::deliver_read_payload(&io, &mut router);
-                        let _ = ctx.ssds[ssd.0 as usize].post_completion(&io, &mut router);
-                    }
-                    let (actions, cq_head) =
-                        self.engine.on_backend_completion(now, ssd, ctx.host_mem);
-                    ctx.ssds[ssd.0 as usize].ring_cq_doorbell(QueueId(1), cq_head);
-                    effects.extend(self.actions_to_effects(actions));
-                }
-                effects
-            }
-            Stage::EngineHostCompletion {
-                func,
-                qid,
-                cid,
-                status,
-            } => {
-                if !self
-                    .engine
-                    .deliver_host_completion(func, qid, cid, status, ctx.host_mem)
-                {
-                    // Host CQ full: retry after the host consumes.
-                    return vec![Effect::ScheduleAt {
-                        at: now + SimDuration::from_us(2),
-                        stage: Stage::EngineHostCompletion {
-                            func,
-                            qid,
-                            cid,
-                            status,
-                        },
-                    }];
-                }
-                let dev = self.device_for(func, qid);
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
-                        dev,
-                        cid,
-                    },
-                    Effect::RaiseInterrupt {
-                        at: now + self.engine.timing().interrupt,
-                        dev,
-                        cid,
-                        status,
-                    },
-                ]
-            }
-            Stage::EngineQosWakeup => {
-                let actions = self.engine.qos_wakeup(now, ctx.host_mem);
-                self.actions_to_effects(actions)
-            }
-            Stage::EngineDeadline { ssd, seq } => {
-                let actions = self.engine.check_deadline(now, ssd, seq, ctx.host_mem);
-                self.actions_to_effects(actions)
-            }
-            // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
-            other => unreachable!("bm-store scheme never schedules {other:?}"),
-        }
+        let funcs = &self.funcs;
+        let (host_mem, ssds) = (&mut *ctx.host_mem, &mut *ctx.ssds);
+        self.engine.with_observer(ctx.obs, |engine| {
+            engine_stage(engine, funcs, now, stage, host_mem, ssds)
+        })
     }
 
     fn ack_host_cq(&mut self, now: SimTime, dev: DeviceId, head: u32, ctx: &mut SchemeCtx) {
@@ -303,6 +307,6 @@ impl Scheme for BmStoreScheme {
     }
 
     fn on_engine_actions(&mut self, actions: Vec<EngineAction>) -> Vec<Effect> {
-        self.actions_to_effects(actions)
+        actions_to_effects(&mut self.engine, actions)
     }
 }

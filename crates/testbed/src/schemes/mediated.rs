@@ -204,8 +204,6 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 vec![
                     Effect::Trace {
                         stage: PipelineStage::Backend,
-                        dev,
-                        cid: cqe.cid,
                     },
                     Effect::ScheduleAt {
                         at: now + self.mediator.completion_delay(),

@@ -7,7 +7,7 @@
 //! event loop in [`crate::world::World`] interprets them — scheduling
 //! pipeline continuations ([`Stage`]), ringing backend doorbells,
 //! raising interrupts, charging the host completion stack, delivering
-//! to clients, and notifying the [`PipelineObserver`].
+//! to clients, and counting pipeline stages and fault events.
 //!
 //! ```text
 //! submit ─▶ Stage::Doorbell ─▶ scheme hooks ─▶ Effect::ForwardToSsd
@@ -37,8 +37,7 @@ use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Cid, Lba, QueueId};
 use bm_nvme::Status;
 use bm_pcie::{FunctionId, HostMemory};
-use bm_sim::metrics::MetricsHandle;
-use bm_sim::telemetry::TelemetryHandle;
+use bm_sim::observe::Observer;
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::{CompletedIo, Ssd, SsdId};
 use bmstore_core::controller::BmsController;
@@ -56,14 +55,6 @@ pub(crate) struct BuildCtx<'a> {
     pub(crate) cpu: &'a mut CpuPool,
     pub(crate) ssds: &'a mut Vec<Ssd>,
     pub(crate) devices: &'a mut Vec<Device>,
-    /// The world's telemetry recorder handle (disabled unless
-    /// [`TestbedConfig::telemetry`] is set); schemes that record
-    /// per-stage spans clone it into their engine.
-    pub(crate) telemetry: &'a TelemetryHandle,
-    /// The world's metrics registry handle (disabled unless
-    /// [`TestbedConfig::metrics`] is set); schemes that account stage
-    /// busy time clone it into their engine.
-    pub(crate) metrics: &'a MetricsHandle,
 }
 
 impl BuildCtx<'_> {
@@ -98,6 +89,9 @@ pub struct SchemeCtx<'a> {
     pub ssds: &'a mut Vec<Ssd>,
     /// The host kernel cost profile.
     pub kernel: &'a KernelProfile,
+    /// The world's observer, which a scheme lends to the model it
+    /// drives for the duration of the hook.
+    pub obs: &'a mut Observer,
 }
 
 /// A deferred pipeline continuation. Stages carry their own data
@@ -266,25 +260,20 @@ pub enum Effect {
         /// Completion status.
         status: Status,
     },
-    /// Notify the [`PipelineObserver`] that `cid` passed `stage`.
+    /// Count one command passing `stage` (see `World::stage_count`).
     Trace {
         /// Pipeline point passed.
         stage: PipelineStage,
-        /// Device the command belongs to.
-        dev: DeviceId,
-        /// The command.
-        cid: Cid,
     },
-    /// Notify the [`PipelineObserver`] that a fault was injected or a
-    /// recovery action was taken (never silent, per the fault model).
+    /// Log that a fault was injected or a recovery action was taken
+    /// (never silent, per the fault model; see `World::fault_events`).
     FaultTrace {
         /// What happened.
         event: FaultTraceEvent,
     },
 }
 
-/// A fault or recovery action made observable through the pipeline
-/// observer. Injections come from the testbed's `FaultPlan`
+/// A fault or recovery action, as logged by the world. Injections come from the testbed's `FaultPlan`
 /// interpreter; recoveries come from the engine's timeout machinery
 /// and the management-link retransmit logic.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,7 +298,7 @@ pub enum FaultTraceEvent {
     EngineRecovery(bmstore_core::engine::RecoveryEvent),
 }
 
-/// The points of the I/O pipeline an observer can watch.
+/// The points of the I/O pipeline the world counts commands at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineStage {
     /// SQE built and pushed into the host SQ.
@@ -342,80 +331,6 @@ impl PipelineStage {
             PipelineStage::Backend => 3,
             PipelineStage::Complete => 4,
         }
-    }
-}
-
-/// Per-stage instrumentation hook, called by the event loop as each
-/// command traverses the pipeline. Implementations must not assume a
-/// particular scheme: stages arrive in pipeline order per command, but
-/// commands interleave freely.
-pub trait PipelineObserver {
-    /// `cid` on `dev` passed `stage` at `now`.
-    fn on_stage(&mut self, now: SimTime, stage: PipelineStage, dev: DeviceId, cid: Cid);
-
-    /// A fault was injected or a recovery action taken at `now`. The
-    /// default ignores it, so stage-only observers need no change.
-    fn on_fault(&mut self, now: SimTime, event: &FaultTraceEvent) {
-        let _ = (now, event);
-    }
-}
-
-/// A [`PipelineObserver`] that counts traversals per stage.
-///
-/// # Examples
-///
-/// ```
-/// use bm_testbed::schemes::{CountingObserver, PipelineStage};
-/// let obs = CountingObserver::default();
-/// assert_eq!(obs.count(PipelineStage::Submit), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct CountingObserver {
-    counts: [u64; 5],
-    faults: u64,
-}
-
-impl CountingObserver {
-    /// Number of commands that passed `stage`.
-    pub fn count(&self, stage: PipelineStage) -> u64 {
-        self.counts[stage.index()]
-    }
-
-    /// Number of fault/recovery events observed.
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-}
-
-impl PipelineObserver for CountingObserver {
-    fn on_stage(&mut self, _now: SimTime, stage: PipelineStage, _dev: DeviceId, _cid: Cid) {
-        self.counts[stage.index()] += 1;
-    }
-
-    fn on_fault(&mut self, _now: SimTime, _event: &FaultTraceEvent) {
-        self.faults += 1;
-    }
-}
-
-/// A [`PipelineObserver`] that records every fault/recovery event with
-/// its timestamp — the assertion surface for fault-scenario tests.
-#[derive(Debug, Default)]
-pub struct FaultLog {
-    events: Vec<(SimTime, FaultTraceEvent)>,
-}
-
-impl FaultLog {
-    /// All recorded events, in observation order.
-    pub fn events(&self) -> &[(SimTime, FaultTraceEvent)] {
-        &self.events
-    }
-}
-
-impl PipelineObserver for FaultLog {
-    fn on_stage(&mut self, _now: SimTime, _stage: PipelineStage, _dev: DeviceId, _cid: Cid) {}
-
-    fn on_fault(&mut self, now: SimTime, event: &FaultTraceEvent) {
-        self.events.push((now, event.clone()));
     }
 }
 

@@ -101,8 +101,6 @@ impl Scheme for DirectScheme {
                 vec![
                     Effect::Trace {
                         stage: PipelineStage::Backend,
-                        dev,
-                        cid: cqe.cid,
                     },
                     // Hardware MSI straight to the host/guest.
                     Effect::RaiseInterrupt {

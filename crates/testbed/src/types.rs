@@ -4,6 +4,7 @@
 use bm_nvme::types::Lba;
 use bm_nvme::Status;
 use bm_sim::SimTime;
+use std::any::Any;
 use std::fmt;
 
 /// Index of a tenant-visible block device in the testbed.
@@ -113,8 +114,11 @@ impl ClientOutput {
 /// A workload generator driving one or more devices.
 ///
 /// Clients are called on the simulation thread with the current virtual
-/// time; they own their statistics and randomness.
-pub trait Client: 'static {
+/// time; they own their statistics and randomness, and the harness
+/// reads them back after a run with [`World::client_as`].
+///
+/// [`World::client_as`]: crate::World::client_as
+pub trait Client: Any {
     /// Called once at simulation start.
     fn start(&mut self, now: SimTime) -> ClientOutput;
 

@@ -20,8 +20,7 @@
 
 use crate::config::{SchemeKind, TestbedConfig};
 use crate::schemes::{
-    self, BuildCtx, Effect, FaultTraceEvent, PipelineObserver, PipelineStage, Scheme, SchemeCtx,
-    Stage,
+    self, BuildCtx, Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx, Stage,
 };
 use crate::types::{BufferId, Client, ClientId, Completion, DeviceId, IoOp, IoRequest};
 use bm_baselines::vfio::VfioCosts;
@@ -35,22 +34,22 @@ use bm_nvme::types::{Cid, Nsid};
 use bm_nvme::Status;
 use bm_pcie::mctp::Eid;
 use bm_pcie::{HostMemory, PciAddr};
-use bm_prof::ProfHandle;
+use bm_prof::{Profiler, Snapshot};
 use bm_sim::faults::FaultKind;
-use bm_sim::metrics::{names as metric_names, MetricKey, MetricsHandle};
+use bm_sim::metrics::{names as metric_names, MetricKey, MetricsRegistry};
+use bm_sim::observe::Observer;
 use bm_sim::resource::FifoServer;
-use bm_sim::slo::{self, Alert, AlertKind, AlertState, SloEngine};
+use bm_sim::slo::{self, Alert, SloEngine};
 use bm_sim::telemetry::critical_path::{self, BlameWindows, CriticalPathAnalysis};
-use bm_sim::telemetry::{TelemetryEventKind, TelemetryHandle, TelemetryStage};
-use bm_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation};
+use bm_sim::telemetry::{TelemetryRecorder, TelemetryStage};
+use bm_sim::{Scheduler, SimDuration, SimTime, Simulation};
 use bm_ssd::firmware::CommitAction;
 use bm_ssd::{Ssd, SsdConfig, SsdId};
 use bmstore_core::controller::commands::BmsCommand;
 use bmstore_core::controller::{request_packets, BackendAdmin, BmsController, ControllerAction};
 use bmstore_core::engine::BmsEngine;
-use std::cell::RefCell;
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 pub(crate) struct PendingHost {
     pub(crate) client: ClientId,
@@ -117,11 +116,9 @@ pub struct Testbed {
     scheme: Option<Box<dyn Scheme>>,
     devices: Vec<Device>,
     buffers: Vec<PrpPair>,
-    telemetry: TelemetryHandle,
-    metrics: MetricsHandle,
-    prof: ProfHandle,
-    #[allow(dead_code)]
-    rng: SimRng,
+    /// Telemetry, metrics, SLO and profiler, each present only when the
+    /// config turns it on.
+    obs: Observer,
 }
 
 impl Testbed {
@@ -132,7 +129,6 @@ impl Testbed {
     /// Panics if the configuration is inconsistent (e.g. more
     /// whole-disk devices than SSDs for a direct scheme).
     pub fn new(cfg: TestbedConfig) -> Self {
-        let mut rng = SimRng::seed_from(cfg.seed);
         let mut ssds: Vec<Ssd> = (0..cfg.ssds)
             .map(|i| {
                 let mut ssd_cfg = SsdConfig::p4510_2tb(SsdId(i as u8))
@@ -145,21 +141,13 @@ impl Testbed {
         let mut host_mem = HostMemory::new(8 << 30);
         let mut cpu = CpuPool::xeon_8163_dual();
         let mut devices = Vec::new();
-        let telemetry = if cfg.telemetry {
-            TelemetryHandle::enabled(bm_sim::telemetry::TelemetryRecorder::DEFAULT_CAPACITY)
-        } else {
-            TelemetryHandle::disabled()
-        };
-        let metrics = if cfg.metrics {
-            MetricsHandle::enabled()
-        } else {
-            MetricsHandle::disabled()
-        };
-        let prof = if cfg.profiler {
-            ProfHandle::enabled()
-        } else {
-            ProfHandle::disabled()
-        };
+        let obs = Observer::new(
+            cfg.telemetry
+                .then(|| TelemetryRecorder::new(TelemetryRecorder::DEFAULT_CAPACITY)),
+            cfg.metrics.then(MetricsRegistry::new),
+            cfg.slo.clone().map(SloEngine::new),
+            cfg.profiler.then(Profiler::new),
+        );
         let scheme = {
             let mut ctx = BuildCtx {
                 cfg: &cfg,
@@ -167,8 +155,6 @@ impl Testbed {
                 cpu: &mut cpu,
                 ssds: &mut ssds,
                 devices: &mut devices,
-                telemetry: &telemetry,
-                metrics: &metrics,
             };
             match ctx.cfg.scheme.clone() {
                 SchemeKind::Native => schemes::native::build(&mut ctx),
@@ -183,10 +169,7 @@ impl Testbed {
             scheme: Some(scheme),
             devices,
             buffers: Vec::new(),
-            telemetry,
-            metrics,
-            prof,
-            rng: rng.fork(0xBEEF),
+            obs,
             host_mem,
             cpu,
             ssds,
@@ -248,22 +231,16 @@ impl Testbed {
         self.buffers[buf.0].prp1
     }
 
-    /// The telemetry recorder handle (disabled unless the config's
-    /// `telemetry` flag was set).
-    pub fn telemetry(&self) -> &TelemetryHandle {
-        &self.telemetry
+    /// The observer: telemetry recorder, metrics registry, SLO engine
+    /// and profiler, each `None` unless the config turned it on.
+    pub fn observer(&self) -> &Observer {
+        &self.obs
     }
 
-    /// The metrics registry handle (disabled unless the config's
-    /// `metrics` flag was set).
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
-    }
-
-    /// The wall-clock self-profiler handle (disabled unless the
+    /// The wall-clock self-profiler (its snapshot is `None` unless the
     /// config's `profiler` flag was set).
-    pub fn profiler(&self) -> &ProfHandle {
-        &self.prof
+    pub fn profiler(&self) -> ProfilerView<'_> {
+        ProfilerView(self.obs.profiler())
     }
 
     /// Access to the BMS-Engine when running the BM-Store scheme.
@@ -310,6 +287,17 @@ impl Testbed {
             .as_ref()
             .map(|s| s.polling_cpu_busy())
             .unwrap_or(SimDuration::ZERO)
+    }
+}
+
+/// Read access to the testbed's self-profiler.
+#[derive(Debug, Clone, Copy)]
+pub struct ProfilerView<'a>(Option<&'a Profiler>);
+
+impl ProfilerView<'_> {
+    /// The end-of-run profile; `None` when the profiler is off.
+    pub fn snapshot(&self) -> Option<Snapshot> {
+        self.0.map(Profiler::snapshot)
     }
 }
 
@@ -410,9 +398,12 @@ pub struct World {
     clients: Vec<Option<Box<dyn Client>>>,
     pending_mgmt: Vec<(SimTime, BmsCommand)>,
     pending_raw: Vec<(SimTime, RawAction)>,
-    mgmt_responses: Rc<RefCell<Vec<(SimTime, MiResponse)>>>,
+    mgmt_responses: Vec<(SimTime, MiResponse)>,
     next_mgmt_tag: u8,
-    observer: Option<Rc<RefCell<dyn PipelineObserver>>>,
+    /// Commands that passed each [`PipelineStage`], by stage index.
+    stage_counts: [u64; 5],
+    /// Every fault injected and recovery action taken, in order.
+    fault_events: Vec<(SimTime, FaultTraceEvent)>,
     faults: FaultRuntime,
     sampler_keys: SamplerKeys,
     /// Total simulator events fired by the last [`World::run`] (zero
@@ -429,8 +420,6 @@ pub struct World {
     /// Scheduler arena slots allocated by the last [`World::run`]
     /// (zero before any run; unbounded growth indicates an event leak).
     pub arena_slots: usize,
-    /// The SLO evaluator, present when the config carries a policy.
-    slo: Option<SloEngine>,
     /// When the last run's event queue drained (incident reports close
     /// open fault windows at this instant).
     run_end: SimTime,
@@ -439,43 +428,43 @@ pub struct World {
 impl World {
     /// Wraps a testbed with no clients yet.
     pub fn new(tb: Testbed) -> Self {
-        let slo = tb.cfg.slo.clone().map(SloEngine::new);
         World {
             tb,
             clients: Vec::new(),
             pending_mgmt: Vec::new(),
             pending_raw: Vec::new(),
-            mgmt_responses: Rc::new(RefCell::new(Vec::new())),
+            mgmt_responses: Vec::new(),
             next_mgmt_tag: 0,
-            observer: None,
+            stage_counts: [0; 5],
+            fault_events: Vec::new(),
             faults: FaultRuntime::default(),
             sampler_keys: SamplerKeys::default(),
             events_fired: 0,
             peak_event_queue: 0,
             clamped_past: 0,
             arena_slots: 0,
-            slo,
             run_end: SimTime::ZERO,
         }
     }
 
-    /// Installs a per-stage instrumentation hook; every command's
-    /// traversal of submit → translate → doorbell → backend → complete
-    /// is reported to it.
-    pub fn set_observer(&mut self, observer: Rc<RefCell<dyn PipelineObserver>>) {
-        self.observer = Some(observer);
+    /// Commands that passed `stage` of submit → translate → doorbell →
+    /// backend → complete.
+    pub fn stage_count(&self, stage: PipelineStage) -> u64 {
+        self.stage_counts[stage.index()]
     }
 
-    fn observe(&self, now: SimTime, stage: PipelineStage, dev: DeviceId, cid: Cid) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_stage(now, stage, dev, cid);
-        }
+    /// Every fault injected and recovery action taken, with its time,
+    /// in the order they happened.
+    pub fn fault_events(&self) -> &[(SimTime, FaultTraceEvent)] {
+        &self.fault_events
     }
 
-    fn observe_fault(&self, now: SimTime, event: &FaultTraceEvent) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_fault(now, event);
-        }
+    fn observe(&mut self, stage: PipelineStage) {
+        self.stage_counts[stage.index()] += 1;
+    }
+
+    fn observe_fault(&mut self, now: SimTime, event: FaultTraceEvent) {
+        self.fault_events.push((now, event));
     }
 
     /// Schedules an out-of-band management command (sent to the
@@ -496,8 +485,8 @@ impl World {
     }
 
     /// Management responses received so far, with their arrival times.
-    pub fn mgmt_responses(&self) -> Rc<RefCell<Vec<(SimTime, MiResponse)>>> {
-        Rc::clone(&self.mgmt_responses)
+    pub fn mgmt_responses(&self) -> &[(SimTime, MiResponse)] {
+        &self.mgmt_responses
     }
 
     /// Registers a client.
@@ -531,26 +520,30 @@ impl World {
         }
         for (at, f) in raw {
             sim.schedule_at(at, move |w: &mut World, s| {
-                w.tb.prof.enter("action");
+                w.tb.obs.enter("action");
                 f(w, s);
-                w.tb.prof.exit();
+                w.tb.obs.exit();
             });
         }
-        if sim.world().tb.metrics.is_enabled() {
+        if sim.world().tb.obs.metrics().is_some() {
             let interval = sim.world().tb.cfg.metrics_interval;
             sim.schedule_at(SimTime::ZERO, move |w: &mut World, s| {
                 w.sample_metrics(s, interval);
             });
         }
-        if sim.world().tb.prof.is_enabled() {
+        if sim.world().tb.obs.profiler().is_some() {
             // Profiled run: drive the scheduler one event at a time so
             // the profiler sees each retirement. `step`/`step_until`
             // replicate `run_until_idle`/`run_until` exactly (same pop
             // order, same deadline clamp), so event execution — and
             // therefore every figure — is byte-identical to the fast
             // path below; the profiler only reads the host clock.
-            let prof = sim.world().tb.prof.clone();
-            prof.run_begin();
+            fn prof(sim: &mut Simulation<World>) -> Option<&mut Profiler> {
+                sim.world_mut().tb.obs.profiler_mut()
+            }
+            if let Some(p) = prof(&mut sim) {
+                p.run_begin();
+            }
             loop {
                 let fired = match deadline {
                     Some(t) => sim.step_until(t),
@@ -560,9 +553,14 @@ impl World {
                     break;
                 }
                 let sched = sim.scheduler_mut();
-                prof.on_event_retired(sched.events_fired(), sched.arena_slots());
+                let (events, arena) = (sched.events_fired(), sched.arena_slots());
+                if let Some(p) = prof(&mut sim) {
+                    p.on_event_retired(events, arena);
+                }
             }
-            prof.run_end();
+            if let Some(p) = prof(&mut sim) {
+                p.run_end();
+            }
         } else {
             match deadline {
                 Some(t) => {
@@ -598,38 +596,23 @@ impl World {
     /// counters/gauges (the per-tick sampler only sees snapshots; these
     /// are the exact totals).
     fn export_run_stats(&mut self, now: SimTime) {
-        if !self.tb.metrics.is_enabled() {
-            return;
-        }
-        let fired = self.events_fired;
-        let peak = self.peak_event_queue as f64;
-        let clamped = self.clamped_past;
-        let arena = self.arena_slots as f64;
         let resilience = self.tb.engine().map(|e| e.resilience_stats());
-        self.tb.metrics.with(|m| {
-            m.counter_add(MetricKey::new(metric_names::SCHED_EVENTS_FIRED), fired);
-            m.counter_add(MetricKey::new(metric_names::SCHED_CLAMPED_PAST), clamped);
-            m.gauge_set(now, MetricKey::new(metric_names::SCHED_PEAK_PENDING), peak);
-            m.gauge_set(now, MetricKey::new(metric_names::SCHED_ARENA_SLOTS), arena);
-            if let Some(r) = resilience {
-                m.counter_add(
-                    MetricKey::new(metric_names::ENGINE_RECOVERIES),
-                    r.recoveries,
-                );
-                m.counter_add(
-                    MetricKey::new(metric_names::ENGINE_RECOVERY_REPLAYED),
-                    r.replayed,
-                );
-                m.counter_add(
-                    MetricKey::new(metric_names::ENGINE_RECOVERY_ABORTED),
-                    r.aborted_on_recovery,
-                );
-                m.counter_add(
-                    MetricKey::new(metric_names::ENGINE_RECOVERY_TIME_NS),
-                    r.recovery_time.as_nanos(),
-                );
-            }
-        });
+        let obs = &mut self.tb.obs;
+        obs.count(metric_names::SCHED_EVENTS_FIRED, self.events_fired);
+        obs.count(metric_names::SCHED_CLAMPED_PAST, self.clamped_past);
+        if let Some(r) = resilience {
+            obs.count(metric_names::ENGINE_RECOVERIES, r.recoveries);
+            obs.count(metric_names::ENGINE_RECOVERY_REPLAYED, r.replayed);
+            obs.count(metric_names::ENGINE_RECOVERY_ABORTED, r.aborted_on_recovery);
+            let recovery_ns = r.recovery_time.as_nanos();
+            obs.count(metric_names::ENGINE_RECOVERY_TIME_NS, recovery_ns);
+        }
+        if let Some(m) = obs.metrics_mut() {
+            let peak = self.peak_event_queue as f64;
+            m.gauge_set(now, &MetricKey::new(metric_names::SCHED_PEAK_PENDING), peak);
+            let arena = self.arena_slots as f64;
+            m.gauge_set(now, &MetricKey::new(metric_names::SCHED_ARENA_SLOTS), arena);
+        }
     }
 
     /// Borrow a client back after a run (e.g. to read its statistics).
@@ -642,6 +625,13 @@ impl World {
         self.clients[id.0].as_deref().expect("client present")
     }
 
+    /// Borrow a client back as its concrete type after a run; `None`
+    /// if the id is invalid or the client is not a `T`.
+    pub fn client_as<T: Client>(&self, id: ClientId) -> Option<&T> {
+        let client: &dyn Any = self.clients.get(id.0)?.as_deref()?;
+        client.downcast_ref()
+    }
+
     /// The simulation time at which the last run drained (ZERO before
     /// any run).
     pub fn run_end(&self) -> SimTime {
@@ -650,23 +640,21 @@ impl World {
 
     /// The SLO alert log, in emission order (empty with no policy).
     pub fn slo_alerts(&self) -> &[Alert] {
-        self.slo.as_ref().map(|e| e.alerts()).unwrap_or(&[])
+        self.tb.obs.slo().map(|e| e.alerts()).unwrap_or(&[])
     }
 
     /// Critical-path blame analysis of the last run's telemetry,
     /// correlated against the fault/recovery windows on the metrics
     /// timeline. `None` when telemetry is disabled.
     pub fn critical_path(&self) -> Option<CriticalPathAnalysis> {
-        let annotations = self
-            .tb
-            .metrics
-            .read(|m| m.annotations().to_vec())
-            .unwrap_or_default();
-        let end = self.run_end;
-        self.tb.telemetry.read(|rec| {
-            let windows = BlameWindows::from_annotations(&annotations, end);
-            critical_path::analyze(rec, &windows)
-        })
+        let rec = self.tb.obs.telemetry()?;
+        let windows = BlameWindows::from_annotations(self.annotations(), self.run_end);
+        Some(critical_path::analyze(rec, &windows))
+    }
+
+    /// The metrics timeline's annotations (empty with metrics off).
+    fn annotations(&self) -> &[bm_sim::metrics::Annotation] {
+        self.tb.obs.metrics().map_or(&[], |m| m.annotations())
     }
 
     /// Renders the deterministic incident report for the last run:
@@ -674,11 +662,6 @@ impl World {
     /// oracle violations) in one ordered timeline, followed by blame
     /// profiles and the `top_k` slowest critical paths.
     pub fn incident_report(&self, extra_events: &[(SimTime, String)], top_k: usize) -> String {
-        let annotations = self
-            .tb
-            .metrics
-            .read(|m| m.annotations().to_vec())
-            .unwrap_or_default();
         let analysis = self.critical_path();
         let (recoveries, replayed, aborted_on_recovery) = self
             .tb
@@ -690,7 +673,7 @@ impl World {
             .unwrap_or((0, 0, 0));
         slo::render_incident(&slo::IncidentInput {
             alerts: self.slo_alerts(),
-            annotations: &annotations,
+            annotations: self.annotations(),
             blame: analysis.as_ref(),
             extra_events,
             recoveries,
@@ -702,7 +685,7 @@ impl World {
 
     fn call_client(&mut self, s: &mut Scheduler<World>, id: ClientId, call: ClientCall) {
         let now = s.now();
-        self.tb.prof.enter(match &call {
+        self.tb.obs.enter(match &call {
             ClientCall::Start => "client:start",
             ClientCall::Completion(_) => "client:completion",
             ClientCall::Timer => "client:timer",
@@ -723,7 +706,7 @@ impl World {
                 w.call_client(s, id, ClientCall::Timer);
             });
         }
-        self.tb.prof.exit();
+        self.tb.obs.exit();
     }
 
     /// Runs `f` with the scheme taken out of the testbed, so hooks can
@@ -736,6 +719,7 @@ impl World {
                 host_mem: &mut self.tb.host_mem,
                 ssds: &mut self.tb.ssds,
                 kernel: &self.tb.kernel,
+                obs: &mut self.tb.obs,
             };
             f(scheme.as_mut(), &mut ctx)
         };
@@ -754,7 +738,7 @@ impl World {
 
     fn do_submit(&mut self, s: &mut Scheduler<World>, client: ClientId, req: IoRequest, cid: Cid) {
         let now = s.now();
-        self.tb.prof.enter("submit");
+        self.tb.obs.enter("submit");
         let (prp, bytes) = if req.op == IoOp::Flush {
             (
                 PrpPair {
@@ -800,49 +784,47 @@ impl World {
                 is_write: req.op.is_write(),
             },
         );
-        self.observe(now, PipelineStage::Submit, req.dev, cid);
-        self.observe(now, PipelineStage::Translate, req.dev, cid);
+        self.observe(PipelineStage::Submit);
+        self.observe(PipelineStage::Translate);
         // Open the root telemetry span; the scheme's stage spans hang
         // off the CmdId this allocates. Inert when telemetry is off.
         self.tb
-            .telemetry
+            .obs
             .begin_command(now, req.dev.0 as u16, cid.0, sqe.opcode.code());
         // bm-lint: allow(panic-path): take/put-back invariant — restored two lines below; submit cannot re-enter the testbed
         let mut scheme = self.tb.scheme.take().expect("scheme present");
         let effects = scheme.submit(now, req.dev, &sqe, &self.tb.kernel);
         self.tb.scheme = Some(scheme);
         self.apply_effects(s, effects);
-        self.tb.prof.exit();
+        self.tb.obs.exit();
     }
 
     /// Dispatches a pipeline continuation back into the scheme.
     fn run_stage(&mut self, s: &mut Scheduler<World>, stage: Stage) {
         let now = s.now();
-        self.tb.prof.enter(stage_seg(&stage));
+        self.tb.obs.enter(stage_seg(&stage));
         let effects = match stage {
             Stage::Doorbell { dev, cid } => {
                 let tail = self.tb.devices[dev.0].sq.tail() as u32;
-                self.observe(now, PipelineStage::Doorbell, dev, cid);
-                if self.tb.telemetry.is_enabled() {
-                    // Host submission span: SQE push → doorbell ring.
-                    let (cmd, opcode) = self.tb.telemetry.lookup(dev.0 as u16, cid.0);
-                    if cmd.is_some() {
-                        let submitted = self.tb.devices[dev.0]
-                            .pending
-                            .get(&cid.0)
-                            .map(|p| p.submitted)
-                            .unwrap_or(now);
-                        self.tb.telemetry.span(
-                            cmd,
-                            dev.0 as u16,
-                            dev.0 as u8,
-                            opcode,
-                            TelemetryStage::Submit,
-                            submitted,
-                            now,
-                            true,
-                        );
-                    }
+                self.observe(PipelineStage::Doorbell);
+                // Host submission span: SQE push → doorbell ring.
+                let (cmd, opcode) = self.tb.obs.lookup(dev.0 as u16, cid.0);
+                if cmd.is_some() {
+                    let submitted = self.tb.devices[dev.0]
+                        .pending
+                        .get(&cid.0)
+                        .map(|p| p.submitted)
+                        .unwrap_or(now);
+                    self.tb.obs.span(
+                        cmd,
+                        dev.0 as u16,
+                        dev.0 as u8,
+                        opcode,
+                        TelemetryStage::Submit,
+                        submitted,
+                        now,
+                        true,
+                    );
                 }
                 self.with_scheme(|scheme, ctx| scheme.on_doorbell(now, dev, tail, ctx))
             }
@@ -850,7 +832,7 @@ impl World {
             other => self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx)),
         };
         self.apply_effects(s, effects);
-        self.tb.prof.exit();
+        self.tb.obs.exit();
     }
 
     fn apply_effects(&mut self, s: &mut Scheduler<World>, effects: Vec<Effect>) {
@@ -863,10 +845,10 @@ impl World {
     /// deferred to the window's end (and the deferral is observable).
     /// Inert when no retrain is active: `link_until` defaults to time
     /// zero, which nothing precedes.
-    fn defer_past_retrain(&self, s: &Scheduler<World>, at: SimTime) -> SimTime {
+    fn defer_past_retrain(&mut self, s: &Scheduler<World>, at: SimTime) -> SimTime {
         if at < self.faults.link_until {
             let until = self.faults.link_until;
-            self.observe_fault(s.now(), &FaultTraceEvent::LinkDeferred { until });
+            self.observe_fault(s.now(), FaultTraceEvent::LinkDeferred { until });
             until
         } else {
             at
@@ -875,7 +857,7 @@ impl World {
 
     /// The generic interpreter: one typed effect, one event-loop rule.
     fn apply_effect(&mut self, s: &mut Scheduler<World>, effect: Effect) {
-        self.tb.prof.enter(effect_seg(&effect));
+        self.tb.obs.enter(effect_seg(&effect));
         match effect {
             Effect::ScheduleAt { at, stage } => {
                 // Doorbell MMIO writes cross the PCIe link; completions
@@ -900,7 +882,7 @@ impl World {
             Effect::ForwardToSsd { at, ssd, qid, tail } => {
                 let at = self.defer_past_retrain(s, at);
                 s.schedule_at(at, move |w: &mut World, s| {
-                    w.tb.prof.enter("ssd:doorbell");
+                    w.tb.obs.enter("ssd:doorbell");
                     let completions =
                         w.tb.ssds[ssd].ring_sq_doorbell(s.now(), qid, tail, &mut w.tb.host_mem);
                     for io in completions {
@@ -909,7 +891,7 @@ impl World {
                             w.run_stage(s, Stage::BackendComplete { ssd, io });
                         });
                     }
-                    w.tb.prof.exit();
+                    w.tb.obs.exit();
                 });
             }
             Effect::RaiseInterrupt {
@@ -937,21 +919,21 @@ impl World {
                 status,
             } => {
                 s.schedule_at(at, move |w: &mut World, s| {
-                    w.tb.prof.enter("deliver");
+                    w.tb.obs.enter("deliver");
                     w.deliver_to_client(s, dev, cid, status);
-                    w.tb.prof.exit();
+                    w.tb.obs.exit();
                 });
             }
-            Effect::Trace { stage, dev, cid } => self.observe(s.now(), stage, dev, cid),
-            Effect::FaultTrace { event } => self.observe_fault(s.now(), &event),
+            Effect::Trace { stage } => self.observe(stage),
+            Effect::FaultTrace { event } => self.observe_fault(s.now(), event),
         }
-        self.tb.prof.exit();
+        self.tb.obs.exit();
     }
 
     /// Injects one scheduled fault into its target layer.
     fn apply_fault(&mut self, s: &mut Scheduler<World>, kind: FaultKind) {
         let now = s.now();
-        let _scope = self.tb.prof.scope("fault");
+        self.tb.obs.enter("fault");
         match kind {
             FaultKind::SsdLatencySpike { ssd, extra, until } => {
                 if let Some(dev) = self.tb.ssds.get_mut(ssd) {
@@ -1001,39 +983,26 @@ impl World {
             }
             FaultKind::SsdReinsert { ssd } => self.reinsert_ssd(s, ssd),
         }
-        self.observe_fault(now, &FaultTraceEvent::Injected(kind));
+        self.observe_fault(now, FaultTraceEvent::Injected(kind));
         // Fault windows annotate the metrics timeline, so utilization
-        // excursions in the report line up with their cause.
-        if self.tb.metrics.is_enabled() {
-            let (end, label) = match kind {
-                FaultKind::SsdLatencySpike { until, .. } => {
-                    (Some(until), "fault:ssd-latency-spike")
-                }
-                FaultKind::SsdStall { until, .. } => (Some(until), "fault:ssd-stall"),
-                FaultKind::SsdDeath { .. } => (None, "fault:ssd-death"),
-                FaultKind::SsdErrorBurst { until, .. } => (Some(until), "fault:ssd-error-burst"),
-                FaultKind::SsdDropCommands { .. } => (None, "fault:ssd-drop-commands"),
-                FaultKind::MctpDrop { .. } => (None, "fault:mctp-drop"),
-                FaultKind::LinkRetrain { until } => (Some(until), "fault:link-retrain"),
-                FaultKind::EngineCrash { restart_after } => {
-                    (Some(now + restart_after), "fault:engine-crash")
-                }
-                FaultKind::PowerLoss { .. } => (Some(now + POWER_LOSS_RESTART), "fault:power-loss"),
-                FaultKind::SsdReinsert { .. } => (None, "fault:ssd-reinsert"),
-            };
-            self.tb.metrics.with(|m| m.annotate(now, end, label));
-        }
-        // Fault injections appear in the exported trace as instants, so
-        // latency excursions can be lined up with their cause.
-        self.tb.telemetry.event(
-            now,
-            bm_sim::telemetry::CmdId::NONE,
-            0,
-            0,
-            TelemetryEventKind::Mark {
-                label: "fault-injected",
-            },
-        );
+        // excursions in the report line up with their cause, and appear
+        // in the exported trace as instants.
+        let (end, label) = match kind {
+            FaultKind::SsdLatencySpike { until, .. } => (Some(until), "fault:ssd-latency-spike"),
+            FaultKind::SsdStall { until, .. } => (Some(until), "fault:ssd-stall"),
+            FaultKind::SsdDeath { .. } => (None, "fault:ssd-death"),
+            FaultKind::SsdErrorBurst { until, .. } => (Some(until), "fault:ssd-error-burst"),
+            FaultKind::SsdDropCommands { .. } => (None, "fault:ssd-drop-commands"),
+            FaultKind::MctpDrop { .. } => (None, "fault:mctp-drop"),
+            FaultKind::LinkRetrain { until } => (Some(until), "fault:link-retrain"),
+            FaultKind::EngineCrash { restart_after } => {
+                (Some(now + restart_after), "fault:engine-crash")
+            }
+            FaultKind::PowerLoss { .. } => (Some(now + POWER_LOSS_RESTART), "fault:power-loss"),
+            FaultKind::SsdReinsert { .. } => (None, "fault:ssd-reinsert"),
+        };
+        self.tb.obs.fault(now, end, label);
+        self.tb.obs.exit();
     }
 
     /// The periodic metrics sampler: refreshes occupancy gauges from
@@ -1044,16 +1013,16 @@ impl World {
     /// forever.
     fn sample_metrics(&mut self, s: &mut Scheduler<World>, interval: SimDuration) {
         let now = s.now();
-        let _scope = self.tb.prof.scope("sampler");
+        self.tb.obs.enter("sampler");
         self.record_scheduler_sample(now, s);
         self.record_metric_sample(now);
         self.evaluate_slo(now);
-        if s.pending() == 0 {
-            return;
+        if s.pending() > 0 {
+            s.schedule_at(now + interval, move |w: &mut World, s| {
+                w.sample_metrics(s, interval);
+            });
         }
-        s.schedule_at(now + interval, move |w: &mut World, s| {
-            w.sample_metrics(s, interval);
-        });
+        self.tb.obs.exit();
     }
 
     /// Per-tick scheduler stats: occupancy gauges (snapshotted into
@@ -1062,9 +1031,9 @@ impl World {
     /// of the timeline. Runs before `record_metric_sample` so this
     /// tick's `snapshot_gauges` captures the fresh values.
     fn record_scheduler_sample(&mut self, now: SimTime, s: &Scheduler<World>) {
-        if !self.tb.metrics.is_enabled() {
+        let Some(m) = self.tb.obs.metrics_mut() else {
             return;
-        }
+        };
         let keys = self
             .sampler_keys
             .sched
@@ -1074,48 +1043,25 @@ impl World {
                 clamped_past: MetricKey::new(metric_names::SCHED_CLAMPED_PAST),
                 arena_slots: MetricKey::new(metric_names::SCHED_ARENA_SLOTS),
             });
-        let fired = s.events_fired() as f64;
-        let pending = s.pending() as f64;
-        let clamped = s.clamped_past() as f64;
-        let arena = s.arena_slots() as f64;
-        self.tb.metrics.with(|m| {
-            m.sample_ref(now, &keys.events_fired, fired);
-            m.gauge_set_ref(now, &keys.pending, pending);
-            m.sample_ref(now, &keys.clamped_past, clamped);
-            m.gauge_set_ref(now, &keys.arena_slots, arena);
-        });
+        m.sample(now, &keys.events_fired, s.events_fired() as f64);
+        m.gauge_set(now, &keys.pending, s.pending() as f64);
+        m.sample(now, &keys.clamped_past, s.clamped_past() as f64);
+        m.gauge_set(now, &keys.arena_slots, s.arena_slots() as f64);
     }
 
-    /// One SLO evaluation tick: burn rates + the stall watchdog. Each
-    /// alert edge lands on the metrics timeline as an annotation (full
-    /// dynamic label) and in the telemetry stream as a static mark.
+    /// One SLO evaluation tick: burn rates + the stall watchdog over
+    /// the commands in flight host-side.
     fn evaluate_slo(&mut self, now: SimTime) {
-        let Some(engine) = self.slo.as_mut() else {
+        if self.tb.obs.slo().is_none() {
             return;
-        };
+        }
         let outstanding: u64 = self
             .tb
             .devices
             .iter()
             .map(|d| (d.pending.len() + d.waiting.len()) as u64)
             .sum();
-        let edges = engine.evaluate(now, outstanding);
-        for alert in &edges {
-            let label = alert.annotation_label();
-            self.tb.metrics.with(|m| m.annotate(now, None, label));
-            let mark = match (alert.state, alert.kind) {
-                (AlertState::Fire, AlertKind::Stall) => "slo-stall",
-                (AlertState::Fire, _) => "slo-alert-fire",
-                (AlertState::Clear, _) => "slo-alert-clear",
-            };
-            self.tb.telemetry.event(
-                now,
-                bm_sim::telemetry::CmdId::NONE,
-                alert.tenant.unwrap_or(0),
-                0,
-                TelemetryEventKind::Mark { label: mark },
-            );
-        }
+        self.tb.obs.sampler_tick(now, outstanding);
     }
 
     /// One sampling tick: read live occupancy state into gauges and
@@ -1124,31 +1070,34 @@ impl World {
     /// event-time pushes (stage busy, MCTP counters) happen where the
     /// events fire.
     fn record_metric_sample(&mut self, now: SimTime) {
-        let handle = self.tb.metrics.clone();
-        if handle.with(|m| m.mark_sample_tick(now)).is_none() {
+        let tb = &mut self.tb;
+        let Some(m) = tb.obs.metrics_mut() else {
             return;
-        }
+        };
+        m.mark_sample_tick(now);
+        let keys = &mut self.sampler_keys;
+        let engine = tb.scheme.as_deref().and_then(|s| s.engine());
         // Grow the cached key tables to the current topology; stable in
         // steady state, so the per-tick path builds no key strings.
-        while self.sampler_keys.host.len() < self.tb.devices.len() {
-            let i = self.sampler_keys.host.len();
-            self.sampler_keys.host.push((
+        while keys.host.len() < tb.devices.len() {
+            let i = keys.host.len();
+            keys.host.push((
                 MetricKey::labeled(metric_names::HOST_SQ_INFLIGHT, "function", i),
                 MetricKey::labeled(metric_names::HOST_SQ_WAITING, "function", i),
             ));
         }
-        while self.sampler_keys.ssd_service.len() < self.tb.ssds.len() {
-            let i = self.sampler_keys.ssd_service.len();
-            self.sampler_keys.ssd_service.push((
+        while keys.ssd_service.len() < tb.ssds.len() {
+            let i = keys.ssd_service.len();
+            keys.ssd_service.push((
                 MetricKey::labeled(metric_names::SSD_BUSY_NS, "ssd", i),
                 MetricKey::labeled(metric_names::SSD_OPS, "ssd", i),
             ));
         }
-        let port_count = self.tb.engine().map_or(0, |e| e.adaptor().len());
-        while self.sampler_keys.port.len() < port_count {
-            let i = self.sampler_keys.port.len();
+        let port_count = engine.map_or(0, |e| e.adaptor().len());
+        while keys.port.len() < port_count {
+            let i = keys.port.len();
             let key = |name| MetricKey::labeled(name, "ssd", i);
-            self.sampler_keys.port.push(SamplerPortKeys {
+            keys.port.push(SamplerPortKeys {
                 backlog: key(metric_names::DOORBELL_BACKLOG),
                 inflight: key(metric_names::BACKEND_INFLIGHT),
                 live: key(metric_names::BACKEND_LIVE),
@@ -1160,63 +1109,42 @@ impl World {
             });
         }
         // Host-side tenant queues (every scheme).
-        for (i, dev) in self.tb.devices.iter().enumerate() {
-            let inflight = dev.pending.len() as f64;
-            let waiting = dev.waiting.len() as f64;
-            let (inflight_key, waiting_key) = &self.sampler_keys.host[i];
-            handle.with(|m| {
-                m.gauge_set_ref(now, inflight_key, inflight);
-                m.gauge_set_ref(now, waiting_key, waiting);
-            });
+        for (dev, (inflight_key, waiting_key)) in tb.devices.iter().zip(&keys.host) {
+            m.gauge_set(now, inflight_key, dev.pending.len() as f64);
+            m.gauge_set(now, waiting_key, dev.waiting.len() as f64);
         }
         // SSD service tallies (cumulative counters, sampled as series so
         // windowed service-time utilization falls out of any two ticks).
-        for (i, ssd) in self.tb.ssds.iter().enumerate() {
+        for (ssd, (busy_key, ops_key)) in tb.ssds.iter().zip(&keys.ssd_service) {
             let stats = ssd.service_stats();
-            let (busy_key, ops_key) = &self.sampler_keys.ssd_service[i];
-            handle.with(|m| {
-                m.sample_ref(now, busy_key, stats.busy.as_nanos_f64());
-                m.sample_ref(now, ops_key, stats.ops as f64);
-            });
+            m.sample(now, busy_key, stats.busy.as_nanos_f64());
+            m.sample(now, ops_key, stats.ops as f64);
         }
         // BM-Store engine: per-port occupancy and the conservation
         // tallies (live == forwarded - completed - abandoned).
-        if let Some(engine) = self.tb.engine() {
-            for (i, port) in engine.adaptor().ports().enumerate() {
+        if let Some(engine) = engine {
+            for (i, (port, pk)) in engine.adaptor().ports().zip(&keys.port).enumerate() {
                 let backlog = engine.backlog_len(SsdId(i as u8)) as f64;
-                let inflight = port.inflight() as f64;
-                let live = port.live() as f64;
-                let zombies = port.zombie_count() as f64;
-                let bytes = port.inflight_bytes() as f64;
-                let forwarded = port.forwarded() as f64;
-                let completed = port.completed() as f64;
-                let abandoned = port.abandoned() as f64;
-                let keys = &self.sampler_keys.port[i];
-                handle.with(|m| {
-                    m.gauge_set_ref(now, &keys.backlog, backlog);
-                    m.gauge_set_ref(now, &keys.inflight, inflight);
-                    m.gauge_set_ref(now, &keys.live, live);
-                    m.gauge_set_ref(now, &keys.zombies, zombies);
-                    m.gauge_set_ref(now, &keys.bytes, bytes);
-                    m.sample_ref(now, &keys.forwarded, forwarded);
-                    m.sample_ref(now, &keys.completed, completed);
-                    m.sample_ref(now, &keys.abandoned, abandoned);
-                });
+                m.gauge_set(now, &pk.backlog, backlog);
+                m.gauge_set(now, &pk.inflight, port.inflight() as f64);
+                m.gauge_set(now, &pk.live, port.live() as f64);
+                m.gauge_set(now, &pk.zombies, port.zombie_count() as f64);
+                m.gauge_set(now, &pk.bytes, port.inflight_bytes() as f64);
+                m.sample(now, &pk.forwarded, port.forwarded() as f64);
+                m.sample(now, &pk.completed, port.completed() as f64);
+                m.sample(now, &pk.abandoned, port.abandoned() as f64);
             }
         }
         // Management plane: torn reassemblies pending at the controller.
-        if let Some(controller) = self.tb.controller() {
+        if let Some(controller) = tb.scheme.as_deref().and_then(|s| s.controller()) {
             let partials = controller.assembler().in_progress() as f64;
-            let key = self
-                .sampler_keys
+            let key = keys
                 .mctp_partials
                 .get_or_insert_with(|| MetricKey::new(metric_names::MCTP_PARTIALS));
-            handle.with(|m| {
-                m.gauge_set_ref(now, key, partials);
-            });
+            m.gauge_set(now, key, partials);
         }
         // Snapshot every gauge into its series at this tick.
-        handle.with(|m| m.snapshot_gauges(now));
+        m.snapshot_gauges(now);
     }
 
     /// Interrupt arrives at the host/guest: consume the CQE, ack it
@@ -1229,7 +1157,7 @@ impl World {
         status: Status,
     ) {
         let now = s.now();
-        self.tb.prof.enter("notify");
+        self.tb.obs.enter("notify");
         let (cid, status, head) = {
             let dev = &mut self.tb.devices[dev_id.0];
             let polled = dev.cq.poll(&mut self.tb.host_mem);
@@ -1245,7 +1173,7 @@ impl World {
                 status,
             },
         );
-        self.tb.prof.exit();
+        self.tb.obs.exit();
     }
 
     /// Completion-side stack latency: guest IRQ vCPU or host softirq.
@@ -1296,17 +1224,14 @@ impl World {
             // the slot in the host's ring view.
             dev.sq.retire();
         }
-        self.observe(now, PipelineStage::Complete, dev_id, cid);
-        self.tb
-            .telemetry
-            .end_command(now, dev_id.0 as u16, cid.0, status.is_success());
-        if let Some(slo) = self.slo.as_mut() {
-            slo.observe_completion(
-                dev_id.0 as u16,
-                now.saturating_since(pending.submitted),
-                status.is_success(),
-            );
-        }
+        self.observe(PipelineStage::Complete);
+        self.tb.obs.completion(
+            now,
+            dev_id.0 as u16,
+            cid.0,
+            now.saturating_since(pending.submitted),
+            status.is_success(),
+        );
         let completed = if self.tb.cfg.apply_plug_factor {
             let real = now.saturating_since(pending.submitted);
             pending.submitted
@@ -1344,72 +1269,68 @@ impl World {
     /// packet resets any stale partial, making the retransmit safe and
     /// the command exactly-once.
     fn do_management(&mut self, s: &mut Scheduler<World>, cmd: BmsCommand) {
-        let now = s.now();
-        let _scope = self.tb.prof.scope("mgmt");
-        self.next_mgmt_tag = (self.next_mgmt_tag + 1) % 8;
-        let tag = self.next_mgmt_tag;
         const MAX_RETRANSMITS: u32 = 3;
-        let mut attempt = 0u32;
-        loop {
-            let mut dropped = 0u32;
-            let actions = {
-                let faults = &mut self.faults;
-                let tb = &mut self.tb;
-                let Some(scheme) = tb.scheme.as_mut() else {
-                    return;
-                };
-                let Some((engine, controller)) = scheme.bm_parts() else {
-                    return;
-                };
-                let mut driver = AdminDriver {
-                    ssds: &mut tb.ssds,
-                    now,
-                };
-                let packets = request_packets(Eid(9), controller.eid(), tag, &cmd);
-                let mut actions = Vec::new();
-                for pkt in packets {
-                    if faults.mctp_drops > 0 {
-                        faults.mctp_drops -= 1;
-                        dropped += 1;
-                        continue;
-                    }
-                    actions.extend(controller.on_packet(
-                        now,
-                        pkt,
-                        engine,
-                        &mut driver,
-                        &mut tb.host_mem,
-                    ));
-                }
-                actions
+        let now = s.now();
+        self.tb.obs.enter("mgmt");
+        self.next_mgmt_tag = (self.next_mgmt_tag + 1) % 8;
+        for attempt in 0..=MAX_RETRANSMITS {
+            if attempt > 0 {
+                // With ≥1 packet missing the message cannot have
+                // reassembled; whatever the torn attempt produced (at
+                // most a reassembly error) is discarded and the console
+                // resends.
+                self.observe_fault(now, FaultTraceEvent::MctpRetransmit { attempt });
+                self.tb.obs.count(metric_names::MCTP_RETRANSMITS, 1);
+            }
+            let Some((actions, dropped)) = self.send_management(now, &cmd) else {
+                break;
             };
-            for _ in 0..dropped {
-                self.observe_fault(now, &FaultTraceEvent::MctpPacketDropped);
-            }
-            if dropped > 0 {
-                self.tb.metrics.with(|m| {
-                    m.counter_add(
-                        MetricKey::new(metric_names::MCTP_DROPPED),
-                        u64::from(dropped),
-                    )
-                });
-            }
             if dropped == 0 {
                 self.handle_controller_actions(s, actions);
-                return;
+                break;
             }
-            // With ≥1 packet missing the message cannot have reassembled;
-            // whatever the torn attempt produced (at most a reassembly
-            // error) is discarded and the console resends.
-            if attempt >= MAX_RETRANSMITS {
-                return; // link declared dead for this command
+            for _ in 0..dropped {
+                self.observe_fault(now, FaultTraceEvent::MctpPacketDropped);
             }
-            attempt += 1;
-            self.observe_fault(now, &FaultTraceEvent::MctpRetransmit { attempt });
             self.tb
-                .metrics
-                .with(|m| m.counter_add(MetricKey::new(metric_names::MCTP_RETRANSMITS), 1));
+                .obs
+                .count(metric_names::MCTP_DROPPED, u64::from(dropped));
         }
+        self.tb.obs.exit();
+    }
+
+    /// One transmission of `cmd` over the MCTP link to the controller,
+    /// with the world's observer lent to the engine. Returns the
+    /// controller's actions and how many packets the link ate; `None`
+    /// when the scheme has no management plane.
+    fn send_management(
+        &mut self,
+        now: SimTime,
+        cmd: &BmsCommand,
+    ) -> Option<(Vec<ControllerAction>, u32)> {
+        let tb = &mut self.tb;
+        let faults = &mut self.faults;
+        let (engine, controller) = tb.scheme.as_mut()?.bm_parts()?;
+        let packets = request_packets(Eid(9), controller.eid(), self.next_mgmt_tag, cmd);
+        let mut driver = AdminDriver {
+            ssds: &mut tb.ssds,
+            now,
+        };
+        let host_mem = &mut tb.host_mem;
+        let mut dropped = 0u32;
+        let actions = engine.with_observer(&mut tb.obs, |engine| {
+            let mut actions = Vec::new();
+            for pkt in packets {
+                if faults.mctp_drops > 0 {
+                    faults.mctp_drops -= 1;
+                    dropped += 1;
+                    continue;
+                }
+                actions.extend(controller.on_packet(now, pkt, engine, &mut driver, host_mem));
+            }
+            actions
+        });
+        Some((actions, dropped))
     }
 
     fn handle_controller_actions(
@@ -1425,13 +1346,14 @@ impl World {
                     for p in packets {
                         if let Ok(Some(msg)) = asm.push(p) {
                             if let Ok(resp) = MiResponse::from_bytes(&msg.body) {
-                                self.mgmt_responses.borrow_mut().push((s.now(), resp));
+                                self.mgmt_responses.push((s.now(), resp));
                             }
                         }
                     }
                 }
                 ControllerAction::FinishUpgrade { ssd, at } => {
                     s.schedule_at(at, move |w: &mut World, s| {
+                        let now = s.now();
                         let engine_actions = {
                             let tb = &mut w.tb;
                             let Some(scheme) = tb.scheme.as_mut() else {
@@ -1440,7 +1362,10 @@ impl World {
                             let Some((engine, controller)) = scheme.bm_parts() else {
                                 return;
                             };
-                            controller.finish_upgrade(s.now(), ssd, engine, &mut tb.host_mem)
+                            let host_mem = &mut tb.host_mem;
+                            engine.with_observer(&mut tb.obs, |engine| {
+                                controller.finish_upgrade(now, ssd, engine, host_mem)
+                            })
                         };
                         let effects = match w.tb.scheme.as_mut() {
                             Some(scheme) => scheme.on_engine_actions(engine_actions),
@@ -1502,7 +1427,7 @@ impl World {
                 return;
             };
             let was_crashed = engine.is_crashed();
-            engine.crash(now, restart_at);
+            engine.with_observer(&mut tb.obs, |engine| engine.crash(now, restart_at));
             // Flush the crash recovery-log entry to the observer now,
             // not when the next I/O happens to pass through the scheme.
             (was_crashed, scheme.on_engine_actions(Vec::new()))
@@ -1549,7 +1474,8 @@ impl World {
                 let (sq, cq) = engine.ssd_rings(SsdId(i as u8));
                 ssd.attach_io_queues(sq, cq);
             }
-            engine.recover(now, &mut tb.host_mem)
+            let host_mem = &mut tb.host_mem;
+            engine.with_observer(&mut tb.obs, |engine| engine.recover(now, host_mem))
         };
         let effects = match self.tb.scheme.as_mut() {
             Some(scheme) => scheme.on_engine_actions(engine_actions),
@@ -1578,7 +1504,10 @@ impl World {
             };
             let sid = SsdId(idx as u8);
             tb.ssds[idx].reset();
-            let actions = engine.surprise_reinsert(now, sid, &mut tb.host_mem);
+            let host_mem = &mut tb.host_mem;
+            let actions = engine.with_observer(&mut tb.obs, |engine| {
+                engine.surprise_reinsert(now, sid, host_mem)
+            });
             let (sq, cq) = engine.ssd_rings(sid);
             tb.ssds[idx].attach_io_queues(sq, cq);
             actions

@@ -13,12 +13,10 @@ use bm_nvme::types::Lba;
 use bm_sim::SimTime;
 use bm_ssd::DataMode;
 use bm_testbed::{
-    BufferId, Client, ClientOutput, Completion, CountingObserver, DeviceId, IoOp, IoRequest,
-    PipelineStage, SchemeKind, Testbed, TestbedConfig, World,
+    BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, PipelineStage,
+    SchemeKind, Testbed, TestbedConfig, World,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 const ALL_SCHEMES: [SchemeKind; 6] = [
     SchemeKind::Native,
@@ -37,7 +35,7 @@ struct WriteAllReadAll {
     wbufs: Vec<BufferId>,
     rbufs: Vec<BufferId>,
     writes_done: usize,
-    order: Rc<RefCell<Vec<u64>>>,
+    order: Vec<u64>,
 }
 
 impl WriteAllReadAll {
@@ -60,7 +58,7 @@ impl Client for WriteAllReadAll {
 
     fn on_completion(&mut self, _now: SimTime, c: Completion) -> ClientOutput {
         assert!(c.status.is_success(), "I/O failed: {}", c.status);
-        self.order.borrow_mut().push(c.tag);
+        self.order.push(c.tag);
         if c.is_write {
             self.writes_done += 1;
             if self.writes_done == self.lbas.len() {
@@ -93,7 +91,7 @@ struct RunResult {
     order: Vec<u64>,
     /// Read-back bytes per LBA index.
     readback: Vec<Vec<u8>>,
-    /// Observer counts for the five pipeline stages.
+    /// The world's counts for the five pipeline stages.
     stage_counts: [u64; 5],
 }
 
@@ -114,29 +112,26 @@ fn run_workload(scheme: SchemeKind, seed: u64, lbas: &[u64]) -> RunResult {
         wbufs.push(wbuf);
         rbufs.push(tb.register_buffer(4096));
     }
-    let order = Rc::new(RefCell::new(Vec::new()));
     let client = WriteAllReadAll {
         lbas: lbas.to_vec(),
         wbufs,
         rbufs: rbufs.clone(),
         writes_done: 0,
-        order: Rc::clone(&order),
+        order: Vec::new(),
     };
     let mut world = World::new(tb);
-    world.add_client(Box::new(client));
-    let observer = Rc::new(RefCell::new(CountingObserver::default()));
-    world.set_observer(observer.clone());
+    let id = world.add_client(Box::new(client));
     let mut world = world.run(None);
     let readback = rbufs
         .iter()
         .map(|&buf| world.tb.host_mem.read_vec(world.tb.buffer_addr(buf), 4096))
         .collect();
-    let obs = observer.borrow();
-    let mut stage_counts = [0u64; 5];
-    for (i, stage) in PipelineStage::ALL.into_iter().enumerate() {
-        stage_counts[i] = obs.count(stage);
-    }
-    let order = order.borrow().clone();
+    let stage_counts = PipelineStage::ALL.map(|stage| world.stage_count(stage));
+    let order = world
+        .client_as::<WriteAllReadAll>(id)
+        .expect("the client is a WriteAllReadAll")
+        .order
+        .clone();
     RunResult {
         order,
         readback,

@@ -73,7 +73,7 @@ fn main() {
     let resp = world.mgmt_responses();
     println!(
         "management responses delivered: {} (all success: {})",
-        resp.borrow().len(),
-        resp.borrow().iter().all(|(_, r)| r.status.is_success())
+        resp.len(),
+        resp.iter().all(|(_, r)| r.status.is_success())
     );
 }

@@ -82,7 +82,6 @@ fn set_qos_over_mctp_takes_effect_mid_run() {
     );
     let world = world.run(None);
     let responses = world.mgmt_responses();
-    let responses = responses.borrow();
     assert_eq!(responses.len(), 1);
     assert!(responses[0].1.status.is_success());
     // Unthrottled first half, ~5K afterwards: well below the free rate.
@@ -105,7 +104,6 @@ fn query_stats_over_mctp_reflects_traffic() {
     );
     let world = world.run(None);
     let responses = world.mgmt_responses();
-    let responses = responses.borrow();
     assert_eq!(responses.len(), 1);
     let counters =
         bmstore::core::controller::io_monitor::IoMonitor::decode_counters(&responses[0].1.payload)
@@ -138,10 +136,7 @@ fn hot_plug_preserves_tenant_identity_and_data_path() {
     );
     let world = world.run(None);
     let responses = world.mgmt_responses();
-    assert!(responses
-        .borrow()
-        .iter()
-        .all(|(_, r)| r.status.is_success()));
+    assert!(responses.iter().all(|(_, r)| r.status.is_success()));
     let ctl = world.tb.controller().expect("BM-Store");
     assert_eq!(ctl.hotplug_reports().len(), 1);
     let report = ctl.hotplug_reports()[0];
@@ -170,7 +165,6 @@ fn firmware_version_query_after_upgrade() {
     );
     let world = world.run(None);
     let responses = world.mgmt_responses();
-    let responses = responses.borrow();
     assert_eq!(responses.len(), 2);
     let version = String::from_utf8_lossy(&responses[1].1.payload).to_string();
     assert!(version.starts_with("FWv2.0"), "running version {version}");

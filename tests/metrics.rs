@@ -78,8 +78,9 @@ fn conservation_holds_at_every_sample_tick() {
     let (_, world) = run_fio(cfg, spec(RwMode::RandRead, 4096, 64));
     world
         .tb
+        .observer()
         .metrics()
-        .read(|reg| {
+        .map(|reg| {
             assert_conservation(reg, 2);
             // Engine flow totals close out at drain: every started
             // command finished, and the outstanding gauge read zero.
@@ -131,8 +132,9 @@ fn conservation_holds_under_fault_plan() {
     let (_, world) = run_fio(cfg, spec(RwMode::RandRead, 4096, 32));
     world
         .tb
+        .observer()
         .metrics()
-        .read(|reg| {
+        .map(|reg| {
             assert_conservation(reg, 2);
             // The fault plan must leave annotations on the run so the
             // excursions in the series can be matched to their cause.
@@ -160,8 +162,9 @@ fn littles_law_relates_backend_occupancy_to_ssd_busy() {
     let (_, world) = run_fio(cfg, spec(RwMode::RandRead, 4096, 64));
     world
         .tb
+        .observer()
         .metrics()
-        .read(|reg| {
+        .map(|reg| {
             let end = reg.last_sample().expect("sampler ran");
             let window_ns = end.saturating_since(SimTime::ZERO).as_nanos() as f64;
             let busy_ns = reg.counter(&MetricKey::labeled(
@@ -193,8 +196,9 @@ fn bottleneck_report_names_ssd_for_ssd_bound_load() {
     let (_, world) = run_fio(cfg, spec(RwMode::RandRead, 4096, 128));
     world
         .tb
+        .observer()
         .metrics()
-        .read(|reg| {
+        .map(|reg| {
             let end = reg.last_sample().expect("sampler ran");
             let report = reg.bottleneck_report(end, 3);
             assert_eq!(
@@ -221,8 +225,9 @@ fn bottleneck_report_names_dma_routing_for_dma_bound_load() {
     let (_, world) = run_fio(cfg, spec(RwMode::SeqRead, 128 * 1024, 8));
     world
         .tb
+        .observer()
         .metrics()
-        .read(|reg| {
+        .map(|reg| {
             let end = reg.last_sample().expect("sampler ran");
             let report = reg.bottleneck_report(end, 3);
             assert_eq!(

@@ -18,8 +18,8 @@ use bmstore::sim::faults::{FaultKind, FaultPlan};
 use bmstore::sim::{SimDuration, SimTime};
 use bmstore::ssd::{DataMode, SsdId};
 use bmstore::testbed::{
-    BufferId, Client, ClientOutput, Completion, DeviceId, FaultLog, FaultTraceEvent, IoOp,
-    IoRequest, Testbed, TestbedConfig, World,
+    BufferId, Client, ClientOutput, Completion, DeviceId, FaultTraceEvent, IoOp, IoRequest,
+    Testbed, TestbedConfig, World,
 };
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -237,8 +237,6 @@ fn hot_plug_and_hot_upgrade_under_faults_preserve_tenants() {
     for t in tenants {
         world.add_client(Box::new(t));
     }
-    let log = Rc::new(RefCell::new(FaultLog::default()));
-    world.set_observer(log.clone());
 
     // Hot-upgrade SSD 1 while I/O runs.
     world.schedule_command(
@@ -266,7 +264,6 @@ fn hot_plug_and_hot_upgrade_under_faults_preserve_tenants() {
     // Management plane: every command succeeded (the torn MCTP request
     // was retransmitted, not lost).
     let responses = world.mgmt_responses();
-    let responses = responses.borrow();
     assert_eq!(responses.len(), 3, "upgrade + prepare + complete");
     assert!(responses.iter().all(|(_, r)| r.status.is_success()));
 
@@ -319,10 +316,9 @@ fn hot_plug_and_hot_upgrade_under_faults_preserve_tenants() {
         }
     }
 
-    // Every fault was surfaced through the observer, and the recovery
-    // machinery demonstrably ran.
-    let log = log.borrow();
-    let events = log.events();
+    // Every fault was surfaced in the world's fault log, and the
+    // recovery machinery demonstrably ran.
+    let events = world.fault_events();
     let injected = events
         .iter()
         .filter(|(_, e)| matches!(e, FaultTraceEvent::Injected(_)))

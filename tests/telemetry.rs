@@ -129,7 +129,6 @@ fn spiked_world(telemetry: bool, per_tenant: u64, log: &CompletionLog) -> World 
 fn scraped_pages(world: &World) -> [TelemetryLogPage; 4] {
     let responses = world.mgmt_responses();
     let pages: Vec<TelemetryLogPage> = responses
-        .borrow()
         .iter()
         .map(|(_, r)| TelemetryLogPage::from_bytes(&r.payload).expect("log page decodes"))
         .collect();
@@ -201,8 +200,9 @@ fn injected_slowdown_is_attributable_from_the_trace() {
 
     let trace = world
         .tb
+        .observer()
         .telemetry()
-        .read(chrome_trace)
+        .map(chrome_trace)
         .expect("telemetry enabled");
     let spans = parse_chrome_trace(&trace).expect("exported trace parses");
     let mut by_cmd: HashMap<u64, Vec<&ParsedSpan>> = HashMap::new();
@@ -247,9 +247,14 @@ fn disabled_telemetry_leaves_the_run_bit_identical() {
     let world_on = spiked_world(true, 400, &with);
     let world_off = spiked_world(false, 400, &without);
 
-    assert!(world_on.tb.telemetry().is_enabled());
-    assert!(!world_off.tb.telemetry().is_enabled());
-    assert!(world_off.tb.telemetry().read(|r| r.spans().len()).is_none());
+    assert!(world_on.tb.observer().telemetry().is_some());
+    assert!(world_off.tb.observer().telemetry().is_none());
+    assert!(world_off
+        .tb
+        .observer()
+        .telemetry()
+        .map(|r| r.spans().len())
+        .is_none());
 
     let with = with.borrow();
     let without = without.borrow();
