@@ -30,7 +30,7 @@ pub mod qos;
 pub mod resources;
 
 use crate::engine::counters::IoCounters;
-use crate::engine::dma_routing::{DmaRouter, GlobalPrp, RoutingStats};
+use crate::engine::dma_routing::{ChipWindow, DmaRouter, GlobalPrp, RoutingStats};
 use crate::engine::front_end::{Binding, FrontEndFunction};
 use crate::engine::host_adaptor::{HostAdaptor, Outstanding};
 use crate::engine::mapping::{ChunkAllocator, MappingTable, ENTRIES_PER_ROW};
@@ -41,7 +41,7 @@ use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
-use bm_pcie::{FunctionId, HostMemory, PciAddr, SriovConfig};
+use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr, SriovConfig};
 use bm_sim::metrics::{names as metric_names, stages as metric_stages, MetricKey};
 use bm_sim::observe::Observer;
 use bm_sim::resource::BandwidthLink;
@@ -353,7 +353,7 @@ struct PendingIo {
     sqe: Sqe,
     fetched_at: SimTime,
     /// The host command's original data pointers (the rewrite replaces
-    /// `sqe`'s, but split spans still need to walk the host PRP chain).
+    /// `sqe`'s, but each span still reads its pages from the host's).
     orig_prp1: PciAddr,
     orig_prp2: PciAddr,
     orig_blocks: u32,
@@ -361,6 +361,44 @@ struct PendingIo {
     retries: u32,
     /// Telemetry correlation ID ([`CmdId::NONE`] when telemetry is off).
     cmd: CmdId,
+}
+
+impl PendingIo {
+    /// Reads the host PRP entries of blocks `first..first + n` of this
+    /// command's transfer into `out`, as the little-endian bytes of a PRP
+    /// list, and tags each in place with the command's function (a
+    /// global PRP, §IV-C). Block 0 is PRP1 and block 1 of a two-block
+    /// command is PRP2; block `b` of a longer one is entry `b - 1` of the
+    /// host's flat PRP list, so a span's list entries take one read.
+    fn read_tagged_prps(&self, first: u32, n: u32, host: &mut HostMemory, out: &mut Vec<u8>) {
+        out.clear();
+        let end = first + n;
+        let mut b = first;
+        if b == 0 {
+            out.extend_from_slice(&self.orig_prp1.raw().to_le_bytes());
+            b = 1;
+        }
+        if b < end {
+            if self.orig_blocks == 2 {
+                out.extend_from_slice(&self.orig_prp2.raw().to_le_bytes());
+            } else {
+                let at = out.len();
+                out.resize(at + (end - b) as usize * 8, 0);
+                host.read(self.orig_prp2 + u64::from(b - 1) * 8, &mut out[at..]);
+            }
+        }
+        for entry in out.chunks_exact_mut(8) {
+            let tagged = GlobalPrp::tag(prp_at(entry, 0), self.func, false);
+            entry.copy_from_slice(&tagged.raw().to_le_bytes());
+        }
+    }
+}
+
+/// Entry `i` of a PRP list held as little-endian bytes.
+fn prp_at(list: &[u8], i: usize) -> PciAddr {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&list[i * 8..i * 8 + 8]);
+    PciAddr::new(u64::from_le_bytes(raw))
 }
 
 /// Heap entry for QoS releases.
@@ -461,6 +499,8 @@ pub struct BmsEngine {
     span_scratch: Vec<(SsdId, Lba, u32, u32)>,
     /// Reused SQE fetch buffer for [`Self::host_doorbell_write`].
     sqe_scratch: Vec<Sqe>,
+    /// Reused tagged-PRP buffer for [`Self::push_to_port`].
+    prp_scratch: Vec<u8>,
 }
 
 /// Cached per-function metric keys (see [`BmsEngine::func_metric_keys`]).
@@ -522,7 +562,7 @@ struct RetryEntry {
     ssd: SsdId,
     cid: Cid,
     /// Pristine span-level command, re-enqueued verbatim on retry
-    /// (`push_to_port` rebuilds the PRP list from it each attempt).
+    /// (`push_to_port` rebuilds its data pointers each attempt).
     io: PendingIo,
 }
 
@@ -590,6 +630,7 @@ impl BmsEngine {
             func_metric_keys,
             span_scratch: Vec::new(),
             sqe_scratch: Vec::new(),
+            prp_scratch: Vec::new(),
             cfg,
         }
     }
@@ -1520,25 +1561,28 @@ impl BmsEngine {
     ) {
         let idx = io.func.index() as usize;
         let bytes = io.sqe.transfer_len(self.cfg.block_size);
-        // Validation against the binding.
-        let valid = match self.functions[idx].binding() {
-            Some(b) => {
-                io.sqe.nsid == Some(Nsid::ONE)
-                    && (io.sqe.io_opcode() == Some(IoOpcode::Flush)
-                        || io
-                            .sqe
-                            .slba
-                            .checked_add(io.sqe.nlb_blocks() as u64)
-                            .is_some_and(|end| end.raw() <= b.blocks()))
-            }
-            None => false,
+        let is_flush = io.sqe.io_opcode() == Some(IoOpcode::Flush);
+        let in_range = |b: &Binding| {
+            is_flush
+                || io
+                    .sqe
+                    .slba
+                    .checked_add(io.sqe.nlb_blocks() as u64)
+                    .is_some_and(|end| end.raw() <= b.blocks())
         };
-        if !valid {
-            let status = if self.functions[idx].binding().is_none() {
-                Status::InvalidNamespace
-            } else {
-                Status::LbaOutOfRange
-            };
+        // A transfer needs PRP1, and PRP2 once it spans a second page
+        // (what `PrpPair::segments` demands on the native path).
+        let prps_present =
+            is_flush || !(io.orig_prp1.is_null() || (io.orig_blocks > 1 && io.orig_prp2.is_null()));
+        let rejected = match self.functions[idx].binding() {
+            None => Some(Status::InvalidNamespace),
+            Some(b) if io.sqe.nsid != Some(Nsid::ONE) || !in_range(b) => {
+                Some(Status::LbaOutOfRange)
+            }
+            Some(_) if !prps_present => Some(Status::InvalidField),
+            Some(_) => None,
+        };
+        if let Some(status) = rejected {
             self.counters.record(io.func, false, 0, true);
             actions.push(EngineAction::HostCompletion {
                 func: io.func,
@@ -1636,7 +1680,7 @@ impl BmsEngine {
                 .insert(key, (spans.len() as u8, Status::Success));
         }
         for &(ssd, pl, block_off, nblocks) in &spans {
-            let sqe = self.rewrite_io(&io, pl, block_off, nblocks, host);
+            let sqe = Self::rewrite_io(&io, pl, block_off, nblocks);
             // `PendingIo` is all-`Copy` fields: this clone is a memcpy.
             self.enqueue_backend(now, ssd, PendingIo { sqe, ..io.clone() }, host, actions);
         }
@@ -1669,57 +1713,22 @@ impl BmsEngine {
         }
     }
 
-    /// Builds the rewritten back-end SQE for one span: physical LBA and
-    /// global-PRP-tagged data pointers. `block_off`/`nblocks` select the
-    /// span's slice of the host buffer (block size == page size).
-    fn rewrite_io(
-        &mut self,
-        io: &PendingIo,
-        pl: Lba,
-        block_off: u32,
-        nblocks: u32,
-        host: &mut HostMemory,
-    ) -> Sqe {
-        let func = io.func;
-        let bs = self.cfg.block_size;
-        debug_assert_eq!(bs, PAGE_SIZE, "block==page keeps PRP slicing exact");
-        // Page list of the host buffer.
-        let total_pages = io.orig_blocks as u64;
-        let first = io.orig_prp1;
-        let page_at = |i: u64, host: &mut HostMemory| -> PciAddr {
-            if i == 0 {
-                first
-            } else if total_pages == 2 {
-                io.orig_prp2
-            } else {
-                PciAddr::new(host.read_u64(io.orig_prp2 + (i - 1) * 8))
-            }
-        };
-        let span_first = page_at(block_off as u64, host);
-        let prp1 = GlobalPrp::tag(span_first, func, false);
-        let prp2 = if nblocks == 1 {
-            PciAddr::NULL
-        } else if nblocks == 2 {
-            GlobalPrp::tag(page_at(block_off as u64 + 1, host), func, false)
-        } else {
-            // Write a tagged PRP list into chip memory; the slot is
-            // assigned at enqueue time, so stage into a scratch list the
-            // enqueue path copies. To keep a single pass, allocate the
-            // slot here via a two-phase trick: build the list bytes now.
-            PciAddr::NULL // placeholder; enqueue_backend fills the slot
-        };
+    /// Builds the rewritten back-end SQE for one span: its physical LBA
+    /// and block count, with the span's block offset into the host
+    /// transfer stashed in `cdw12`'s upper bits (reserved in our subset).
+    /// [`Self::push_to_port`] fills in the global-PRP data pointers once
+    /// the command has its chip slot.
+    fn rewrite_io(io: &PendingIo, pl: Lba, block_off: u32, nblocks: u32) -> Sqe {
         let mut sqe = Sqe::io(
             io.sqe.io_opcode().expect("I/O command"),
             io.host_cid, // replaced with the back-end CID at enqueue
             Nsid::ONE,
             pl,
             nblocks,
-            prp1,
-            prp2,
+            PciAddr::NULL,
+            PciAddr::NULL,
         );
-        // Stash the span's block offset so enqueue_backend can build the
-        // PRP list; cdw12 upper bits are reserved in our subset.
-        sqe.cdw12 |= (block_off) << 16;
+        sqe.cdw12 |= block_off << 16;
         sqe
     }
 
@@ -1784,26 +1793,29 @@ impl BmsEngine {
             });
         }
         let mut sqe = io.sqe;
-        let block_off = (sqe.cdw12 >> 16) as u64;
-        let nblocks = sqe.nlb_blocks();
+        let block_off = sqe.cdw12 >> 16;
         sqe.cdw12 &= 0xFFFF; // strip the stashed offset
         sqe.cid = backend_cid;
-        // Large spans: build the tagged PRP list in the command's chip
-        // slot (the "global PRP stored into chip memory" of §IV-C).
-        if sqe.io_opcode() != Some(IoOpcode::Flush) && nblocks > 2 && sqe.prp2.is_null() {
-            // Recover each span block's host page by walking the host
-            // command's original PRP chain.
-            let mut entries = Vec::with_capacity(nblocks as usize - 1);
-            for i in 1..nblocks as u64 {
-                let host_page = self.host_page_of(&io, block_off + i, host);
-                entries.push(GlobalPrp::tag(host_page, io.func, false).raw());
-            }
-            let mut win = dma_routing::ChipWindow(&mut self.chip);
-            use bm_pcie::DmaContext;
-            for (i, e) in entries.iter().enumerate() {
-                win.dma_write_u64(list_slot + i as u64 * 8, *e);
-            }
-            sqe.prp2 = list_slot;
+        if sqe.io_opcode() != Some(IoOpcode::Flush) {
+            // Global PRPs for the span's host pages. A span of more than
+            // two pages gets its tagged list in the command's chip slot
+            // (the "global PRP stored into chip memory" of §IV-C).
+            debug_assert_eq!(
+                self.cfg.block_size, PAGE_SIZE,
+                "block == page keeps PRP slicing exact"
+            );
+            let nblocks = sqe.nlb_blocks();
+            let prps = &mut self.prp_scratch;
+            io.read_tagged_prps(block_off, nblocks, host, prps);
+            sqe.prp1 = prp_at(prps, 0);
+            sqe.prp2 = match nblocks {
+                1 => PciAddr::NULL,
+                2 => prp_at(prps, 1),
+                _ => {
+                    ChipWindow(&mut self.chip).dma_write(list_slot, &prps[8..]);
+                    list_slot
+                }
+            };
         }
         let port = self.adaptor.port_mut(ssd);
         let tail = port.push_sqe(&mut self.chip, &sqe.to_bytes());
@@ -1820,23 +1832,6 @@ impl BmsEngine {
         let busy = at.saturating_since(now);
         self.obs.stage_busy(metric_stages::DMA_ROUTING, busy, 1);
         actions.push(EngineAction::BackendDoorbell { ssd, tail, at });
-    }
-
-    /// Resolves the host page backing block `abs_block` of the original
-    /// command (by walking the host's PRP chain).
-    fn host_page_of(&self, io: &PendingIo, abs_block: u64, host: &mut HostMemory) -> PciAddr {
-        let total = io.orig_blocks as u64;
-        if abs_block == 0 {
-            return io.orig_prp1;
-        }
-        if total == 2 {
-            return io.orig_prp2;
-        }
-        if io.orig_prp2.is_null() {
-            // Contiguous single-buffer fallback.
-            return PciAddr::new(io.orig_prp1.raw() + abs_block * PAGE_SIZE);
-        }
-        PciAddr::new(host.read_u64(io.orig_prp2 + (abs_block - 1) * 8))
     }
 
     /// Releases QoS-buffered commands due at `now`.

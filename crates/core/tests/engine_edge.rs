@@ -1,5 +1,5 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, and unbind racing in-flight I/O.
+//! paused SSD, unbind racing in-flight I/O, and missing data pointers.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
@@ -15,22 +15,27 @@ fn fid(i: u8) -> FunctionId {
     FunctionId::new(i).unwrap()
 }
 
-/// Engine with one bound+enabled function and a registered I/O queue of
+/// Engine with function 0 bound+enabled and a registered I/O queue of
 /// `entries` slots; returns the host-side SQ view.
 fn rig(entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
+    rig_on(fid(0), entries)
+}
+
+/// [`rig`] for any function `func`.
+fn rig_on(func: FunctionId, entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
     let mut engine = BmsEngine::new(EngineConfig::paper_default(2));
     let mut host = HostMemory::new(1 << 30);
     engine
-        .bind_namespace(fid(0), 256 << 30, Placement::Single(SsdId(0)))
+        .bind_namespace(func, 256 << 30, Placement::Single(SsdId(0)))
         .unwrap();
-    engine.set_function_enabled(fid(0), true);
+    engine.set_function_enabled(func, true);
     let sq_base = host.alloc(entries as u64 * 64).unwrap();
     let cq_base = host.alloc(entries as u64 * 16).unwrap();
     engine
-        .function_mut(fid(0))
+        .function_mut(func)
         .create_io_cq(QueueId(1), cq_base, entries);
     engine
-        .function_mut(fid(0))
+        .function_mut(func)
         .create_io_sq(QueueId(1), sq_base, entries);
     let host_sq = SubmissionQueue::new(QueueId(1), sq_base, entries);
     (engine, host, host_sq)
@@ -280,4 +285,71 @@ fn multiple_io_queues_on_one_function_stay_independent() {
         &mut host,
     );
     assert!(none.is_empty());
+}
+
+#[test]
+fn missing_data_pointers_complete_invalid_field() {
+    // Function 1 is a VF: its non-zero tag would turn a forwarded null
+    // pointer into a non-null global PRP that routes to host address 0.
+    let (mut engine, mut host, mut host_sq) = rig_on(fid(1), 16);
+    let page = PciAddr::new(0x100_0000);
+    let cmds = [
+        (3, page, PciAddr::NULL),          // needs a PRP list
+        (2, page, PciAddr::NULL),          // needs PRP2 as a data page
+        (1, PciAddr::NULL, PciAddr::NULL), // needs PRP1
+    ];
+    for (cid, &(blocks, prp1, prp2)) in cmds.iter().enumerate() {
+        let sqe = Sqe::io(
+            IoOpcode::Read,
+            Cid(cid as u16),
+            Nsid::ONE,
+            Lba(0),
+            blocks,
+            prp1,
+            prp2,
+        );
+        host_sq.push(&mut host, &sqe).unwrap();
+    }
+    let actions = engine.host_doorbell_write(
+        SimTime::ZERO,
+        fid(1),
+        DoorbellLayout::sq_tail_offset(QueueId(1)),
+        3,
+        &mut host,
+    );
+    let statuses: Vec<(u16, Status)> = actions
+        .iter()
+        .map(|a| match a {
+            EngineAction::HostCompletion { cid, status, .. } => (cid.0, *status),
+            other => panic!("malformed command reached the back end: {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        statuses,
+        [
+            (0, Status::InvalidField),
+            (1, Status::InvalidField),
+            (2, Status::InvalidField),
+        ]
+    );
+    assert_eq!(engine.adaptor().port(SsdId(0)).forwarded(), 0);
+    // A flush moves no data, so null pointers are fine there.
+    let flush = Sqe::io(
+        IoOpcode::Flush,
+        Cid(3),
+        Nsid::ONE,
+        Lba(0),
+        1,
+        PciAddr::NULL,
+        PciAddr::NULL,
+    );
+    host_sq.push(&mut host, &flush).unwrap();
+    let _ = engine.host_doorbell_write(
+        SimTime::ZERO,
+        fid(1),
+        DoorbellLayout::sq_tail_offset(QueueId(1)),
+        4,
+        &mut host,
+    );
+    assert_eq!(engine.adaptor().port(SsdId(0)).forwarded(), 1);
 }

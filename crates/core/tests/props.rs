@@ -1,9 +1,15 @@
 //! Property tests on the BMS-Engine's data structures: the mapping
 //! equations, the global-PRP bit format, chunk allocation, QoS rate
-//! conformance, and the management command codec.
+//! conformance, the management command codec, and the data pointers of
+//! split commands.
 
-use bm_nvme::types::Lba;
-use bm_pcie::{FunctionId, PciAddr};
+use bm_nvme::command::{IoOpcode, Sqe};
+use bm_nvme::prp::PrpPair;
+use bm_nvme::queue::DoorbellLayout;
+use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
+use bm_nvme::SubmissionQueue;
+use bm_pcie::memory::PAGE_SIZE;
+use bm_pcie::{FunctionId, HostMemory, PciAddr};
 use bm_sim::SimTime;
 use bm_ssd::SsdId;
 use bmstore_core::controller::commands::BmsCommand;
@@ -12,8 +18,35 @@ use bmstore_core::engine::mapping::{
     ChunkAllocator, MapEntry, MappingTable, ENTRIES_PER_ROW, MAX_CHUNK_BASE, MAX_SSD_ID,
 };
 use bmstore_core::engine::qos::{Admission, NamespaceQos, QosLimit};
+use bmstore_core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+
+/// Function 1, a VF: its tag is non-zero, so an untagged or mistagged
+/// pointer cannot pass for a tagged one.
+fn vf() -> FunctionId {
+    FunctionId::new(1).unwrap()
+}
+
+/// An engine over 2 SSDs with a two-chunk round-robin namespace on
+/// [`vf`] and a registered I/O queue pair; returns the host-side SQ.
+fn striped_rig() -> (BmsEngine, HostMemory, SubmissionQueue) {
+    let mut engine = BmsEngine::new(EngineConfig::paper_default(2));
+    let mut host = HostMemory::new(1 << 30);
+    engine
+        .bind_namespace(vf(), 128 << 30, Placement::RoundRobin)
+        .unwrap();
+    engine.set_function_enabled(vf(), true);
+    let sq_base = host.alloc(16 * 64).unwrap();
+    let cq_base = host.alloc(16 * 16).unwrap();
+    engine
+        .function_mut(vf())
+        .create_io_cq(QueueId(1), cq_base, 16);
+    engine
+        .function_mut(vf())
+        .create_io_sq(QueueId(1), sq_base, 16);
+    (engine, host, SubmissionQueue::new(QueueId(1), sq_base, 16))
+}
 
 proptest! {
     #[test]
@@ -179,5 +212,96 @@ proptest! {
                 .collect();
             prop_assert_eq!(before, after);
         }
+    }
+
+    /// A command across a chunk boundary splits into two spans, the
+    /// second starting at a non-zero block offset into the host buffer.
+    /// Each forwarded SQE's PRP1, PRP2 and PRP list, read back through
+    /// the DMA router, must name exactly its span's host pages as
+    /// `PrpPair::segments` walks them, each tagged with the function.
+    #[test]
+    fn split_spans_carry_their_host_pages(
+        blocks in 3u32..=256,
+        split in any::<u32>(),
+        stride in 0u64..256,
+        start in 0u64..512,
+    ) {
+        let (mut engine, mut host, mut host_sq) = striped_rig();
+        // Scatter the buffer over a 512-page region: an odd stride
+        // visits distinct pages, so a wrong offset names a wrong page.
+        let region = host.alloc(512 * PAGE_SIZE).unwrap();
+        let page = |i: u64| {
+            let slot = (start + i * (2 * stride + 1)) % 512;
+            region + slot * PAGE_SIZE
+        };
+        let list = host.alloc(u64::from(blocks) * 8).unwrap();
+        for i in 1..u64::from(blocks) {
+            host.write_u64(list + (i - 1) * 8, page(i).raw());
+        }
+        let len = u64::from(blocks) * PAGE_SIZE;
+        let buf = PrpPair { prp1: page(0), prp2: list, len };
+        let host_pages: Vec<PciAddr> =
+            buf.segments(&mut host).unwrap().into_iter().map(|(a, _)| a).collect();
+        // `before` blocks land in chunk 0 and the rest in chunk 1.
+        let before = split % (blocks - 1) + 1;
+        let cs = engine.mapping().chunk_blocks();
+        let slba = cs - u64::from(before);
+        let sqe = Sqe::io(
+            IoOpcode::Read,
+            Cid(0),
+            Nsid::ONE,
+            Lba(slba),
+            blocks,
+            buf.prp1,
+            buf.prp2,
+        );
+        host_sq.push(&mut host, &sqe).unwrap();
+        let actions = engine.host_doorbell_write(
+            SimTime::ZERO,
+            vf(),
+            DoorbellLayout::sq_tail_offset(QueueId(1)),
+            1,
+            &mut host,
+        );
+        // Fetch every forwarded SQE, per SSD in ring order.
+        let mut fetched: BTreeMap<SsdId, VecDeque<Sqe>> = BTreeMap::new();
+        for a in &actions {
+            if let EngineAction::BackendDoorbell { ssd, tail, .. } = *a {
+                let (mut ring, _) = engine.ssd_rings(ssd);
+                ring.doorbell_tail(tail).unwrap();
+                let mut router = engine.dma_router(&mut host);
+                while let Some(fwd) = ring.fetch(&mut router).unwrap() {
+                    fetched.entry(ssd).or_default().push_back(fwd);
+                }
+            }
+        }
+        let row_base = engine.function(vf()).binding().unwrap().row_base;
+        for (off, n) in [(0, before), (before, blocks - before)] {
+            let hl = Lba(slba + u64::from(off));
+            let (ssd, pl) = engine.mapping().map(row_base, hl).unwrap();
+            let fwd = fetched.get_mut(&ssd).and_then(|q| q.pop_front());
+            prop_assert!(fwd.is_some(), "no span forwarded to {:?}", ssd);
+            let fwd = fwd.unwrap();
+            prop_assert_eq!(fwd.slba, pl);
+            prop_assert_eq!(fwd.nlb_blocks(), n);
+            let span = PrpPair {
+                prp1: fwd.prp1,
+                prp2: fwd.prp2,
+                len: u64::from(n) * PAGE_SIZE,
+            };
+            let got: Vec<PciAddr> = span
+                .segments(&mut engine.dma_router(&mut host))
+                .unwrap()
+                .into_iter()
+                .map(|(a, _)| a)
+                .collect();
+            let (off, n) = (off as usize, n as usize);
+            let want: Vec<PciAddr> = host_pages[off..off + n]
+                .iter()
+                .map(|&p| GlobalPrp::tag(p, vf(), false))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+        prop_assert!(fetched.values().all(VecDeque::is_empty), "extra forwarded SQEs");
     }
 }

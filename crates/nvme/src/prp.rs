@@ -51,6 +51,10 @@ impl PrpPair {
     /// (Real hosts pass scattered pages; for the simulation's purposes a
     /// contiguous region exercises the same PRP machinery.)
     ///
+    /// The list is one flat run of entries, however long. Real NVMe
+    /// chains list pages through their last entry; nothing here does:
+    /// [`Self::segments`] and the BMS-Engine read the same flat list.
+    ///
     /// # Panics
     ///
     /// Panics if `len` is zero or the list allocation fails.
@@ -74,18 +78,11 @@ impl PrpPair {
                 len,
             };
         }
-        // Build a PRP list (single level: up to 512 entries per page is
-        // enough for the ≤1 MiB transfers fio issues; chain if larger).
-        let entries_per_page = PAGE_SIZE / 8;
-        let list_pages = extra_pages.div_ceil(entries_per_page);
-        let list_base = mem
-            .alloc(list_pages * PAGE_SIZE)
-            .expect("PRP list allocation");
-        for i in 0..extra_pages {
-            let entry_addr = list_base + i * 8;
-            let page = second + (i * PAGE_SIZE);
-            mem.dma_write_u64(entry_addr, page.raw());
-        }
+        let list: Vec<u8> = (0..extra_pages)
+            .flat_map(|i| (second + i * PAGE_SIZE).raw().to_le_bytes())
+            .collect();
+        let list_base = mem.alloc(list.len() as u64).expect("PRP list allocation");
+        mem.write(list_base, &list);
         PrpPair {
             prp1: buf,
             prp2: list_base,

@@ -53,6 +53,12 @@ cargo test --release -q --test resilience
 cargo test --release -q -p bm-testbed --test conservation
 cargo test --release -q -p bm-pcie --test packet_loss
 
+echo "==> data-integrity suite (release)"
+# Bytes round-trip through every scheme, including the BM-Store PRP-list
+# path through the DMA router, with debug_assert!s compiled out as in
+# the experiments.
+cargo test --release -q --test data_integrity
+
 echo "==> chaos smoke (release, fixed seeds)"
 # The crash-recovery contract: a short fixed-seed chaos campaign per
 # fail policy (engine crashes, power losses with torn writes, SSD

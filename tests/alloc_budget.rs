@@ -11,6 +11,10 @@
 //! 2. A steady-state BM-Store 4K-random-read window grows the
 //!    scheduler's node arena by **zero** slots: every event entry is
 //!    recycled, so scheduler-entry allocations are warm-up-only.
+//! 3. On a standalone BMS-Engine, the doorbell that forwards a 32-block
+//!    read allocates no more often than one that forwards a 1-block
+//!    read: the 31-entry PRP list is read, tagged and written into chip
+//!    memory through a reused buffer.
 //!
 //! Everything lives in one `#[test]` so the measured windows run on one
 //! thread, and the counting allocator is **thread-scoped**: only the
@@ -21,9 +25,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bmstore::core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
+use bmstore::nvme::command::{IoOpcode, Sqe};
+use bmstore::nvme::prp::PrpPair;
+use bmstore::nvme::queue::DoorbellLayout;
+use bmstore::nvme::types::{Cid, Lba, Nsid, QueueId};
+use bmstore::nvme::{CompletionQueue, Cqe, SubmissionQueue};
+use bmstore::pcie::memory::PAGE_SIZE;
+use bmstore::pcie::{FunctionId, HostMemory};
 use bmstore::prof::alloc::{self, CountingAlloc};
 use bmstore::sim::stats::IoStats;
 use bmstore::sim::{SimDuration, SimTime, Simulation};
+use bmstore::ssd::SsdId;
 use bmstore::testbed::{Testbed, TestbedConfig, World};
 use bmstore::workloads::fio::{FioJob, FioSpec};
 
@@ -110,9 +123,102 @@ fn bm_store_read_window_does_not_grow_the_arena() {
     assert!(world.events_fired > 0, "the run retired events");
 }
 
+/// A BMS-Engine on one SSD with function 0 bound, its I/O queue pair,
+/// the SSD's view of the back-end rings, and a 32-page host buffer.
+struct EngineRig {
+    engine: BmsEngine,
+    host: HostMemory,
+    host_sq: SubmissionQueue,
+    ssd_sq: SubmissionQueue,
+    ssd_cq: CompletionQueue,
+    buf: PrpPair,
+}
+
+impl EngineRig {
+    fn new() -> Self {
+        let func = FunctionId::new(0).unwrap();
+        let mut engine = BmsEngine::new(EngineConfig::paper_default(1));
+        let mut host = HostMemory::new(1 << 30);
+        engine
+            .bind_namespace(func, 256 << 30, Placement::Single(SsdId(0)))
+            .unwrap();
+        engine.set_function_enabled(func, true);
+        let sq_base = host.alloc(64 * 64).unwrap();
+        let cq_base = host.alloc(64 * 16).unwrap();
+        engine
+            .function_mut(func)
+            .create_io_cq(QueueId(1), cq_base, 64);
+        engine
+            .function_mut(func)
+            .create_io_sq(QueueId(1), sq_base, 64);
+        let (ssd_sq, ssd_cq) = engine.ssd_rings(SsdId(0));
+        let buf = host.alloc(32 * PAGE_SIZE).unwrap();
+        let buf = PrpPair::build(&mut host, buf, 32 * PAGE_SIZE);
+        EngineRig {
+            engine,
+            host,
+            host_sq: SubmissionQueue::new(QueueId(1), sq_base, 64),
+            ssd_sq,
+            ssd_cq,
+            buf,
+        }
+    }
+
+    /// Submits one read of `blocks` blocks and returns the allocation
+    /// events of the doorbell that forwards it. The SSD then completes
+    /// it, so the next read reuses its back-end CID and chip slot.
+    fn read(&mut self, blocks: u32) -> u64 {
+        let func = FunctionId::new(0).unwrap();
+        let sqe = Sqe::io(
+            IoOpcode::Read,
+            Cid(self.host_sq.tail()),
+            Nsid::ONE,
+            Lba(0),
+            blocks,
+            self.buf.prp1,
+            self.buf.prp2,
+        );
+        self.host_sq.push(&mut self.host, &sqe).unwrap();
+        let tail = u32::from(self.host_sq.tail());
+        let sq_doorbell = DoorbellLayout::sq_tail_offset(QueueId(1));
+        let before = alloc::events();
+        let actions =
+            self.engine
+                .host_doorbell_write(SimTime::ZERO, func, sq_doorbell, tail, &mut self.host);
+        let allocs = alloc::events() - before;
+        let EngineAction::BackendDoorbell { tail, .. } = actions[0] else {
+            panic!("read not forwarded: {actions:?}");
+        };
+        self.ssd_sq.doorbell_tail(tail).unwrap();
+        let mut router = self.engine.dma_router(&mut self.host);
+        let fwd = self.ssd_sq.fetch(&mut router).unwrap().unwrap();
+        let cqe = Cqe::success(fwd.cid, QueueId(1), self.ssd_sq.head(), false);
+        self.ssd_cq.post(&mut router, cqe).unwrap();
+        let (_, cq_head) =
+            self.engine
+                .on_backend_completion(SimTime::ZERO, SsdId(0), &mut self.host);
+        self.ssd_cq.doorbell_head(cq_head).unwrap();
+        allocs
+    }
+}
+
+fn prp_list_doorbell_allocates_like_a_single_page_read() {
+    let mut rig = EngineRig::new();
+    // Warm-up: sizes the engine's reused buffers and makes the chip
+    // pages of the ring and of the PRP-list slot resident.
+    rig.read(32);
+    let single_page = rig.read(1);
+    let prp_list = rig.read(32);
+    assert!(
+        prp_list <= single_page,
+        "a 32-block doorbell allocates {prp_list} times, a 1-block one {single_page}"
+    );
+}
+
 #[test]
 fn hot_path_allocation_budget() {
     alloc::arm();
     pure_scheduler_steady_state_is_allocation_free();
     bm_store_read_window_does_not_grow_the_arena();
+    prp_list_doorbell_allocates_like_a_single_page_read();
 }
