@@ -11,7 +11,7 @@ use crate::engine::dma_routing::ChipWindow;
 use bm_nvme::command::{CQE_SIZE, SQE_SIZE};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Cid, QueueId};
-use bm_nvme::Cqe;
+use bm_nvme::{Cqe, Sqe};
 use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr};
 use bm_sim::telemetry::CmdId;
 use bm_sim::SimTime;
@@ -205,20 +205,20 @@ impl BackEndPort {
     /// # Panics
     ///
     /// Panics if the ring is full.
-    pub fn push_sqe(&mut self, chip: &mut HostMemory, sqe_bytes: &[u8; SQE_SIZE as usize]) -> u32 {
-        assert!(!self.sq.is_full(), "back-end SQ overflow");
-        // Raw push: write bytes at tail through the chip window.
-        let mut win = ChipWindow(chip);
-        let sqe = bm_nvme::Sqe::from_bytes(sqe_bytes).expect("engine-built SQE parses");
-        self.sq.push(&mut win, &sqe).expect("capacity checked");
+    pub fn push_sqe(&mut self, chip: &mut HostMemory, sqe: &Sqe) -> u32 {
+        let pushed = self.sq.push(&mut ChipWindow(chip), sqe);
+        assert!(pushed.is_ok(), "back-end SQ overflow");
         self.sq.tail() as u32
     }
 
     /// Polls the back-end CQ for completions the SSD posted, resolving
-    /// each back-end CID to its origin. Also returns the CQ head for the
-    /// SSD-side doorbell.
-    pub fn drain_completions(&mut self, chip: &mut HostMemory) -> (Vec<(Outstanding, Cqe)>, u32) {
-        let mut out = Vec::new();
+    /// each back-end CID to its origin and appending the pair to `out`.
+    /// Returns the CQ head for the SSD-side doorbell.
+    pub fn drain_completions(
+        &mut self,
+        chip: &mut HostMemory,
+        out: &mut Vec<(Outstanding, Cqe)>,
+    ) -> u32 {
         let mut win = ChipWindow(chip);
         while let Some(cqe) = self.cq.poll(&mut win) {
             // The CQE reports how far the SSD consumed our SQ; adopt it
@@ -239,7 +239,7 @@ impl BackEndPort {
                 self.free_cids.push(cid);
             }
         }
-        (out, self.cq.head() as u32)
+        self.cq.head() as u32
     }
 
     /// The origin of an in-flight back-end CID, if the slot is live
@@ -413,7 +413,6 @@ mod tests {
     use super::*;
     use bm_nvme::command::IoOpcode;
     use bm_nvme::types::{Lba, Nsid};
-    use bm_nvme::Sqe;
 
     fn origin(i: u8) -> Outstanding {
         Outstanding {
@@ -429,7 +428,7 @@ mod tests {
         }
     }
 
-    fn sample_sqe(cid: Cid) -> [u8; 64] {
+    fn sample_sqe(cid: Cid) -> Sqe {
         Sqe::io(
             IoOpcode::Read,
             cid,
@@ -439,7 +438,6 @@ mod tests {
             PciAddr::new(0x10_0000),
             PciAddr::NULL,
         )
-        .to_bytes()
     }
 
     #[test]
@@ -462,7 +460,8 @@ mod tests {
         ssd_cq
             .post(&mut win, Cqe::success(cid1, QueueId(1), 0, false))
             .unwrap();
-        let (done, head) = port.drain_completions(&mut chip);
+        let mut done = Vec::new();
+        let head = port.drain_completions(&mut chip, &mut done);
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].0, origin(2));
         assert_eq!(done[1].0, origin(1));
@@ -475,8 +474,8 @@ mod tests {
     fn sqe_bytes_travel_through_chip_ring() {
         let mut chip = HostMemory::new(64 << 20);
         let mut port = BackEndPort::new(SsdId(0), 16, &mut chip);
-        let bytes = sample_sqe(Cid(5));
-        let tail = port.push_sqe(&mut chip, &bytes);
+        let sqe = sample_sqe(Cid(5));
+        let tail = port.push_sqe(&mut chip, &sqe);
         assert_eq!(tail, 1);
         // The SSD-side ring fetches the same bytes.
         let (mut ssd_sq, _) = port.ssd_side_rings();
@@ -528,7 +527,8 @@ mod tests {
         ssd_cq
             .post(&mut win, Cqe::success(cid, QueueId(1), 0, false))
             .unwrap();
-        let (done, _) = port.drain_completions(&mut chip);
+        let mut done = Vec::new();
+        port.drain_completions(&mut chip, &mut done);
         assert!(done.is_empty(), "stale completion swallowed");
         assert_eq!(port.inflight(), 0);
     }

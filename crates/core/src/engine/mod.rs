@@ -37,7 +37,7 @@ use crate::engine::mapping::{ChunkAllocator, MappingTable, ENTRIES_PER_ROW};
 use crate::engine::qos::{Admission, NamespaceQos, QosLimit};
 use bm_nvme::command::{AdminOpcode, IoOpcode, Opcode, Sqe};
 use bm_nvme::identify::{IdentifyController, IdentifyNamespace};
-use bm_nvme::queue::DoorbellLayout;
+use bm_nvme::queue::{BadSqe, DoorbellLayout};
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
@@ -497,8 +497,12 @@ pub struct BmsEngine {
     func_metric_keys: Vec<FuncMetricKeys>,
     /// Reused span buffer for [`Self::forward_io`] (hot path).
     span_scratch: Vec<(SsdId, Lba, u32, u32)>,
-    /// Reused SQE fetch buffer for [`Self::host_doorbell_write`].
-    sqe_scratch: Vec<Sqe>,
+    /// Reused SQE fetch buffer for [`Self::host_doorbell_write_into`]:
+    /// parsed entries, or the CID and status of ones that did not parse.
+    sqe_scratch: Vec<Result<Sqe, BadSqe>>,
+    /// Reused back-end completion buffer for
+    /// [`Self::on_backend_completion_into`].
+    done_scratch: Vec<(Outstanding, Cqe)>,
     /// Reused tagged-PRP buffer for [`Self::push_to_port`].
     prp_scratch: Vec<u8>,
 }
@@ -510,33 +514,43 @@ struct FuncMetricKeys {
     outstanding: MetricKey,
 }
 
-/// Merges runs of *consecutive* actions one burst produced: back-end
+/// Merges runs of *consecutive* actions one burst produced, in
+/// `actions[from..]` (what the current call appended): back-end
 /// doorbells for the same SSD at the same time keep only the final tail
 /// (ringing once with the last tail sweeps every command the earlier
 /// rings would have), and identical QoS wakeups collapse to one. Only
 /// adjacent actions merge — they carry consecutive event sequence
 /// numbers at the same tick, so nothing can interleave between them and
 /// the surviving event order is unchanged.
-fn coalesce_actions(actions: &mut Vec<EngineAction>) {
-    actions.dedup_by(|later, kept| match (later, kept) {
-        (
-            EngineAction::BackendDoorbell {
-                ssd: s2,
-                tail: t2,
-                at: a2,
-            },
-            EngineAction::BackendDoorbell {
-                ssd: s1,
-                tail: t1,
-                at: a1,
-            },
-        ) if s1 == s2 && a1 == a2 => {
-            *t1 = *t2;
-            true
+fn coalesce_actions(actions: &mut Vec<EngineAction>, from: usize) {
+    let mut kept = from;
+    for i in from + 1..actions.len() {
+        let later = actions[i];
+        let merged = match (&mut actions[kept], later) {
+            (
+                EngineAction::BackendDoorbell {
+                    ssd: s1,
+                    tail: t1,
+                    at: a1,
+                },
+                EngineAction::BackendDoorbell {
+                    ssd: s2,
+                    tail: t2,
+                    at: a2,
+                },
+            ) if *s1 == s2 && *a1 == a2 => {
+                *t1 = t2;
+                true
+            }
+            (EngineAction::QosWakeup { at: a1 }, EngineAction::QosWakeup { at: a2 }) => *a1 == a2,
+            _ => false,
+        };
+        if !merged {
+            kept += 1;
+            actions[kept] = later;
         }
-        (EngineAction::QosWakeup { at: a2 }, EngineAction::QosWakeup { at: a1 }) => a1 == a2,
-        _ => false,
-    });
+    }
+    actions.truncate(actions.len().min(kept + 1));
 }
 
 /// Reconstructs the NVMe opcode byte of an [`Outstanding`] origin from
@@ -630,6 +644,7 @@ impl BmsEngine {
             func_metric_keys,
             span_scratch: Vec::new(),
             sqe_scratch: Vec::new(),
+            done_scratch: Vec::new(),
             prp_scratch: Vec::new(),
             cfg,
         }
@@ -884,8 +899,9 @@ impl BmsEngine {
         host: &mut HostMemory,
     ) -> Vec<EngineAction> {
         self.paused[ssd.0 as usize] = false;
-        let mut actions = self.drain_backlog(now, ssd, host);
-        coalesce_actions(&mut actions);
+        let mut actions = Vec::new();
+        self.drain_backlog(now, ssd, host, &mut actions);
+        coalesce_actions(&mut actions, 0);
         actions
     }
 
@@ -1010,7 +1026,7 @@ impl BmsEngine {
                 }
             }
         }
-        coalesce_actions(&mut actions);
+        coalesce_actions(&mut actions, 0);
         actions
     }
 
@@ -1061,10 +1077,9 @@ impl BmsEngine {
         }
         if self.paused[ssd.0 as usize] {
             self.paused[ssd.0 as usize] = false;
-            let mut drained = self.drain_backlog(now, ssd, host);
-            actions.append(&mut drained);
+            self.drain_backlog(now, ssd, host, &mut actions);
         }
-        coalesce_actions(&mut actions);
+        coalesce_actions(&mut actions, 0);
         actions
     }
 
@@ -1326,7 +1341,7 @@ impl BmsEngine {
             let label = format!("recovery:replayed={replayed} aborted={aborted}");
             m.annotate(self.crashed_at, Some(now), label);
         }
-        coalesce_actions(&mut actions);
+        coalesce_actions(&mut actions, 0);
         actions
     }
 
@@ -1346,12 +1361,29 @@ impl BmsEngine {
         value: u32,
         host: &mut HostMemory,
     ) -> Vec<EngineAction> {
+        let mut actions = Vec::new();
+        self.host_doorbell_write_into(now, func, bar_offset, value, host, &mut actions);
+        actions
+    }
+
+    /// [`Self::host_doorbell_write`] appending its actions to `actions`,
+    /// so a harness that reuses one buffer allocates nothing per
+    /// doorbell.
+    pub fn host_doorbell_write_into(
+        &mut self,
+        now: SimTime,
+        func: FunctionId,
+        bar_offset: u64,
+        value: u32,
+        host: &mut HostMemory,
+        actions: &mut Vec<EngineAction>,
+    ) {
         let Some((qid, is_cq)) = DoorbellLayout::decode(bar_offset) else {
-            return Vec::new();
+            return;
         };
         let f = &mut self.functions[func.index() as usize];
         let Some(pair) = f.queue(qid) else {
-            return Vec::new();
+            return;
         };
         if is_cq {
             // Host consumed completions. Accepted even while crashed:
@@ -1359,16 +1391,16 @@ impl BmsEngine {
             // dropping it would wedge the completion fabric's view of
             // free CQ space across the outage.
             let _ = pair.cq.doorbell_head(value);
-            return Vec::new();
+            return;
         }
         if self.crashed {
             // Firmware dead: SQ tails are not fetched. The harness
             // defers the doorbell stage to the restart instant, so a
             // direct call landing here is dropped, not deferred.
-            return Vec::new();
+            return;
         }
         if pair.sq.doorbell_tail(value).is_err() {
-            return Vec::new();
+            return;
         }
         // Fetch every newly published SQE (reused buffer — one doorbell
         // per request in the closed-loop benches, so this is hot).
@@ -1379,22 +1411,10 @@ impl BmsEngine {
             let Some(pair) = f.queue(qid) else {
                 break;
             };
-            if pair.sq.is_empty() {
-                break;
-            }
             match pair.sq.fetch(host) {
-                Ok(Some(sqe)) => sqes.push(sqe),
+                Ok(Some(sqe)) => sqes.push(Ok(sqe)),
                 Ok(None) => break,
-                Err(status) => {
-                    sqes.push(Sqe::admin(
-                        AdminOpcode::GetFeatures,
-                        Cid(0xFFFF),
-                        0,
-                        PciAddr::NULL,
-                    ));
-                    // Mark: handled below as error by the sentinel CID.
-                    let _ = status;
-                }
+                Err(bad) => sqes.push(Err(bad)),
             }
         }
         let fetch_at = now + self.cfg.timing.command_fetch;
@@ -1403,18 +1423,23 @@ impl BmsEngine {
             let busy = self.cfg.timing.command_fetch * n;
             self.obs.stage_busy(metric_stages::FRONT_END, busy, n);
         }
-        let mut actions = Vec::new();
-        for sqe in sqes.drain(..) {
-            if sqe.cid == Cid(0xFFFF) {
-                actions.push(EngineAction::HostCompletion {
-                    func,
-                    qid,
-                    cid: Cid(0xFFFF),
-                    status: Status::InvalidOpcode,
-                    at: fetch_at + self.cfg.timing.admin_processing,
-                });
-                continue;
-            }
+        let from = actions.len();
+        for fetched in sqes.drain(..) {
+            let sqe = match fetched {
+                Ok(sqe) => sqe,
+                Err(bad) => {
+                    // An entry that does not parse still names its
+                    // command: complete it under that CID.
+                    actions.push(EngineAction::HostCompletion {
+                        func,
+                        qid,
+                        cid: bad.cid,
+                        status: bad.status,
+                        at: fetch_at + self.cfg.timing.admin_processing,
+                    });
+                    continue;
+                }
+            };
             match sqe.opcode {
                 Opcode::Admin(op) => {
                     let status = self.handle_admin(func, op, &sqe, host);
@@ -1457,14 +1482,13 @@ impl BmsEngine {
                             cmd,
                         },
                         host,
-                        &mut actions,
+                        actions,
                     );
                 }
             }
         }
         self.sqe_scratch = sqes;
-        coalesce_actions(&mut actions);
-        actions
+        coalesce_actions(actions, from);
     }
 
     fn handle_admin(
@@ -1818,7 +1842,7 @@ impl BmsEngine {
             };
         }
         let port = self.adaptor.port_mut(ssd);
-        let tail = port.push_sqe(&mut self.chip, &sqe.to_bytes());
+        let tail = port.push_sqe(&mut self.chip, &sqe);
         let mut at = now + self.cfg.timing.pipeline + self.cfg.timing.backend_forward;
         // Store-and-forward ablation: write payloads must land in card
         // DRAM before the SSD can fetch them.
@@ -1856,7 +1880,7 @@ impl BmsEngine {
             }
             self.forward_io(now, rel.io, host, &mut actions);
         }
-        coalesce_actions(&mut actions);
+        coalesce_actions(&mut actions, 0);
         actions
     }
 
@@ -1869,9 +1893,27 @@ impl BmsEngine {
         ssd: SsdId,
         host: &mut HostMemory,
     ) -> (Vec<EngineAction>, u32) {
-        let (done, cq_head) = self.adaptor.port_mut(ssd).drain_completions(&mut self.chip);
         let mut actions = Vec::new();
-        for (origin, cqe) in done {
+        let cq_head = self.on_backend_completion_into(now, ssd, host, &mut actions);
+        (actions, cq_head)
+    }
+
+    /// [`Self::on_backend_completion`] appending its actions to
+    /// `actions`; returns the CQ head to acknowledge to the SSD.
+    pub fn on_backend_completion_into(
+        &mut self,
+        now: SimTime,
+        ssd: SsdId,
+        host: &mut HostMemory,
+        actions: &mut Vec<EngineAction>,
+    ) -> u32 {
+        let mut done = std::mem::take(&mut self.done_scratch);
+        let cq_head = self
+            .adaptor
+            .port_mut(ssd)
+            .drain_completions(&mut self.chip, &mut done);
+        let from = actions.len();
+        for (origin, cqe) in done.drain(..) {
             if !self.pending_retry.is_empty() {
                 self.pending_retry.remove(&origin.seq);
             }
@@ -1889,13 +1931,13 @@ impl BmsEngine {
                     cqe.status.is_success(),
                 );
             }
-            self.finish_origin(now, origin, cqe.status, &mut actions);
+            self.finish_origin(now, origin, cqe.status, actions);
         }
+        self.done_scratch = done;
         // Freed slots: drain any backlog.
-        let mut drained = self.drain_backlog(now, ssd, host);
-        actions.append(&mut drained);
-        coalesce_actions(&mut actions);
-        (actions, cq_head)
+        self.drain_backlog(now, ssd, host, actions);
+        coalesce_actions(actions, from);
+        cq_head
     }
 
     fn finish_origin(
@@ -1979,21 +2021,22 @@ impl BmsEngine {
         }
     }
 
+    /// Forwards commands buffered toward `ssd` while it has capacity,
+    /// appending the resulting actions.
     fn drain_backlog(
         &mut self,
         now: SimTime,
         ssd: SsdId,
         host: &mut HostMemory,
-    ) -> Vec<EngineAction> {
+        actions: &mut Vec<EngineAction>,
+    ) {
         let sidx = ssd.0 as usize;
-        let mut actions = Vec::new();
         while !self.paused[sidx] && self.adaptor.port(ssd).has_capacity() {
             let Some(io) = self.backlog[sidx].pop_front() else {
                 break;
             };
-            self.push_to_port(now, ssd, io, host, &mut actions);
+            self.push_to_port(now, ssd, io, host, actions);
         }
-        actions
     }
 
     /// Posts a host CQE (call at the action's `at` time). Returns `true`

@@ -1,5 +1,6 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, unbind racing in-flight I/O, and missing data pointers.
+//! paused SSD, unbind racing in-flight I/O, missing data pointers, and
+//! malformed SQEs.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
@@ -80,6 +81,32 @@ fn host_cq_backpressure_rejects_delivery_until_consumed() {
         &mut host,
     );
     assert!(engine.deliver_host_completion(fid(0), QueueId(1), Cid(9), Status::Success, &mut host));
+}
+
+#[test]
+fn malformed_sqe_completes_under_its_own_cid() {
+    let (mut engine, mut host, mut host_sq) = rig(64);
+    host_sq.push(&mut host, &read_sqe(7)).unwrap();
+    // Overwrite the opcode byte with one the model does not implement.
+    host.write(host_sq.base(), &[0x7F]);
+    let actions = engine.host_doorbell_write(
+        SimTime::ZERO,
+        fid(0),
+        DoorbellLayout::sq_tail_offset(QueueId(1)),
+        u32::from(host_sq.tail()),
+        &mut host,
+    );
+    assert!(
+        matches!(
+            actions.as_slice(),
+            [EngineAction::HostCompletion {
+                cid: Cid(7),
+                status: Status::InvalidOpcode,
+                ..
+            }]
+        ),
+        "the host's command 7 must complete with InvalidOpcode: {actions:?}"
+    );
 }
 
 #[test]

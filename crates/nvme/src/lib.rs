@@ -57,6 +57,6 @@ pub mod types;
 
 pub use command::{AdminOpcode, Cqe, IoOpcode, Opcode, Sqe};
 pub use namespace::Namespace;
-pub use queue::{CompletionQueue, DoorbellLayout, SubmissionQueue};
+pub use queue::{BadSqe, CompletionQueue, DoorbellLayout, SubmissionQueue};
 pub use status::Status;
 pub use types::{Cid, Lba, Nsid, QueueId};

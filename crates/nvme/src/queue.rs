@@ -9,7 +9,7 @@
 
 use crate::command::{Cqe, Sqe, CQE_SIZE, SQE_SIZE};
 use crate::status::Status;
-use crate::types::QueueId;
+use crate::types::{Cid, QueueId};
 #[cfg(test)]
 use bm_pcie::HostMemory;
 use bm_pcie::{DmaContext, PciAddr};
@@ -162,8 +162,11 @@ impl SubmissionQueue {
     ///
     /// # Errors
     ///
-    /// Propagates [`Status::InvalidOpcode`] from entry parsing.
-    pub fn fetch(&mut self, mem: &mut impl DmaContext) -> Result<Option<Sqe>, Status> {
+    /// Returns [`BadSqe`] when the entry does not parse (an opcode the
+    /// model does not implement). The slot is consumed either way, and
+    /// the error carries the entry's CID so the device can complete the
+    /// command it belongs to.
+    pub fn fetch(&mut self, mem: &mut impl DmaContext) -> Result<Option<Sqe>, BadSqe> {
         if self.is_empty() {
             return Ok(None);
         }
@@ -173,7 +176,11 @@ impl SubmissionQueue {
         } else {
             Sqe::from_bytes(&bytes)
         };
-        parse.map(Some)
+        parse.map(Some).map_err(|status| BadSqe {
+            // CDW0 bits 31:16 hold the CID whatever the opcode.
+            cid: Cid(u16::from_le_bytes([bytes[2], bytes[3]])),
+            status,
+        })
     }
 
     /// Device side: fetches the raw 64 bytes at the head and consumes the
@@ -354,6 +361,23 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
+/// Error: a fetched SQE did not parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadSqe {
+    /// The command id from the entry's CDW0, to complete it under.
+    pub cid: Cid,
+    /// The completion status the entry earns.
+    pub status: Status,
+}
+
+impl std::fmt::Display for BadSqe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed SQE for CID {}: {:?}", self.cid.0, self.status)
+    }
+}
+
+impl std::error::Error for BadSqe {}
+
 /// Error: a doorbell write carried an out-of-range value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadDoorbell {
@@ -373,7 +397,7 @@ impl std::error::Error for BadDoorbell {}
 mod tests {
     use super::*;
     use crate::command::IoOpcode;
-    use crate::types::{Cid, Lba, Nsid};
+    use crate::types::{Lba, Nsid};
 
     fn setup(entries: u16) -> (HostMemory, SubmissionQueue, CompletionQueue) {
         let mut mem = HostMemory::new(1 << 20);
@@ -410,6 +434,24 @@ mod tests {
             assert_eq!(got.cid, Cid(i));
         }
         assert!(sq.fetch(&mut mem).unwrap().is_none());
+    }
+
+    #[test]
+    fn unparseable_sqe_error_carries_its_cid() {
+        let (mut mem, mut sq, _) = setup(8);
+        let mut bytes = sample_sqe(7).to_bytes();
+        bytes[0] = 0x7F;
+        mem.write(sq.base(), &bytes);
+        sq.doorbell_tail(1).unwrap();
+        let err = sq.fetch(&mut mem).unwrap_err();
+        assert_eq!(
+            err,
+            BadSqe {
+                cid: Cid(7),
+                status: Status::InvalidOpcode
+            }
+        );
+        assert!(sq.is_empty(), "the bad slot is consumed");
     }
 
     #[test]

@@ -1,31 +1,65 @@
 //! The event loop.
 //!
 //! A [`Simulation`] owns a *world* (the mutable state of every modeled
-//! component) and a [`Scheduler`] (the pending-event queue). Events are
-//! boxed closures that receive `&mut W` and `&mut Scheduler<W>` so they
-//! can mutate state and schedule follow-up events. Ties on the timestamp
-//! are broken by insertion order, which makes runs with the same seed
-//! bit-for-bit reproducible.
+//! component) and a [`Scheduler`] (the pending-event queue). An event is
+//! a payload that implements [`Event`]: firing it hands it `&mut W` and
+//! `&mut Scheduler<W, E>` so it can mutate state and schedule follow-up
+//! events. The default payload, [`Action`], is a boxed closure, so
+//! `Simulation<W>` takes any `FnOnce(&mut W, &mut Scheduler<W>)`. A
+//! world with a hot event loop names its own payload type instead
+//! (`Simulation<W, E>`, built with [`Simulation::typed`]); the scheduler
+//! stores payloads inline in its arena, so scheduling a typed event
+//! allocates nothing. Ties on the timestamp are broken by insertion
+//! order, which makes runs with the same seed bit-for-bit reproducible.
 //!
 //! # Implementation: hierarchical timer wheel
 //!
 //! The queue is a hierarchical timer wheel (8 levels × 64 slots covering
 //! 48 bits of nanosecond ticks) backed by a slab arena with an intrusive
 //! free list, so steady-state scheduling performs no per-event heap
-//! allocation: popped nodes are recycled, and boxing a non-capturing
-//! closure is allocation-free. Events beyond the 2⁴⁸ ns horizon overflow
-//! into a `BTreeMap` and migrate into the wheel when it drains; events
-//! scheduled between `now` and a cursor that peeking fast-forwarded land
-//! in a small spill map that always pops first. Same-tick events are
-//! drained as one batch and sorted by sequence number, so pop order is
-//! exactly the `(at, seq)` order the previous `BinaryHeap` implementation
-//! produced — see DESIGN.md "Simulator core & hot path".
+//! allocation: popped slots are recycled. The arena keeps each slot's
+//! ordering header (`at`, `seq`, next link) in one array and its payload
+//! in a parallel one, so cascades and batch sorts walk dense 24-byte
+//! headers whatever the payload size. Events beyond the 2⁴⁸ ns horizon
+//! overflow into a `BTreeMap` and migrate into the wheel when it drains;
+//! events scheduled between `now` and a cursor that peeking
+//! fast-forwarded land in a small spill map that always pops first.
+//! Same-tick events are drained as one batch and sorted by sequence
+//! number, so pop order is exactly the `(at, seq)` order the previous
+//! `BinaryHeap` implementation produced — see DESIGN.md "Simulator core
+//! & hot path".
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
-/// A boxed event body.
-type Action<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
+/// A scheduled event payload, fired once with the world and the
+/// scheduler that held it.
+pub trait Event<W>: Sized {
+    /// Runs the event: it may mutate `world` and schedule follow-ups.
+    fn fire(self, world: &mut W, sched: &mut Scheduler<W, Self>);
+}
+
+/// The default event payload: a boxed closure. Boxing a closure that
+/// captures nothing is allocation-free; one that captures state costs
+/// one allocation per scheduled event.
+pub struct Action<W>(Box<ActionFn<W>>);
+
+/// The closure type an [`Action`] boxes.
+type ActionFn<W> = dyn FnOnce(&mut W, &mut Scheduler<W>);
+
+impl<W> Action<W> {
+    /// Boxes `f` as an event.
+    fn new(f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) -> Self {
+        Action(Box::new(f))
+    }
+}
+
+impl<W> Event<W> for Action<W> {
+    fn fire(self, world: &mut W, sched: &mut Scheduler<W>) {
+        (self.0)(world, sched)
+    }
+}
 
 /// Sentinel for "no node" in the intrusive lists.
 const NIL: u32 = u32::MAX;
@@ -37,16 +71,16 @@ const LEVEL_BITS: u32 = 6;
 /// the overflow map.
 const WHEEL_BITS: u32 = LEVELS as u32 * LEVEL_BITS;
 
-/// An arena node: one pending event.
-struct Node<W> {
+/// The ordering header of one arena slot. Its payload lives at the same
+/// index of the payload array.
+#[derive(Clone, Copy)]
+struct Node {
     /// Absolute fire tick in nanoseconds.
     at: u64,
     /// Insertion order, breaks same-tick ties.
     seq: u64,
     /// Next node in the slot list (or the free list once recycled).
     next: u32,
-    /// `Some` while pending; taken on pop.
-    action: Option<Action<W>>,
 }
 
 /// Where [`Scheduler::prepare_front`] found the next event.
@@ -82,6 +116,10 @@ impl std::error::Error for SchedulePastError {}
 
 /// The pending-event queue, passed to every event so it can schedule more.
 ///
+/// `E` is the event payload; the default, [`Action`], takes closures
+/// through [`Scheduler::schedule_at`] and friends. A typed payload is
+/// scheduled with [`Scheduler::schedule_event_at`].
+///
 /// # Examples
 ///
 /// ```
@@ -95,7 +133,7 @@ impl std::error::Error for SchedulePastError {}
 /// sim.run_until_idle();
 /// assert_eq!(*sim.world(), 11);
 /// ```
-pub struct Scheduler<W> {
+pub struct Scheduler<W, E = Action<W>> {
     now: SimTime,
     next_seq: u64,
     /// Total pending events across wheel, batch, spill and overflow.
@@ -109,8 +147,10 @@ pub struct Scheduler<W> {
     /// The wheel's read position. Invariant: every tick stored in the
     /// wheel or overflow is `>= cursor`; ticks below it live in `spill`.
     cursor: u64,
-    /// Slab arena; freed nodes are chained through `free_head`.
-    nodes: Vec<Node<W>>,
+    /// Slab arena headers; freed slots are chained through `free_head`.
+    nodes: Vec<Node>,
+    /// Slab arena payloads, parallel to `nodes`: `Some` while pending.
+    payloads: Vec<Option<E>>,
     free_head: u32,
     /// `LEVELS * SLOTS` list heads into the arena.
     slots: Vec<u32>,
@@ -123,9 +163,10 @@ pub struct Scheduler<W> {
     overflow: BTreeMap<(u64, u64), u32>,
     /// Events below `cursor` (but `>= now`), keyed by `(at, seq)`.
     spill: BTreeMap<(u64, u64), u32>,
+    _world: PhantomData<fn(&mut W)>,
 }
 
-impl<W> Default for Scheduler<W> {
+impl<W, E> Default for Scheduler<W, E> {
     fn default() -> Self {
         Scheduler {
             now: SimTime::ZERO,
@@ -136,6 +177,7 @@ impl<W> Default for Scheduler<W> {
             clamped_past: 0,
             cursor: 0,
             nodes: Vec::new(),
+            payloads: Vec::new(),
             free_head: NIL,
             slots: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
@@ -143,16 +185,56 @@ impl<W> Default for Scheduler<W> {
             batch_pos: 0,
             overflow: BTreeMap::new(),
             spill: BTreeMap::new(),
+            _world: PhantomData,
         }
     }
 }
 
 impl<W> Scheduler<W> {
-    /// Creates an empty scheduler with the clock at zero.
+    /// Creates an empty closure scheduler with the clock at zero (a
+    /// typed one is `Scheduler::default()`).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Schedules `action` to fire at absolute time `at`.
+    ///
+    /// A target earlier than the current clock is clamped to `now` (and
+    /// counted in [`Scheduler::clamped_past`]); use
+    /// [`Scheduler::try_schedule_at`] to treat that as an error instead.
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
+    ) {
+        self.schedule_event_at(at, Action::new(action));
+    }
+
+    /// Schedules `action` to fire at absolute time `at`, rejecting
+    /// times earlier than the current clock with a typed error.
+    pub fn try_schedule_at(
+        &mut self,
+        at: SimTime,
+        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
+    ) -> Result<(), SchedulePastError> {
+        if at < self.now {
+            return Err(SchedulePastError { at, now: self.now });
+        }
+        self.push_event(at, Action::new(action));
+        Ok(())
+    }
+
+    /// Schedules `action` to fire `delay` after the current time.
+    pub fn schedule_in(
+        &mut self,
+        delay: SimDuration,
+        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
+    ) {
+        self.schedule_at(self.now + delay, action);
+    }
+}
+
+impl<W, E> Scheduler<W, E> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -186,52 +268,23 @@ impl<W> Scheduler<W> {
         self.nodes.len()
     }
 
-    /// Schedules `action` to fire at absolute time `at`.
-    ///
-    /// A target earlier than the current clock is clamped to `now` (and
-    /// counted in [`Scheduler::clamped_past`]); use
-    /// [`Scheduler::try_schedule_at`] to treat that as an error instead.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
+    /// Schedules the payload `event` to fire at absolute time `at`. A
+    /// target earlier than the current clock is clamped to `now`, as
+    /// for [`Scheduler::schedule_at`].
+    pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
         let at = if at < self.now {
             self.clamped_past += 1;
             self.now
         } else {
             at
         };
-        self.push_event(at, Box::new(action));
+        self.push_event(at, event);
     }
 
-    /// Schedules `action` to fire at absolute time `at`, rejecting
-    /// times earlier than the current clock with a typed error.
-    pub fn try_schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) -> Result<(), SchedulePastError> {
-        if at < self.now {
-            return Err(SchedulePastError { at, now: self.now });
-        }
-        self.push_event(at, Box::new(action));
-        Ok(())
-    }
-
-    /// Schedules `action` to fire `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        self.schedule_at(self.now + delay, action);
-    }
-
-    fn push_event(&mut self, at: SimTime, action: Action<W>) {
+    fn push_event(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.alloc(at.as_nanos(), seq, action);
+        let idx = self.alloc(at.as_nanos(), seq, event);
         self.insert(idx);
         self.len += 1;
         if self.len > self.peak_pending {
@@ -239,36 +292,28 @@ impl<W> Scheduler<W> {
         }
     }
 
-    /// Takes a node from the free list, or grows the arena.
-    fn alloc(&mut self, at: u64, seq: u64, action: Action<W>) -> u32 {
+    /// Takes a slot from the free list, or grows the arena.
+    fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
+        let node = Node { at, seq, next: NIL };
         if self.free_head != NIL {
             let idx = self.free_head;
-            let node = &mut self.nodes[idx as usize];
-            self.free_head = node.next;
-            node.at = at;
-            node.seq = seq;
-            node.next = NIL;
-            node.action = Some(action);
+            self.free_head = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            self.payloads[idx as usize] = Some(event);
             idx
         } else {
             debug_assert!(self.nodes.len() < NIL as usize);
             let idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                at,
-                seq,
-                next: NIL,
-                action: None,
-            });
-            self.nodes[idx as usize].action = Some(action);
+            self.nodes.push(node);
+            self.payloads.push(Some(event));
             idx
         }
     }
 
-    /// Returns a popped node to the free list.
+    /// Returns a popped slot to the free list.
     fn free(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        debug_assert!(node.action.is_none());
-        node.next = self.free_head;
+        debug_assert!(self.payloads[idx as usize].is_none());
+        self.nodes[idx as usize].next = self.free_head;
         self.free_head = idx;
     }
 
@@ -416,7 +461,7 @@ impl<W> Scheduler<W> {
         self.prepare_front().map(|(_, at)| at)
     }
 
-    fn pop_due(&mut self) -> Option<(SimTime, Action<W>)> {
+    fn pop_due(&mut self) -> Option<(SimTime, E)> {
         let (front, at) = self.prepare_front()?;
         let idx = match front {
             FrontSlot::Spill => match self.spill.pop_first() {
@@ -433,53 +478,25 @@ impl<W> Scheduler<W> {
         self.now = at;
         self.len -= 1;
         self.fired += 1;
-        let action = self.nodes[idx as usize].action.take();
+        let event = self.payloads[idx as usize].take();
         self.free(idx);
-        action.map(|a| (at, a))
+        event.map(|e| (at, e))
     }
 }
 
 /// A complete simulation: a world plus its scheduler.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-pub struct Simulation<W> {
+pub struct Simulation<W, E = Action<W>> {
     world: W,
-    sched: Scheduler<W>,
+    sched: Scheduler<W, E>,
 }
 
 impl<W> Simulation<W> {
-    /// Creates a simulation over `world` with the clock at zero.
+    /// Creates a closure-driven simulation over `world` with the clock
+    /// at zero.
     pub fn new(world: W) -> Self {
-        Simulation {
-            world,
-            sched: Scheduler::new(),
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Exclusive access to the world (e.g. to inspect or reconfigure
-    /// between phases of an experiment).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Exclusive access to the scheduler.
-    pub fn scheduler_mut(&mut self) -> &mut Scheduler<W> {
-        &mut self.sched
-    }
-
-    /// Consumes the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
+        Self::typed(world)
     }
 
     /// Schedules an event at an absolute time. Past times clamp to
@@ -500,12 +517,51 @@ impl<W> Simulation<W> {
     ) {
         self.sched.schedule_in(delay, action);
     }
+}
 
+impl<W, E> Simulation<W, E> {
+    /// Creates a simulation over `world` whose events are `E` payloads,
+    /// stored inline in the scheduler's arena, with the clock at zero.
+    pub fn typed(world: W) -> Self {
+        Simulation {
+            world,
+            sched: Scheduler::default(),
+        }
+    }
+
+    /// The current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.sched.now()
+    }
+
+    /// Shared access to the world.
+    pub fn world(&self) -> &W {
+        &self.world
+    }
+
+    /// Exclusive access to the world (e.g. to inspect or reconfigure
+    /// between phases of an experiment).
+    pub fn world_mut(&mut self) -> &mut W {
+        &mut self.world
+    }
+
+    /// Exclusive access to the scheduler.
+    pub fn scheduler_mut(&mut self) -> &mut Scheduler<W, E> {
+        &mut self.sched
+    }
+
+    /// Consumes the simulation, returning the world.
+    pub fn into_world(self) -> W {
+        self.world
+    }
+}
+
+impl<W, E: Event<W>> Simulation<W, E> {
     /// Fires the next pending event, if any. Returns whether one fired.
     pub fn step(&mut self) -> bool {
         match self.sched.pop_due() {
-            Some((_, action)) => {
-                action(&mut self.world, &mut self.sched);
+            Some((_, event)) => {
+                event.fire(&mut self.world, &mut self.sched);
                 true
             }
             None => false,
@@ -539,8 +595,8 @@ impl<W> Simulation<W> {
     /// profiling harness, loop on it themselves.
     pub fn step_until(&mut self, deadline: SimTime) -> bool {
         if self.sched.peek_next_at().is_some_and(|at| at <= deadline) {
-            if let Some((_, action)) = self.sched.pop_due() {
-                action(&mut self.world, &mut self.sched);
+            if let Some((_, event)) = self.sched.pop_due() {
+                event.fire(&mut self.world, &mut self.sched);
                 return true;
             }
         }
@@ -551,7 +607,7 @@ impl<W> Simulation<W> {
     }
 }
 
-impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
+impl<W: std::fmt::Debug, E> std::fmt::Debug for Simulation<W, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.sched.now)
@@ -815,6 +871,43 @@ mod tests {
         assert!(sim.scheduler_mut().peak_pending() <= 2);
     }
 
+    /// A typed payload: stored inline, so steady-state scheduling never
+    /// boxes, and fired in the same `(at, seq)` order as closures.
+    enum Tick {
+        Push(u64),
+        Chain,
+    }
+
+    impl Event<Vec<u64>> for Tick {
+        fn fire(self, w: &mut Vec<u64>, sched: &mut Scheduler<Vec<u64>, Tick>) {
+            match self {
+                Tick::Push(v) => w.push(v),
+                Tick::Chain => {
+                    w.push(sched.now().as_nanos());
+                    if w.len() < 3 {
+                        sched.schedule_event_at(
+                            sched.now() + SimDuration::from_nanos(5),
+                            Tick::Chain,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_events_fire_in_time_then_insertion_order() {
+        let mut sim: Simulation<Vec<u64>, Tick> = Simulation::typed(Vec::new());
+        let sched = sim.scheduler_mut();
+        sched.schedule_event_at(SimTime::from_nanos(20), Tick::Push(7));
+        sched.schedule_event_at(SimTime::from_nanos(10), Tick::Chain);
+        sched.schedule_event_at(SimTime::from_nanos(20), Tick::Push(8));
+        assert_eq!(sim.run_until_idle(), 5);
+        // The chain's third event was scheduled last, so it fires last at 20.
+        assert_eq!(sim.world(), &[10, 15, 7, 8, 20]);
+        assert_eq!(sim.scheduler_mut().peak_pending(), 3);
+    }
+
     #[test]
     fn pending_counts_all_tiers() {
         let mut sched: Scheduler<u32> = Scheduler::new();
@@ -837,7 +930,7 @@ mod tests {
                         oracle: &mut classic::ClassicQueue,
                         expected: &mut Vec<(u64, u32)>| {
             if let Some((at, action)) = wheel.pop_due() {
-                action(world, wheel);
+                action.fire(world, wheel);
                 let (oat, oid) = oracle.pop().expect("oracle has an event too");
                 assert_eq!(at.as_nanos(), oat);
                 expected.push((oat, oid));

@@ -439,13 +439,32 @@ impl Ssd {
         now: SimTime,
         qid: QueueId,
         tail: u32,
-        mut dma: &mut dyn DmaContext,
+        dma: &mut dyn DmaContext,
     ) -> Vec<CompletedIo> {
+        let mut out = Vec::new();
+        self.ring_sq_doorbell_into(now, qid, tail, dma, &mut out);
+        out
+    }
+
+    /// [`Ssd::ring_sq_doorbell`] appending the completions to `out`, so
+    /// a caller that reuses one buffer allocates nothing per doorbell.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ssd::ring_sq_doorbell`].
+    pub fn ring_sq_doorbell_into(
+        &mut self,
+        now: SimTime,
+        qid: QueueId,
+        tail: u32,
+        mut dma: &mut dyn DmaContext,
+        out: &mut Vec<CompletedIo>,
+    ) {
         {
             let pair = self.pair_mut(qid).expect("doorbell for unattached queue");
             pair.sq.doorbell_tail(tail).expect("doorbell in range");
         }
-        let mut out = Vec::new();
+        let first = out.len();
         loop {
             let fetch = {
                 let pair = self.pair_mut(qid).expect("attached");
@@ -467,15 +486,16 @@ impl Ssd {
                     out.push(self.process(now, qid, sqe, dma));
                 }
                 Ok(None) => break,
-                Err(status) => {
-                    // Unparseable entry: complete with error immediately.
+                Err(bad) => {
+                    // Unparseable entry: complete the command it names
+                    // with the error immediately.
                     self.errors += 1;
                     out.push(CompletedIo {
                         at: now + SimDuration::from_us(1),
                         submitted_at: now,
                         qid,
-                        cid: Cid(0),
-                        status,
+                        cid: bad.cid,
+                        status: bad.status,
                         bytes: 0,
                         is_write: false,
                         read_payload: None,
@@ -484,12 +504,11 @@ impl Ssd {
                 }
             }
         }
-        for io in &out {
+        for io in &out[first..] {
             self.service.ops += 1;
             self.service.bytes += io.bytes;
             self.service.busy += io.at.saturating_since(io.submitted_at);
         }
-        out
     }
 
     fn process(
@@ -941,6 +960,28 @@ mod tests {
         let mut host_sq = SubmissionQueue::new(QueueId(1), sq_base, 1024);
         let done = submit_io(&mut mem, &mut ssd, &mut host_sq, SimTime::ZERO, &sqe);
         assert_eq!(done[0].status, Status::LbaOutOfRange);
+        assert_eq!(ssd.errors(), 1);
+    }
+
+    #[test]
+    fn malformed_sqe_completes_under_its_own_cid() {
+        let (mut mem, mut ssd) = rig(DataMode::TimingOnly);
+        let sqe = Sqe::io(
+            IoOpcode::Read,
+            Cid(7),
+            Nsid::new(1).unwrap(),
+            Lba(0),
+            1,
+            PciAddr::new(0x10_0000),
+            PciAddr::NULL,
+        );
+        let mut bytes = sqe.to_bytes();
+        bytes[0] = 0x7F; // an opcode the model does not implement
+        mem.write(PciAddr::new(bm_pcie::memory::PAGE_SIZE), &bytes);
+        let done = ssd.ring_sq_doorbell(SimTime::ZERO, QueueId(1), 1, &mut mem);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].cid, Cid(7));
+        assert_eq!(done[0].status, Status::InvalidOpcode);
         assert_eq!(ssd.errors(), 1);
     }
 

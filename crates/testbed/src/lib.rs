@@ -10,8 +10,8 @@
 //!
 //! * [`schemes`] — each I/O scheme implements the [`schemes::Scheme`]
 //!   trait. A hook receives a pipeline event (a submission, a doorbell,
-//!   a backend completion) and returns typed [`schemes::Effect`]s; it
-//!   never touches the scheduler.
+//!   a backend completion) and appends typed [`schemes::Effect`]s to a
+//!   buffer the world lends it; it never touches the scheduler.
 //! * [`world`] — a generic interpreter. [`World`] drives clients,
 //!   dispatches pipeline stages into the scheme, and interprets the
 //!   returned effects (schedule a stage, ring a backend SSD, raise an
@@ -71,21 +71,19 @@
 //!
 //!        // Doorbell → forward to the SSD in the same hop (no BUS_HOP:
 //!        // the window write is the transport).
-//!        fn on_doorbell(&mut self, now, dev, tail, _ctx) -> Vec<Effect> {
+//!        fn on_doorbell(&mut self, now, dev, tail, _ctx, out: &mut Vec<Effect>) {
 //!            let (ssd, qid) = self.attach[dev.0];
-//!            vec![Effect::ForwardToSsd { at: now, ssd, qid, tail }]
+//!            out.push(Effect::ForwardToSsd { at: now, ssd, qid, tail });
 //!        }
 //!
 //!        // The interpreter hands back each SSD completion.
-//!        fn on_stage(&mut self, now, stage, ctx) -> Vec<Effect> {
+//!        fn on_stage(&mut self, now, stage, ctx, out: &mut Vec<Effect>) {
 //!            let Stage::BackendComplete { ssd, io } = stage else { .. };
 //!            Ssd::deliver_read_payload(&io, ctx.host_mem);
 //!            let cqe = ctx.ssds[ssd].post_completion(&io, ctx.host_mem)?;
 //!            let dev = self.direct_map[&(ssd, io.qid.0)];
-//!            vec![
-//!                Effect::Trace { stage: PipelineStage::Backend },
-//!                Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status },
-//!            ]
+//!            out.push(Effect::Trace { stage: PipelineStage::Backend });
+//!            out.push(Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status });
 //!        }
 //!
 //!        fn ack_host_cq(&mut self, _now, dev, head, ctx) {
@@ -123,4 +121,4 @@ pub mod world;
 pub use config::{DeviceSpec, SchemeKind, TestbedConfig};
 pub use schemes::{Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx, Stage};
 pub use types::{BufferId, Client, ClientId, ClientOutput, Completion, DeviceId, IoOp, IoRequest};
-pub use world::{ProfilerView, Testbed, World};
+pub use world::{ProfilerView, Testbed, World, WorldEvent};

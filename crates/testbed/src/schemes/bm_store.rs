@@ -12,7 +12,7 @@ use bm_nvme::types::QueueId;
 use bm_pcie::{FunctionId, HostMemory};
 use bm_sim::resource::FifoServer;
 use bm_sim::{SimDuration, SimTime};
-use bm_ssd::{Ssd, SsdId};
+use bm_ssd::{CompletedIo, Ssd, SsdId};
 use bmstore_core::controller::BmsController;
 use bmstore_core::engine::{BmsEngine, EngineAction, EngineConfig};
 
@@ -22,6 +22,19 @@ pub(crate) struct BmStoreScheme {
     controller: Box<BmsController>,
     /// Per-device front-end identity: (function, queue).
     funcs: Vec<(FunctionId, QueueId)>,
+    bufs: Buffers,
+}
+
+/// Buffers the data path reuses, so a command's trip through the
+/// engine and the SSDs allocates nothing once they are warm.
+#[derive(Default)]
+struct Buffers {
+    /// Engine actions of one call, drained into effects.
+    actions: Vec<EngineAction>,
+    /// Completions of one back-end doorbell, before batching.
+    ios: Vec<CompletedIo>,
+    /// Emptied completion batches, recycled by the next doorbell.
+    batches: Vec<Vec<CompletedIo>>,
 }
 
 /// Builds the BM-Store scheme: engine + controller, backend rings
@@ -69,6 +82,7 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
         engine,
         controller,
         funcs,
+        bufs: Buffers::default(),
     })
 }
 
@@ -81,18 +95,24 @@ fn device_for(funcs: &[(FunctionId, QueueId)], func: FunctionId, qid: QueueId) -
         .expect("device for function")
 }
 
-/// Engine actions become scheduled pipeline stages, in order. Recovery
-/// events the engine logged while producing them are drained first, so
-/// observers see the recovery before its consequences.
-fn actions_to_effects(engine: &mut BmsEngine, actions: Vec<EngineAction>) -> Vec<Effect> {
-    let mut effects: Vec<Effect> = engine
-        .take_recovery_events()
-        .into_iter()
-        .map(|event| Effect::FaultTrace {
-            event: FaultTraceEvent::EngineRecovery(event),
-        })
-        .collect();
-    effects.extend(actions.into_iter().map(|action| match action {
+/// Engine actions become scheduled pipeline stages, in order, drained
+/// from `actions` into `out`. Recovery events the engine logged while
+/// producing them go first, so observers see the recovery before its
+/// consequences.
+fn actions_to_effects(
+    engine: &mut BmsEngine,
+    actions: &mut Vec<EngineAction>,
+    out: &mut Vec<Effect>,
+) {
+    out.extend(
+        engine
+            .take_recovery_events()
+            .into_iter()
+            .map(|event| Effect::FaultTrace {
+                event: FaultTraceEvent::EngineRecovery(event),
+            }),
+    );
+    out.extend(actions.drain(..).map(|action| match action {
         EngineAction::BackendDoorbell { ssd, tail, at } => Effect::ScheduleAt {
             at,
             stage: Stage::EngineBackendDoorbell {
@@ -125,19 +145,21 @@ fn actions_to_effects(engine: &mut BmsEngine, actions: Vec<EngineAction>) -> Vec
             stage: Stage::EngineDeadline { ssd, seq },
         },
     }));
-    effects
 }
 
 /// One engine pipeline stage, run while the engine holds the world's
-/// observer.
+/// observer; its effects go to `out`.
+#[allow(clippy::too_many_arguments)]
 fn engine_stage(
     engine: &mut BmsEngine,
     funcs: &[(FunctionId, QueueId)],
+    bufs: &mut Buffers,
     now: SimTime,
     stage: Stage,
     host_mem: &mut HostMemory,
     ssds: &mut [Ssd],
-) -> Vec<Effect> {
+    out: &mut Vec<Effect>,
+) {
     match stage {
         Stage::EngineDoorbell { func, qid, tail } => {
             if engine.is_crashed() {
@@ -145,53 +167,63 @@ fn engine_stage(
                 // card reboots; the recovery action is scheduled at
                 // the same instant but was inserted first, so the
                 // engine is back up when this lands again.
-                return vec![Effect::ScheduleAt {
+                out.push(Effect::ScheduleAt {
                     at: engine.restart_at().max(now),
                     stage: Stage::EngineDoorbell { func, qid, tail },
-                }];
+                });
+                return;
             }
-            let actions = engine.host_doorbell_write(
+            engine.host_doorbell_write_into(
                 now,
                 func,
                 DoorbellLayout::sq_tail_offset(qid),
                 tail,
                 host_mem,
+                &mut bufs.actions,
             );
-            actions_to_effects(engine, actions)
+            actions_to_effects(engine, &mut bufs.actions, out);
         }
         Stage::EngineBackendDoorbell { ssd, tail, epoch } => {
             if epoch != engine.ring_epoch(ssd) {
                 // Minted before this SSD's rings were reset (engine
                 // crash, hot-plug swap, or surprise re-insert).
-                return Vec::new();
+                return;
             }
             let mut router = engine.dma_router(host_mem);
-            let completions =
-                ssds[ssd.0 as usize].ring_sq_doorbell(now, QueueId(1), tail, &mut router);
+            ssds[ssd.0 as usize].ring_sq_doorbell_into(
+                now,
+                QueueId(1),
+                tail,
+                &mut router,
+                &mut bufs.ios,
+            );
             // Consecutive completions sharing an instant become one
             // scheduled event; they held consecutive sequence
             // numbers before, so batching cannot reorder anything.
-            let mut effects = Vec::new();
-            let mut iter = completions.into_iter().peekable();
+            // Batches start at capacity 1: most hold one completion.
+            let mut iter = bufs.ios.drain(..).peekable();
             while let Some(io) = iter.next() {
                 let at = io.at;
-                let mut ios = vec![io];
+                let mut ios = bufs.batches.pop().unwrap_or_else(|| Vec::with_capacity(1));
+                ios.push(io);
                 while let Some(next) = iter.next_if(|n| n.at == at) {
                     ios.push(next);
                 }
-                effects.push(Effect::ScheduleAt {
+                out.push(Effect::ScheduleAt {
                     at,
                     stage: Stage::EngineBackendComplete { ssd, ios, epoch },
                 });
             }
-            effects
         }
-        Stage::EngineBackendComplete { ssd, ios, epoch } => {
+        Stage::EngineBackendComplete {
+            ssd,
+            mut ios,
+            epoch,
+        } => {
             if epoch != engine.ring_epoch(ssd) {
-                return Vec::new();
+                ios.clear();
             }
-            let mut effects = Vec::new();
-            for io in ios {
+            for io in ios.drain(..) {
                 // Device-service span, recorded while the back-end CID
                 // still resolves to its origin (the drain below frees it).
                 engine.record_backend_span(
@@ -206,11 +238,12 @@ fn engine_stage(
                     Ssd::deliver_read_payload(&io, &mut router);
                     let _ = ssds[ssd.0 as usize].post_completion(&io, &mut router);
                 }
-                let (actions, cq_head) = engine.on_backend_completion(now, ssd, host_mem);
+                let cq_head =
+                    engine.on_backend_completion_into(now, ssd, host_mem, &mut bufs.actions);
                 ssds[ssd.0 as usize].ring_cq_doorbell(QueueId(1), cq_head);
-                effects.extend(actions_to_effects(engine, actions));
+                actions_to_effects(engine, &mut bufs.actions, out);
             }
-            effects
+            bufs.batches.push(ios);
         }
         Stage::EngineHostCompletion {
             func,
@@ -220,7 +253,7 @@ fn engine_stage(
         } => {
             if !engine.deliver_host_completion(func, qid, cid, status, host_mem) {
                 // Host CQ full: retry after the host consumes.
-                return vec![Effect::ScheduleAt {
+                out.push(Effect::ScheduleAt {
                     at: now + SimDuration::from_us(2),
                     stage: Stage::EngineHostCompletion {
                         func,
@@ -228,28 +261,27 @@ fn engine_stage(
                         cid,
                         status,
                     },
-                }];
+                });
+                return;
             }
             let dev = device_for(funcs, func, qid);
-            vec![
-                Effect::Trace {
-                    stage: PipelineStage::Backend,
-                },
-                Effect::RaiseInterrupt {
-                    at: now + engine.timing().interrupt,
-                    dev,
-                    cid,
-                    status,
-                },
-            ]
+            out.push(Effect::Trace {
+                stage: PipelineStage::Backend,
+            });
+            out.push(Effect::RaiseInterrupt {
+                at: now + engine.timing().interrupt,
+                dev,
+                cid,
+                status,
+            });
         }
         Stage::EngineQosWakeup => {
-            let actions = engine.qos_wakeup(now, host_mem);
-            actions_to_effects(engine, actions)
+            let mut actions = engine.qos_wakeup(now, host_mem);
+            actions_to_effects(engine, &mut actions, out);
         }
         Stage::EngineDeadline { ssd, seq } => {
-            let actions = engine.check_deadline(now, ssd, seq, host_mem);
-            actions_to_effects(engine, actions)
+            let mut actions = engine.check_deadline(now, ssd, seq, host_mem);
+            actions_to_effects(engine, &mut actions, out);
         }
         // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
         other => unreachable!("bm-store scheme never schedules {other:?}"),
@@ -267,20 +299,21 @@ impl Scheme for BmStoreScheme {
         dev: DeviceId,
         tail: u32,
         _ctx: &mut SchemeCtx,
-    ) -> Vec<Effect> {
+        out: &mut Vec<Effect>,
+    ) {
         let (func, qid) = self.funcs[dev.0];
-        vec![Effect::ScheduleAt {
+        out.push(Effect::ScheduleAt {
             at: now + BUS_HOP,
             stage: Stage::EngineDoorbell { func, qid, tail },
-        }]
+        });
     }
 
-    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx) -> Vec<Effect> {
-        let funcs = &self.funcs;
+    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>) {
+        let (funcs, bufs) = (&self.funcs, &mut self.bufs);
         let (host_mem, ssds) = (&mut *ctx.host_mem, &mut *ctx.ssds);
         self.engine.with_observer(ctx.obs, |engine| {
-            engine_stage(engine, funcs, now, stage, host_mem, ssds)
-        })
+            engine_stage(engine, funcs, bufs, now, stage, host_mem, ssds, out)
+        });
     }
 
     fn ack_host_cq(&mut self, now: SimTime, dev: DeviceId, head: u32, ctx: &mut SchemeCtx) {
@@ -306,7 +339,7 @@ impl Scheme for BmStoreScheme {
         Some(&self.controller)
     }
 
-    fn on_engine_actions(&mut self, actions: Vec<EngineAction>) -> Vec<Effect> {
-        actions_to_effects(&mut self.engine, actions)
+    fn on_engine_actions(&mut self, mut actions: Vec<EngineAction>, out: &mut Vec<Effect>) {
+        actions_to_effects(&mut self.engine, &mut actions, out);
     }
 }

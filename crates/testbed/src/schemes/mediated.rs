@@ -128,11 +128,12 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
         dev: DeviceId,
         sqe: &Sqe,
         kernel: &KernelProfile,
-    ) -> Vec<Effect> {
-        vec![Effect::ScheduleAt {
+        out: &mut Vec<Effect>,
+    ) {
+        out.push(Effect::ScheduleAt {
             at: now + kernel.submit_cost + VIRTIO_KICK,
             stage: Stage::Doorbell { dev, cid: sqe.cid },
-        }]
+        });
     }
 
     fn on_doorbell(
@@ -141,28 +142,23 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
         dev: DeviceId,
         tail: u32,
         ctx: &mut SchemeCtx,
-    ) -> Vec<Effect> {
+        out: &mut Vec<Effect>,
+    ) {
         // The poller notices the kick and fetches everything new.
         let att = &mut self.attach[dev.0];
         let _ = att.fetch_sq.doorbell_tail(tail);
-        let mut sqes = Vec::new();
         while let Ok(Some(sqe)) = att.fetch_sq.fetch(ctx.host_mem) {
-            sqes.push(sqe);
+            let bytes = sqe.transfer_len(4096);
+            let is_write = sqe.io_opcode() == Some(IoOpcode::Write);
+            let ready = self.mediator.process_submission(now, bytes, is_write);
+            out.push(Effect::ScheduleAt {
+                at: ready,
+                stage: Stage::Forward { dev, sqe },
+            });
         }
-        sqes.into_iter()
-            .map(|sqe| {
-                let bytes = sqe.transfer_len(4096);
-                let is_write = sqe.io_opcode() == Some(IoOpcode::Write);
-                let ready = self.mediator.process_submission(now, bytes, is_write);
-                Effect::ScheduleAt {
-                    at: ready,
-                    stage: Stage::Forward { dev, sqe },
-                }
-            })
-            .collect()
     }
 
-    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx) -> Vec<Effect> {
+    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>) {
         match stage {
             // Mediator data path: push the SQE into the SSD's ring and
             // ring its doorbell.
@@ -171,22 +167,23 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 att.ssd_sq
                     .push(ctx.host_mem, &sqe)
                     .expect("backend ring sized above queue depth");
-                vec![Effect::ForwardToSsd {
+                out.push(Effect::ForwardToSsd {
                     at: now + BUS_HOP,
                     ssd: att.ssd,
                     qid: att.qid,
                     tail: att.ssd_sq.tail() as u32,
-                }]
+                });
             }
             Stage::BackendComplete { ssd, io } => {
                 Ssd::deliver_read_payload(&io, ctx.host_mem);
                 let cqe = match ctx.ssds[ssd].post_completion(&io, ctx.host_mem) {
                     Ok(cqe) => cqe,
                     Err(_) => {
-                        return vec![Effect::ScheduleAt {
+                        out.push(Effect::ScheduleAt {
                             at: now + SimDuration::from_us(1),
                             stage: Stage::BackendComplete { ssd, io },
-                        }];
+                        });
+                        return;
                     }
                 };
                 let dev = *self
@@ -201,19 +198,17 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 // consumption from the CQE.
                 att.ssd_sq.sync_head(cqe.sq_head);
                 ctx.ssds[ssd].ring_cq_doorbell(io.qid, att.backend_cq_head as u32);
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
+                out.push(Effect::Trace {
+                    stage: PipelineStage::Backend,
+                });
+                out.push(Effect::ScheduleAt {
+                    at: now + self.mediator.completion_delay(),
+                    stage: Stage::GuestComplete {
+                        dev,
+                        cid: cqe.cid,
+                        status: cqe.status,
                     },
-                    Effect::ScheduleAt {
-                        at: now + self.mediator.completion_delay(),
-                        stage: Stage::GuestComplete {
-                            dev,
-                            cid: cqe.cid,
-                            status: cqe.status,
-                        },
-                    },
-                ]
+                });
             }
             // The mediator writes the guest CQE and injects the
             // interrupt in the same instant (`at == now` makes the
@@ -231,12 +226,12 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                     .guest_cq
                     .post(ctx.host_mem, cqe)
                     .expect("guest CQ sized above queue depth");
-                vec![Effect::RaiseInterrupt {
+                out.push(Effect::RaiseInterrupt {
                     at: now,
                     dev,
                     cid,
                     status,
-                }]
+                });
             }
             // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
             other => unreachable!("mediated scheme never schedules {other:?}"),

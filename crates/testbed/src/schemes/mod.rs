@@ -3,8 +3,9 @@
 //! Every I/O scheme the testbed can run (native rings, VFIO
 //! passthrough, the BM-Store engine, SPDK vhost, ARM offload)
 //! implements one trait, [`Scheme`]. A scheme never touches the
-//! scheduler: each hook returns a list of [`Effect`]s, and the generic
-//! event loop in [`crate::world::World`] interprets them — scheduling
+//! scheduler: each hook appends [`Effect`]s to a buffer the world lends
+//! it (pooled, so the hot path allocates none), and the generic event
+//! loop in [`crate::world::World`] interprets them — scheduling
 //! pipeline continuations ([`Stage`]), ringing backend doorbells,
 //! raising interrupts, charging the host completion stack, delivering
 //! to clients, and counting pipeline stages and fault events.
@@ -16,7 +17,7 @@
 //! ```
 //!
 //! Determinism: effects are applied strictly in the order a hook
-//! returns them, and the scheduler breaks timestamp ties by insertion
+//! appends them, and the scheduler breaks timestamp ties by insertion
 //! order, so a scheme's event interleaving is a pure function of its
 //! hook outputs.
 
@@ -351,36 +352,40 @@ pub trait Scheme {
         lba
     }
 
-    /// A request for `dev` was pushed into its SQ at `now`. Returns
-    /// the effects that carry it to the scheme's doorbell; submit-side
-    /// latency beyond the kernel's submit cost lives here. The default
-    /// rings the doorbell after the kernel submit path.
+    /// A request for `dev` was pushed into its SQ at `now`. Appends to
+    /// `out` the effects that carry it to the scheme's doorbell;
+    /// submit-side latency beyond the kernel's submit cost lives here.
+    /// The default rings the doorbell after the kernel submit path.
     fn submit(
         &mut self,
         now: SimTime,
         dev: DeviceId,
         sqe: &Sqe,
         kernel: &KernelProfile,
-    ) -> Vec<Effect> {
-        vec![Effect::ScheduleAt {
+        out: &mut Vec<Effect>,
+    ) {
+        out.push(Effect::ScheduleAt {
             at: now + kernel.submit_cost,
             stage: Stage::Doorbell { dev, cid: sqe.cid },
-        }]
+        });
     }
 
     /// `dev`'s SQ tail doorbell (value `tail`) lands at the scheme.
+    /// Appends the resulting effects to `out`.
     fn on_doorbell(
         &mut self,
         now: SimTime,
         dev: DeviceId,
         tail: u32,
         ctx: &mut SchemeCtx,
-    ) -> Vec<Effect>;
+        out: &mut Vec<Effect>,
+    );
 
-    /// A pipeline continuation scheduled by an earlier effect fires.
-    /// Never called with [`Stage::Doorbell`] (that one is routed to
+    /// A pipeline continuation scheduled by an earlier effect fires;
+    /// appends the resulting effects to `out`. Never called with
+    /// [`Stage::Doorbell`] (that one is routed to
     /// [`Scheme::on_doorbell`] with the tail read at dispatch time).
-    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx) -> Vec<Effect>;
+    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>);
 
     /// The host consumed `dev`'s CQ up to `head`: acknowledge it
     /// backward (SSD CQ doorbell, guest CQ head, or engine CQ-head
@@ -409,10 +414,9 @@ pub trait Scheme {
     }
 
     /// Converts engine actions produced outside the I/O path (the
-    /// management plane) into effects. Non-BM-Store schemes have no
-    /// engine and return nothing.
-    fn on_engine_actions(&mut self, actions: Vec<EngineAction>) -> Vec<Effect> {
-        let _ = actions;
-        Vec::new()
+    /// management plane) into effects appended to `out`. Non-BM-Store
+    /// schemes have no engine and add nothing.
+    fn on_engine_actions(&mut self, actions: Vec<EngineAction>, out: &mut Vec<Effect>) {
+        let _ = (actions, out);
     }
 }

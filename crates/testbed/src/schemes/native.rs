@@ -70,17 +70,18 @@ impl Scheme for DirectScheme {
         dev: DeviceId,
         tail: u32,
         _ctx: &mut SchemeCtx,
-    ) -> Vec<Effect> {
+        out: &mut Vec<Effect>,
+    ) {
         let (ssd, qid) = self.attach[dev.0];
-        vec![Effect::ForwardToSsd {
+        out.push(Effect::ForwardToSsd {
             at: now + BUS_HOP,
             ssd,
             qid,
             tail,
-        }]
+        });
     }
 
-    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx) -> Vec<Effect> {
+    fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>) {
         match stage {
             Stage::BackendComplete { ssd, io } => {
                 Ssd::deliver_read_payload(&io, ctx.host_mem);
@@ -88,28 +89,27 @@ impl Scheme for DirectScheme {
                     Ok(cqe) => cqe,
                     Err(_) => {
                         // CQ full: retry after the host consumes.
-                        return vec![Effect::ScheduleAt {
+                        out.push(Effect::ScheduleAt {
                             at: now + SimDuration::from_us(1),
                             stage: Stage::BackendComplete { ssd, io },
-                        }];
+                        });
+                        return;
                     }
                 };
                 let dev = *self
                     .direct_map
                     .get(&(ssd, io.qid.0))
                     .expect("completion for mapped queue");
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
-                    },
-                    // Hardware MSI straight to the host/guest.
-                    Effect::RaiseInterrupt {
-                        at: now + BUS_HOP,
-                        dev,
-                        cid: cqe.cid,
-                        status: cqe.status,
-                    },
-                ]
+                out.push(Effect::Trace {
+                    stage: PipelineStage::Backend,
+                });
+                // Hardware MSI straight to the host/guest.
+                out.push(Effect::RaiseInterrupt {
+                    at: now + BUS_HOP,
+                    dev,
+                    cid: cqe.cid,
+                    status: cqe.status,
+                });
             }
             // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
             other => unreachable!("direct scheme never schedules {other:?}"),

@@ -16,7 +16,10 @@
 //!
 //! Every hop is a scheduled event at the latency the respective model
 //! computes, so fio-style measurements emerge rather than being
-//! asserted.
+//! asserted. The pipeline's hops are typed [`WorldEvent`]s stored
+//! inline in the scheduler, the hooks' effects go into pooled buffers,
+//! and in-flight host commands sit in a CID-indexed table, so a
+//! command's trip through the loop allocates nothing.
 
 use crate::config::{SchemeKind, TestbedConfig};
 use crate::schemes::{
@@ -30,7 +33,7 @@ use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::mi::{HealthStatus, MiResponse};
 use bm_nvme::prp::PrpPair;
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
-use bm_nvme::types::{Cid, Nsid};
+use bm_nvme::types::{Cid, Nsid, QueueId};
 use bm_nvme::Status;
 use bm_pcie::mctp::Eid;
 use bm_pcie::{HostMemory, PciAddr};
@@ -42,14 +45,14 @@ use bm_sim::resource::FifoServer;
 use bm_sim::slo::{self, Alert, SloEngine};
 use bm_sim::telemetry::critical_path::{self, BlameWindows, CriticalPathAnalysis};
 use bm_sim::telemetry::{TelemetryRecorder, TelemetryStage};
-use bm_sim::{Scheduler, SimDuration, SimTime, Simulation};
+use bm_sim::{Event, Scheduler, SimDuration, SimTime, Simulation};
 use bm_ssd::firmware::CommitAction;
-use bm_ssd::{Ssd, SsdConfig, SsdId};
+use bm_ssd::{CompletedIo, Ssd, SsdConfig, SsdId};
 use bmstore_core::controller::commands::BmsCommand;
 use bmstore_core::controller::{request_packets, BackendAdmin, BmsController, ControllerAction};
-use bmstore_core::engine::BmsEngine;
+use bmstore_core::engine::{BmsEngine, EngineAction};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 pub(crate) struct PendingHost {
     pub(crate) client: ClientId,
@@ -65,13 +68,51 @@ pub(crate) struct VmState {
     pub(crate) costs: VfioCosts,
 }
 
+/// In-flight host commands of one device, indexed by CID. It grows on
+/// demand to the highest CID in use (CIDs are handed out lowest first),
+/// so a shallow queue on a deep ring costs only the slots it uses.
+#[derive(Default)]
+pub(crate) struct PendingTable {
+    slots: Vec<Option<PendingHost>>,
+    len: usize,
+}
+
+impl PendingTable {
+    fn insert(&mut self, cid: Cid, pending: PendingHost) {
+        let i = cid.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].replace(pending).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn get(&self, cid: Cid) -> Option<&PendingHost> {
+        self.slots.get(cid.0 as usize)?.as_ref()
+    }
+
+    fn remove(&mut self, cid: Cid) -> Option<PendingHost> {
+        let pending = self.slots.get_mut(cid.0 as usize)?.take();
+        if pending.is_some() {
+            self.len -= 1;
+        }
+        pending
+    }
+
+    /// Commands in flight.
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// One tenant device: the host-side rings and in-flight bookkeeping.
 /// How its doorbell reaches a backend is the scheme's business.
 pub(crate) struct Device {
     pub(crate) sq: SubmissionQueue,
     pub(crate) cq: CompletionQueue,
     pub(crate) free_cids: Vec<u16>,
-    pub(crate) pending: BTreeMap<u16, PendingHost>,
+    pub(crate) pending: PendingTable,
     pub(crate) waiting: VecDeque<(ClientId, IoRequest)>,
     pub(crate) vm: Option<VmState>,
     pub(crate) size_blocks: u64,
@@ -92,7 +133,7 @@ impl Device {
             sq,
             cq,
             free_cids: (0..entries - 1).rev().collect(),
-            pending: BTreeMap::new(),
+            pending: PendingTable::default(),
             waiting: VecDeque::new(),
             vm,
             size_blocks,
@@ -301,8 +342,68 @@ impl ProfilerView<'_> {
     }
 }
 
-/// A boxed harness action scheduled via [`World::schedule_action`].
-type RawAction = Box<dyn FnOnce(&mut World, &mut Scheduler<World>)>;
+/// The scheduler of a [`World`] run.
+type Sched = Scheduler<World, WorldEvent>;
+
+/// A boxed event: harness actions, faults, management commands, sampler
+/// ticks and the engine restart.
+type RawAction = Box<dyn FnOnce(&mut World, &mut Sched)>;
+
+/// One scheduled event of a [`World`] run, stored inline in the
+/// scheduler's arena. The I/O pipeline's hops are typed, so scheduling
+/// them allocates nothing; rare events ride as one boxed closure.
+pub struct WorldEvent(Hop);
+
+enum Hop {
+    /// A scheme pipeline continuation ([`Effect::ScheduleAt`]).
+    Stage(Stage),
+    /// A backend SQ doorbell over plain host DMA lands
+    /// ([`Effect::ForwardToSsd`]).
+    SsdDoorbell { ssd: usize, qid: QueueId, tail: u32 },
+    /// An interrupt reaches the host or guest ([`Effect::RaiseInterrupt`]).
+    Interrupt {
+        dev: DeviceId,
+        cid: Cid,
+        status: Status,
+    },
+    /// A completion reaches its client ([`Effect::CompleteToClient`]).
+    Deliver {
+        dev: DeviceId,
+        cid: Cid,
+        status: Status,
+    },
+    /// A scheduled client call (its start or a timer).
+    Client(ClientId, ClientCall),
+    /// Anything else.
+    Action(RawAction),
+}
+
+impl Event<World> for WorldEvent {
+    fn fire(self, w: &mut World, s: &mut Sched) {
+        match self.0 {
+            Hop::Stage(stage) => w.run_stage(s, stage),
+            Hop::SsdDoorbell { ssd, qid, tail } => w.ring_ssd_doorbell(s, ssd, qid, tail),
+            Hop::Interrupt { dev, cid, status } => w.host_notify(s, dev, cid, status),
+            Hop::Deliver { dev, cid, status } => {
+                w.tb.obs.enter("deliver");
+                w.deliver_to_client(s, dev, cid, status);
+                w.tb.obs.exit();
+            }
+            Hop::Client(id, call) => w.call_client(s, id, call),
+            Hop::Action(f) => f(w, s),
+        }
+    }
+}
+
+/// Schedules a typed hop at `at`.
+fn hop_at(s: &mut Sched, at: SimTime, hop: Hop) {
+    s.schedule_event_at(at, WorldEvent(hop));
+}
+
+/// Schedules a boxed event at `at`.
+fn action_at(s: &mut Sched, at: SimTime, f: impl FnOnce(&mut World, &mut Sched) + 'static) {
+    hop_at(s, at, Hop::Action(Box::new(f)));
+}
 
 /// Cold-boot time of the card firmware after a power loss (the
 /// capacitor-backed journal flush plus the boot ROM path).
@@ -406,6 +507,11 @@ pub struct World {
     fault_events: Vec<(SimTime, FaultTraceEvent)>,
     faults: FaultRuntime,
     sampler_keys: SamplerKeys,
+    /// Emptied effect buffers, lent to the next scheme hook (hooks nest,
+    /// so there can be several).
+    effect_pool: Vec<Vec<Effect>>,
+    /// Completions of one plain-DMA backend doorbell.
+    completed_ios: Vec<CompletedIo>,
     /// Total simulator events fired by the last [`World::run`] (zero
     /// before any run). Dividing by host wall-clock time yields the
     /// harness's events-per-second throughput figure.
@@ -439,6 +545,8 @@ impl World {
             fault_events: Vec::new(),
             faults: FaultRuntime::default(),
             sampler_keys: SamplerKeys::default(),
+            effect_pool: Vec::new(),
+            completed_ios: Vec::new(),
             events_fired: 0,
             peak_event_queue: 0,
             clamped_past: 0,
@@ -479,7 +587,7 @@ impl World {
     pub fn schedule_action(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut World, &mut Scheduler<World>) + 'static,
+        f: impl FnOnce(&mut World, &mut Scheduler<World, WorldEvent>) + 'static,
     ) {
         self.pending_raw.push((at, Box::new(f)));
     }
@@ -502,24 +610,19 @@ impl World {
         let mgmt = std::mem::take(&mut self.pending_mgmt);
         let raw = std::mem::take(&mut self.pending_raw);
         let plan: Vec<_> = self.tb.cfg.fault_plan.events().to_vec();
-        let mut sim = Simulation::new(self);
+        let mut sim: Simulation<World, WorldEvent> = Simulation::typed(self);
+        let s = sim.scheduler_mut();
         for id in ids {
-            sim.schedule_at(SimTime::ZERO, move |w: &mut World, s| {
-                w.call_client(s, id, ClientCall::Start);
-            });
+            hop_at(s, SimTime::ZERO, Hop::Client(id, ClientCall::Start));
         }
         for ev in plan {
-            sim.schedule_at(ev.at, move |w: &mut World, s| {
-                w.apply_fault(s, ev.kind);
-            });
+            action_at(s, ev.at, move |w, s| w.apply_fault(s, ev.kind));
         }
         for (at, cmd) in mgmt {
-            sim.schedule_at(at, move |w: &mut World, s| {
-                w.do_management(s, cmd);
-            });
+            action_at(s, at, move |w, s| w.do_management(s, cmd));
         }
         for (at, f) in raw {
-            sim.schedule_at(at, move |w: &mut World, s| {
+            action_at(s, at, move |w, s| {
                 w.tb.obs.enter("action");
                 f(w, s);
                 w.tb.obs.exit();
@@ -527,7 +630,7 @@ impl World {
         }
         if sim.world().tb.obs.metrics().is_some() {
             let interval = sim.world().tb.cfg.metrics_interval;
-            sim.schedule_at(SimTime::ZERO, move |w: &mut World, s| {
+            action_at(sim.scheduler_mut(), SimTime::ZERO, move |w, s| {
                 w.sample_metrics(s, interval);
             });
         }
@@ -538,7 +641,7 @@ impl World {
             // order, same deadline clamp), so event execution — and
             // therefore every figure — is byte-identical to the fast
             // path below; the profiler only reads the host clock.
-            fn prof(sim: &mut Simulation<World>) -> Option<&mut Profiler> {
+            fn prof(sim: &mut Simulation<World, WorldEvent>) -> Option<&mut Profiler> {
                 sim.world_mut().tb.obs.profiler_mut()
             }
             if let Some(p) = prof(&mut sim) {
@@ -683,7 +786,7 @@ impl World {
         })
     }
 
-    fn call_client(&mut self, s: &mut Scheduler<World>, id: ClientId, call: ClientCall) {
+    fn call_client(&mut self, s: &mut Sched, id: ClientId, call: ClientCall) {
         let now = s.now();
         self.tb.obs.enter(match &call {
             ClientCall::Start => "client:start",
@@ -702,9 +805,7 @@ impl World {
             self.submit_request(s, id, req);
         }
         if let Some(at) = out.next_timer {
-            s.schedule_at(at, move |w: &mut World, s| {
-                w.call_client(s, id, ClientCall::Timer);
-            });
+            hop_at(s, at, Hop::Client(id, ClientCall::Timer));
         }
         self.tb.obs.exit();
     }
@@ -727,8 +828,13 @@ impl World {
         out
     }
 
+    /// An emptied effect buffer to lend a scheme hook.
+    fn take_effects(&mut self) -> Vec<Effect> {
+        self.effect_pool.pop().unwrap_or_default()
+    }
+
     /// Entry point for client I/O.
-    fn submit_request(&mut self, s: &mut Scheduler<World>, client: ClientId, req: IoRequest) {
+    fn submit_request(&mut self, s: &mut Sched, client: ClientId, req: IoRequest) {
         let popped = self.tb.devices[req.dev.0].free_cids.pop();
         match popped {
             Some(cid) => self.do_submit(s, client, req, Cid(cid)),
@@ -736,7 +842,7 @@ impl World {
         }
     }
 
-    fn do_submit(&mut self, s: &mut Scheduler<World>, client: ClientId, req: IoRequest, cid: Cid) {
+    fn do_submit(&mut self, s: &mut Sched, client: ClientId, req: IoRequest, cid: Cid) {
         let now = s.now();
         self.tb.obs.enter("submit");
         let (prp, bytes) = if req.op == IoOp::Flush {
@@ -775,7 +881,7 @@ impl World {
             // bm-lint: allow(panic-path): config invariant — submit() gates on queue-depth credits, so the ring can never be full here
             .expect("ring sized above queue depth");
         dev.pending.insert(
-            cid.0,
+            cid,
             PendingHost {
                 client,
                 tag: req.tag,
@@ -793,17 +899,19 @@ impl World {
             .begin_command(now, req.dev.0 as u16, cid.0, sqe.opcode.code());
         // bm-lint: allow(panic-path): take/put-back invariant — restored two lines below; submit cannot re-enter the testbed
         let mut scheme = self.tb.scheme.take().expect("scheme present");
-        let effects = scheme.submit(now, req.dev, &sqe, &self.tb.kernel);
+        let mut effects = self.take_effects();
+        scheme.submit(now, req.dev, &sqe, &self.tb.kernel, &mut effects);
         self.tb.scheme = Some(scheme);
         self.apply_effects(s, effects);
         self.tb.obs.exit();
     }
 
     /// Dispatches a pipeline continuation back into the scheme.
-    fn run_stage(&mut self, s: &mut Scheduler<World>, stage: Stage) {
+    fn run_stage(&mut self, s: &mut Sched, stage: Stage) {
         let now = s.now();
         self.tb.obs.enter(stage_seg(&stage));
-        let effects = match stage {
+        let mut effects = self.take_effects();
+        match stage {
             Stage::Doorbell { dev, cid } => {
                 let tail = self.tb.devices[dev.0].sq.tail() as u32;
                 self.observe(PipelineStage::Doorbell);
@@ -812,7 +920,7 @@ impl World {
                 if cmd.is_some() {
                     let submitted = self.tb.devices[dev.0]
                         .pending
-                        .get(&cid.0)
+                        .get(cid)
                         .map(|p| p.submitted)
                         .unwrap_or(now);
                     self.tb.obs.span(
@@ -826,26 +934,41 @@ impl World {
                         true,
                     );
                 }
-                self.with_scheme(|scheme, ctx| scheme.on_doorbell(now, dev, tail, ctx))
+                self.with_scheme(|scheme, ctx| {
+                    scheme.on_doorbell(now, dev, tail, ctx, &mut effects)
+                });
             }
             // bm-lint: allow(wildcard-arm): delegation, not omission — every non-doorbell stage is routed to the scheme, whose own dispatcher is exhaustive
-            other => self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx)),
-        };
+            other => self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx, &mut effects)),
+        }
         self.apply_effects(s, effects);
         self.tb.obs.exit();
     }
 
-    fn apply_effects(&mut self, s: &mut Scheduler<World>, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Applies `effects` in order, then returns the emptied buffer to
+    /// the pool.
+    fn apply_effects(&mut self, s: &mut Sched, mut effects: Vec<Effect>) {
+        for effect in effects.drain(..) {
             self.apply_effect(s, effect);
         }
+        self.effect_pool.push(effects);
+    }
+
+    /// Management-plane engine actions, converted by the scheme and
+    /// applied.
+    fn apply_engine_actions(&mut self, s: &mut Sched, actions: Vec<EngineAction>) {
+        let mut effects = self.take_effects();
+        if let Some(scheme) = self.tb.scheme.as_mut() {
+            scheme.on_engine_actions(actions, &mut effects);
+        }
+        self.apply_effects(s, effects);
     }
 
     /// A bus crossing scheduled inside a PCIe link-retrain window is
     /// deferred to the window's end (and the deferral is observable).
     /// Inert when no retrain is active: `link_until` defaults to time
     /// zero, which nothing precedes.
-    fn defer_past_retrain(&mut self, s: &Scheduler<World>, at: SimTime) -> SimTime {
+    fn defer_past_retrain(&mut self, s: &Sched, at: SimTime) -> SimTime {
         if at < self.faults.link_until {
             let until = self.faults.link_until;
             self.observe_fault(s.now(), FaultTraceEvent::LinkDeferred { until });
@@ -856,7 +979,7 @@ impl World {
     }
 
     /// The generic interpreter: one typed effect, one event-loop rule.
-    fn apply_effect(&mut self, s: &mut Scheduler<World>, effect: Effect) {
+    fn apply_effect(&mut self, s: &mut Sched, effect: Effect) {
         self.tb.obs.enter(effect_seg(&effect));
         match effect {
             Effect::ScheduleAt { at, stage } => {
@@ -875,24 +998,11 @@ impl World {
                     | Stage::EngineQosWakeup
                     | Stage::EngineDeadline { .. } => at,
                 };
-                s.schedule_at(at, move |w: &mut World, s| {
-                    w.run_stage(s, stage);
-                });
+                hop_at(s, at, Hop::Stage(stage));
             }
             Effect::ForwardToSsd { at, ssd, qid, tail } => {
                 let at = self.defer_past_retrain(s, at);
-                s.schedule_at(at, move |w: &mut World, s| {
-                    w.tb.obs.enter("ssd:doorbell");
-                    let completions =
-                        w.tb.ssds[ssd].ring_sq_doorbell(s.now(), qid, tail, &mut w.tb.host_mem);
-                    for io in completions {
-                        let at = io.at;
-                        s.schedule_at(at, move |w: &mut World, s| {
-                            w.run_stage(s, Stage::BackendComplete { ssd, io });
-                        });
-                    }
-                    w.tb.obs.exit();
-                });
+                hop_at(s, at, Hop::SsdDoorbell { ssd, qid, tail });
             }
             Effect::RaiseInterrupt {
                 at,
@@ -906,9 +1016,7 @@ impl World {
                 if at <= s.now() {
                     self.host_notify(s, dev, cid, status);
                 } else {
-                    s.schedule_at(at, move |w: &mut World, s| {
-                        w.host_notify(s, dev, cid, status);
-                    });
+                    hop_at(s, at, Hop::Interrupt { dev, cid, status });
                 }
             }
             Effect::ChargeCpu { dev, cid, status } => self.charge_cpu(s, dev, cid, status),
@@ -917,21 +1025,28 @@ impl World {
                 dev,
                 cid,
                 status,
-            } => {
-                s.schedule_at(at, move |w: &mut World, s| {
-                    w.tb.obs.enter("deliver");
-                    w.deliver_to_client(s, dev, cid, status);
-                    w.tb.obs.exit();
-                });
-            }
+            } => hop_at(s, at, Hop::Deliver { dev, cid, status }),
             Effect::Trace { stage } => self.observe(stage),
             Effect::FaultTrace { event } => self.observe_fault(s.now(), event),
         }
         self.tb.obs.exit();
     }
 
+    /// A backend SSD's SQ doorbell over plain host DMA lands: each
+    /// completion re-enters the pipeline at its completion time.
+    fn ring_ssd_doorbell(&mut self, s: &mut Sched, ssd: usize, qid: QueueId, tail: u32) {
+        self.tb.obs.enter("ssd:doorbell");
+        let tb = &mut self.tb;
+        let ios = &mut self.completed_ios;
+        tb.ssds[ssd].ring_sq_doorbell_into(s.now(), qid, tail, &mut tb.host_mem, ios);
+        for io in ios.drain(..) {
+            hop_at(s, io.at, Hop::Stage(Stage::BackendComplete { ssd, io }));
+        }
+        self.tb.obs.exit();
+    }
+
     /// Injects one scheduled fault into its target layer.
-    fn apply_fault(&mut self, s: &mut Scheduler<World>, kind: FaultKind) {
+    fn apply_fault(&mut self, s: &mut Sched, kind: FaultKind) {
         let now = s.now();
         self.tb.obs.enter("fault");
         match kind {
@@ -1011,16 +1126,14 @@ impl World {
     /// — in a drained discrete-event simulation nothing can schedule
     /// new work, so rescheduling would keep `run_until_idle` alive
     /// forever.
-    fn sample_metrics(&mut self, s: &mut Scheduler<World>, interval: SimDuration) {
+    fn sample_metrics(&mut self, s: &mut Sched, interval: SimDuration) {
         let now = s.now();
         self.tb.obs.enter("sampler");
         self.record_scheduler_sample(now, s);
         self.record_metric_sample(now);
         self.evaluate_slo(now);
         if s.pending() > 0 {
-            s.schedule_at(now + interval, move |w: &mut World, s| {
-                w.sample_metrics(s, interval);
-            });
+            action_at(s, now + interval, move |w, s| w.sample_metrics(s, interval));
         }
         self.tb.obs.exit();
     }
@@ -1030,7 +1143,7 @@ impl World {
     /// series, so event-rate and clamp excursions line up with the rest
     /// of the timeline. Runs before `record_metric_sample` so this
     /// tick's `snapshot_gauges` captures the fresh values.
-    fn record_scheduler_sample(&mut self, now: SimTime, s: &Scheduler<World>) {
+    fn record_scheduler_sample(&mut self, now: SimTime, s: &Sched) {
         let Some(m) = self.tb.obs.metrics_mut() else {
             return;
         };
@@ -1149,13 +1262,7 @@ impl World {
 
     /// Interrupt arrives at the host/guest: consume the CQE, ack it
     /// through the scheme, then charge the completion-side stack.
-    fn host_notify(
-        &mut self,
-        s: &mut Scheduler<World>,
-        dev_id: DeviceId,
-        cid: Cid,
-        status: Status,
-    ) {
+    fn host_notify(&mut self, s: &mut Sched, dev_id: DeviceId, cid: Cid, status: Status) {
         let now = s.now();
         self.tb.obs.enter("notify");
         let (cid, status, head) = {
@@ -1177,10 +1284,10 @@ impl World {
     }
 
     /// Completion-side stack latency: guest IRQ vCPU or host softirq.
-    fn charge_cpu(&mut self, s: &mut Scheduler<World>, dev_id: DeviceId, cid: Cid, status: Status) {
+    fn charge_cpu(&mut self, s: &mut Sched, dev_id: DeviceId, cid: Cid, status: Status) {
         let now = s.now();
         let dev = &mut self.tb.devices[dev_id.0];
-        let is_write = dev.pending.get(&cid.0).map(|p| p.is_write).unwrap_or(false);
+        let is_write = dev.pending.get(cid).map(|p| p.is_write).unwrap_or(false);
         let deliver_at = match &mut dev.vm {
             Some(vm) => {
                 let mut cost = vm.costs.guest_complete;
@@ -1206,15 +1313,9 @@ impl World {
         );
     }
 
-    fn deliver_to_client(
-        &mut self,
-        s: &mut Scheduler<World>,
-        dev_id: DeviceId,
-        cid: Cid,
-        status: Status,
-    ) {
+    fn deliver_to_client(&mut self, s: &mut Sched, dev_id: DeviceId, cid: Cid, status: Status) {
         let now = s.now();
-        let Some(pending) = self.tb.devices[dev_id.0].pending.remove(&cid.0) else {
+        let Some(pending) = self.tb.devices[dev_id.0].pending.remove(cid) else {
             return; // duplicate/late notify (defensive)
         };
         {
@@ -1268,7 +1369,7 @@ impl World {
     /// whole request with the same tag, up to three times. A fresh SOM
     /// packet resets any stale partial, making the retransmit safe and
     /// the command exactly-once.
-    fn do_management(&mut self, s: &mut Scheduler<World>, cmd: BmsCommand) {
+    fn do_management(&mut self, s: &mut Sched, cmd: BmsCommand) {
         const MAX_RETRANSMITS: u32 = 3;
         let now = s.now();
         self.tb.obs.enter("mgmt");
@@ -1333,11 +1434,7 @@ impl World {
         Some((actions, dropped))
     }
 
-    fn handle_controller_actions(
-        &mut self,
-        s: &mut Scheduler<World>,
-        actions: Vec<ControllerAction>,
-    ) {
+    fn handle_controller_actions(&mut self, s: &mut Sched, actions: Vec<ControllerAction>) {
         for action in actions {
             match action {
                 ControllerAction::Respond { packets } => {
@@ -1352,7 +1449,7 @@ impl World {
                     }
                 }
                 ControllerAction::FinishUpgrade { ssd, at } => {
-                    s.schedule_at(at, move |w: &mut World, s| {
+                    action_at(s, at, move |w, s| {
                         let now = s.now();
                         let engine_actions = {
                             let tb = &mut w.tb;
@@ -1367,20 +1464,10 @@ impl World {
                                 controller.finish_upgrade(now, ssd, engine, host_mem)
                             })
                         };
-                        let effects = match w.tb.scheme.as_mut() {
-                            Some(scheme) => scheme.on_engine_actions(engine_actions),
-                            None => Vec::new(),
-                        };
-                        w.apply_effects(s, effects);
+                        w.apply_engine_actions(s, engine_actions);
                     });
                 }
-                ControllerAction::Engine(a) => {
-                    let effects = match self.tb.scheme.as_mut() {
-                        Some(scheme) => scheme.on_engine_actions(vec![a]),
-                        None => Vec::new(),
-                    };
-                    self.apply_effects(s, effects);
-                }
+                ControllerAction::Engine(a) => self.apply_engine_actions(s, vec![a]),
             }
         }
     }
@@ -1416,9 +1503,9 @@ impl World {
     /// Crashes the BMS-Engine firmware at the current instant and
     /// schedules the cold restart. A crash while already down only
     /// extends the outage — the pending restart re-arms itself.
-    fn crash_engine(&mut self, s: &mut Scheduler<World>, restart_at: SimTime) {
+    fn crash_engine(&mut self, s: &mut Sched, restart_at: SimTime) {
         let now = s.now();
-        let (was_crashed, effects) = {
+        let was_crashed = {
             let tb = &mut self.tb;
             let Some(scheme) = tb.scheme.as_mut() else {
                 return;
@@ -1428,13 +1515,13 @@ impl World {
             };
             let was_crashed = engine.is_crashed();
             engine.with_observer(&mut tb.obs, |engine| engine.crash(now, restart_at));
-            // Flush the crash recovery-log entry to the observer now,
-            // not when the next I/O happens to pass through the scheme.
-            (was_crashed, scheme.on_engine_actions(Vec::new()))
+            was_crashed
         };
-        self.apply_effects(s, effects);
+        // Flush the crash recovery-log entry to the observer now, not
+        // when the next I/O happens to pass through the scheme.
+        self.apply_engine_actions(s, Vec::new());
         if !was_crashed {
-            s.schedule_at(restart_at, |w: &mut World, s| w.restart_engine(s));
+            action_at(s, restart_at, |w, s| w.restart_engine(s));
         }
     }
 
@@ -1443,7 +1530,7 @@ impl World {
     /// engine actions re-enter the pipeline. Deferred host doorbells
     /// land at the same instant but were inserted later, so recovery
     /// runs first.
-    fn restart_engine(&mut self, s: &mut Scheduler<World>) {
+    fn restart_engine(&mut self, s: &mut Sched) {
         let now = s.now();
         let extended = self
             .tb
@@ -1452,7 +1539,7 @@ impl World {
             .unwrap_or(SimTime::ZERO);
         if extended > now {
             // A second crash during the outage pushed the restart out.
-            s.schedule_at(extended, |w: &mut World, s| w.restart_engine(s));
+            action_at(s, extended, |w, s| w.restart_engine(s));
             return;
         }
         let engine_actions = {
@@ -1477,18 +1564,14 @@ impl World {
             let host_mem = &mut tb.host_mem;
             engine.with_observer(&mut tb.obs, |engine| engine.recover(now, host_mem))
         };
-        let effects = match self.tb.scheme.as_mut() {
-            Some(scheme) => scheme.on_engine_actions(engine_actions),
-            None => Vec::new(),
-        };
-        self.apply_effects(s, effects);
+        self.apply_engine_actions(s, engine_actions);
     }
 
     /// Surprise re-attach of a dead SSD in the same bay: the device
     /// (and its stored data) survives, rings restart from zero, and —
     /// behind the engine — zombie slots are reclaimed and quiesced
     /// traffic resumes.
-    fn reinsert_ssd(&mut self, s: &mut Scheduler<World>, idx: usize) {
+    fn reinsert_ssd(&mut self, s: &mut Sched, idx: usize) {
         let now = s.now();
         let engine_actions = {
             let tb = &mut self.tb;
@@ -1512,11 +1595,7 @@ impl World {
             tb.ssds[idx].attach_io_queues(sq, cq);
             actions
         };
-        let effects = match self.tb.scheme.as_mut() {
-            Some(scheme) => scheme.on_engine_actions(engine_actions),
-            None => Vec::new(),
-        };
-        self.apply_effects(s, effects);
+        self.apply_engine_actions(s, engine_actions);
     }
 }
 

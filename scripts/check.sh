@@ -59,6 +59,13 @@ echo "==> data-integrity suite (release)"
 # the experiments.
 cargo test --release -q --test data_integrity
 
+echo "==> allocation budget (release)"
+# The hot-path contract: steady-state scheduling allocates nothing, a
+# BM-Store 4K-read window allocates about once per completed I/O across
+# the whole World, and a PRP-list doorbell allocates no more than a
+# one-page one, at the optimisation level the experiments use.
+cargo test --release -q --test alloc_budget
+
 echo "==> chaos smoke (release, fixed seeds)"
 # The crash-recovery contract: a short fixed-seed chaos campaign per
 # fail policy (engine crashes, power losses with torn writes, SSD

@@ -11,7 +11,13 @@
 //! 2. A steady-state BM-Store 4K-random-read window grows the
 //!    scheduler's node arena by **zero** slots: every event entry is
 //!    recycled, so scheduler-entry allocations are warm-up-only.
-//! 3. On a standalone BMS-Engine, the doorbell that forwards a 32-block
+//! 3. The same window allocates at most 1.1 times per completed I/O
+//!    across the whole `World`: pipeline hops are typed events stored
+//!    inline, effects and engine actions go into reused buffers, and
+//!    host commands sit in a CID-indexed table. The one allocation left
+//!    per I/O is the `ClientOutput.requests` vector the `Client` trait
+//!    returns.
+//! 4. On a standalone BMS-Engine, the doorbell that forwards a 32-block
 //!    read allocates no more often than one that forwards a 1-block
 //!    read: the 31-entry PRP list is read, tagged and written into chip
 //!    memory through a reused buffer.
@@ -37,7 +43,7 @@ use bmstore::prof::alloc::{self, CountingAlloc};
 use bmstore::sim::stats::IoStats;
 use bmstore::sim::{SimDuration, SimTime, Simulation};
 use bmstore::ssd::SsdId;
-use bmstore::testbed::{Testbed, TestbedConfig, World};
+use bmstore::testbed::{PipelineStage, Testbed, TestbedConfig, World};
 use bmstore::workloads::fio::{FioJob, FioSpec};
 
 #[global_allocator]
@@ -77,9 +83,9 @@ fn pure_scheduler_steady_state_is_allocation_free() {
     );
 }
 
-fn bm_store_read_window_does_not_grow_the_arena() {
-    // The Fig. 8 bare-metal 4K-random-read rig, scaled down: ramp ends
-    // at 12.5 ms, measurement ends at 112.5 ms.
+/// The Fig. 8 bare-metal 4K-random-read rig, scaled down: ramp ends at
+/// 12.5 ms, measurement ends at 112.5 ms.
+fn bm_store_read_rig() -> World {
     let cfg = TestbedConfig::bm_store_bare_metal(1);
     let spec = FioSpec::rand_r_128().scaled(0.25);
     let seed_base = cfg.seed;
@@ -104,12 +110,21 @@ fn bm_store_read_window_does_not_grow_the_arena() {
     for job in jobs {
         world.add_client(Box::new(job));
     }
+    world
+}
+
+fn at_ms(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_ms(ms)
+}
+
+fn bm_store_read_window_does_not_grow_the_arena() {
+    let mut world = bm_store_read_rig();
     // Snapshot the scheduler's arena size across the steady-state
     // window (well past ramp-up at 12.5 ms).
     let snaps: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
     for ms in [40u64, 60, 80, 100] {
         let sink = Rc::clone(&snaps);
-        world.schedule_action(SimTime::ZERO + SimDuration::from_ms(ms), move |_w, s| {
+        world.schedule_action(at_ms(ms), move |_w, s| {
             sink.borrow_mut().push(s.arena_slots());
         });
     }
@@ -121,6 +136,34 @@ fn bm_store_read_window_does_not_grow_the_arena() {
         "scheduler arena must stop growing in steady state: {snaps:?}"
     );
     assert!(world.events_fired > 0, "the run retired events");
+}
+
+fn bm_store_read_window_allocates_once_per_io() {
+    let mut world = bm_store_read_rig();
+    // (allocation events, completed I/Os) at both ends of a steady-state
+    // window; reserved up front so recording allocates nothing.
+    let marks: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::with_capacity(2)));
+    for ms in [40u64, 100] {
+        let sink = Rc::clone(&marks);
+        world.schedule_action(at_ms(ms), move |w, _s| {
+            let allocs = alloc::events();
+            let completed = w.stage_count(PipelineStage::Complete);
+            sink.borrow_mut().push((allocs, completed));
+        });
+    }
+    world.run(None);
+    let marks = marks.borrow();
+    let [(allocs0, done0), (allocs1, done1)] = marks[..] else {
+        panic!("both window marks fired: {marks:?}");
+    };
+    let ios = done1 - done0;
+    assert!(ios > 10_000, "the window completed {ios} I/Os");
+    let per_io = (allocs1 - allocs0) as f64 / ios as f64;
+    assert!(
+        per_io <= 1.1,
+        "{per_io:.3} heap allocations per completed I/O ({} over {ios} I/Os)",
+        allocs1 - allocs0
+    );
 }
 
 /// A BMS-Engine on one SSD with function 0 bound, its I/O queue pair,
@@ -220,5 +263,6 @@ fn hot_path_allocation_budget() {
     alloc::arm();
     pure_scheduler_steady_state_is_allocation_free();
     bm_store_read_window_does_not_grow_the_arena();
+    bm_store_read_window_allocates_once_per_io();
     prp_list_doorbell_allocates_like_a_single_page_read();
 }
