@@ -15,6 +15,7 @@
 //!   throughput (§III-B).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod arm_offload;
 pub mod native;

@@ -32,9 +32,17 @@ fn run_case(name: &str, cfg: TestbedConfig, spec: FioSpec, profile: bool) -> Ben
     if profile {
         cfg = cfg.with_profiler();
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side timer for the report's setup_s; never feeds the simulation"
+    )]
     let started = std::time::Instant::now();
     let rig = prepare_fio(cfg, spec);
     let setup_s = started.elapsed().as_secs_f64();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side timer for the report's events/sec; never feeds the simulation"
+    )]
     let run_started = std::time::Instant::now();
     let (results, world) = rig.run();
     let run_s = run_started.elapsed().as_secs_f64();

@@ -15,7 +15,7 @@ use bm_testbed::{
     BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, Testbed, TestbedConfig,
     World,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 struct Loader {
     dev: DeviceId,
@@ -96,7 +96,7 @@ fn main() {
 
     // Group spans by command (Chrome tid); every command must have one
     // root "cmd" span with every stage span nested inside it.
-    let mut by_cmd: HashMap<u64, Vec<&ParsedSpan>> = HashMap::new();
+    let mut by_cmd: BTreeMap<u64, Vec<&ParsedSpan>> = BTreeMap::new();
     for s in &spans {
         by_cmd.entry(s.tid).or_default().push(s);
     }

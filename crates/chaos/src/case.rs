@@ -254,11 +254,14 @@ fn run_case_inner(
         .map(|t| world.add_client(Box::new(t)))
         .collect();
     let mut world = world.run(None);
+    #[expect(
+        clippy::expect_used,
+        reason = "every id came from add_client for a ChaosTenant above; skipping one would shift the tenant numbering of every oracle"
+    )]
     let shared_all: Vec<_> = ids
         .iter()
         .map(|&id| {
             let tenant = world.client_as::<ChaosTenant>(id);
-            // bm-lint: allow(panic-path): every id came from add_client for a ChaosTenant above; skipping one would shift the tenant numbering of every oracle
             &tenant.expect("chaos tenant").shared
         })
         .collect();

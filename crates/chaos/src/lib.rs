@@ -25,6 +25,17 @@
 //! process-seeded randomness, no hash-order iteration.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 mod case;
 mod generate;

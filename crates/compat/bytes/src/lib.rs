@@ -6,6 +6,7 @@
 //! Only the slice of the upstream API this workspace uses is present.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::dbg_macro, clippy::todo)]
 
 use std::fmt;
 use std::hash::{Hash, Hasher};

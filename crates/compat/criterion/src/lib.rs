@@ -8,6 +8,11 @@
 //! iteration; there is no statistical analysis or HTML report.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::dbg_macro, clippy::todo)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall time; clippy.toml's clock rule is for simulation code"
+)]
 
 use std::time::{Duration, Instant};
 

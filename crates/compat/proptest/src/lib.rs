@@ -12,6 +12,7 @@
 //! seeded from the test's module path), and no persistence files.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::dbg_macro, clippy::todo)]
 
 pub mod strategy {
     //! Value-generation strategies.

@@ -10,6 +10,7 @@
 //! seeded simulations reproduce the recorded experiment outputs.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::dbg_macro, clippy::todo)]
 
 /// The core of a random number generator.
 pub trait RngCore {

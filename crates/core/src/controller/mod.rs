@@ -209,7 +209,10 @@ impl BmsController {
                 Ok(cmd) => self.dispatch_vendor(now, cmd, engine, backend, host),
                 Err(_) => (MiResponse::err(MiStatus::InvalidParameter), Vec::new()),
             },
-            _ => (MiResponse::err(MiStatus::InvalidParameter), Vec::new()),
+            MiOpcode::ReadDataStructure
+            | MiOpcode::ConfigSet
+            | MiOpcode::ConfigGet
+            | MiOpcode::VpdRead => (MiResponse::err(MiStatus::InvalidParameter), Vec::new()),
         }
     }
 
@@ -343,6 +346,10 @@ impl BmsController {
                     resumed.extend(engine.resume_ssd(now, old, host));
                 }
                 let actions = resumed.into_iter().map(ControllerAction::Engine).collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): the transition was validated before the engine was mutated"
+                )]
                 let report = state
                     .finish(now, new, retargeted)
                     .expect("transition validated before engine mutation");
@@ -370,6 +377,10 @@ impl BmsController {
         engine: &mut BmsEngine,
         host: &mut HostMemory,
     ) -> Vec<EngineAction> {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): callers schedule FinishUpgrade only after starting an upgrade on this SSD"
+        )]
         let mut state = self
             .upgrades
             .remove(&ssd.0)

@@ -120,12 +120,15 @@ impl IoCounters {
     /// # Panics
     ///
     /// Panics if `func` is outside the bank or the gauge underflows.
+    #[expect(
+        clippy::expect_used,
+        reason = "a gauge underflow means a completion was double-counted; continuing would corrupt every downstream stat"
+    )]
     pub fn command_finished(&mut self, func: FunctionId, latency: SimDuration) {
         let r = &mut self.regs[func.index() as usize];
         r.outstanding = r
             .outstanding
             .checked_sub(1)
-            // bm-lint: allow(panic-path): a gauge underflow means a completion was double-counted; continuing would corrupt every downstream stat
             .expect("outstanding gauge underflow");
         let ns = latency.as_nanos();
         r.latency_buckets[MonitorRegs::bucket_for(ns)] += 1;

@@ -80,8 +80,11 @@ impl GlobalPrp {
     /// Strips the tag: returns `(host address, function, is_list)`.
     /// An all-zero tag decodes as function 0, no list flag.
     pub fn untag(addr: PciAddr) -> (PciAddr, FunctionId, bool) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the value is masked to 7 bits, which FunctionId::new always accepts"
+        )]
         let func =
-            // bm-lint: allow(panic-path): the value is masked to 7 bits on the line itself, which FunctionId::new always accepts
             FunctionId::new((addr.raw() >> FUNC_SHIFT) as u8 & 0x7F).expect("7 bits always fit");
         let is_list = addr.raw() & (1 << LIST_FLAG_SHIFT) != 0;
         (PciAddr::new(addr.raw() & !TAG_MASK), func, is_list)

@@ -92,12 +92,24 @@ impl BackEndPort {
     ///
     /// Panics if chip memory is exhausted.
     pub fn new(ssd: SsdId, entries: u16, chip: &mut HostMemory) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the chip is sized for every back-end port; exhaustion is a configuration bug"
+        )]
         let sq_local = chip
             .alloc(entries as u64 * SQE_SIZE)
             .expect("chip memory for back-end SQ");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the chip is sized for every back-end port; exhaustion is a configuration bug"
+        )]
         let cq_local = chip
             .alloc(entries as u64 * CQE_SIZE)
             .expect("chip memory for back-end CQ");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the chip is sized for every back-end port; exhaustion is a configuration bug"
+        )]
         let list_base = chip
             .alloc(entries as u64 * 4096)
             .expect("chip memory for PRP-list slots");
@@ -190,7 +202,10 @@ impl BackEndPort {
     /// Panics if no capacity remains (callers must gate on
     /// [`BackEndPort::has_capacity`]).
     pub fn reserve(&mut self, origin: Outstanding) -> (Cid, PciAddr) {
-        // bm-lint: allow(panic-path): documented contract — callers gate on has_capacity(), so an empty free list is a bookkeeping bug that must stop the sim
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — callers gate on has_capacity(), so an empty free list is a bookkeeping bug that must stop the sim"
+        )]
         let cid = self.free_cids.pop().expect("back-end CID available");
         self.live_slots += 1;
         self.inflight_payload += origin.bytes;

@@ -239,6 +239,10 @@ impl MappingTable {
                 if row.valid & (1 << slot) != 0 {
                     let e = MapEntry::from_raw(row.entries[slot]);
                     if e.ssd() == from {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "panic-path debt (ROADMAP item 4): the chunk base came from a valid entry"
+                        )]
                         let new = MapEntry::new(e.chunk_base(), to)
                             .expect("chunk base already validated");
                         row.entries[slot] = new.raw();
@@ -329,6 +333,10 @@ impl ChunkAllocator {
             let ssd = cursor % self.free.len();
             cursor += 1;
             if let Some(chunk) = self.free[ssd].pop() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): free chunk ids fit 6 bits"
+                )]
                 out.push(MapEntry::new(chunk, SsdId(ssd as u8)).expect("chunk fits 6 bits"));
             }
         }
@@ -349,7 +357,15 @@ impl ChunkAllocator {
         }
         Ok((0..n)
             .map(|_| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): the length check above covers every pop"
+                )]
                 let chunk = free.pop().expect("length checked");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): free chunk ids fit 6 bits"
+                )]
                 MapEntry::new(chunk, ssd).expect("chunk fits 6 bits")
             })
             .collect())
@@ -500,7 +516,7 @@ mod tests {
     fn allocated_chunks_never_collide() {
         let mut alloc = ChunkAllocator::new(4, 2_000_000_000_000);
         let entries = alloc.alloc_round_robin(100).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for e in entries {
             assert!(seen.insert((e.ssd(), e.chunk_base())), "duplicate chunk");
         }

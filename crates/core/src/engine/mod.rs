@@ -830,6 +830,10 @@ impl BmsEngine {
         let row_base = self.next_free_row;
         self.next_free_row += rows;
         for (i, e) in entries.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): the rows were reserved above"
+            )]
             self.mapping
                 .install(row_base + i / ENTRIES_PER_ROW, i % ENTRIES_PER_ROW, *e)
                 .expect("rows reserved above");
@@ -855,6 +859,10 @@ impl BmsEngine {
         match self.functions[idx].unbind() {
             Some(binding) => {
                 self.chunk_alloc.release(&binding.entries);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): a binding's rows were installed in the table"
+                )]
                 self.mapping
                     .clear_rows(binding.row_base, binding.rows)
                     .expect("binding rows are in-table");
@@ -1635,6 +1643,10 @@ impl BmsEngine {
         );
         // QoS admission (flush bypasses QoS).
         if io.sqe.io_opcode() != Some(IoOpcode::Flush) {
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
+            )]
             let binding = self.functions[idx].binding_mut().expect("validated");
             match binding.qos.admit(now, bytes) {
                 Admission::Immediate => {}
@@ -1670,6 +1682,10 @@ impl BmsEngine {
         if io.sqe.io_opcode() == Some(IoOpcode::Flush) {
             // Fan a flush out to every SSD backing the namespace.
             let idx = io.func.index() as usize;
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
+            )]
             let binding = self.functions[idx].binding().expect("validated");
             let mut ssds: Vec<SsdId> = binding.entries.iter().map(|e| e.ssd()).collect();
             ssds.sort_unstable();
@@ -1715,6 +1731,10 @@ impl BmsEngine {
     /// Computes the back-end spans of an I/O command into `spans`:
     /// `(ssd, physical LBA, block offset into transfer, block count)`.
     fn split_spans_into(&self, io: &PendingIo, spans: &mut Vec<(SsdId, Lba, u32, u32)>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
+        )]
         let binding = self.functions[io.func.index() as usize]
             .binding()
             .expect("validated");
@@ -1726,6 +1746,10 @@ impl BmsEngine {
         while remaining > 0 {
             let in_chunk = cs - (hl % cs);
             let n = remaining.min(in_chunk);
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): the doorbell validated the LBA range against the binding's size"
+            )]
             let (ssd, pl) = self
                 .mapping
                 .map(binding.row_base, Lba(hl))
@@ -1743,6 +1767,10 @@ impl BmsEngine {
     /// [`Self::push_to_port`] fills in the global-PRP data pointers once
     /// the command has its chip slot.
     fn rewrite_io(io: &PendingIo, pl: Lba, block_off: u32, nblocks: u32) -> Sqe {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): only I/O commands reach the back-end rewrite"
+        )]
         let mut sqe = Sqe::io(
             io.sqe.io_opcode().expect("I/O command"),
             io.host_cid, // replaced with the back-end CID at enqueue

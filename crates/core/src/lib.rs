@@ -14,7 +14,17 @@
 //! See `DESIGN.md` at the repository root for the experiment index.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod controller;
 pub mod engine;

@@ -20,7 +20,7 @@ use bmstore_core::engine::mapping::{
 use bmstore_core::engine::qos::{Admission, NamespaceQos, QosLimit};
 use bmstore_core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Function 1, a VF: its tag is non-zero, so an untagged or mistagged
 /// pointer cannot pass for a tagged one.
@@ -105,7 +105,7 @@ proptest! {
         takes in proptest::collection::vec(1usize..8, 1..12),
     ) {
         let mut alloc = ChunkAllocator::new(4, 2_000_000_000_000);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for n in takes {
             if let Ok(entries) = alloc.alloc_round_robin(n) {
                 for e in entries {

@@ -166,7 +166,7 @@ mod tests {
     fn table_vi_has_five_distinct_profiles() {
         let profiles = KernelProfile::table_vi();
         assert_eq!(profiles.len(), 5);
-        let names: std::collections::HashSet<_> = profiles.iter().map(|p| p.name).collect();
+        let names: std::collections::BTreeSet<_> = profiles.iter().map(|p| p.name).collect();
         assert_eq!(names.len(), 5);
     }
 }

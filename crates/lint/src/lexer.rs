@@ -1,28 +1,25 @@
 //! A dependency-free Rust tokenizer.
 //!
-//! Replaces the old `mask.rs` character-level masker: instead of
-//! blanking literal contents and handing rules a per-line string to
-//! substring-match, the lexer produces a real token stream (idents,
-//! lifetimes, numeric literals with float/int kind, string/char
-//! literals, multi-character operators) plus per-line comment text for
-//! pragma parsing. Rules match token *sequences*, so `Instant :: now`
-//! split across lines, `.unwrap ()` with interior whitespace, and
-//! identifiers that merely *contain* a needle (`MyHashMapLike`) are all
-//! classified correctly.
+//! The lexer produces a token stream (idents, lifetimes, numeric
+//! literals with float/int kind, string/char literals, multi-character
+//! operators) plus per-line comment text for pragma parsing. Rules match
+//! token *sequences*, so an expression split across lines still matches,
+//! identifiers that merely *contain* a needle (`my_partial_cmp`) do not,
+//! and nothing inside a literal or a comment ever fires.
 //!
-//! The lexer fixes three edge-case families the old masker
-//! misclassified (regression-pinned in `tests/lexer.rs`):
+//! The tests pin three edge-case families that a character-level
+//! masker misclassifies:
 //!
 //! * **raw strings vs. lifetimes** — `'r"x"` (a lifetime immediately
 //!   followed by a string literal, as appears in `macro_rules!`
-//!   matchers) was consumed as a raw string `r"…"`, swallowing
+//!   matchers) must not be consumed as a raw string `r"…"`, swallowing
 //!   following code;
-//! * **escaped-quote char literals** — `'\''` left the closing quote
-//!   behind as a phantom lifetime token;
-//! * **nested block comments** — per-line comment text dropped the
-//!   nested `*/` delimiter and emitted empty phantom comment entries
-//!   for lines where a multi-line comment merely continued, so pragmas
-//!   inside nested comments could be mis-attributed.
+//! * **escaped-quote char literals** — `'\''` must not leave the closing
+//!   quote behind as a phantom lifetime token;
+//! * **nested block comments** — per-line comment text keeps the
+//!   nested `*/` delimiter and emits no phantom comment entries for
+//!   lines where a multi-line comment merely continues, so pragmas
+//!   inside nested comments are attributed to the right line.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +75,6 @@ pub struct Lexed {
     /// line comments, block comments, and the interior lines of
     /// multi-line block comments are all findable by line.
     pub comments: Vec<(u32, String)>,
-    /// Total number of source lines.
-    pub lines: u32,
 }
 
 impl Lexed {
@@ -175,7 +170,6 @@ impl Lexer {
                 self.punct();
             }
         }
-        self.out.lines = self.line;
         self.out
     }
 

@@ -1,82 +1,58 @@
-//! `bm-lint`: determinism & simulation-safety static analysis for the
-//! BM-Store workspace.
+//! `bm-lint`: the two determinism rules clippy cannot express.
 //!
 //! The whole card — BMS-Engine pipeline, BMS-Controller, fault plans,
 //! telemetry — is a *deterministic* discrete-event simulation: same
 //! seed, same bytes (the property the figure pipeline byte-compares).
-//! Nothing in the compiler enforces that, so this crate does. It is a
-//! hand-rolled two-pass token-stream analyzer in the spirit of the
-//! vendored `crates/compat` subsets: no dependencies, no proc macros,
-//! no network. Pass 1 lexes every workspace file ([`lexer`]) and
-//! builds a cross-crate symbol table ([`symbols`]: enum variants);
-//! pass 2 runs the rules over each file's
-//! token stream with that table in scope:
+//! Clippy enforces most of that (see `clippy.toml`, the workspace lints
+//! table and each crate root); this crate keeps the two rules it cannot
+//! express, as a token scan over the `src` trees of the sim-critical
+//! crates:
 //!
 //! | id | rule |
 //! |----|------|
-//! | `wall-clock`         | no `Instant::now`/`SystemTime` outside `compat`/`bench`/`prof` |
-//! | `iter-order`         | no `HashMap`/`HashSet` in sim-critical crates |
-//! | `unseeded-rng`       | no `thread_rng`/`rand::random`/`OsRng` outside `compat` |
-//! | `panic-path`         | no `unwrap`/`expect`/`panic!` in sim-critical library code |
-//! | `println`            | no `println!`-family output from library crates |
-//! | `wildcard-arm`       | matches over `Effect`/`FaultKind`/`BmsCommand`/`Stage` handle every variant (resolved cross-crate) |
-//! | `float-determinism`  | no `partial_cmp`, order-sensitive float accumulation, or ns→float casts in sim-critical code |
-//! | `time-unit`          | no raw integer literals mixed with `_ns` values without a named unit constructor |
+//! | `float-determinism` | no `partial_cmp`, order-sensitive float accumulation, float thresholds, or ns→float casts |
+//! | `time-unit`         | no raw integer literals mixed with `_ns` values without a named unit constructor |
 //!
-//! Violations are suppressed per-site with
-//! `// bm-lint: allow(<rule>): <justification>` (the justification is
-//! mandatory; a bare pragma is itself a `bad-pragma` finding) and
-//! budgeted per `(rule, crate)` by the committed `lint-baseline.toml`
-//! ratchet: counts may shrink, never grow. Run
-//! `cargo run -p bm-lint -- explain <rule>` for the failure mode each
-//! rule guards against.
+//! A finding is suppressed per site with
+//! `// bm-lint: allow(<rule>): <justification>` on its line or the line
+//! above. A pragma without a justification, or naming any other rule,
+//! is itself a `bad-pragma` finding in every workspace file. The
+//! crate's tests scan the real tree and fail on any unsuppressed
+//! finding; see [`rules::Rule`] for the failure mode each rule guards
+//! against.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
-pub mod selftest;
-pub mod symbols;
 
-pub use baseline::{count_violations, ratchet, Baseline, Counts, RatchetReport};
-pub use rules::{scan_source, FileCtx, FileKind, Rule, Violation, SIM_CRITICAL};
-pub use symbols::SymbolTable;
+pub use rules::{scan_source, Finding, Rule};
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// A workspace source file selected for scanning.
-#[derive(Debug, Clone)]
-pub struct SourceFile {
-    /// Absolute path.
-    pub abs: PathBuf,
-    /// Workspace-relative path (what reports print).
-    pub rel: String,
-    /// Crate + target-kind classification.
-    pub ctx: FileCtx,
-}
+/// Crates whose code is on the simulated data/control path.
+const SIM_CRITICAL: &[&str] = &["sim", "core", "ssd", "pcie", "nvme", "testbed", "chaos"];
 
-/// Finds the workspace root by walking up from `start` to the first
-/// directory whose `Cargo.toml` declares `[workspace]`.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
+/// Whether the rules apply to a workspace-relative `.rs` path: the
+/// `src` tree of a sim-critical crate. Tests, benches and examples are
+/// only checked for bad pragmas.
+fn is_model_code(rel: &str) -> bool {
+    match rel.split('/').collect::<Vec<_>>().as_slice() {
+        ["crates", name, "src", ..] => SIM_CRITICAL.contains(name),
+        _ => false,
     }
 }
 
-/// Enumerates the `.rs` files to scan, classified by crate and target
-/// kind. Deterministic order (sorted directory walks). Skips `target/`,
-/// hidden directories, and this crate's own rule fixtures.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+/// Scans every `.rs` file under `root`'s `src`, `tests`, `examples` and
+/// `crates` directories (skipping `target`, hidden directories and this
+/// crate's fixtures), returning every finding with its
+/// workspace-relative path, in path/line order.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the directory walk or file reads.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<(String, Finding)>> {
     let mut out = Vec::new();
     for top in ["src", "tests", "examples", "crates"] {
         let dir = root.join(top);
@@ -87,12 +63,10 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     Ok(out)
 }
 
-fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<std::io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
+fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Finding)>) -> std::io::Result<()> {
+    let mut entries = std::fs::read_dir(dir)?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<std::io::Result<Vec<_>>>()?;
     entries.sort();
     for path in entries {
         let name = path
@@ -100,104 +74,31 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<(
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
+            // The fixtures are deliberate violations.
+            let skip = name == "target"
+                || name.starts_with('.')
+                || path.ends_with("crates/lint/tests/fixtures");
+            if !skip {
+                walk(root, &path, out)?;
             }
-            // The lint crate's fixtures are deliberate violations.
-            if name == "fixtures" && path.ends_with("crates/lint/tests/fixtures") {
-                continue;
-            }
-            walk(root, &path, out)?;
         } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let Some(ctx) = classify(&rel) else {
+            let src = std::fs::read_to_string(&path)?;
+            let model_code = is_model_code(&rel);
+            // Outside model code only pragmas can be findings.
+            if !model_code && !src.contains("bm-lint:") {
                 continue;
-            };
-            out.push(SourceFile {
-                abs: path,
-                rel,
-                ctx,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Classifies a workspace-relative path into `(crate, kind)`.
-fn classify(rel: &str) -> Option<FileCtx> {
-    let parts: Vec<&str> = rel.split('/').collect();
-    let (crate_id, rest): (&str, &[&str]) = match parts.as_slice() {
-        ["crates", "compat", _name, rest @ ..] => ("compat", rest),
-        ["crates", name, rest @ ..] => (name, rest),
-        ["src" | "tests" | "examples", ..] => ("bmstore", &parts[..]),
-        _ => return None,
-    };
-    let kind = match rest {
-        ["tests", ..] => FileKind::Test,
-        ["benches", ..] => FileKind::Bench,
-        ["examples", ..] => FileKind::Example,
-        ["src", "bin", ..] => FileKind::Bin,
-        ["src", "main.rs"] => FileKind::Bin,
-        ["src", ..] => FileKind::Lib,
-        _ => return None,
-    };
-    Some(FileCtx::new(crate_id, kind))
-}
-
-/// The result of scanning a workspace tree.
-#[derive(Debug, Default)]
-pub struct ScanResult {
-    /// All unsuppressed findings, in path/line order. These count
-    /// against the baseline ratchet.
-    pub violations: Vec<Violation>,
-    /// Findings silenced by a justified pragma, in path/line order.
-    /// Excluded from the ratchet; surfaced by `--format json`.
-    pub suppressed: Vec<Violation>,
-    /// Files scanned.
-    pub files: usize,
-}
-
-/// Scans every workspace source file under `root`: pass 1 lexes all
-/// files and builds the cross-crate [`SymbolTable`]; pass 2 runs the
-/// rules per file with the table in scope.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the directory walk or file reads.
-pub fn scan_workspace(root: &Path) -> std::io::Result<ScanResult> {
-    let files = workspace_files(root)?;
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs))
-        .collect::<std::io::Result<_>>()?;
-    let mut table = SymbolTable::default();
-    for (f, src) in files.iter().zip(&sources) {
-        table.harvest(&f.rel, &f.ctx.crate_id, &lexer::lex(src));
-    }
-    let mut violations = Vec::new();
-    let mut suppressed = Vec::new();
-    for (f, src) in files.iter().zip(&sources) {
-        for v in scan_source(&f.rel, src, &f.ctx, &table) {
-            if v.suppressed {
-                suppressed.push(v);
-            } else {
-                violations.push(v);
+            }
+            for finding in scan_source(&src, model_code) {
+                out.push((rel.clone(), finding));
             }
         }
     }
-    let order =
-        |a: &Violation, b: &Violation| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule));
-    violations.sort_by(order);
-    suppressed.sort_by(order);
-    Ok(ScanResult {
-        violations,
-        suppressed,
-        files: files.len(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -205,23 +106,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_maps_paths_to_crates_and_kinds() {
-        let c = classify("crates/sim/src/engine.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("sim", FileKind::Lib));
-        let c = classify("crates/bench/src/bin/fig08_baremetal.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("bench", FileKind::Bin));
-        let c = classify("crates/testbed/tests/resilience.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("testbed", FileKind::Test));
-        let c = classify("crates/compat/rand/src/lib.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("compat", FileKind::Lib));
-        let c = classify("src/lib.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("bmstore", FileKind::Lib));
-        let c = classify("tests/resilience.rs").unwrap();
-        assert_eq!((c.crate_id.as_str(), c.kind), ("bmstore", FileKind::Test));
-        let c = classify("crates/workloads/examples/apps.rs").unwrap();
-        assert_eq!(
-            (c.crate_id.as_str(), c.kind),
-            ("workloads", FileKind::Example)
-        );
+    fn model_code_is_sim_critical_library_code() {
+        assert!(is_model_code("crates/sim/src/engine.rs"));
+        assert!(is_model_code("crates/testbed/src/schemes/bm_store.rs"));
+        assert!(!is_model_code("crates/testbed/tests/conservation.rs"));
+        assert!(!is_model_code("crates/workloads/src/fio.rs"));
+        assert!(!is_model_code("crates/bench/src/bin/fig08_baremetal.rs"));
+        assert!(!is_model_code("crates/core/benches/x.rs"));
+        assert!(!is_model_code("crates/compat/rand/src/lib.rs"));
+        assert!(!is_model_code("src/lib.rs"));
+        assert!(!is_model_code("tests/resilience.rs"));
     }
 }

@@ -1,7 +1,7 @@
 // Negative fixture: needles in comments and strings must not fire.
-// A comment mentioning HashMap, Instant::now(), thread_rng and panic!.
+// A comment mentioning a.partial_cmp(&b), deadline_ns + 500 and x > 0.95.
 fn clean() -> &'static str {
-    let s = "HashMap + Instant::now() + println! + thread_rng()";
-    /* block comment: rand::random(), SystemTime, _ => swallowed */
+    let s = "xs.iter().sum::<f64>() + lat_ns as f64 + from_nanos(5000)";
+    /* block comment: t_ns - 250 < limit_ns, xs.iter().fold(0.0, f) */
     s
 }

@@ -262,15 +262,47 @@ impl Sqe {
     }
 
     fn parse(b: &[u8; SQE_SIZE as usize], admin: bool) -> Result<Sqe, Status> {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let cdw0 = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
         let op_byte = (cdw0 & 0xFF) as u8;
         let cid = Cid((cdw0 >> 16) as u16);
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let nsid = Nsid::new(u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let prp1 = PciAddr::new(u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let prp2 = PciAddr::new(u64::from_le_bytes(b[32..40].try_into().expect("8 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let slba = Lba(u64::from_le_bytes(b[40..48].try_into().expect("8 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let cdw10 = u32::from_le_bytes(b[40..44].try_into().expect("4 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let cdw11 = u32::from_le_bytes(b[44..48].try_into().expect("4 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let cdw12 = u32::from_le_bytes(b[48..52].try_into().expect("4 bytes"));
         let opcode = if admin {
             Opcode::Admin(match op_byte {
@@ -366,10 +398,30 @@ impl Cqe {
 
     /// Parses the 16-byte wire format.
     pub fn from_bytes(b: &[u8; CQE_SIZE as usize]) -> Cqe {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let result = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let sq_head = u16::from_le_bytes(b[8..10].try_into().expect("2 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let sq_id = QueueId(u16::from_le_bytes(b[10..12].try_into().expect("2 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let cid = Cid(u16::from_le_bytes(b[12..14].try_into().expect("2 bytes")));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
+        )]
         let sf = u16::from_le_bytes(b[14..16].try_into().expect("2 bytes"));
         Cqe {
             result,

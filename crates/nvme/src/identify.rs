@@ -64,6 +64,10 @@ impl IdentifyController {
     /// Panics if `page` is shorter than [`IDENTIFY_PAGE_SIZE`].
     pub fn from_page(page: &[u8]) -> Self {
         assert!(page.len() >= IDENTIFY_PAGE_SIZE, "short identify page");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the length assert keeps these constant ranges in bounds"
+        )]
         IdentifyController {
             vid: u16::from_le_bytes(page[0..2].try_into().expect("2 bytes")),
             serial: read_padded(&page[4..24]),
@@ -114,6 +118,10 @@ impl IdentifyNamespace {
     /// Panics if `page` is shorter than [`IDENTIFY_PAGE_SIZE`].
     pub fn from_page(page: &[u8]) -> Self {
         assert!(page.len() >= IDENTIFY_PAGE_SIZE, "short identify page");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the length assert keeps this constant range in bounds"
+        )]
         IdentifyNamespace {
             nsze: u64::from_le_bytes(page[0..8].try_into().expect("8 bytes")),
             block_size: 1u64 << page[130],

@@ -127,8 +127,16 @@ impl TelemetryLogPage {
         if bytes[1] != TELEMETRY_LOG_VERSION {
             return Err(MiFrameError::UnknownOpcode(bytes[1]));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the length check keeps every fixed field offset in bounds"
+        )]
         let u64_at =
             |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the length check keeps every fixed field offset in bounds"
+        )]
         let u32_at =
             |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
         let mut latency_buckets = [0u64; TELEMETRY_LATENCY_BUCKETS];

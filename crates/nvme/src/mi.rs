@@ -232,6 +232,10 @@ impl HealthStatus {
         if bytes.len() < 8 {
             return Err(MiFrameError::Empty);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the length check keeps the 2-byte range in bounds"
+        )]
         Ok(HealthStatus {
             temperature_k: u16::from_le_bytes(bytes[0..2].try_into().expect("2 bytes")),
             percent_used: bytes[2],

@@ -266,6 +266,10 @@ impl Assembler {
             partial.data.extend_from_slice(&pkt.payload);
         }
         if pkt.eom {
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): the entry for this key was inserted or extended above"
+            )]
             let partial = self.in_progress.remove(&key).expect("just inserted");
             if partial.data.is_empty() {
                 self.errors += 1;

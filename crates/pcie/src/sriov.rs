@@ -79,6 +79,10 @@ impl SriovConfig {
     /// The paper's production configuration: 4 PFs + 124 VFs = 128
     /// independent NVMe devices (§IV-E).
     pub fn bm_store_default() -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): 4 + 124 functions fit the 128-entry function space"
+        )]
         SriovConfig::new(4, 124).expect("4+124 fits the function space")
     }
 
@@ -108,7 +112,15 @@ impl SriovConfig {
     pub fn enumerate(&self) -> Vec<PciFunction> {
         let mut out = Vec::with_capacity(self.total_functions() as usize);
         for i in 0..self.total_functions() {
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): new() bounds pfs + vfs by the function space, so every id fits"
+            )]
             let id = FunctionId::new(i).expect("checked at construction");
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): a parent id is below pfs, which new() keeps inside the function space"
+            )]
             let kind = if i < self.pfs {
                 FunctionKind::Physical
             } else {

@@ -72,7 +72,7 @@ impl Tlp {
     pub fn addr(&self) -> Option<PciAddr> {
         match self {
             Tlp::MemWrite { addr, .. } | Tlp::MemRead { addr, .. } => Some(*addr),
-            _ => None,
+            Tlp::Completion { .. } | Tlp::Msi { .. } | Tlp::VendorMsg { .. } => None,
         }
     }
 

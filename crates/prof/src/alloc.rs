@@ -80,7 +80,10 @@ pub struct CountingAlloc;
 // SAFETY: defers all memory operations to `System`; only adds
 // thread-local counter bumps around them, which never allocate
 // (const-initialized `Cell`s) and never touch the returned pointers.
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; see SAFETY above"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counting_here() {

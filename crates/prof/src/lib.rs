@@ -17,10 +17,10 @@
 //! observes feeds back into scheduling, event ordering, or any model
 //! state. A run with the profiler enabled therefore produces
 //! byte-identical figures to a run without it — the property
-//! `bmstore_cli prof --smoke` gates on. This crate (together with
-//! `crates/bench`) is the sanctioned audit point for bm-lint's R1
-//! wall-clock rule: everything else in the workspace reaches the host
-//! clock through these two crates or not at all.
+//! `bmstore_cli prof --smoke` gates on. `clippy.toml` disallows
+//! `Instant::now` in the workspace; [`monotonic_ns`] is one of its three
+//! sanctioned reads (the other two are `bench_report`'s timers), so
+//! everything else reaches the host clock through it or not at all.
 //!
 //! # Cost model
 //!
@@ -35,6 +35,7 @@
 //! maximum among timed dispatches and is reported unscaled.
 
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod alloc;
 pub mod report;
@@ -53,9 +54,12 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic nanoseconds since the first call in this process.
 ///
-/// The single sanctioned wall-clock read for harness code that must
-/// measure host time (e.g. the profiler's own overhead test) without
-/// spelling `Instant::now()` outside the R1-exempt crates.
+/// The sanctioned wall-clock read for harness code that must measure
+/// host time (e.g. the profiler's own overhead test).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the profiler measures host time; its readings never feed back into the simulation"
+)]
 pub fn monotonic_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -119,7 +119,10 @@ impl Observer {
     }
 
     /// A command passed a stage ([`TelemetryRecorder::span`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "forwards TelemetryRecorder::span's fields unchanged"
+    )]
     #[inline]
     pub fn span(
         &mut self,

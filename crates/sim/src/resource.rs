@@ -132,12 +132,15 @@ impl MultiServer {
     /// Serves a request of `service` on the earliest-free unit, returning
     /// completion time.
     pub fn occupy(&mut self, now: SimTime, service: SimDuration) -> SimTime {
+        #[expect(
+            clippy::expect_used,
+            reason = "`MultiServer::new` asserts m > 0, so `units` is never empty"
+        )]
         let (idx, _) = self
             .units
             .iter()
             .enumerate()
             .min_by_key(|(_, &t)| t)
-            // bm-lint: allow(panic-path): `MultiServer::new` asserts m > 0, so `units` is never empty
             .expect("at least one unit");
         let start = self.units[idx].max(now);
         self.units[idx] = start + service;

@@ -148,12 +148,6 @@ impl SloSpec {
         self.clear_burn = clear;
         self
     }
-
-    /// Overrides the severity.
-    pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
-        self
-    }
 }
 
 /// The full SLO policy handed to the testbed via

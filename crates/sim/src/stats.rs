@@ -312,16 +312,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// The smallest value, if any samples exist.
-    pub fn min_value(&self) -> Option<f64> {
-        self.points.iter().map(|p| p.1).reduce(f64::min)
-    }
-
-    /// The largest value, if any samples exist.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points.iter().map(|p| p.1).reduce(f64::max)
-    }
-
     /// The mean value (zero if empty).
     pub fn mean(&self) -> f64 {
         if self.points.is_empty() {
@@ -462,8 +452,6 @@ mod tests {
         ts.push(SimTime::from_nanos(0), 2.0);
         ts.push(SimTime::from_nanos(1), 4.0);
         ts.push(SimTime::from_nanos(2), 6.0);
-        assert_eq!(ts.min_value(), Some(2.0));
-        assert_eq!(ts.max_value(), Some(6.0));
         assert_eq!(ts.mean(), 4.0);
         assert_eq!(ts.name(), "bw");
     }

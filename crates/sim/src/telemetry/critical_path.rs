@@ -481,46 +481,6 @@ fn blame_one(root: &Span, children: &[Span], windows: &BlameWindows, retries: u3
     }
 }
 
-/// Renders the top-k slowest commands and every blame profile as an
-/// aligned text report (the per-command analogue of the stage-level
-/// bottleneck table).
-pub fn render_report(analysis: &CriticalPathAnalysis, k: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "critical paths: {} commands analyzed, top {}",
-        analysis.commands.len(),
-        k.min(analysis.commands.len()),
-    );
-    for b in analysis.top_slowest(k) {
-        let _ = writeln!(
-            out,
-            "  cmd={} tenant={} op=0x{:02x} total={}ns path: {}",
-            b.cmd.0,
-            b.tenant,
-            b.opcode,
-            b.total().as_nanos(),
-            b.render_path(),
-        );
-    }
-    let _ = writeln!(out, "blame profiles ({}):", analysis.profiles.len());
-    for ((tenant, opcode), p) in &analysis.profiles {
-        let dominant = p.dominant().map(|(n, _)| n).unwrap_or("(idle)");
-        let _ = writeln!(
-            out,
-            "  tenant={} op=0x{:02x} n={} mean={}ns p99={}ns dominant={} fault-overlap={}ns",
-            tenant,
-            opcode,
-            p.commands,
-            p.total.mean().as_nanos(),
-            p.total.percentile(0.99).as_nanos(),
-            dominant,
-            p.fault_overlap.as_nanos(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,8 +588,6 @@ mod tests {
         assert_eq!(profile.commands, 4);
         assert_eq!(profile.total.count(), 4);
         assert_eq!(profile.dominant().unwrap().0, "backend");
-        let report = render_report(&analysis, 2);
-        assert!(report.contains("dominant=backend"));
     }
 
     #[test]

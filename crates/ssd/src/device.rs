@@ -461,12 +461,24 @@ impl Ssd {
         out: &mut Vec<CompletedIo>,
     ) {
         {
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): doorbells arrive only for attached queues"
+            )]
             let pair = self.pair_mut(qid).expect("doorbell for unattached queue");
+            #[expect(
+                clippy::expect_used,
+                reason = "panic-path debt (ROADMAP item 4): doorbell tails stay inside the ring"
+            )]
             pair.sq.doorbell_tail(tail).expect("doorbell in range");
         }
         let first = out.len();
         loop {
             let fetch = {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): the queue was attached when its doorbell rang"
+                )]
                 let pair = self.pair_mut(qid).expect("attached");
                 if pair.sq.is_empty() {
                     break;
@@ -783,6 +795,10 @@ impl Ssd {
         io: &CompletedIo,
         mut dma: &mut dyn DmaContext,
     ) -> Result<Cqe, QueueFull> {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the queue pair was attached when the command was fetched"
+        )]
         let pair = self
             .pair_mut(io.qid)
             .expect("completion for attached queue");
@@ -849,7 +865,15 @@ impl Ssd {
     /// Panics if `qid` has no attached queue pair or the value is out of
     /// range.
     pub fn ring_cq_doorbell(&mut self, qid: QueueId, head: u32) {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): doorbells arrive only for attached queues"
+        )]
         let pair = self.pair_mut(qid).expect("doorbell for unattached queue");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): doorbell heads stay inside the ring"
+        )]
         pair.cq.doorbell_head(head).expect("doorbell in range");
     }
 }

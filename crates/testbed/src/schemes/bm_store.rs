@@ -57,7 +57,15 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
     }
     let mut funcs = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): FunctionId holds 128 functions and the harness builds fewer devices"
+        )]
         let func = FunctionId::new(i as u8).expect("≤128 devices");
+        #[expect(
+            clippy::expect_used,
+            reason = "panic-path debt (ROADMAP item 4): the harness sizes the back-end for every namespace it binds"
+        )]
         engine
             .bind_namespace(func, spec.size_bytes, spec.placement)
             .expect("binding fits the back-end");
@@ -88,6 +96,10 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
 
 /// Maps front-end identity back to the device.
 fn device_for(funcs: &[(FunctionId, QueueId)], func: FunctionId, qid: QueueId) -> DeviceId {
+    #[expect(
+        clippy::expect_used,
+        reason = "panic-path debt (ROADMAP item 4): the engine only reports queues that build() registered"
+    )]
     funcs
         .iter()
         .position(|&(f, q)| f == func && q == qid)
@@ -149,7 +161,10 @@ fn actions_to_effects(
 
 /// One engine pipeline stage, run while the engine holds the world's
 /// observer; its effects go to `out`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scheme's disjoint borrows are passed apart so the engine can hold the world's observer"
+)]
 fn engine_stage(
     engine: &mut BmsEngine,
     funcs: &[(FunctionId, QueueId)],
@@ -283,8 +298,10 @@ fn engine_stage(
             let mut actions = engine.check_deadline(now, ssd, seq, host_mem);
             actions_to_effects(engine, &mut actions, out);
         }
-        // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
-        other => unreachable!("bm-store scheme never schedules {other:?}"),
+        other @ (Stage::Doorbell { .. }
+        | Stage::Forward { .. }
+        | Stage::BackendComplete { .. }
+        | Stage::GuestComplete { .. }) => unreachable!("bm-store scheme never schedules {other:?}"),
     }
 }
 

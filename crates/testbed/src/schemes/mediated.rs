@@ -164,6 +164,10 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
             // ring its doorbell.
             Stage::Forward { dev, sqe } => {
                 let att = &mut self.attach[dev.0];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): the back-end ring is sized above the guest queue depth"
+                )]
                 att.ssd_sq
                     .push(ctx.host_mem, &sqe)
                     .expect("backend ring sized above queue depth");
@@ -186,6 +190,10 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                         return;
                     }
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
+                )]
                 let dev = *self
                     .direct_map
                     .get(&(ssd, io.qid.0))
@@ -222,6 +230,10 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                     phase: false,
                     status,
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): the guest CQ is sized above the guest queue depth"
+                )]
                 self.attach[dev.0]
                     .guest_cq
                     .post(ctx.host_mem, cqe)
@@ -233,8 +245,15 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                     status,
                 });
             }
-            // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
-            other => unreachable!("mediated scheme never schedules {other:?}"),
+            other @ (Stage::Doorbell { .. }
+            | Stage::EngineDoorbell { .. }
+            | Stage::EngineBackendDoorbell { .. }
+            | Stage::EngineBackendComplete { .. }
+            | Stage::EngineHostCompletion { .. }
+            | Stage::EngineQosWakeup
+            | Stage::EngineDeadline { .. }) => {
+                unreachable!("mediated scheme never schedules {other:?}")
+            }
         }
     }
 

@@ -96,6 +96,10 @@ impl Scheme for DirectScheme {
                         return;
                     }
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
+                )]
                 let dev = *self
                     .direct_map
                     .get(&(ssd, io.qid.0))
@@ -111,8 +115,17 @@ impl Scheme for DirectScheme {
                     status: cqe.status,
                 });
             }
-            // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
-            other => unreachable!("direct scheme never schedules {other:?}"),
+            other @ (Stage::Doorbell { .. }
+            | Stage::Forward { .. }
+            | Stage::GuestComplete { .. }
+            | Stage::EngineDoorbell { .. }
+            | Stage::EngineBackendDoorbell { .. }
+            | Stage::EngineBackendComplete { .. }
+            | Stage::EngineHostCompletion { .. }
+            | Stage::EngineQosWakeup
+            | Stage::EngineDeadline { .. }) => {
+                unreachable!("direct scheme never schedules {other:?}")
+            }
         }
     }
 

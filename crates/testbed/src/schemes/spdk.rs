@@ -28,6 +28,10 @@ impl Mediator for SpdkVhost {
 
 /// Builds the SPDK vhost scheme with `cores` reserved polling cores.
 pub(crate) fn build(ctx: &mut BuildCtx, cores: usize) -> Box<dyn Scheme> {
+    #[expect(
+        clippy::expect_used,
+        reason = "panic-path debt (ROADMAP item 4): the harness reserves no more polling cores than the host has"
+    )]
     let reserved = ctx
         .cpu
         .reserve(cores)

@@ -227,7 +227,10 @@ impl Testbed {
     /// the event hooks; between events it is always occupied, so this
     /// is the single audited access point for that invariant.
     pub(crate) fn scheme_ref(&self) -> &dyn Scheme {
-        // bm-lint: allow(panic-path): take/put-back invariant — the scheme is absent only inside with_scheme's borrow window, which cannot call back in here
+        #[expect(
+            clippy::expect_used,
+            reason = "take/put-back invariant — the scheme is absent only inside with_scheme's borrow window, which cannot call back in here"
+        )]
         self.scheme.as_deref().expect("scheme present")
     }
 
@@ -256,7 +259,10 @@ impl Testbed {
     ///
     /// Panics if host memory is exhausted.
     pub fn register_buffer(&mut self, bytes: u64) -> BufferId {
-        // bm-lint: allow(panic-path): documented contract — registration is setup-time, before the clock starts; exhaustion here is a harness sizing bug
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — registration is setup-time, before the clock starts; exhaustion here is a harness sizing bug"
+        )]
         let buf = self.host_mem.alloc(bytes).expect("buffer memory");
         let prp = PrpPair::build(&mut self.host_mem, buf, bytes);
         self.buffers.push(prp);
@@ -724,7 +730,10 @@ impl World {
     ///
     /// Panics if the id is invalid.
     pub fn client(&self, id: ClientId) -> &dyn Client {
-        // bm-lint: allow(panic-path): documented contract — the doc comment says "Panics if the id is invalid"; ids only come from add_client
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — the doc comment says \"Panics if the id is invalid\"; ids only come from add_client"
+        )]
         self.clients[id.0].as_deref().expect("client present")
     }
 
@@ -793,7 +802,10 @@ impl World {
             ClientCall::Completion(_) => "client:completion",
             ClientCall::Timer => "client:timer",
         });
-        // bm-lint: allow(panic-path): take/put-back invariant — the client is put back unconditionally below, and client hooks cannot re-enter here
+        #[expect(
+            clippy::expect_used,
+            reason = "take/put-back invariant — the client is put back unconditionally below, and client hooks cannot re-enter here"
+        )]
         let mut client = self.clients[id.0].take().expect("client present");
         let out = match call {
             ClientCall::Start => client.start(now),
@@ -813,7 +825,10 @@ impl World {
     /// Runs `f` with the scheme taken out of the testbed, so hooks can
     /// borrow the scheme and the remaining testbed resources at once.
     fn with_scheme<R>(&mut self, f: impl FnOnce(&mut dyn Scheme, &mut SchemeCtx) -> R) -> R {
-        // bm-lint: allow(panic-path): take/put-back invariant — the scheme is put back unconditionally after the hook returns, and hooks cannot re-enter here
+        #[expect(
+            clippy::expect_used,
+            reason = "take/put-back invariant — the scheme is put back unconditionally after the hook returns, and hooks cannot re-enter here"
+        )]
         let mut scheme = self.tb.scheme.take().expect("scheme present");
         let out = {
             let mut ctx = SchemeCtx {
@@ -876,9 +891,12 @@ impl World {
             prp.prp2,
         );
         let dev = &mut self.tb.devices[req.dev.0];
+        #[expect(
+            clippy::expect_used,
+            reason = "config invariant — submit() gates on queue-depth credits, so the ring can never be full here"
+        )]
         dev.sq
             .push(&mut self.tb.host_mem, &sqe)
-            // bm-lint: allow(panic-path): config invariant — submit() gates on queue-depth credits, so the ring can never be full here
             .expect("ring sized above queue depth");
         dev.pending.insert(
             cid,
@@ -897,7 +915,10 @@ impl World {
         self.tb
             .obs
             .begin_command(now, req.dev.0 as u16, cid.0, sqe.opcode.code());
-        // bm-lint: allow(panic-path): take/put-back invariant — restored two lines below; submit cannot re-enter the testbed
+        #[expect(
+            clippy::expect_used,
+            reason = "take/put-back invariant — restored right after submit, which cannot re-enter the testbed"
+        )]
         let mut scheme = self.tb.scheme.take().expect("scheme present");
         let mut effects = self.take_effects();
         scheme.submit(now, req.dev, &sqe, &self.tb.kernel, &mut effects);
@@ -938,8 +959,17 @@ impl World {
                     scheme.on_doorbell(now, dev, tail, ctx, &mut effects)
                 });
             }
-            // bm-lint: allow(wildcard-arm): delegation, not omission — every non-doorbell stage is routed to the scheme, whose own dispatcher is exhaustive
-            other => self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx, &mut effects)),
+            other @ (Stage::Forward { .. }
+            | Stage::BackendComplete { .. }
+            | Stage::GuestComplete { .. }
+            | Stage::EngineDoorbell { .. }
+            | Stage::EngineBackendDoorbell { .. }
+            | Stage::EngineBackendComplete { .. }
+            | Stage::EngineHostCompletion { .. }
+            | Stage::EngineQosWakeup
+            | Stage::EngineDeadline { .. }) => {
+                self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx, &mut effects))
+            }
         }
         self.apply_effects(s, effects);
         self.tb.obs.exit();
@@ -1481,10 +1511,16 @@ impl World {
     /// Panics if not running the BM-Store scheme.
     pub fn swap_ssd_hardware(&mut self, idx: usize) {
         let tb = &mut self.tb;
-        // bm-lint: allow(panic-path): same take/put-back invariant as scheme_mut(); field access kept so cfg stays borrowable alongside
+        #[expect(
+            clippy::expect_used,
+            reason = "same take/put-back invariant as scheme_mut(); field access kept so cfg stays borrowable alongside"
+        )]
         let scheme = tb.scheme.as_deref_mut().expect("scheme present");
+        #[expect(
+            clippy::panic,
+            reason = "documented test-API precondition — the doc comment says \"Panics if not running the BM-Store scheme\""
+        )]
         let Some((engine, _)) = scheme.bm_parts() else {
-            // bm-lint: allow(panic-path): documented test-API precondition — the doc comment says "Panics if not running the BM-Store scheme"
             panic!("hot-plug swap requires the BM-Store scheme");
         };
         let cfg = SsdConfig::p4510_2tb(SsdId(idx as u8))

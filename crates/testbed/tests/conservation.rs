@@ -19,7 +19,7 @@ use bm_testbed::{
 use bmstore_core::FailPolicy;
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 struct Tracker {
@@ -29,7 +29,7 @@ struct Tracker {
     blocks: u32,
     buf: BufferId,
     write_frac: f64,
-    seen_tags: Rc<RefCell<HashSet<u64>>>,
+    seen_tags: Rc<RefCell<BTreeSet<u64>>>,
     failures: Rc<RefCell<u64>>,
 }
 
@@ -102,7 +102,7 @@ proptest! {
         .with_seed(seed);
         let mut tb = Testbed::new(cfg);
         let buf = tb.register_buffer(blocks as u64 * 4096);
-        let seen_tags = Rc::new(RefCell::new(HashSet::new()));
+        let seen_tags = Rc::new(RefCell::new(BTreeSet::new()));
         let failures = Rc::new(RefCell::new(0u64));
         let client = Tracker {
             total,
@@ -145,7 +145,7 @@ struct FaultTracker {
     depth: u32,
     buf: BufferId,
     counts: Rc<RefCell<StatusCounts>>,
-    seen_tags: Rc<RefCell<HashSet<u64>>>,
+    seen_tags: Rc<RefCell<BTreeSet<u64>>>,
 }
 
 impl FaultTracker {
@@ -207,7 +207,7 @@ fn run_under_faults(plan: FaultPlan, depth: u32, total: u64, seed: u64) -> Statu
     let mut tb = Testbed::new(cfg);
     let buf = tb.register_buffer(4096);
     let counts = Rc::new(RefCell::new(StatusCounts::default()));
-    let seen_tags = Rc::new(RefCell::new(HashSet::new()));
+    let seen_tags = Rc::new(RefCell::new(BTreeSet::new()));
     let client = FaultTracker {
         total,
         issued: 0,

@@ -11,6 +11,7 @@
 //! * [`mixed`] — the §V-E multi-VM mixed-workload scenario.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod fio;
 pub mod kvstore;

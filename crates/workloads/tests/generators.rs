@@ -12,7 +12,7 @@ use bm_workloads::ycsb::{YcsbSpec, YcsbWorkload};
 fn fio_table_iv_has_six_cases_with_paper_parameters() {
     let cases = FioSpec::table_iv();
     assert_eq!(cases.len(), 6);
-    let by_name: std::collections::HashMap<_, _> = cases.into_iter().collect();
+    let by_name: std::collections::BTreeMap<_, _> = cases.into_iter().collect();
     assert_eq!(by_name["rand-r-1"].iodepth, 1);
     assert_eq!(by_name["rand-r-128"].iodepth, 128);
     assert_eq!(by_name["rand-w-16"].iodepth, 16);

@@ -18,8 +18,6 @@
 # SSD-stall run with the per-tenant burn-rate SLO engine armed, printing
 # the alert log and the deterministic incident report with critical-path
 # blame attribution.
-# Pass --lint to also print every bm-lint finding (the ratchet check
-# itself already runs as part of the preflight).
 # Set SKIP_CHECKS=1 to bypass the preflight (e.g. when iterating on a
 # single figure with a tree that is known-good).
 set -e
@@ -29,7 +27,6 @@ fi
 with_faults=0
 with_telemetry=0
 with_metrics=0
-with_lint=0
 with_chaos=0
 with_slo=0
 figure_args=""
@@ -44,17 +41,12 @@ for arg in "$@"; do
         with_telemetry=1
     elif [ "$arg" = "--metrics" ]; then
         with_metrics=1
-    elif [ "$arg" = "--lint" ]; then
-        with_lint=1
     else
         figure_args="$figure_args $arg"
     fi
 done
 # shellcheck disable=SC2086 # word-splitting figure_args is intended
 set -- $figure_args
-if [ "$with_lint" = "1" ]; then
-    cargo run --release -q -p bm-lint -- list
-fi
 if [ "$with_faults" = "1" ]; then
     cargo run --release -q -p bm-bench --bin faults_smoke -- "$@"
 fi

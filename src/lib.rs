@@ -5,6 +5,7 @@
 //! architecture overview and DESIGN.md for the full system inventory.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use bm_baselines as baselines;
 pub use bm_chaos as chaos;

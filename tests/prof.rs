@@ -9,7 +9,8 @@
 //!    noise hits both sides.
 //!
 //! Wall time is read through `bmstore::prof::monotonic_ns`, the
-//! sanctioned audit point for harness timing (bm-lint rule R1).
+//! sanctioned audit point for harness timing (`clippy.toml` disallows
+//! `Instant::now` everywhere else).
 
 use bmstore::prof::monotonic_ns;
 use bmstore::testbed::TestbedConfig;

@@ -22,7 +22,7 @@ use bmstore::testbed::{
     Testbed, TestbedConfig, World,
 };
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 const N_LBAS: usize = 6;
@@ -43,7 +43,7 @@ fn pattern(dev: usize, lba: u64) -> Vec<u8> {
 #[derive(Default)]
 struct TenantStats {
     issued: u64,
-    seen_tags: HashSet<u64>,
+    seen_tags: BTreeSet<u64>,
     failures: u64,
 }
 

@@ -27,7 +27,7 @@ use bmstore::testbed::{
     World,
 };
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const SPIKE_US: u64 = 300;
@@ -205,7 +205,7 @@ fn injected_slowdown_is_attributable_from_the_trace() {
         .map(chrome_trace)
         .expect("telemetry enabled");
     let spans = parse_chrome_trace(&trace).expect("exported trace parses");
-    let mut by_cmd: HashMap<u64, Vec<&ParsedSpan>> = HashMap::new();
+    let mut by_cmd: BTreeMap<u64, Vec<&ParsedSpan>> = BTreeMap::new();
     for s in &spans {
         by_cmd.entry(s.tid).or_default().push(s);
     }
