@@ -42,7 +42,7 @@ use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
 use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr, SriovConfig};
-use bm_sim::metrics::{names as metric_names, stages as metric_stages, MetricKey};
+use bm_sim::metrics::{names as metric_names, Metric, Stage as MetricStage};
 use bm_sim::observe::Observer;
 use bm_sim::resource::BandwidthLink;
 use bm_sim::telemetry::{CmdId, TelemetryEventKind, TelemetryStage};
@@ -492,9 +492,6 @@ pub struct BmsEngine {
     /// is then a no-op); a harness lends its own for one call at a time
     /// through [`Self::with_observer`].
     obs: Observer,
-    /// Per-function metric keys, built once so the per-I/O metrics
-    /// blocks never allocate label strings on the hot path.
-    func_metric_keys: Vec<FuncMetricKeys>,
     /// Reused span buffer for [`Self::forward_io`] (hot path).
     span_scratch: Vec<(SsdId, Lba, u32, u32)>,
     /// Reused SQE fetch buffer for [`Self::host_doorbell_write_into`]:
@@ -505,13 +502,6 @@ pub struct BmsEngine {
     done_scratch: Vec<(Outstanding, Cqe)>,
     /// Reused tagged-PRP buffer for [`Self::push_to_port`].
     prp_scratch: Vec<u8>,
-}
-
-/// Cached per-function metric keys (see [`BmsEngine::func_metric_keys`]).
-struct FuncMetricKeys {
-    started: MetricKey,
-    finished: MetricKey,
-    outstanding: MetricKey,
 }
 
 /// Merges runs of *consecutive* actions one burst produced, in
@@ -565,11 +555,6 @@ fn origin_opcode(origin: &Outstanding) -> u8 {
     }
 }
 
-/// Per-function metric key: `name{function="f<idx>"}`.
-fn func_key(name: &'static str, func: FunctionId) -> MetricKey {
-    MetricKey::labeled(name, "function", format_args!("f{}", func.index()))
-}
-
 /// Retry bookkeeping for one in-flight forwarding attempt.
 #[derive(Debug, Clone)]
 struct RetryEntry {
@@ -606,14 +591,6 @@ impl BmsEngine {
             .map(|f| FrontEndFunction::new(f.id()))
             .collect::<Vec<_>>();
         let total = functions.len();
-        let func_metric_keys = functions
-            .iter()
-            .map(|f| FuncMetricKeys {
-                started: func_key(metric_names::ENGINE_STARTED, f.id()),
-                finished: func_key(metric_names::ENGINE_FINISHED, f.id()),
-                outstanding: func_key(metric_names::ENGINE_OUTSTANDING, f.id()),
-            })
-            .collect();
         BmsEngine {
             mapping: MappingTable::new(cfg.mapping_rows, cfg.block_size),
             next_free_row: 0,
@@ -641,7 +618,6 @@ impl BmsEngine {
             restart_at: SimTime::ZERO,
             journal: Vec::new(),
             obs: Observer::default(),
-            func_metric_keys,
             span_scratch: Vec::new(),
             sqe_scratch: Vec::new(),
             done_scratch: Vec::new(),
@@ -719,7 +695,7 @@ impl BmsEngine {
         // The SSD service interval is the `ssd` stage of the bottleneck
         // report, charged whether or not a span recorder is attached.
         self.obs
-            .stage_busy(metric_stages::SSD, end.saturating_since(start), 1);
+            .stage_busy(MetricStage::Ssd, end.saturating_since(start), 1);
         if self.obs.telemetry().is_none() {
             return;
         }
@@ -1429,7 +1405,7 @@ impl BmsEngine {
         if !sqes.is_empty() {
             let n = sqes.len() as u64;
             let busy = self.cfg.timing.command_fetch * n;
-            self.obs.stage_busy(metric_stages::FRONT_END, busy, n);
+            self.obs.stage_busy(MetricStage::FrontEnd, busy, n);
         }
         let from = actions.len();
         for fetched in sqes.drain(..) {
@@ -1630,10 +1606,13 @@ impl BmsEngine {
         self.counters.command_started(io.func);
         if let Some(m) = self.obs.metrics_mut() {
             let outstanding = self.counters.regs(io.func).outstanding;
-            let keys = &self.func_metric_keys[idx];
-            m.stage_busy(metric_stages::TARGET_CTRL, self.cfg.timing.pipeline, 1);
-            m.counter_add(&keys.started, 1);
-            m.gauge_set(now, &keys.outstanding, f64::from(outstanding));
+            m.stage_busy(MetricStage::TargetCtrl, self.cfg.timing.pipeline, 1);
+            m.counter_add_id(Metric::EngineStarted.of(idx), 1);
+            m.gauge_set_id(
+                now,
+                Metric::EngineOutstanding.of(idx),
+                f64::from(outstanding),
+            );
         }
         self.tel_span(
             &io,
@@ -1653,7 +1632,7 @@ impl BmsEngine {
                 Admission::Deferred(at) => {
                     self.counters.record_deferred(io.func);
                     let wait = at.saturating_since(now);
-                    self.obs.stage_busy(metric_stages::QOS, wait, 1);
+                    self.obs.stage_busy(MetricStage::Qos, wait, 1);
                     self.tel_span(&io, TelemetryStage::Qos, now, at);
                     self.qos_seq += 1;
                     self.qos_heap.push(QosRelease {
@@ -1692,7 +1671,7 @@ impl BmsEngine {
             ssds.dedup();
             let n = ssds.len() as u64;
             let busy = self.cfg.timing.pipeline * n;
-            self.obs.stage_busy(metric_stages::MAPPING, busy, n);
+            self.obs.stage_busy(MetricStage::Mapping, busy, n);
             // Single-target commands skip the fan-out table:
             // `finish_origin` treats an untracked origin as its own
             // completion, with the same status and timing.
@@ -1712,7 +1691,7 @@ impl BmsEngine {
         self.split_spans_into(&io, &mut spans);
         let n = spans.len() as u64;
         let busy = self.cfg.timing.pipeline * n;
-        self.obs.stage_busy(metric_stages::MAPPING, busy, n);
+        self.obs.stage_busy(MetricStage::Mapping, busy, n);
         // Single-span commands skip the fan-out table (see the flush
         // branch above).
         if spans.len() > 1 {
@@ -1882,7 +1861,7 @@ impl BmsEngine {
         // Forward window: ring push + doorbell, plus any store-and-
         // forward link wait (the DMA-bound case the profiler must name).
         let busy = at.saturating_since(now);
-        self.obs.stage_busy(metric_stages::DMA_ROUTING, busy, 1);
+        self.obs.stage_busy(MetricStage::DmaRouting, busy, 1);
         actions.push(EngineAction::BackendDoorbell { ssd, tail, at });
     }
 
@@ -2019,13 +1998,17 @@ impl BmsEngine {
                 let copy_wait = at.saturating_since(now + self.cfg.timing.cqe_forward);
                 let busy = at.saturating_since(now) + self.cfg.timing.interrupt - copy_wait;
                 let outstanding = self.counters.regs(origin.func).outstanding;
-                let keys = &self.func_metric_keys[origin.func.index() as usize];
+                let idx = origin.func.index() as usize;
                 if copy_wait > SimDuration::ZERO {
-                    m.stage_busy(metric_stages::DMA_ROUTING, copy_wait, 0);
+                    m.stage_busy(MetricStage::DmaRouting, copy_wait, 0);
                 }
-                m.stage_busy(metric_stages::HOST_ADAPTOR, busy, 1);
-                m.counter_add(&keys.finished, 1);
-                m.gauge_set(now, &keys.outstanding, f64::from(outstanding));
+                m.stage_busy(MetricStage::HostAdaptor, busy, 1);
+                m.counter_add_id(Metric::EngineFinished.of(idx), 1);
+                m.gauge_set_id(
+                    now,
+                    Metric::EngineOutstanding.of(idx),
+                    f64::from(outstanding),
+                );
             }
             if origin.cmd.is_some() {
                 self.obs.span(

@@ -1,12 +1,15 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, unbind racing in-flight I/O, missing data pointers, and
-//! malformed SQEs.
+//! paused SSD, unbind racing in-flight I/O, missing data pointers,
+//! malformed SQEs, and observers lent in turn.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Status, SubmissionQueue};
 use bm_pcie::{FunctionId, HostMemory, PciAddr};
+use bm_sim::metrics::{names, stages, MetricKey, MetricsRegistry};
+use bm_sim::observe::Observer;
+use bm_sim::telemetry::{AggKey, TelemetryRecorder, TelemetryStage};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use bmstore_core::engine::qos::QosLimit;
@@ -379,4 +382,80 @@ fn missing_data_pointers_complete_invalid_field() {
         &mut host,
     );
     assert_eq!(engine.adaptor().port(SsdId(0)).forwarded(), 1);
+}
+
+/// One observer with metrics and telemetry on.
+fn full_observer() -> Observer {
+    let telemetry = TelemetryRecorder::new(TelemetryRecorder::DEFAULT_CAPACITY);
+    Observer::new(Some(telemetry), Some(MetricsRegistry::new()), None, None)
+}
+
+#[test]
+fn lent_observers_count_only_their_own_calls() {
+    let (mut engine, mut host, mut host_sq) = rig(64);
+    // The SSD's persistent view of its rings, as the testbed keeps it.
+    let (mut ssd_sq, mut ssd_cq) = engine.ssd_rings(SsdId(0));
+    let mut ssd_mem = HostMemory::new(1 << 20);
+    let mut observers = [full_observer(), full_observer()];
+    let mut next_cid = 0u16;
+    // A, then a fresh B, then A again: each call runs one full round
+    // trip of `n` reads (doorbell, back-end service, completion).
+    for (which, n) in [(0, 5u16), (1, 7), (0, 3)] {
+        let obs = &mut observers[which];
+        let now = SimTime::from_nanos(u64::from(next_cid) * 10_000);
+        for _ in 0..n {
+            obs.begin_command(now, 0, next_cid, IoOpcode::Read.code());
+            host_sq.push(&mut host, &read_sqe(next_cid)).unwrap();
+            next_cid += 1;
+        }
+        engine.with_observer(obs, |engine| {
+            let tail = u32::from(host_sq.tail());
+            let db = DoorbellLayout::sq_tail_offset(QueueId(1));
+            let actions = engine.host_doorbell_write(now, fid(0), db, tail, &mut host);
+            let Some(&EngineAction::BackendDoorbell { tail, .. }) = actions.last() else {
+                panic!("no back-end doorbell: {actions:?}");
+            };
+            ssd_sq.doorbell_tail(tail).unwrap();
+            let done = now + SimDuration::from_us(80);
+            while let Some(sqe) = ssd_sq.fetch(&mut engine.dma_router(&mut ssd_mem)).unwrap() {
+                engine.record_backend_span(SsdId(0), sqe.cid, now, done, true);
+                let cqe = bm_nvme::Cqe::success(sqe.cid, QueueId(1), ssd_sq.head(), false);
+                ssd_cq
+                    .post(&mut engine.dma_router(&mut ssd_mem), cqe)
+                    .unwrap();
+            }
+            let (actions, _) = engine.on_backend_completion(done, SsdId(0), &mut host);
+            assert_eq!(actions.len(), usize::from(n), "{actions:?}");
+        });
+    }
+    // A counts its 5 + 3 commands and B its 7; the gauge peaks at the
+    // deepest burst each one saw.
+    for (obs, want, peak) in [(&observers[0], 8u64, 5.0), (&observers[1], 7, 7.0)] {
+        let reg = obs.metrics().unwrap();
+        let f0 = |name| MetricKey::labeled(name, "function", "f0");
+        let ssd_arrivals = MetricKey::labeled(names::STAGE_ARRIVALS, "stage", stages::SSD);
+        assert_eq!(reg.counter(&f0(names::ENGINE_STARTED)), want);
+        assert_eq!(reg.counter(&f0(names::ENGINE_FINISHED)), want);
+        assert_eq!(reg.counter(&ssd_arrivals), want);
+        let outstanding = reg.gauge(&f0(names::ENGINE_OUTSTANDING)).unwrap();
+        assert_eq!((outstanding.value(), outstanding.peak()), (0.0, peak));
+        let rec = obs.telemetry().unwrap();
+        for stage in [
+            TelemetryStage::Fetch,
+            TelemetryStage::Backend,
+            TelemetryStage::Completion,
+        ] {
+            let key = AggKey {
+                tenant: 0,
+                function: 0,
+                opcode: IoOpcode::Read.code(),
+                stage,
+            };
+            assert_eq!(
+                rec.histogram(&key).map(|h| h.count()),
+                Some(want),
+                "{stage:?}"
+            );
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! [`telemetry`](crate::telemetry) answers *"what happened to command
 //! X"* (spans and traces); this module answers *"where is the system
 //! saturated, and is it getting slower release over release"*. It is a
-//! registry of three metric shapes, all keyed by a
+//! registry of three metric shapes, all identified by a
 //! ([`MetricKey`]) metric name plus ordered label pairs:
 //!
 //! * **counters** — monotonic `u64` totals (commands started, bytes
@@ -18,6 +18,27 @@
 //!
 //! Fault windows are recorded as [`Annotation`]s so excursions in the
 //! series line up with their cause.
+//!
+//! # Slots
+//!
+//! Each counter, gauge and series lives in a dense slot of a `Vec`,
+//! behind an ordered `MetricKey → slot` index. The index is read only
+//! when a key is first written and at export, so every export lists
+//! keys in `BTreeMap` order and never lists one that was not written.
+//! Writes come in two forms that resolve to the same slots:
+//!
+//! * the **key form** ([`MetricsRegistry::counter_add`],
+//!   [`gauge_set`](MetricsRegistry::gauge_set),
+//!   [`sample`](MetricsRegistry::sample)) looks its key up in the index,
+//! * the **slot form** ([`MetricsRegistry::counter_add_id`],
+//!   [`gauge_set_id`](MetricsRegistry::gauge_set_id),
+//!   [`sample_id`](MetricsRegistry::sample_id),
+//!   [`stage_busy`](MetricsRegistry::stage_busy)) names the metric by
+//!   type — a [`MetricId`] or a [`Stage`] — and finds its slot by array
+//!   index. The per-I/O and per-tick writers use it.
+//!
+//! The slot-form cache lives inside the registry, so an id written
+//! through one registry can never reach another registry's slot.
 //!
 //! # Determinism
 //!
@@ -43,14 +64,19 @@
 //! # Examples
 //!
 //! ```
-//! use bm_sim::metrics::{MetricKey, MetricsRegistry};
+//! use bm_sim::metrics::{names, Metric, MetricKey, MetricsRegistry, Stage};
 //! use bm_sim::{SimDuration, SimTime};
 //!
 //! let mut r = MetricsRegistry::new();
 //! let t0 = SimTime::ZERO;
-//! r.stage_busy("ssd", SimDuration::from_us(80), 1);
+//! r.stage_busy(Stage::Ssd, SimDuration::from_us(80), 1);
 //! r.gauge_set(t0, &MetricKey::new("depth"), 4.0);
 //! r.sample(t0, &MetricKey::new("depth"), 4.0);
+//! // Slot form and key form reach the same counter.
+//! r.counter_add_id(Metric::EngineStarted.of(2), 1);
+//! let key = MetricKey::labeled(names::ENGINE_STARTED, "function", "f2");
+//! r.counter_add(&key, 1);
+//! assert_eq!(r.counter(&key), 2);
 //! let report = r.bottleneck_report(SimTime::ZERO + SimDuration::from_us(100), 4);
 //! assert_eq!(report.saturated.as_deref(), Some("ssd"));
 //! ```
@@ -132,36 +158,74 @@ pub mod names {
     pub const ENGINE_RECOVERY_TIME_NS: &str = "bm_engine_recovery_time_ns_total";
 }
 
-/// Engine pipeline stage labels, in paper order (Fig. 3), plus the
-/// back-end device stage used by the bottleneck report.
+/// Engine pipeline stage labels (the `stage` label value of each
+/// [`Stage`]), in paper order (Fig. 3), plus the back-end device.
 pub mod stages {
-    /// SR-IOV front end: doorbell decode + SQE fetch.
+    use super::Stage;
+
+    /// Label of [`Stage::FrontEnd`].
     pub const FRONT_END: &str = "front_end";
-    /// NVMe target controller: validation + per-command processing.
+    /// Label of [`Stage::TargetCtrl`].
     pub const TARGET_CTRL: &str = "target_ctrl";
-    /// LBA mapping table lookup / chunk split.
+    /// Label of [`Stage::Mapping`].
     pub const MAPPING: &str = "mapping";
-    /// QoS admission (busy only while commands wait in the throttle).
+    /// Label of [`Stage::Qos`].
     pub const QOS: &str = "qos";
-    /// DMA routing + back-end forward (store-and-forward link included).
+    /// Label of [`Stage::DmaRouting`].
     pub const DMA_ROUTING: &str = "dma_routing";
-    /// Host adaptor: CQE forward + interrupt post.
+    /// Label of [`Stage::HostAdaptor`].
     pub const HOST_ADAPTOR: &str = "host_adaptor";
-    /// The back-end device itself (service interval, internal queueing
-    /// included) — not an engine stage, but the report needs it to tell
-    /// "SSD-bound" from "engine-bound".
+    /// Label of [`Stage::Ssd`].
     pub const SSD: &str = "ssd";
 
     /// All stages the bottleneck report knows about, in display order.
-    pub const ALL: [&str; 7] = [
-        FRONT_END,
-        TARGET_CTRL,
-        MAPPING,
-        QOS,
-        DMA_ROUTING,
-        HOST_ADAPTOR,
-        SSD,
+    pub const ALL: [Stage; 7] = [
+        Stage::FrontEnd,
+        Stage::TargetCtrl,
+        Stage::Mapping,
+        Stage::Qos,
+        Stage::DmaRouting,
+        Stage::HostAdaptor,
+        Stage::Ssd,
     ];
+}
+
+/// A stage of the bottleneck report: the engine pipeline in paper order
+/// (Fig. 3), plus the back-end device. What
+/// [`MetricsRegistry::stage_busy`] charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// SR-IOV front end: doorbell decode + SQE fetch.
+    FrontEnd,
+    /// NVMe target controller: validation + per-command processing.
+    TargetCtrl,
+    /// LBA mapping table lookup / chunk split.
+    Mapping,
+    /// QoS admission (busy only while commands wait in the throttle).
+    Qos,
+    /// DMA routing + back-end forward (store-and-forward link included).
+    DmaRouting,
+    /// Host adaptor: CQE forward + interrupt post.
+    HostAdaptor,
+    /// The back-end device itself (service interval, internal queueing
+    /// included) — not an engine stage, but the report needs it to tell
+    /// "SSD-bound" from "engine-bound".
+    Ssd,
+}
+
+impl Stage {
+    /// The stage's `stage` label value (see [`stages`]).
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::FrontEnd => stages::FRONT_END,
+            Stage::TargetCtrl => stages::TARGET_CTRL,
+            Stage::Mapping => stages::MAPPING,
+            Stage::Qos => stages::QOS,
+            Stage::DmaRouting => stages::DMA_ROUTING,
+            Stage::HostAdaptor => stages::HOST_ADAPTOR,
+            Stage::Ssd => stages::SSD,
+        }
+    }
 }
 
 /// A metric identity: name plus ordered `(label, value)` pairs.
@@ -218,6 +282,128 @@ impl MetricKey {
         }
         out.push('}');
         out
+    }
+}
+
+/// The metrics the simulator writes per I/O or per sampler tick, named
+/// by type so the registry finds their slots by array index. Each one,
+/// with a label index, is a [`MetricId`]; its [`MetricId::key`] is the
+/// key a key-form write of the same metric uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// [`names::ENGINE_STARTED`], label `function="f<i>"`.
+    EngineStarted,
+    /// [`names::ENGINE_FINISHED`], label `function="f<i>"`.
+    EngineFinished,
+    /// [`names::ENGINE_OUTSTANDING`], label `function="f<i>"`.
+    EngineOutstanding,
+    /// [`names::HOST_SQ_INFLIGHT`], label `function="<i>"`.
+    HostSqInflight,
+    /// [`names::HOST_SQ_WAITING`], label `function="<i>"`.
+    HostSqWaiting,
+    /// [`names::SSD_BUSY_NS`], label `ssd="<i>"`.
+    SsdBusy,
+    /// [`names::SSD_OPS`], label `ssd="<i>"`.
+    SsdOps,
+    /// [`names::DOORBELL_BACKLOG`], label `ssd="<i>"`.
+    DoorbellBacklog,
+    /// [`names::BACKEND_INFLIGHT`], label `ssd="<i>"`.
+    BackendInflight,
+    /// [`names::BACKEND_LIVE`], label `ssd="<i>"`.
+    BackendLive,
+    /// [`names::BACKEND_ZOMBIES`], label `ssd="<i>"`.
+    BackendZombies,
+    /// [`names::DMA_INFLIGHT_BYTES`], label `ssd="<i>"`.
+    DmaInflightBytes,
+    /// [`names::BACKEND_FORWARDED`], label `ssd="<i>"`.
+    BackendForwarded,
+    /// [`names::BACKEND_COMPLETED`], label `ssd="<i>"`.
+    BackendCompleted,
+    /// [`names::BACKEND_ABANDONED`], label `ssd="<i>"`.
+    BackendAbandoned,
+    /// [`names::SCHED_EVENTS_FIRED`], unlabeled.
+    SchedEventsFired,
+    /// [`names::SCHED_PENDING`], unlabeled.
+    SchedPending,
+    /// [`names::SCHED_CLAMPED_PAST`], unlabeled.
+    SchedClampedPast,
+    /// [`names::SCHED_ARENA_SLOTS`], unlabeled.
+    SchedArenaSlots,
+    /// [`names::MCTP_PARTIALS`], unlabeled.
+    MctpPartials,
+}
+
+/// How a [`Metric`]'s one label renders from its index `i`.
+#[derive(Debug, Clone, Copy)]
+enum LabelShape {
+    /// No label; `i` is ignored.
+    Unlabeled,
+    /// `function="f<i>"`: an engine function.
+    EngineFunction,
+    /// `function="<i>"`: a host device.
+    HostFunction,
+    /// `ssd="<i>"`.
+    Ssd,
+}
+
+impl Metric {
+    fn spec(self) -> (&'static str, LabelShape) {
+        use LabelShape::{EngineFunction, HostFunction, Ssd, Unlabeled};
+        match self {
+            Metric::EngineStarted => (names::ENGINE_STARTED, EngineFunction),
+            Metric::EngineFinished => (names::ENGINE_FINISHED, EngineFunction),
+            Metric::EngineOutstanding => (names::ENGINE_OUTSTANDING, EngineFunction),
+            Metric::HostSqInflight => (names::HOST_SQ_INFLIGHT, HostFunction),
+            Metric::HostSqWaiting => (names::HOST_SQ_WAITING, HostFunction),
+            Metric::SsdBusy => (names::SSD_BUSY_NS, Ssd),
+            Metric::SsdOps => (names::SSD_OPS, Ssd),
+            Metric::DoorbellBacklog => (names::DOORBELL_BACKLOG, Ssd),
+            Metric::BackendInflight => (names::BACKEND_INFLIGHT, Ssd),
+            Metric::BackendLive => (names::BACKEND_LIVE, Ssd),
+            Metric::BackendZombies => (names::BACKEND_ZOMBIES, Ssd),
+            Metric::DmaInflightBytes => (names::DMA_INFLIGHT_BYTES, Ssd),
+            Metric::BackendForwarded => (names::BACKEND_FORWARDED, Ssd),
+            Metric::BackendCompleted => (names::BACKEND_COMPLETED, Ssd),
+            Metric::BackendAbandoned => (names::BACKEND_ABANDONED, Ssd),
+            Metric::SchedEventsFired => (names::SCHED_EVENTS_FIRED, Unlabeled),
+            Metric::SchedPending => (names::SCHED_PENDING, Unlabeled),
+            Metric::SchedClampedPast => (names::SCHED_CLAMPED_PAST, Unlabeled),
+            Metric::SchedArenaSlots => (names::SCHED_ARENA_SLOTS, Unlabeled),
+            Metric::MctpPartials => (names::MCTP_PARTIALS, Unlabeled),
+        }
+    }
+
+    /// The metric for function, device or SSD number `label`. An
+    /// unlabeled metric's key ignores `label`.
+    #[inline]
+    pub fn of(self, label: usize) -> MetricId {
+        MetricId {
+            metric: self,
+            label,
+        }
+    }
+}
+
+/// A metric in slot form: a [`Metric`] plus a small label index. Build
+/// one with [`Metric::of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricId {
+    metric: Metric,
+    label: usize,
+}
+
+impl MetricId {
+    /// The key this id writes, e.g. `bm_engine_outstanding{function="f2"}`.
+    pub fn key(self) -> MetricKey {
+        let ((name, shape), i) = (self.metric.spec(), self.label);
+        match shape {
+            LabelShape::Unlabeled => MetricKey::new(name),
+            LabelShape::EngineFunction => {
+                MetricKey::labeled(name, "function", format_args!("f{i}"))
+            }
+            LabelShape::HostFunction => MetricKey::labeled(name, "function", i),
+            LabelShape::Ssd => MetricKey::labeled(name, "ssd", i),
+        }
     }
 }
 
@@ -284,9 +470,9 @@ pub struct BoundedSeries {
 }
 
 impl BoundedSeries {
-    fn new(name: &str, capacity: usize) -> Self {
+    fn new(key: &MetricKey, capacity: usize) -> Self {
         BoundedSeries {
-            series: TimeSeries::new(name),
+            series: TimeSeries::new(key.render()),
             capacity,
             dropped: 0,
         }
@@ -359,6 +545,90 @@ pub struct BottleneckReport {
     pub top_tenants: Vec<(String, f64)>,
 }
 
+/// One metric shape's store: values in dense slots behind the ordered
+/// key index (see the [module docs](self#slots)).
+#[derive(Debug)]
+struct Slots<T> {
+    /// Key → slot. Read when a key is first written and at export.
+    index: BTreeMap<MetricKey, usize>,
+    values: Vec<T>,
+    /// The slot form's cache of `index`: `[metric][label]` → slot.
+    by_id: Vec<Vec<Option<usize>>>,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Slots {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+            by_id: Vec::new(),
+        }
+    }
+
+    fn get(&self, key: &MetricKey) -> Option<&T> {
+        self.index.get(key).map(|&slot| &self.values[slot])
+    }
+
+    /// The slot of `key`, created with `init` on the key's first write.
+    fn slot(&mut self, key: &MetricKey, init: impl FnOnce(&MetricKey) -> T) -> usize {
+        if let Some(&slot) = self.index.get(key) {
+            return slot;
+        }
+        self.values.push(init(key));
+        let slot = self.values.len() - 1;
+        self.index.insert(key.clone(), slot);
+        slot
+    }
+
+    /// The slot of `id`: two array indexings once resolved. The first
+    /// write of an id resolves its key through [`Self::slot`].
+    #[inline]
+    fn id_slot(&mut self, id: MetricId, init: impl FnOnce(&MetricKey) -> T) -> usize {
+        let cached = self.by_id.get(id.metric as usize);
+        match cached.and_then(|labels| labels.get(id.label)) {
+            Some(&Some(slot)) => slot,
+            _ => self.resolve(id, init),
+        }
+    }
+
+    #[cold]
+    fn resolve(&mut self, id: MetricId, init: impl FnOnce(&MetricKey) -> T) -> usize {
+        let slot = self.slot(&id.key(), init);
+        let metric = id.metric as usize;
+        if self.by_id.len() <= metric {
+            self.by_id.resize_with(metric + 1, Vec::new);
+        }
+        let labels = &mut self.by_id[metric];
+        if labels.len() <= id.label {
+            labels.resize(id.label + 1, None);
+        }
+        labels[id.label] = Some(slot);
+        slot
+    }
+
+    /// `(key, value)` pairs in key order.
+    fn iter(&self) -> impl Iterator<Item = (&MetricKey, &T)> {
+        self.index.iter().map(|(k, &slot)| (k, &self.values[slot]))
+    }
+}
+
+/// A gauge's slot: its state and, once the sampler has snapshotted it,
+/// the slot of its same-key series.
+#[derive(Debug)]
+struct GaugeSlot {
+    state: GaugeState,
+    series: Option<usize>,
+}
+
+impl GaugeSlot {
+    fn new(now: SimTime, value: f64) -> Self {
+        GaugeSlot {
+            state: GaugeState::new(now, value),
+            series: None,
+        }
+    }
+}
+
 /// The metrics store: counters, gauges, bounded series, annotations.
 ///
 /// Components reach it through the [`Observer`](crate::observe::Observer).
@@ -368,13 +638,15 @@ pub struct MetricsRegistry {
     started: SimTime,
     last_sample: Option<SimTime>,
     sample_ticks: u64,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, GaugeState>,
-    series: BTreeMap<MetricKey, BoundedSeries>,
+    counters: Slots<u64>,
+    gauges: Slots<GaugeSlot>,
+    /// Gauges whose series slot is known: every slot below this.
+    gauges_linked: usize,
+    series: Slots<BoundedSeries>,
     annotations: Vec<Annotation>,
-    /// Per-stage `(busy, arrivals)` key pair, built once per stage so
-    /// [`MetricsRegistry::stage_busy`] allocates nothing in steady state.
-    stage_keys: BTreeMap<&'static str, (MetricKey, MetricKey)>,
+    /// Per-stage `[busy, arrivals]` counter slots, resolved on first
+    /// write by [`MetricsRegistry::stage_busy`].
+    stage_slots: [[Option<usize>; 2]; stages::ALL.len()],
 }
 
 impl MetricsRegistry {
@@ -390,19 +662,27 @@ impl MetricsRegistry {
             started: SimTime::ZERO,
             last_sample: None,
             sample_ticks: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            series: BTreeMap::new(),
+            counters: Slots::new(),
+            gauges: Slots::new(),
+            gauges_linked: 0,
+            series: Slots::new(),
             annotations: Vec::new(),
-            stage_keys: BTreeMap::new(),
+            stage_slots: [[None; 2]; stages::ALL.len()],
         }
     }
 
-    /// Adds `delta` to a counter, creating it at zero. Call sites on
-    /// the hot path cache their [`MetricKey`]s: the key is cloned only
-    /// on first use.
+    /// Adds `delta` to a counter, creating it at zero. The key form: it
+    /// looks `key` up in the ordered index. Per-I/O writers use
+    /// [`Self::counter_add_id`] or [`Self::stage_busy`] instead.
     pub fn counter_add(&mut self, key: &MetricKey, delta: u64) {
-        add(&mut self.counters, key, delta);
+        let slot = self.counters.slot(key, |_| 0);
+        self.counters.values[slot] += delta;
+    }
+
+    /// [`Self::counter_add`] in slot form.
+    pub fn counter_add_id(&mut self, id: MetricId, delta: u64) {
+        let slot = self.counters.id_slot(id, |_| 0);
+        self.counters.values[slot] += delta;
     }
 
     /// Reads a counter (zero if never written).
@@ -412,36 +692,67 @@ impl MetricsRegistry {
 
     /// Sets a gauge, folding the elapsed interval into its integral.
     pub fn gauge_set(&mut self, now: SimTime, key: &MetricKey, value: f64) {
-        match self.gauges.get_mut(key) {
-            Some(g) => g.set(now, value),
-            None => {
-                self.gauges.insert(key.clone(), GaugeState::new(now, value));
-            }
+        let mut created = false;
+        let slot = self.gauges.slot(key, |_| {
+            created = true;
+            GaugeSlot::new(now, value)
+        });
+        if !created {
+            self.gauges.values[slot].state.set(now, value);
+        }
+    }
+
+    /// [`Self::gauge_set`] in slot form.
+    pub fn gauge_set_id(&mut self, now: SimTime, id: MetricId, value: f64) {
+        let mut created = false;
+        let slot = self.gauges.id_slot(id, |_| {
+            created = true;
+            GaugeSlot::new(now, value)
+        });
+        if !created {
+            self.gauges.values[slot].state.set(now, value);
         }
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, key: &MetricKey) -> Option<&GaugeState> {
-        self.gauges.get(key)
+        self.gauges.get(key).map(|g| &g.state)
     }
 
     /// Appends one point to a bounded series, creating it on first use.
     pub fn sample(&mut self, at: SimTime, key: &MetricKey, value: f64) {
-        push(&mut self.series, self.series_capacity, key, at, value);
+        let capacity = self.series_capacity;
+        let slot = self.series.slot(key, |k| BoundedSeries::new(k, capacity));
+        self.series.values[slot].push(at, value);
+    }
+
+    /// [`Self::sample`] in slot form.
+    pub fn sample_id(&mut self, at: SimTime, id: MetricId, value: f64) {
+        let capacity = self.series_capacity;
+        let slot = self.series.id_slot(id, |k| BoundedSeries::new(k, capacity));
+        self.series.values[slot].push(at, value);
     }
 
     /// Snapshots every gauge's current value into its series at `now`
     /// — the periodic sampler's bulk step, equivalent to calling
-    /// [`MetricsRegistry::sample`] per gauge.
+    /// [`MetricsRegistry::sample`] per gauge. Each gauge remembers its
+    /// series slot, so only a gauge's first snapshot reads the index.
     pub fn snapshot_gauges(&mut self, now: SimTime) {
-        for (key, gauge) in &self.gauges {
-            push(
-                &mut self.series,
-                self.series_capacity,
-                key,
-                now,
-                gauge.value(),
-            );
+        if self.gauges_linked < self.gauges.values.len() {
+            let capacity = self.series_capacity;
+            for (key, &slot) in &self.gauges.index {
+                let gauge = &mut self.gauges.values[slot];
+                if gauge.series.is_none() {
+                    let series = self.series.slot(key, |k| BoundedSeries::new(k, capacity));
+                    gauge.series = Some(series);
+                }
+            }
+            self.gauges_linked = self.gauges.values.len();
+        }
+        for gauge in &self.gauges.values {
+            if let Some(series) = gauge.series {
+                self.series.values[series].push(now, gauge.state.value());
+            }
         }
     }
 
@@ -451,19 +762,30 @@ impl MetricsRegistry {
     }
 
     /// Accounts one stage traversal: `busy` occupancy-time (waiting
-    /// included) and `arrivals` commands entering the stage. The key
-    /// pair per stage is cached, so steady-state calls do not allocate.
-    pub fn stage_busy(&mut self, stage: &'static str, busy: SimDuration, arrivals: u64) {
-        let (busy_key, arrivals_key) = self.stage_keys.entry(stage).or_insert_with(|| {
-            (
-                MetricKey::labeled(names::STAGE_BUSY_NS, "stage", stage),
-                MetricKey::labeled(names::STAGE_ARRIVALS, "stage", stage),
-            )
-        });
-        add(&mut self.counters, busy_key, busy.as_nanos());
+    /// included) and `arrivals` commands entering the stage, on the
+    /// stage's `bm_stage_busy_ns_total` and `bm_stage_arrivals_total`
+    /// counters. Slot form: after a stage's first call, each counter is
+    /// one array indexing away.
+    pub fn stage_busy(&mut self, stage: Stage, busy: SimDuration, arrivals: u64) {
+        self.stage_add(stage, 0, busy.as_nanos());
         if arrivals > 0 {
-            add(&mut self.counters, arrivals_key, arrivals);
+            self.stage_add(stage, 1, arrivals);
         }
+    }
+
+    /// Adds `delta` to stage counter `which` (0 busy, 1 arrivals).
+    #[inline]
+    fn stage_add(&mut self, stage: Stage, which: usize, delta: u64) {
+        let cached = &mut self.stage_slots[stage as usize][which];
+        let slot = match *cached {
+            Some(slot) => slot,
+            None => {
+                let name = [names::STAGE_BUSY_NS, names::STAGE_ARRIVALS][which];
+                let key = MetricKey::labeled(name, "stage", stage.label());
+                *cached.insert(self.counters.slot(&key, |_| 0))
+            }
+        };
+        self.counters.values[slot] += delta;
     }
 
     /// Records a labeled window annotation (e.g. a fault injection).
@@ -503,7 +825,7 @@ impl MetricsRegistry {
 
     /// All gauges, in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, &GaugeState)> {
-        self.gauges.iter()
+        self.gauges.iter().map(|(k, g)| (k, &g.state))
     }
 
     /// All series, in key order.
@@ -513,7 +835,7 @@ impl MetricsRegistry {
 
     /// Total samples dropped across all series after filling.
     pub fn series_dropped(&self) -> u64 {
-        self.series.values().map(|s| s.dropped).sum()
+        self.series.values.iter().map(|s| s.dropped).sum()
     }
 
     /// Builds the utilization / Little's-law summary as of `now`,
@@ -522,7 +844,7 @@ impl MetricsRegistry {
         let window = now.saturating_since(self.started);
         let window_ns = window.as_nanos_f64();
         let mut stage_rows = Vec::new();
-        for (key, busy_ns) in &self.counters {
+        for (key, busy_ns) in self.counters.iter() {
             if key.name != names::STAGE_BUSY_NS {
                 continue;
             }
@@ -565,8 +887,7 @@ impl MetricsRegistry {
             .map(|s| s.stage.clone());
 
         let mut tenants: Vec<(String, f64)> = self
-            .gauges
-            .iter()
+            .gauges()
             .filter(|(k, _)| k.name == names::ENGINE_OUTSTANDING)
             .filter_map(|(k, g)| {
                 k.label("function")
@@ -581,34 +902,6 @@ impl MetricsRegistry {
             stages: stage_rows,
             saturated,
             top_tenants: tenants,
-        }
-    }
-}
-
-/// Adds `delta` to the counter `key`, cloning the key only on first use.
-fn add(counters: &mut BTreeMap<MetricKey, u64>, key: &MetricKey, delta: u64) {
-    match counters.get_mut(key) {
-        Some(v) => *v += delta,
-        None => {
-            counters.insert(key.clone(), delta);
-        }
-    }
-}
-
-/// Appends `(at, value)` to the series `key`, creating it on first use.
-fn push(
-    series: &mut BTreeMap<MetricKey, BoundedSeries>,
-    capacity: usize,
-    key: &MetricKey,
-    at: SimTime,
-    value: f64,
-) {
-    match series.get_mut(key) {
-        Some(s) => s.push(at, value),
-        None => {
-            let mut s = BoundedSeries::new(&key.render(), capacity);
-            s.push(at, value);
-            series.insert(key.clone(), s);
         }
     }
 }
@@ -792,8 +1085,8 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         // 100 commands × 80µs in the SSD, 100 × 1µs in the front end,
         // over a 1ms window: L_ssd = 8, W_ssd = 80µs, λ = 100k/s.
-        reg.stage_busy(stages::SSD, SimDuration::from_us(80) * 100, 100);
-        reg.stage_busy(stages::FRONT_END, SimDuration::from_us(1) * 100, 100);
+        reg.stage_busy(Stage::Ssd, SimDuration::from_us(80) * 100, 100);
+        reg.stage_busy(Stage::FrontEnd, SimDuration::from_us(1) * 100, 100);
         let report = reg.bottleneck_report(us(1_000), 4);
         assert_eq!(report.saturated.as_deref(), Some(stages::SSD));
         let ssd = &report.stages[0];

@@ -16,16 +16,16 @@
 //! or off.
 //!
 //! ```
-//! use bm_sim::metrics::{stages, MetricsRegistry};
+//! use bm_sim::metrics::{MetricsRegistry, Stage};
 //! use bm_sim::observe::Observer;
 //! use bm_sim::SimDuration;
 //!
 //! let mut obs = Observer::new(None, Some(MetricsRegistry::new()), None, None);
-//! obs.stage_busy(stages::SSD, SimDuration::from_us(80), 1);
+//! obs.stage_busy(Stage::Ssd, SimDuration::from_us(80), 1);
 //! assert!(obs.metrics().is_some() && obs.telemetry().is_none());
 //! ```
 
-use crate::metrics::{MetricKey, MetricsRegistry};
+use crate::metrics::{MetricKey, MetricsRegistry, Stage};
 use crate::slo::{AlertKind, AlertState, SloEngine};
 use crate::telemetry::{CmdId, TelemetryEventKind, TelemetryRecorder, TelemetryStage};
 use crate::time::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ impl Observer {
         self.metrics.as_deref()
     }
 
-    /// The metrics registry, for sites that record under cached keys.
+    /// The metrics registry, for sites that write several metrics.
     pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         self.metrics.as_deref_mut()
     }
@@ -158,7 +158,7 @@ impl Observer {
     /// A stage was busy for `busy` with `arrivals` new commands
     /// ([`MetricsRegistry::stage_busy`]).
     #[inline]
-    pub fn stage_busy(&mut self, stage: &'static str, busy: SimDuration, arrivals: u64) {
+    pub fn stage_busy(&mut self, stage: Stage, busy: SimDuration, arrivals: u64) {
         if let Some(m) = &mut self.metrics {
             m.stage_busy(stage, busy, arrivals);
         }
@@ -250,7 +250,7 @@ mod tests {
         assert_eq!(obs.begin_command(t, 0, 1, 2), CmdId::NONE);
         assert_eq!(obs.lookup(0, 1), (CmdId::NONE, 0));
         obs.span(CmdId(1), 0, 0, 0, TelemetryStage::Dma, t, t, true);
-        obs.stage_busy("ssd", SimDuration::from_us(1), 1);
+        obs.stage_busy(Stage::Ssd, SimDuration::from_us(1), 1);
         obs.count("x", 1);
         obs.fault(t, None, "fault:x");
         obs.completion(t, 0, 1, SimDuration::ZERO, true);

@@ -181,16 +181,28 @@ struct OpenCmd {
 /// The recorder: a bounded ring of [`TelemetryEvent`]s plus streaming
 /// per-key latency aggregation. Owns [`CmdId`] allocation so IDs are
 /// unique across the whole run.
+///
+/// Every per-command call is O(1): open commands sit in a table per
+/// tenant indexed by CID, and each histogram in a dense slot behind
+/// the ordered [`AggKey`] index, which only the roll-ups and
+/// [`histogram`](Self::histogram) read.
 #[derive(Debug)]
 pub struct TelemetryRecorder {
     capacity: usize,
     ring: VecDeque<TelemetryEvent>,
     dropped: u64,
     next_cmd: u64,
-    /// `(tenant, host cid)` → open root span. NVMe guarantees a cid is
-    /// not reused while outstanding, so this binding is unambiguous.
-    open: BTreeMap<(u16, u16), OpenCmd>,
-    agg: BTreeMap<AggKey, LatencyHistogram>,
+    /// `[tenant][host cid]` → open root span, grown on demand to the
+    /// highest tenant and CID in use. NVMe guarantees a cid is not
+    /// reused while outstanding, so this binding is unambiguous.
+    open: Vec<Vec<Option<OpenCmd>>>,
+    /// Histogram slots, in creation order.
+    hists: Vec<LatencyHistogram>,
+    /// The ordered index over `hists`.
+    agg: BTreeMap<AggKey, usize>,
+    /// `[tenant][stage]` → `(function, opcode, slot)`: the dense path
+    /// from a span to its histogram (one or two entries in practice).
+    agg_slots: Vec<[Vec<(u8, u8, usize)>; TelemetryStage::ALL.len()]>,
 }
 
 impl TelemetryRecorder {
@@ -205,8 +217,10 @@ impl TelemetryRecorder {
             ring: VecDeque::new(),
             dropped: 0,
             next_cmd: 0,
-            open: BTreeMap::new(),
+            open: Vec::new(),
+            hists: Vec::new(),
             agg: BTreeMap::new(),
+            agg_slots: Vec::new(),
         }
     }
 
@@ -223,14 +237,19 @@ impl TelemetryRecorder {
     pub fn begin_command(&mut self, now: SimTime, tenant: u16, cid: u16, opcode: u8) -> CmdId {
         self.next_cmd += 1;
         let cmd = CmdId(self.next_cmd);
-        self.open.insert(
-            (tenant, cid),
-            OpenCmd {
-                cmd,
-                opcode,
-                started: now,
-            },
-        );
+        let (t, c) = (usize::from(tenant), usize::from(cid));
+        if self.open.len() <= t {
+            self.open.resize_with(t + 1, Vec::new);
+        }
+        let cids = &mut self.open[t];
+        if cids.len() <= c {
+            cids.resize(c + 1, None);
+        }
+        cids[c] = Some(OpenCmd {
+            cmd,
+            opcode,
+            started: now,
+        });
         self.push(TelemetryEvent {
             at: now,
             cmd,
@@ -245,13 +264,15 @@ impl TelemetryRecorder {
 
     /// Looks up the open command bound to `(tenant, cid)`.
     pub fn lookup(&self, tenant: u16, cid: u16) -> Option<(CmdId, u8)> {
-        self.open.get(&(tenant, cid)).map(|o| (o.cmd, o.opcode))
+        let open = self.open.get(usize::from(tenant))?.get(usize::from(cid))?;
+        open.map(|o| (o.cmd, o.opcode))
     }
 
     /// Closes the root span when the completion reaches the client.
     /// Aggregates end-to-end latency under [`TelemetryStage::Command`].
     pub fn end_command(&mut self, now: SimTime, tenant: u16, cid: u16, ok: bool) -> Option<CmdId> {
-        let open = self.open.remove(&(tenant, cid))?;
+        let cids = self.open.get_mut(usize::from(tenant))?;
+        let open = cids.get_mut(usize::from(cid))?.take()?;
         self.push(TelemetryEvent {
             at: now,
             cmd: open.cmd,
@@ -332,15 +353,36 @@ impl TelemetryRecorder {
         stage: TelemetryStage,
         d: SimDuration,
     ) {
-        self.agg
-            .entry(AggKey {
-                tenant,
-                function,
-                opcode,
-                stage,
-            })
-            .or_default()
-            .record(d);
+        let t = usize::from(tenant);
+        if self.agg_slots.len() <= t {
+            self.agg_slots.resize_with(t + 1, Default::default);
+        }
+        let cell = &mut self.agg_slots[t][stage as usize];
+        let found = cell
+            .iter()
+            .find(|&&(f, op, _)| f == function && op == opcode);
+        let slot = match found {
+            Some(&(_, _, slot)) => slot,
+            None => {
+                let slot = self.hists.len();
+                self.hists.push(LatencyHistogram::new());
+                let key = AggKey {
+                    tenant,
+                    function,
+                    opcode,
+                    stage,
+                };
+                self.agg.insert(key, slot);
+                cell.push((function, opcode, slot));
+                slot
+            }
+        };
+        self.hists[slot].record(d);
+    }
+
+    /// `(key, histogram)` pairs in key order.
+    fn histograms(&self) -> impl Iterator<Item = (&AggKey, &LatencyHistogram)> {
+        self.agg.iter().map(|(k, &slot)| (k, &self.hists[slot]))
     }
 
     /// The event stream, oldest first (bounded by the ring capacity).
@@ -355,7 +397,7 @@ impl TelemetryRecorder {
 
     /// The histogram for one key, if any samples were recorded.
     pub fn histogram(&self, key: &AggKey) -> Option<&LatencyHistogram> {
-        self.agg.get(key)
+        self.agg.get(key).map(|&slot| &self.hists[slot])
     }
 
     /// Rolls all tenants' histograms for `stage` into one fleet total
@@ -363,7 +405,7 @@ impl TelemetryRecorder {
     /// would).
     pub fn fleet_rollup(&self, stage: TelemetryStage) -> LatencyHistogram {
         let mut total = LatencyHistogram::new();
-        for (k, h) in &self.agg {
+        for (k, h) in self.histograms() {
             if k.stage == stage {
                 total.merge(h);
             }
@@ -374,7 +416,7 @@ impl TelemetryRecorder {
     /// Per-tenant roll-up for `stage` (opcodes merged), sorted by tenant.
     pub fn tenant_rollup(&self, stage: TelemetryStage) -> Vec<(u16, LatencyHistogram)> {
         let mut by_tenant: BTreeMap<u16, LatencyHistogram> = BTreeMap::new();
-        for (k, h) in &self.agg {
+        for (k, h) in self.histograms() {
             if k.stage == stage {
                 by_tenant.entry(k.tenant).or_default().merge(h);
             }

@@ -39,7 +39,7 @@ use bm_pcie::mctp::Eid;
 use bm_pcie::{HostMemory, PciAddr};
 use bm_prof::{Profiler, Snapshot};
 use bm_sim::faults::FaultKind;
-use bm_sim::metrics::{names as metric_names, MetricKey, MetricsRegistry};
+use bm_sim::metrics::{names as metric_names, Metric, MetricKey, MetricsRegistry};
 use bm_sim::observe::Observer;
 use bm_sim::resource::FifoServer;
 use bm_sim::slo::{self, Alert, SloEngine};
@@ -432,40 +432,6 @@ struct FaultRuntime {
     mctp_drops: u32,
 }
 
-/// Pre-built metric keys for the periodic sampler, grown lazily to the
-/// current topology so the per-tick path allocates no key strings.
-#[derive(Default)]
-struct SamplerKeys {
-    /// Per-device `(host_sq_inflight, host_sq_waiting)` gauge keys.
-    host: Vec<(MetricKey, MetricKey)>,
-    /// Per-SSD `(ssd_busy_ns, ssd_ops)` series keys.
-    ssd_service: Vec<(MetricKey, MetricKey)>,
-    /// Per-engine-port gauge/series keys.
-    port: Vec<SamplerPortKeys>,
-    /// The controller's reassembly gauge key.
-    mctp_partials: Option<MetricKey>,
-    /// Scheduler-stat keys (events fired, pending, clamped, arena).
-    sched: Option<SamplerSchedKeys>,
-}
-
-struct SamplerSchedKeys {
-    events_fired: MetricKey,
-    pending: MetricKey,
-    clamped_past: MetricKey,
-    arena_slots: MetricKey,
-}
-
-struct SamplerPortKeys {
-    backlog: MetricKey,
-    inflight: MetricKey,
-    live: MetricKey,
-    zombies: MetricKey,
-    bytes: MetricKey,
-    forwarded: MetricKey,
-    completed: MetricKey,
-    abandoned: MetricKey,
-}
-
 /// Profile segment for one dispatched pipeline stage. Exhaustive on
 /// purpose: adding a [`Stage`] variant forces a naming decision here,
 /// so the profiler's key set stays in lockstep with the pipeline.
@@ -512,7 +478,6 @@ pub struct World {
     /// Every fault injected and recovery action taken, in order.
     fault_events: Vec<(SimTime, FaultTraceEvent)>,
     faults: FaultRuntime,
-    sampler_keys: SamplerKeys,
     /// Emptied effect buffers, lent to the next scheme hook (hooks nest,
     /// so there can be several).
     effect_pool: Vec<Vec<Effect>>,
@@ -550,7 +515,6 @@ impl World {
             stage_counts: [0; 5],
             fault_events: Vec::new(),
             faults: FaultRuntime::default(),
-            sampler_keys: SamplerKeys::default(),
             effect_pool: Vec::new(),
             completed_ios: Vec::new(),
             events_fired: 0,
@@ -1177,19 +1141,10 @@ impl World {
         let Some(m) = self.tb.obs.metrics_mut() else {
             return;
         };
-        let keys = self
-            .sampler_keys
-            .sched
-            .get_or_insert_with(|| SamplerSchedKeys {
-                events_fired: MetricKey::new(metric_names::SCHED_EVENTS_FIRED),
-                pending: MetricKey::new(metric_names::SCHED_PENDING),
-                clamped_past: MetricKey::new(metric_names::SCHED_CLAMPED_PAST),
-                arena_slots: MetricKey::new(metric_names::SCHED_ARENA_SLOTS),
-            });
-        m.sample(now, &keys.events_fired, s.events_fired() as f64);
-        m.gauge_set(now, &keys.pending, s.pending() as f64);
-        m.sample(now, &keys.clamped_past, s.clamped_past() as f64);
-        m.gauge_set(now, &keys.arena_slots, s.arena_slots() as f64);
+        m.sample_id(now, Metric::SchedEventsFired.of(0), s.events_fired() as f64);
+        m.gauge_set_id(now, Metric::SchedPending.of(0), s.pending() as f64);
+        m.sample_id(now, Metric::SchedClampedPast.of(0), s.clamped_past() as f64);
+        m.gauge_set_id(now, Metric::SchedArenaSlots.of(0), s.arena_slots() as f64);
     }
 
     /// One SLO evaluation tick: burn rates + the stall watchdog over
@@ -1218,73 +1173,42 @@ impl World {
             return;
         };
         m.mark_sample_tick(now);
-        let keys = &mut self.sampler_keys;
-        let engine = tb.scheme.as_deref().and_then(|s| s.engine());
-        // Grow the cached key tables to the current topology; stable in
-        // steady state, so the per-tick path builds no key strings.
-        while keys.host.len() < tb.devices.len() {
-            let i = keys.host.len();
-            keys.host.push((
-                MetricKey::labeled(metric_names::HOST_SQ_INFLIGHT, "function", i),
-                MetricKey::labeled(metric_names::HOST_SQ_WAITING, "function", i),
-            ));
-        }
-        while keys.ssd_service.len() < tb.ssds.len() {
-            let i = keys.ssd_service.len();
-            keys.ssd_service.push((
-                MetricKey::labeled(metric_names::SSD_BUSY_NS, "ssd", i),
-                MetricKey::labeled(metric_names::SSD_OPS, "ssd", i),
-            ));
-        }
-        let port_count = engine.map_or(0, |e| e.adaptor().len());
-        while keys.port.len() < port_count {
-            let i = keys.port.len();
-            let key = |name| MetricKey::labeled(name, "ssd", i);
-            keys.port.push(SamplerPortKeys {
-                backlog: key(metric_names::DOORBELL_BACKLOG),
-                inflight: key(metric_names::BACKEND_INFLIGHT),
-                live: key(metric_names::BACKEND_LIVE),
-                zombies: key(metric_names::BACKEND_ZOMBIES),
-                bytes: key(metric_names::DMA_INFLIGHT_BYTES),
-                forwarded: key(metric_names::BACKEND_FORWARDED),
-                completed: key(metric_names::BACKEND_COMPLETED),
-                abandoned: key(metric_names::BACKEND_ABANDONED),
-            });
-        }
         // Host-side tenant queues (every scheme).
-        for (dev, (inflight_key, waiting_key)) in tb.devices.iter().zip(&keys.host) {
-            m.gauge_set(now, inflight_key, dev.pending.len() as f64);
-            m.gauge_set(now, waiting_key, dev.waiting.len() as f64);
+        for (i, dev) in tb.devices.iter().enumerate() {
+            m.gauge_set_id(now, Metric::HostSqInflight.of(i), dev.pending.len() as f64);
+            m.gauge_set_id(now, Metric::HostSqWaiting.of(i), dev.waiting.len() as f64);
         }
         // SSD service tallies (cumulative counters, sampled as series so
         // windowed service-time utilization falls out of any two ticks).
-        for (ssd, (busy_key, ops_key)) in tb.ssds.iter().zip(&keys.ssd_service) {
+        for (i, ssd) in tb.ssds.iter().enumerate() {
             let stats = ssd.service_stats();
-            m.sample(now, busy_key, stats.busy.as_nanos_f64());
-            m.sample(now, ops_key, stats.ops as f64);
+            m.sample_id(now, Metric::SsdBusy.of(i), stats.busy.as_nanos_f64());
+            m.sample_id(now, Metric::SsdOps.of(i), stats.ops as f64);
         }
         // BM-Store engine: per-port occupancy and the conservation
         // tallies (live == forwarded - completed - abandoned).
-        if let Some(engine) = engine {
-            for (i, (port, pk)) in engine.adaptor().ports().zip(&keys.port).enumerate() {
+        if let Some(engine) = tb.scheme.as_deref().and_then(|s| s.engine()) {
+            for (i, port) in engine.adaptor().ports().enumerate() {
                 let backlog = engine.backlog_len(SsdId(i as u8)) as f64;
-                m.gauge_set(now, &pk.backlog, backlog);
-                m.gauge_set(now, &pk.inflight, port.inflight() as f64);
-                m.gauge_set(now, &pk.live, port.live() as f64);
-                m.gauge_set(now, &pk.zombies, port.zombie_count() as f64);
-                m.gauge_set(now, &pk.bytes, port.inflight_bytes() as f64);
-                m.sample(now, &pk.forwarded, port.forwarded() as f64);
-                m.sample(now, &pk.completed, port.completed() as f64);
-                m.sample(now, &pk.abandoned, port.abandoned() as f64);
+                m.gauge_set_id(now, Metric::DoorbellBacklog.of(i), backlog);
+                m.gauge_set_id(now, Metric::BackendInflight.of(i), port.inflight() as f64);
+                m.gauge_set_id(now, Metric::BackendLive.of(i), port.live() as f64);
+                m.gauge_set_id(
+                    now,
+                    Metric::BackendZombies.of(i),
+                    port.zombie_count() as f64,
+                );
+                let bytes = port.inflight_bytes() as f64;
+                m.gauge_set_id(now, Metric::DmaInflightBytes.of(i), bytes);
+                m.sample_id(now, Metric::BackendForwarded.of(i), port.forwarded() as f64);
+                m.sample_id(now, Metric::BackendCompleted.of(i), port.completed() as f64);
+                m.sample_id(now, Metric::BackendAbandoned.of(i), port.abandoned() as f64);
             }
         }
         // Management plane: torn reassemblies pending at the controller.
         if let Some(controller) = tb.scheme.as_deref().and_then(|s| s.controller()) {
             let partials = controller.assembler().in_progress() as f64;
-            let key = keys
-                .mctp_partials
-                .get_or_insert_with(|| MetricKey::new(metric_names::MCTP_PARTIALS));
-            m.gauge_set(now, key, partials);
+            m.gauge_set_id(now, Metric::MctpPartials.of(0), partials);
         }
         // Snapshot every gauge into its series at this tick.
         m.snapshot_gauges(now);

@@ -56,6 +56,15 @@ echo "==> allocation budget (release)"
 # one-page one, at the optimisation level the experiments use.
 cargo test --release -q --test alloc_budget
 
+echo "==> observer goldens and overhead bound (release)"
+# The observers' contract: the telemetry report, the SLO incident
+# report and the metrics exposition stay byte-identical to the
+# committed goldens (crates/bench/tests/golden/), and telemetry, the
+# 20 µs sampler and an SLO together cost at most the measured bound
+# over an unobserved bm-4k-randread window.
+cargo test --release -q -p bm-bench --test observer_goldens
+cargo test --release -q --test observe_overhead
+
 echo "==> chaos smoke (release, fixed seeds)"
 # The crash-recovery contract: a short fixed-seed chaos campaign per
 # fail policy (engine crashes, power losses with torn writes, SSD
