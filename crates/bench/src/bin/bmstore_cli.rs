@@ -13,6 +13,10 @@
 //! fio summary; `--out FILE` writes the exposition to FILE instead of
 //! stdout.
 //!
+//! A run whose measured I/Os include any that completed with an error
+//! status (say, a `--bs` longer than BM-Store forwards in one command)
+//! prints their count after the totals and exits 1.
+//!
 //! The `chaos` subcommand drives the seeded chaos harness:
 //!
 //! ```text
@@ -35,13 +39,8 @@
 //! the deterministic incident report:
 //!
 //! ```text
-//! bmstore-cli slo [--smoke] [--seed N] [--ios N] [--top K] [--out FILE]
+//! bmstore-cli slo [--seed N] [--ios N] [--top K] [--out FILE]
 //! ```
-//!
-//! `--smoke` is the CI gate: it runs the scenario twice and exits
-//! non-zero unless exactly one latency alert fires, both runs render
-//! byte-identical incident reports, the report parses, and tenant 0's
-//! blame profile names the stalled stage.
 //!
 //! The `prof` subcommand runs the fig. 8 bare-metal BM-Store case with
 //! the `bm-prof` wall-clock self-profiler and the counting allocator
@@ -49,14 +48,11 @@
 //!
 //! ```text
 //! bmstore-cli prof [--quick] [--seed N] [--top K]
-//!                  [--folded FILE] [--json FILE] [--smoke]
+//!                  [--folded FILE] [--json FILE]
 //! ```
 //!
 //! `--folded` writes flamegraph.pl-compatible folded stacks; `--json`
-//! writes the stable-schema report. `--smoke` is the CI gate: it runs
-//! the case profiler-off and profiler-on, exits non-zero unless the
-//! figure output is byte-identical, both export formats parse, and the
-//! attributed self-time sums to the measured dispatch total.
+//! writes the stable-schema report.
 //!
 //! Example: the paper's rand-r-128 on BM-Store with a 50 K IOPS cap:
 //!
@@ -65,12 +61,14 @@
 //!     --scheme bm-store --rw randread --iodepth 128 --qos-iops 50000
 //! ```
 
+use bm_pcie::memory::PAGE_SIZE;
 use bm_sim::faults::{FaultKind, FaultPlan};
 use bm_sim::metrics::{prometheus, render_bottleneck};
-use bm_sim::slo::{parse_incident, AlertState, SloConfig, SloSpec};
+use bm_sim::slo::{SloConfig, SloSpec};
 use bm_sim::{SimDuration, SimTime};
 use bm_testbed::{SchemeKind, TestbedConfig};
 use bm_workloads::fio::{aggregate, run_fio, FioSpec, RwMode};
+use bmstore_core::engine::mapping::MAX_SSD_ID;
 use bmstore_core::engine::qos::QosLimit;
 use std::process::exit;
 
@@ -136,6 +134,18 @@ fn parse_args() -> Args {
                 usage()
             }
         }
+    }
+    // fio moves whole 4 KiB blocks, and the BM-Store engine's mapping
+    // entries address at most `MAX_SSD_ID + 1` back-end SSDs.
+    if args.bs == 0 || !args.bs.is_multiple_of(PAGE_SIZE) {
+        eprintln!("--bs must be a positive multiple of {PAGE_SIZE}");
+        usage()
+    }
+    let bm_store_ssds = usize::from(MAX_SSD_ID) + 1;
+    let bm_store = matches!(args.scheme.as_str(), "bm-store" | "bm-store-vm");
+    if args.ssds == 0 || (bm_store && args.ssds > bm_store_ssds) {
+        eprintln!("--ssds must be at least 1, and at most {bm_store_ssds} for BM-Store");
+        usage()
     }
     args
 }
@@ -382,88 +392,11 @@ fn slo_scenario(seed: u64, per_tenant: u64) -> bm_testbed::World {
 }
 
 fn slo_usage() -> ! {
-    eprintln!("usage: bmstore-cli slo [--smoke] [--seed N] [--ios N] [--top K] [--out FILE]");
+    eprintln!("usage: bmstore-cli slo [--seed N] [--ios N] [--top K] [--out FILE]");
     exit(2)
 }
 
-/// `slo --smoke`: the CI gate. Runs the scenario twice and checks the
-/// alert/incident invariants the PR promises; prints what failed.
-fn slo_smoke(seed: u64, per_tenant: u64) -> ! {
-    let world = slo_scenario(seed, per_tenant);
-    let incident = world.incident_report(&[], 3);
-    let mut failures = Vec::new();
-
-    let fires: Vec<_> = world
-        .slo_alerts()
-        .iter()
-        .filter(|a| a.state == AlertState::Fire)
-        .collect();
-    if fires.len() != 1 {
-        failures.push(format!(
-            "expected exactly 1 fired alert, got {}: {:?}",
-            fires.len(),
-            world
-                .slo_alerts()
-                .iter()
-                .map(|a| a.render())
-                .collect::<Vec<_>>()
-        ));
-    }
-    match parse_incident(&incident) {
-        Ok(s) => {
-            if s.alerts != world.slo_alerts().len() as u64 {
-                failures.push(format!(
-                    "incident claims {} alerts, world logged {}",
-                    s.alerts,
-                    world.slo_alerts().len()
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("incident report does not parse: {e}")),
-    }
-    match world.critical_path() {
-        Some(analysis) => {
-            let profile = analysis.tenant_profile(0);
-            match profile.dominant() {
-                Some(("backend", _)) => {}
-                other => failures.push(format!(
-                    "tenant 0 blame should be dominated by the stalled backend, got {other:?}"
-                )),
-            }
-            if profile.fault_overlap == SimDuration::ZERO {
-                failures.push("tenant 0 saw no fault-window overlap".into());
-            }
-        }
-        None => failures.push("no critical-path analysis (telemetry off?)".into()),
-    }
-
-    // Determinism: a second run must render the identical incident.
-    let again = slo_scenario(seed, per_tenant);
-    if again.incident_report(&[], 3) != incident {
-        failures.push("incident report differs between identical runs".into());
-    }
-    let alerts: Vec<String> = world.slo_alerts().iter().map(|a| a.render()).collect();
-    let alerts_again: Vec<String> = again.slo_alerts().iter().map(|a| a.render()).collect();
-    if alerts != alerts_again {
-        failures.push("alert sequence differs between identical runs".into());
-    }
-
-    if failures.is_empty() {
-        println!(
-            "slo smoke OK: {} alert(s), incident parses, blame names the stalled stage",
-            world.slo_alerts().len()
-        );
-        exit(0)
-    }
-    for f in &failures {
-        eprintln!("slo smoke FAILED: {f}");
-    }
-    print!("{incident}");
-    exit(1)
-}
-
 fn slo_main(mut it: std::env::Args) -> ! {
-    let mut smoke = false;
     let mut seed = 0x510Eu64;
     let mut per_tenant = 600u64;
     let mut top = 5usize;
@@ -471,16 +404,12 @@ fn slo_main(mut it: std::env::Args) -> ! {
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| slo_usage());
         match flag.as_str() {
-            "--smoke" => smoke = true,
             "--seed" => seed = value().parse().unwrap_or_else(|_| slo_usage()),
             "--ios" => per_tenant = value().parse().unwrap_or_else(|_| slo_usage()),
             "--top" => top = value().parse().unwrap_or_else(|_| slo_usage()),
             "--out" => out = Some(value()),
             _ => slo_usage(),
         }
-    }
-    if smoke {
-        slo_smoke(seed, per_tenant);
     }
     println!(
         "slo scenario: seed {seed}, {per_tenant} I/Os per tenant, \
@@ -520,7 +449,7 @@ static ALLOCATOR: bm_prof::alloc::CountingAlloc = bm_prof::alloc::CountingAlloc;
 fn prof_usage() -> ! {
     eprintln!(
         "usage: bmstore-cli prof [--quick] [--seed N] [--top K]\n\
-         \x20                       [--folded FILE] [--json FILE] [--smoke]"
+         \x20                       [--folded FILE] [--json FILE]"
     );
     exit(2)
 }
@@ -548,10 +477,12 @@ fn prof_figures(results: &[bm_workloads::fio::FioResult], events_fired: u64) -> 
     s
 }
 
-/// Runs one BM-Store figure case, optionally profiled. Returns the
-/// canonical figure rendering and the profile snapshot.
-fn prof_run(cfg: TestbedConfig, profiler: bool) -> (String, Option<bm_prof::Snapshot>) {
-    let cfg = if profiler { cfg.with_profiler() } else { cfg };
+/// Runs the fig. 8 bare-metal rand-r-128 case with the profiler on.
+/// Returns the canonical figure rendering and the profile snapshot.
+fn prof_case(seed: u64) -> (String, Option<bm_prof::Snapshot>) {
+    let cfg = TestbedConfig::bm_store_bare_metal(1)
+        .with_seed(seed)
+        .with_profiler();
     let spec = bm_bench::scaled(FioSpec::rand_r_128());
     let (results, world) = run_fio(cfg, spec);
     let figures = prof_figures(&results, world.events_fired);
@@ -559,103 +490,7 @@ fn prof_run(cfg: TestbedConfig, profiler: bool) -> (String, Option<bm_prof::Snap
     (figures, snap)
 }
 
-/// The fig. 8 bare-metal rand-r-128 case — what `prof` profiles.
-fn prof_case(seed: u64, profiler: bool) -> (String, Option<bm_prof::Snapshot>) {
-    prof_run(
-        TestbedConfig::bm_store_bare_metal(1).with_seed(seed),
-        profiler,
-    )
-}
-
-type SmokeCfgFn = fn(u64) -> TestbedConfig;
-
-fn prof_smoke(seed: u64) -> ! {
-    let mut failures = Vec::new();
-
-    // Byte-identity across the fig. 8/9/12 BM-Store configurations:
-    // the profiler must be invisible in every figure the paper pipeline
-    // produces, not just the single-disk bare-metal case.
-    let smoke_cases: &[(&str, SmokeCfgFn)] = &[
-        ("fig08 bare-metal", |s| {
-            TestbedConfig::bm_store_bare_metal(1).with_seed(s)
-        }),
-        ("fig09 single-vm", |s| {
-            TestbedConfig::single_vm(SchemeKind::BmStore { in_vm: true }).with_seed(s)
-        }),
-        ("fig12 multi-vm", |s| {
-            TestbedConfig::multi_vm_bm_store(4).with_seed(s)
-        }),
-    ];
-    for (label, make_cfg) in smoke_cases {
-        let (fig_off, snap_off) = prof_run(make_cfg(seed), false);
-        if snap_off.is_some() {
-            failures.push(format!(
-                "{label}: profiler-off run unexpectedly produced a snapshot"
-            ));
-        }
-        let (fig_on, _) = prof_run(make_cfg(seed), true);
-        if fig_on != fig_off {
-            failures.push(format!(
-                "{label}: figures differ with profiler enabled:\n\
-                 --- off ---\n{fig_off}--- on ---\n{fig_on}"
-            ));
-        }
-    }
-
-    bm_prof::alloc::arm();
-    let (_, snap_on) = prof_case(seed, true);
-    bm_prof::alloc::disarm();
-
-    match snap_on {
-        None => failures.push("profiler-on run produced no snapshot".to_string()),
-        Some(snap) => {
-            if snap.scopes.is_empty() {
-                failures.push("snapshot has no scopes".to_string());
-            }
-            let folded = bm_prof::report::folded(&snap);
-            for (i, line) in folded.lines().enumerate() {
-                let ok = line
-                    .rsplit_once(' ')
-                    .is_some_and(|(key, ns)| !key.is_empty() && ns.parse::<u64>().is_ok());
-                if !ok {
-                    failures.push(format!("folded line {} malformed: {line:?}", i + 1));
-                    break;
-                }
-            }
-            let json = bm_prof::report::render_json(&snap);
-            match bm_prof::report::parse_json(&json) {
-                Ok(p) => {
-                    // Scaling makes the folded self-ns sum track the
-                    // measured dispatch total; 10% is the gate.
-                    let total = p.total_run_ns;
-                    let sum = p.self_ns_sum;
-                    if total > 0 && sum.abs_diff(total) > total / 10 {
-                        failures.push(format!(
-                            "folded self-ns sum {sum} not within 10% of \
-                             measured dispatch total {total}"
-                        ));
-                    }
-                }
-                Err(e) => failures.push(format!("JSON report does not parse: {e}")),
-            }
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "prof smoke OK: figures byte-identical with profiler on, \
-             folded + JSON reports parse, self-ns sums to the dispatch total"
-        );
-        exit(0)
-    }
-    for f in &failures {
-        eprintln!("prof smoke FAILED: {f}");
-    }
-    exit(1)
-}
-
 fn prof_main(mut it: std::env::Args) -> ! {
-    let mut smoke = false;
     let mut seed = 42u64;
     let mut top = 12usize;
     let mut folded_out: Option<String> = None;
@@ -663,7 +498,6 @@ fn prof_main(mut it: std::env::Args) -> ! {
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| prof_usage());
         match flag.as_str() {
-            "--smoke" => smoke = true,
             "--quick" => {} // observed by bm_bench::quick() via env::args
             "--seed" => seed = value().parse().unwrap_or_else(|_| prof_usage()),
             "--top" => top = value().parse().unwrap_or_else(|_| prof_usage()),
@@ -672,12 +506,8 @@ fn prof_main(mut it: std::env::Args) -> ! {
             _ => prof_usage(),
         }
     }
-    if smoke {
-        prof_smoke(seed);
-    }
-
     bm_prof::alloc::arm();
-    let (figures, snap) = prof_case(seed, true);
+    let (figures, snap) = prof_case(seed);
     bm_prof::alloc::disarm();
     let Some(snap) = snap else {
         eprintln!("prof: profiled run produced no snapshot");
@@ -776,6 +606,12 @@ fn main() {
         agg.bandwidth_mbps,
         agg.avg_latency.as_micros_f64()
     );
+    if agg.failed > 0 {
+        println!(
+            "failed: {} of {} measured I/Os completed with an error status",
+            agg.failed, agg.ops
+        );
+    }
     let polling = world.tb.polling_cpu_busy();
     if polling > SimDuration::ZERO {
         println!(
@@ -806,5 +642,8 @@ fn main() {
             }
             None => eprintln!("metrics registry unavailable"),
         }
+    }
+    if agg.failed > 0 {
+        exit(1);
     }
 }

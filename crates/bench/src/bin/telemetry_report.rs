@@ -10,14 +10,14 @@
 //! its scraped latency buckets while tenant 1 stays clean.
 //!
 //! Usage: `cargo run --release -p bm-bench --bin telemetry_report --
-//! [--quick] [--strict] [--trace FILE] [--jsonl FILE]`
+//! [--quick] [--trace FILE] [--jsonl FILE]`
 //!
 //! `--trace` writes a Chrome `chrome://tracing` / Perfetto JSON file;
 //! `--jsonl` dumps the raw event stream one JSON object per line.
-//! `--strict` exits non-zero if the run printed any WARNING (dropped
-//! telemetry events, NVMe-MI decode failures, crash-recovery noise,
-//! past-due clamping) — the CI smoke gate runs with it so silent
-//! observability degradation fails the build.
+//! Dropped telemetry events, NVMe-MI decode failures, crash-recovery
+//! noise and past-due clamping each print a WARNING line to stdout, so
+//! the committed `--quick` golden (`crates/bench/tests/observer_goldens.rs`)
+//! fails on any of them.
 
 use bm_bench::{header, row};
 use bm_nvme::log_page::TelemetryLogPage;
@@ -97,22 +97,17 @@ fn stat_row(label: &str, h: &LatencyHistogram) {
 
 fn main() {
     let mut quick = false;
-    let mut strict = false;
     let mut trace_path: Option<String> = None;
     let mut jsonl_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--strict" => strict = true,
             "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
             "--jsonl" => jsonl_path = Some(args.next().expect("--jsonl needs a path")),
             other => panic!("unknown argument {other}"),
         }
     }
-    // Every WARNING printed below bumps this; `--strict` turns a
-    // non-zero count into a non-zero exit for the CI smoke gate.
-    let mut warnings = 0usize;
     let per_tenant: u64 = if quick { 600 } else { 3_000 };
 
     // Tenant i on SSD i; the spike hits SSD 0 only.
@@ -183,7 +178,6 @@ fn main() {
                 )],
             );
             if rec.dropped() > 0 {
-                warnings += 1;
                 println!(
                     "WARNING: telemetry recorder dropped {} events — \
                      stage rollups above under-count; raise the recorder \
@@ -201,7 +195,6 @@ fn main() {
         let decode_failures = controller.monitor().decode_failures();
         row("mi decode", &[format!("{decode_failures} failures")]);
         if decode_failures > 0 {
-            warnings += 1;
             println!(
                 "WARNING: {decode_failures} NVMe-MI response payloads failed to \
                  decode — the scrape tables below are incomplete"
@@ -229,7 +222,6 @@ fn main() {
             ],
         );
         if stats.recoveries > 0 {
-            warnings += 1;
             println!(
                 "WARNING: {} crash-recovery cycle(s) ran ({} commands replayed, \
                  {} aborted to the host) — latency tables above include \
@@ -240,7 +232,6 @@ fn main() {
     }
     row("clamped past", &[format!("{}", world.clamped_past)]);
     if world.clamped_past > 0 {
-        warnings += 1;
         println!(
             "WARNING: the scheduler clamped {} past-due event(s) to 'now' — \
              an interpreter scheduled work behind the clock; timing fidelity \
@@ -297,10 +288,5 @@ fn main() {
         let dump = telemetry.map(jsonl).expect("telemetry enabled");
         std::fs::write(&path, dump).expect("jsonl file writable");
         println!("event dump written to {path}");
-    }
-
-    if strict && warnings > 0 {
-        eprintln!("--strict: {warnings} warning(s) above — failing the run");
-        std::process::exit(1);
     }
 }

@@ -18,6 +18,14 @@ use bm_sim::SimTime;
 use bm_ssd::SsdId;
 use std::fmt;
 
+/// Chip memory each back-end command slot holds for its PRP list: one
+/// page, the "global PRP stored into chip memory" of §IV-C.
+pub const PRP_LIST_SLOT_BYTES: u64 = 4096;
+
+/// The most pages one forwarded command can address: PRP1 plus one
+/// 8-byte entry per word of its PRP-list slot.
+pub const MAX_FORWARD_PAGES: u32 = 1 + (PRP_LIST_SLOT_BYTES / 8) as u32;
+
 /// What the adaptor remembers about one forwarded command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outstanding {
@@ -111,7 +119,7 @@ impl BackEndPort {
             reason = "panic-path debt (ROADMAP item 4): the chip is sized for every back-end port; exhaustion is a configuration bug"
         )]
         let list_base = chip
-            .alloc(entries as u64 * 4096)
+            .alloc(entries as u64 * PRP_LIST_SLOT_BYTES)
             .expect("chip memory for PRP-list slots");
         let sq_bus = ChipWindow::bus_addr(sq_local);
         let cq_bus = ChipWindow::bus_addr(cq_local);
@@ -126,7 +134,7 @@ impl BackEndPort {
             free_cids: (0..entries).rev().collect(),
             zombies: vec![false; entries as usize],
             list_slots: (0..entries as u64)
-                .map(|i| ChipWindow::bus_addr(list_base + i * 4096))
+                .map(|i| ChipWindow::bus_addr(list_base + i * PRP_LIST_SLOT_BYTES))
                 .collect(),
             forwarded: 0,
             completed: 0,

@@ -32,7 +32,7 @@ pub mod resources;
 use crate::engine::counters::IoCounters;
 use crate::engine::dma_routing::{ChipWindow, DmaRouter, GlobalPrp, RoutingStats};
 use crate::engine::front_end::{Binding, FrontEndFunction};
-use crate::engine::host_adaptor::{HostAdaptor, Outstanding};
+use crate::engine::host_adaptor::{HostAdaptor, Outstanding, MAX_FORWARD_PAGES};
 use crate::engine::mapping::{ChunkAllocator, MappingTable, ENTRIES_PER_ROW};
 use crate::engine::qos::{Admission, NamespaceQos, QosLimit};
 use bm_nvme::command::{AdminOpcode, IoOpcode, Opcode, Sqe};
@@ -1579,15 +1579,18 @@ impl BmsEngine {
                     .is_some_and(|end| end.raw() <= b.blocks())
         };
         // A transfer needs PRP1, and PRP2 once it spans a second page
-        // (what `PrpPair::segments` demands on the native path).
-        let prps_present =
-            is_flush || !(io.orig_prp1.is_null() || (io.orig_blocks > 1 && io.orig_prp2.is_null()));
+        // (what `PrpPair::segments` demands on the native path). Its PRP
+        // list must also fit the chip-memory slot each forwarded command
+        // gets; a longer one would overwrite the next slot's.
+        let prps_ok = is_flush
+            || (!(io.orig_prp1.is_null() || (io.orig_blocks > 1 && io.orig_prp2.is_null()))
+                && io.orig_blocks <= MAX_FORWARD_PAGES);
         let rejected = match self.functions[idx].binding() {
             None => Some(Status::InvalidNamespace),
             Some(b) if io.sqe.nsid != Some(Nsid::ONE) || !in_range(b) => {
                 Some(Status::LbaOutOfRange)
             }
-            Some(_) if !prps_present => Some(Status::InvalidField),
+            Some(_) if !prps_ok => Some(Status::InvalidField),
             Some(_) => None,
         };
         if let Some(status) = rejected {

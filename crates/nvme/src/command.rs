@@ -262,48 +262,16 @@ impl Sqe {
     }
 
     fn parse(b: &[u8; SQE_SIZE as usize], admin: bool) -> Result<Sqe, Status> {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let cdw0 = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
+        let cdw0 = u32::from_le_bytes(field::<0, 4, _>(b));
         let op_byte = (cdw0 & 0xFF) as u8;
         let cid = Cid((cdw0 >> 16) as u16);
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let nsid = Nsid::new(u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let prp1 = PciAddr::new(u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let prp2 = PciAddr::new(u64::from_le_bytes(b[32..40].try_into().expect("8 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let slba = Lba(u64::from_le_bytes(b[40..48].try_into().expect("8 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let cdw10 = u32::from_le_bytes(b[40..44].try_into().expect("4 bytes"));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let cdw11 = u32::from_le_bytes(b[44..48].try_into().expect("4 bytes"));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let cdw12 = u32::from_le_bytes(b[48..52].try_into().expect("4 bytes"));
+        let nsid = Nsid::new(u32::from_le_bytes(field::<4, 4, _>(b)));
+        let prp1 = PciAddr::new(u64::from_le_bytes(field::<24, 8, _>(b)));
+        let prp2 = PciAddr::new(u64::from_le_bytes(field::<32, 8, _>(b)));
+        let slba = Lba(u64::from_le_bytes(field::<40, 8, _>(b)));
+        let cdw10 = u32::from_le_bytes(field::<40, 4, _>(b));
+        let cdw11 = u32::from_le_bytes(field::<44, 4, _>(b));
+        let cdw12 = u32::from_le_bytes(field::<48, 4, _>(b));
         let opcode = if admin {
             Opcode::Admin(match op_byte {
                 0x00 => AdminOpcode::DeleteIoSq,
@@ -398,31 +366,11 @@ impl Cqe {
 
     /// Parses the 16-byte wire format.
     pub fn from_bytes(b: &[u8; CQE_SIZE as usize]) -> Cqe {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let result = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let sq_head = u16::from_le_bytes(b[8..10].try_into().expect("2 bytes"));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let sq_id = QueueId(u16::from_le_bytes(b[10..12].try_into().expect("2 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let cid = Cid(u16::from_le_bytes(b[12..14].try_into().expect("2 bytes")));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): in-bounds range"
-        )]
-        let sf = u16::from_le_bytes(b[14..16].try_into().expect("2 bytes"));
+        let result = u32::from_le_bytes(field::<0, 4, _>(b));
+        let sq_head = u16::from_le_bytes(field::<8, 2, _>(b));
+        let sq_id = QueueId(u16::from_le_bytes(field::<10, 2, _>(b)));
+        let cid = Cid(u16::from_le_bytes(field::<12, 2, _>(b)));
+        let sf = u16::from_le_bytes(field::<14, 2, _>(b));
         Cqe {
             result,
             sq_head,
@@ -432,6 +380,16 @@ impl Cqe {
             status: Status::from_wire(((sf >> 9) & 0x7) as u8, ((sf >> 1) & 0xFF) as u8),
         }
     }
+}
+
+/// The `N` bytes at offset `AT` of a fixed-size wire entry. The range
+/// is checked against the entry length `LEN` when the call compiles, so
+/// a field read has no panic path.
+fn field<const AT: usize, const N: usize, const LEN: usize>(b: &[u8; LEN]) -> [u8; N] {
+    const { assert!(AT + N <= LEN, "field runs past the end of the entry") };
+    let mut out = [0u8; N];
+    out.copy_from_slice(&b[AT..AT + N]);
+    out
 }
 
 #[cfg(test)]

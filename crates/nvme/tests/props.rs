@@ -1,5 +1,6 @@
 //! Property tests: NVMe wire encodings survive arbitrary field values,
-//! and PRP chains always cover transfers exactly.
+//! arbitrary entry bytes never panic the decoders, and PRP chains
+//! always cover transfers exactly.
 
 use bm_nvme::command::{AdminOpcode, Cqe, IoOpcode, Sqe};
 use bm_nvme::prp::PrpPair;
@@ -132,6 +133,20 @@ proptest! {
             cursor = *addr + *n;
         }
         prop_assert_eq!(prp.entry_count() as usize, segs.len());
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_entry_decoders(
+        sqe in proptest::collection::vec(any::<u8>(), 64),
+        cqe in proptest::collection::vec(any::<u8>(), 16),
+    ) {
+        let sqe: [u8; 64] = sqe.try_into().unwrap();
+        let cqe: [u8; 16] = cqe.try_into().unwrap();
+        // Decoding is total: an entry either parses or is rejected with
+        // a status, and every CQE decodes to some completion.
+        let _ = Sqe::from_bytes(&sqe);
+        let _ = Sqe::from_bytes_admin(&sqe);
+        let _ = Cqe::from_bytes(&cqe);
     }
 
     #[test]

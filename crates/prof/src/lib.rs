@@ -17,7 +17,7 @@
 //! observes feeds back into scheduling, event ordering, or any model
 //! state. A run with the profiler enabled therefore produces
 //! byte-identical figures to a run without it — the property
-//! `bmstore_cli prof --smoke` gates on. `clippy.toml` disallows
+//! `tests/prof.rs` asserts. `clippy.toml` disallows
 //! `Instant::now` in the workspace; [`monotonic_ns`] is one of its three
 //! sanctioned reads (the other two are `bench_report`'s timers), so
 //! everything else reaches the host clock through it or not at all.
@@ -101,7 +101,25 @@ impl Node {
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     node: u32,
+    parent: u32,
     enter_ns: u64,
+}
+
+/// Slots in the profiler's `(parent, segment) → child` cache: a power
+/// of two well above the distinct scope paths of one run (about 20 in
+/// a BM-Store fio case).
+const MEMO_SLOTS: usize = 64;
+
+/// One cached child lookup. The segment is keyed by address and
+/// length, so the same `&'static str` hits; an equal string elsewhere
+/// misses and the sibling scan, which compares contents, finds the
+/// same node.
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    parent: u32,
+    seg_addr: usize,
+    seg_len: usize,
+    child: u32,
 }
 
 /// One sampler point: wall time since `run_begin`, cumulative events
@@ -171,11 +189,15 @@ pub struct Snapshot {
 pub struct Profiler {
     nodes: Vec<Node>,
     stack: Vec<Frame>,
+    memo: [Memo; MEMO_SLOTS],
     cursor: u32,
     timed: bool,
     dispatch_ix: u64,
     stride: u64,
     last_ns: u64,
+    /// Whether this thread counted allocations when the run began. If
+    /// not, the counters cannot move, so scope boundaries skip them.
+    count_allocs: bool,
     last_allocs: u64,
     last_bytes: u64,
     run_begin_ns: u64,
@@ -204,11 +226,18 @@ impl Profiler {
         Profiler {
             nodes: vec![Node::new("run")],
             stack: Vec::new(),
+            memo: [Memo {
+                parent: NONE,
+                seg_addr: 0,
+                seg_len: 0,
+                child: NONE,
+            }; MEMO_SLOTS],
             cursor: ROOT,
             timed: false,
             dispatch_ix: 0,
             stride: stride.max(1),
             last_ns: 0,
+            count_allocs: false,
             last_allocs: 0,
             last_bytes: 0,
             run_begin_ns: 0,
@@ -221,9 +250,12 @@ impl Profiler {
     }
 
     /// Attribute allocation counters accumulated since the previous
-    /// boundary to the currently-innermost scope. Cheap when nothing
-    /// was allocated: one thread-local read.
+    /// boundary to the currently-innermost scope. Free when counting
+    /// is off; one thread-local read when nothing was allocated.
     fn flush_allocs(&mut self) {
+        if !self.count_allocs {
+            return;
+        }
         let events = alloc::events();
         if events == self.last_allocs {
             return;
@@ -236,7 +268,26 @@ impl Profiler {
         self.last_bytes = bytes;
     }
 
+    /// The child of `parent` named `seg`, created on first use. Repeat
+    /// lookups hit the memo instead of walking the sibling list.
     fn intern_child(&mut self, parent: u32, seg: &'static str) -> u32 {
+        let seg_addr = seg.as_ptr() as usize;
+        let slot = ((seg_addr >> 3) ^ parent as usize) % MEMO_SLOTS;
+        let memo = self.memo[slot];
+        if memo.parent == parent && memo.seg_addr == seg_addr && memo.seg_len == seg.len() {
+            return memo.child;
+        }
+        let child = self.scan_child(parent, seg);
+        self.memo[slot] = Memo {
+            parent,
+            seg_addr,
+            seg_len: seg.len(),
+            child,
+        };
+        child
+    }
+
+    fn scan_child(&mut self, parent: u32, seg: &'static str) -> u32 {
         let mut cur = self.nodes[parent as usize].first_child;
         let mut prev = NONE;
         while cur != NONE {
@@ -279,6 +330,7 @@ impl Profiler {
         self.nodes[child as usize].count += 1;
         self.stack.push(Frame {
             node: child,
+            parent: self.cursor,
             enter_ns: self.last_ns,
         });
         self.cursor = child;
@@ -300,7 +352,7 @@ impl Profiler {
             node.total_ns += inclusive;
             node.max_ns = node.max_ns.max(inclusive);
         }
-        self.cursor = self.stack.last().map(|f| f.node).unwrap_or(ROOT);
+        self.cursor = frame.parent;
     }
 
     /// Marks the start of an event-loop run: stamps the run origin and
@@ -308,6 +360,7 @@ impl Profiler {
     pub fn run_begin(&mut self) {
         self.run_begin_ns = monotonic_ns();
         self.last_ns = self.run_begin_ns;
+        self.count_allocs = alloc::is_armed();
         self.last_allocs = alloc::events();
         self.last_bytes = alloc::bytes();
         self.next_sample_ns = self.run_begin_ns + self.sample_interval_ns;
@@ -444,6 +497,48 @@ mod tests {
         assert!(stage.total_ns >= doorbell.total_ns);
         assert!(doorbell.total_ns >= snap.scopes[2].total_ns);
         assert!(doorbell.max_ns > 0);
+    }
+
+    #[test]
+    fn memo_collisions_still_find_the_right_scope() {
+        // Segments 512 bytes apart share a memo slot under one parent,
+        // and so do parents 64 node ids apart under one segment; a
+        // prefix shares its string's address. Each is its own scope,
+        // while an equal string at another address is the same one.
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+        let buf = leak(format!("{:<512}{:<512}", "abcd", "wxyz"));
+        let (abcd, wxyz, abc) = (&buf[..4], &buf[512..516], &buf[..3]);
+        let names: Vec<&'static str> = (0..70).map(|i| leak(format!("n{i}"))).collect();
+        let mut p = Profiler::new();
+        p.run_begin();
+        for seg in names
+            .iter()
+            .copied()
+            .chain([abcd, abc, wxyz, leak("abcd".into())])
+        {
+            p.enter(seg);
+            p.exit();
+        }
+        for i in 0..6 {
+            for parent in [names[i], names[i + 64]] {
+                p.enter(parent);
+                p.enter(abcd);
+                p.exit();
+                p.exit();
+            }
+        }
+        p.run_end();
+        let snap = p.snapshot();
+        let counts = |key: &str| -> Vec<u64> {
+            let found = snap.scopes.iter().filter(|s| s.key() == key);
+            found.map(|s| s.count).collect()
+        };
+        assert_eq!(counts("abcd"), [2]);
+        assert_eq!(counts("wxyz"), [1]);
+        assert_eq!(counts("abc"), [1]);
+        for i in (0..6).chain(64..70) {
+            assert_eq!(counts(&format!("n{i};abcd")), [1], "n{i};abcd");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The JSON report is schema-versioned (`"schema": 1`) and written by
 //! hand in fixed field order; [`parse_json`] is the matching minimal
-//! validating parser, used by the `prof --smoke` gate to prove the
-//! report stays machine-readable.
+//! validating parser, which `tests/prof.rs` uses to prove the report
+//! stays machine-readable.
 
 use crate::{ScopeStat, Snapshot};
 
@@ -96,7 +96,7 @@ pub fn render_json(snap: &Snapshot) -> String {
     out
 }
 
-/// What [`parse_json`] extracts — enough for the smoke gate's claims
+/// What [`parse_json`] extracts — enough for the export test's claims
 /// (schema version, ns accounting, non-empty scope set).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedReport {

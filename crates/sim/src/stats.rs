@@ -194,6 +194,7 @@ impl LatencyHistogram {
 pub struct IoStats {
     ops: u64,
     bytes: u64,
+    failed: u64,
     latency: LatencyHistogram,
 }
 
@@ -203,6 +204,7 @@ impl IoStats {
         IoStats {
             ops: 0,
             bytes: 0,
+            failed: 0,
             latency: LatencyHistogram::new(),
         }
     }
@@ -214,10 +216,17 @@ impl IoStats {
         self.latency.record(latency);
     }
 
+    /// Marks one recorded operation as failed (it completed with an
+    /// error status). It still counts in the ops, bytes and latencies.
+    pub fn record_failure(&mut self) {
+        self.failed += 1;
+    }
+
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &IoStats) {
         self.ops += other.ops;
         self.bytes += other.bytes;
+        self.failed += other.failed;
         self.latency.merge(&other.latency);
     }
 
@@ -229,6 +238,11 @@ impl IoStats {
     /// Total bytes transferred.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Recorded operations marked failed.
+    pub fn failed(&self) -> u64 {
+        self.failed
     }
 
     /// The latency histogram.

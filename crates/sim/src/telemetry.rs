@@ -560,8 +560,8 @@ pub fn jsonl(rec: &TelemetryRecorder) -> String {
 }
 
 /// A span parsed back out of [`chrome_trace`] output (validation aid
-/// for the smoke test and attribution tests — parses exactly the format
-/// this module emits, nothing more).
+/// for the span-nesting and attribution tests — parses exactly the
+/// format this module emits, nothing more).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedSpan {
     /// Event name (the stage name).

@@ -136,7 +136,7 @@ pub struct TestbedConfig {
     /// scoped timers around event dispatch, allocation attribution, and
     /// the events/sec sampler. Read-only with respect to the simulation
     /// — profiler-on runs are byte-identical to profiler-off runs (the
-    /// property `bmstore_cli prof --smoke` gates on).
+    /// property `tests/prof.rs` asserts).
     pub profiler: bool,
 }
 

@@ -266,7 +266,11 @@ impl Client for FioJob {
 
     fn on_completion(&mut self, now: SimTime, c: Completion) -> ClientOutput {
         if now >= self.measure_start && now < self.measure_end {
-            self.stats.borrow_mut().record(c.bytes, c.latency());
+            let mut stats = self.stats.borrow_mut();
+            stats.record(c.bytes, c.latency());
+            if !c.status.is_success() {
+                stats.record_failure();
+            }
             if let Some(trace) = &self.trace {
                 trace.borrow_mut().record(now);
             }
@@ -298,6 +302,9 @@ pub struct FioResult {
     pub p999: SimDuration,
     /// Operations measured.
     pub ops: u64,
+    /// Of `ops`, those that completed with an error status. They count
+    /// in the throughput and latency figures above too.
+    pub failed: u64,
 }
 
 impl FioResult {
@@ -311,6 +318,7 @@ impl FioResult {
             p99: stats.latency().percentile(0.99),
             p999: stats.latency().percentile(0.999),
             ops: stats.ops(),
+            failed: stats.failed(),
         }
     }
 }
@@ -413,5 +421,6 @@ pub fn aggregate(results: &[FioResult]) -> FioResult {
         p999: hist.percentile(0.999),
         latency_hist: hist,
         ops,
+        failed: results.iter().map(|r| r.failed).sum(),
     }
 }

@@ -1,8 +1,6 @@
 #!/bin/sh
 # Regenerates every table and figure of the paper (see DESIGN.md).
 # Pass --quick for a fast pass at reduced simulated windows.
-# Pass --faults to also run the fault-injection smoke (faults_smoke),
-# which drives every FaultPlan event kind through a live tenant run.
 # Pass --telemetry to also run the telemetry report (telemetry_report),
 # which prints the per-tenant/per-stage latency breakdown and the
 # out-of-band NVMe-MI scrape tables.
@@ -24,16 +22,13 @@ set -e
 if [ "${SKIP_CHECKS:-0}" != "1" ]; then
     sh "$(dirname "$0")/scripts/check.sh"
 fi
-with_faults=0
 with_telemetry=0
 with_metrics=0
 with_chaos=0
 with_slo=0
 figure_args=""
 for arg in "$@"; do
-    if [ "$arg" = "--faults" ]; then
-        with_faults=1
-    elif [ "$arg" = "--chaos" ]; then
+    if [ "$arg" = "--chaos" ]; then
         with_chaos=1
     elif [ "$arg" = "--slo" ]; then
         with_slo=1
@@ -47,9 +42,6 @@ for arg in "$@"; do
 done
 # shellcheck disable=SC2086 # word-splitting figure_args is intended
 set -- $figure_args
-if [ "$with_faults" = "1" ]; then
-    cargo run --release -q -p bm-bench --bin faults_smoke -- "$@"
-fi
 if [ "$with_chaos" = "1" ]; then
     cargo run --release -q -p bm-bench --bin bmstore_cli -- chaos run --seeds 25
     cargo run --release -q -p bm-bench --bin bmstore_cli -- chaos run --seeds 25 --policy quiesce-replay

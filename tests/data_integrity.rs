@@ -9,6 +9,7 @@
 //! machinery end to end.
 
 use bmstore::nvme::types::Lba;
+use bmstore::nvme::Status;
 use bmstore::sim::SimTime;
 use bmstore::ssd::DataMode;
 use bmstore::testbed::{
@@ -18,14 +19,15 @@ use bmstore::testbed::{
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Writes from `wbuf`, then reads the same LBAs into `rbuf`.
+/// Writes from `wbuf`, then, if the write succeeded, reads the same
+/// LBAs into `rbuf`. Logs each completion's status.
 struct WriteThenRead {
     dev: DeviceId,
     lba: Lba,
     blocks: u32,
     wbuf: BufferId,
     rbuf: BufferId,
-    phase: Rc<RefCell<u32>>,
+    statuses: Rc<RefCell<Vec<Status>>>,
 }
 
 impl Client for WriteThenRead {
@@ -41,9 +43,8 @@ impl Client for WriteThenRead {
     }
 
     fn on_completion(&mut self, _now: SimTime, c: Completion) -> ClientOutput {
-        assert!(c.status.is_success(), "I/O failed: {}", c.status);
-        *self.phase.borrow_mut() += 1;
-        if c.tag == 1 {
+        self.statuses.borrow_mut().push(c.status);
+        if c.tag == 1 && c.status.is_success() {
             ClientOutput::submit(vec![IoRequest {
                 dev: self.dev,
                 op: IoOp::Read,
@@ -71,19 +72,23 @@ fn round_trip(scheme: SchemeKind, blocks: u32, lba: u64) {
     let pattern: Vec<u8> = (0..bytes).map(|i| (i * 7 % 251) as u8).collect();
     tb.host_mem.write(tb.buffer_addr(wbuf), &pattern);
 
-    let phase = Rc::new(RefCell::new(0u32));
+    let statuses = Rc::new(RefCell::new(Vec::new()));
     let client = WriteThenRead {
         dev: DeviceId(0),
         lba: Lba(lba),
         blocks,
         wbuf,
         rbuf,
-        phase: Rc::clone(&phase),
+        statuses: Rc::clone(&statuses),
     };
     let mut world = World::new(tb);
     world.add_client(Box::new(client));
     let mut world = world.run(None);
-    assert_eq!(*phase.borrow(), 2, "both I/Os completed ({scheme:?})");
+    assert_eq!(
+        *statuses.borrow(),
+        [Status::Success; 2],
+        "both I/Os succeeded ({scheme:?})"
+    );
     let got = world
         .tb
         .host_mem
@@ -146,20 +151,85 @@ fn bm_store_zero_copy_routes_bytes_through_router() {
     let rbuf = tb.register_buffer(bytes);
     let pattern = vec![0xA7u8; bytes as usize];
     tb.host_mem.write(tb.buffer_addr(wbuf), &pattern);
-    let phase = Rc::new(RefCell::new(0u32));
+    let statuses = Rc::new(RefCell::new(Vec::new()));
     let client = WriteThenRead {
         dev: DeviceId(0),
         lba: Lba(77),
         blocks: 8,
         wbuf,
         rbuf,
-        phase: Rc::clone(&phase),
+        statuses: Rc::clone(&statuses),
     };
     let mut world = World::new(tb);
     world.add_client(Box::new(client));
     let world = world.run(None);
+    assert_eq!(
+        *statuses.borrow(),
+        [Status::Success; 2],
+        "both I/Os succeeded"
+    );
     let stats = world.tb.engine().expect("BM-Store scheme").routing_stats();
     assert_eq!(stats.bytes_from_host, bytes, "write payload routed");
     assert_eq!(stats.bytes_to_host, bytes, "read payload routed");
     assert_eq!(stats.dropped, 0);
+}
+
+/// Writes a distinct pattern of each size to one BM-Store SSD, all at
+/// once (one client per write), and reads back each write that
+/// succeeded. Returns, per write, its completion statuses and whether
+/// its bytes came back intact.
+fn concurrent_writes(sizes: &[u32]) -> Vec<(Vec<Status>, bool)> {
+    let cfg = TestbedConfig::bm_store_bare_metal(1).with_data_mode(DataMode::Full);
+    let mut tb = Testbed::new(cfg);
+    let mut clients = Vec::new();
+    let mut checks = Vec::new();
+    let mut lba = 0;
+    for (i, &blocks) in sizes.iter().enumerate() {
+        let bytes = u64::from(blocks) * 4096;
+        let (wbuf, rbuf) = (tb.register_buffer(bytes), tb.register_buffer(bytes));
+        let pattern: Vec<u8> = (0..bytes)
+            .map(|j| ((j * 7 + i as u64 * 101) % 251) as u8)
+            .collect();
+        tb.host_mem.write(tb.buffer_addr(wbuf), &pattern);
+        let statuses = Rc::new(RefCell::new(Vec::new()));
+        clients.push(WriteThenRead {
+            dev: DeviceId(0),
+            lba: Lba(lba),
+            blocks,
+            wbuf,
+            rbuf,
+            statuses: Rc::clone(&statuses),
+        });
+        checks.push((statuses, rbuf, pattern));
+        lba += u64::from(blocks);
+    }
+    let mut world = World::new(tb);
+    for client in clients {
+        world.add_client(Box::new(client));
+    }
+    let mut world = world.run(None);
+    checks
+        .into_iter()
+        .map(|(statuses, rbuf, pattern)| {
+            let addr = world.tb.buffer_addr(rbuf);
+            let intact = world.tb.host_mem.read_vec(addr, pattern.len() as u64) == pattern;
+            (statuses.take(), intact)
+        })
+        .collect()
+}
+
+#[test]
+fn bm_store_rejects_a_transfer_longer_than_its_prp_list_slot() {
+    // Each forwarded command has a one-page PRP-list slot in chip
+    // memory: PRP1 plus 512 entries, 513 pages. A 600-page write must
+    // fail instead of spilling its list into the concurrent write's
+    // slot, and the concurrent write must still round-trip.
+    let got = concurrent_writes(&[600, 3]);
+    assert_eq!(got[0], (vec![Status::InvalidField], false));
+    assert_eq!(got[1], (vec![Status::Success; 2], true));
+}
+
+#[test]
+fn bm_store_round_trip_at_the_prp_list_slot_limit() {
+    round_trip(SchemeKind::BmStore { in_vm: false }, 513, 0);
 }

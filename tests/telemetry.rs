@@ -190,9 +190,10 @@ fn out_of_band_scrape_matches_in_band_accounting() {
 }
 
 /// Acceptance: one slow command injected via the fault plan is fully
-/// attributable from the exported artifacts alone — the trace names
-/// the tenant and the stage that absorbed the latency, and the same
-/// tenant's scraped histogram carries the tail.
+/// attributable from the exported artifacts alone — the trace parses,
+/// every stage span nests inside its command's root span, the trace
+/// names the tenant and the stage that absorbed the latency, and the
+/// same tenant's scraped histogram carries the tail.
 #[test]
 fn injected_slowdown_is_attributable_from_the_trace() {
     let log: CompletionLog = Rc::new(RefCell::new(Vec::new()));
@@ -208,6 +209,22 @@ fn injected_slowdown_is_attributable_from_the_trace() {
     let mut by_cmd: BTreeMap<u64, Vec<&ParsedSpan>> = BTreeMap::new();
     for s in &spans {
         by_cmd.entry(s.tid).or_default().push(s);
+    }
+
+    // Every command has one root span, and every stage span of the
+    // command lies inside it.
+    const EPS: f64 = 1e-6;
+    for (tid, group) in &by_cmd {
+        let roots: Vec<_> = group.iter().filter(|s| s.name == "cmd").collect();
+        assert_eq!(roots.len(), 1, "command {tid} has one root span");
+        let root = roots[0];
+        for s in group {
+            assert!(
+                s.ts_us >= root.ts_us - EPS && s.ts_us + s.dur_us <= root.ts_us + root.dur_us + EPS,
+                "span {} of command {tid} escapes its root window",
+                s.name
+            );
+        }
     }
 
     // The slowest root span points at the afflicted tenant, and its
