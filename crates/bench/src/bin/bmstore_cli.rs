@@ -147,6 +147,11 @@ fn parse_args() -> Args {
         eprintln!("--ssds must be at least 1, and at most {bm_store_ssds} for BM-Store");
         usage()
     }
+    // Any of these at 0 runs nothing and reports 0 IOPS.
+    if args.iodepth == 0 || args.numjobs == 0 || args.runtime_ms == 0 {
+        eprintln!("--iodepth, --numjobs and --runtime-ms must be at least 1");
+        usage()
+    }
     args
 }
 
@@ -159,9 +164,13 @@ fn scheme_kind(s: &str) -> SchemeKind {
         "arm" => SchemeKind::ArmOffload,
         other => match other.strip_prefix("spdk") {
             Some(rest) => {
+                // vhost needs at least one polling core.
                 let cores = rest
                     .strip_prefix(':')
-                    .map(|c| c.parse().unwrap_or_else(|_| usage()))
+                    .map(|c| match c.parse() {
+                        Ok(n) if n > 0 => n,
+                        _ => usage(),
+                    })
                     .unwrap_or(1);
                 SchemeKind::SpdkVhost { cores }
             }
@@ -181,7 +190,10 @@ fn rw_mode(s: &str) -> RwMode {
         "seqwrite" => RwMode::SeqWrite,
         other => match other.strip_prefix("rw:") {
             Some(frac) => RwMode::RandRw {
-                read_frac: frac.parse().unwrap_or_else(|_| usage()),
+                read_frac: match frac.parse() {
+                    Ok(f) if (0.0..=1.0).contains(&f) => f,
+                    _ => usage(),
+                },
             },
             None => {
                 eprintln!("unknown rw mode {other}");

@@ -16,7 +16,7 @@
 //! `--jsonl` dumps the raw event stream one JSON object per line.
 //! Dropped telemetry events, NVMe-MI decode failures, crash-recovery
 //! noise and past-due clamping each print a WARNING line to stdout, so
-//! the committed `--quick` golden (`crates/bench/tests/observer_goldens.rs`)
+//! the committed `--quick` golden (`crates/bench/tests/goldens.rs`)
 //! fails on any of them.
 
 use bm_bench::{header, row};
@@ -95,6 +95,11 @@ fn stat_row(label: &str, h: &LatencyHistogram) {
     );
 }
 
+fn usage() -> ! {
+    eprintln!("usage: telemetry_report [--quick] [--trace FILE] [--jsonl FILE]");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut quick = false;
     let mut trace_path: Option<String> = None;
@@ -103,9 +108,9 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
-            "--jsonl" => jsonl_path = Some(args.next().expect("--jsonl needs a path")),
-            other => panic!("unknown argument {other}"),
+            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--jsonl" => jsonl_path = Some(args.next().unwrap_or_else(|| usage())),
+            _ => usage(),
         }
     }
     let per_tenant: u64 = if quick { 600 } else { 3_000 };

@@ -1,14 +1,12 @@
 //! # bm-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md` for the index), plus Criterion microbenchmarks of the
-//! engine's hot paths. Every binary accepts `--quick` (or the
-//! `BM_QUICK=1` environment variable) to shorten simulated windows, and
-//! prints a paper-vs-measured table.
+//! `DESIGN.md` for the index), plus `bmstore_cli` and
+//! `telemetry_report`. Every figure binary accepts `--quick` to shorten
+//! simulated windows, and prints a paper-vs-measured table; the
+//! `--quick` tables are committed goldens (`tests/goldens.rs`).
 
 #![forbid(unsafe_code)]
-
-pub mod report;
 
 use bm_sim::SimDuration;
 use bm_workloads::fio::FioSpec;
@@ -16,7 +14,6 @@ use bm_workloads::fio::FioSpec;
 /// Whether the invocation asked for a quick run.
 pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("BM_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
 /// The window scale factor for this invocation.
@@ -128,9 +125,7 @@ mod tests {
     #[test]
     fn scale_is_full_without_quick() {
         // (Running tests never passes --quick.)
-        if std::env::var("BM_QUICK").is_err() {
-            assert_eq!(scale(), 1.0);
-        }
+        assert_eq!(scale(), 1.0);
     }
 
     #[test]

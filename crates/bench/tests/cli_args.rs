@@ -1,22 +1,18 @@
-//! `bmstore_cli` rejects sizes the simulator cannot run: each prints
-//! the usage and exits 2 before a run starts, instead of panicking in
-//! the PRP builder or the engine's chunk allocator, or silently running
-//! a different size. A size it runs but whose I/Os fail is reported and
-//! exits 1.
+//! `bmstore_cli` and `telemetry_report` reject arguments they cannot
+//! run: each prints the usage and exits 2 before a run starts, instead
+//! of panicking in the PRP builder, the engine's chunk allocator or the
+//! vhost model, or silently running something else (a different size,
+//! or nothing at all and reporting 0 IOPS). A size `bmstore_cli` runs
+//! but whose I/Os fail is reported and exits 1.
 
 use std::process::Command;
 
-#[test]
-fn bad_sizes_exit_with_usage_instead_of_panicking() {
-    let bin = env!("CARGO_BIN_EXE_bmstore_cli");
-    for args in [
-        &["--bs", "0"][..],
-        &["--bs", "1000"],
-        &["--scheme", "bm-store", "--ssds", "0"],
-        &["--scheme", "bm-store", "--ssds", "9"],
-    ] {
+/// Runs `bin` with each argument list and asserts usage, exit 2 and no
+/// panic.
+fn assert_usage_exit(bin: &str, cases: &[&[&str]]) {
+    for args in cases {
         let out = Command::new(bin)
-            .args(args)
+            .args(*args)
             .output()
             .unwrap_or_else(|e| panic!("{bin}: {e}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -24,6 +20,34 @@ fn bad_sizes_exit_with_usage_instead_of_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn bad_arguments_exit_with_usage_instead_of_panicking() {
+    assert_usage_exit(
+        env!("CARGO_BIN_EXE_bmstore_cli"),
+        &[
+            &["--bs", "0"],
+            &["--bs", "1000"],
+            &["--scheme", "bm-store", "--ssds", "0"],
+            &["--scheme", "bm-store", "--ssds", "9"],
+            &["--iodepth", "0"],
+            &["--numjobs", "0"],
+            &["--runtime-ms", "0"],
+            &["--rw", "rw:2"],
+            &["--rw", "rw:-1"],
+            &["--rw", "rw:NaN"],
+            &["--scheme", "spdk:0"],
+        ],
+    );
+}
+
+#[test]
+fn telemetry_report_bad_arguments_exit_with_usage() {
+    assert_usage_exit(
+        env!("CARGO_BIN_EXE_telemetry_report"),
+        &[&["--bogus"], &["--trace"], &["--quick", "--jsonl"]],
+    );
 }
 
 #[test]

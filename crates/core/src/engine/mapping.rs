@@ -352,16 +352,12 @@ impl ChunkAllocator {
     /// Returns [`OutOfChunks`] if `ssd` has fewer than `n` free chunks.
     pub fn alloc_on(&mut self, ssd: SsdId, n: usize) -> Result<Vec<MapEntry>, OutOfChunks> {
         let free = self.free.get_mut(ssd.0 as usize).ok_or(OutOfChunks)?;
-        if free.len() < n {
-            return Err(OutOfChunks);
-        }
-        Ok((0..n)
-            .map(|_| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): the length check above covers every pop"
-                )]
-                let chunk = free.pop().expect("length checked");
+        let keep = free.len().checked_sub(n).ok_or(OutOfChunks)?;
+        // The last `n` chunks, last first: the order `n` pops would give.
+        Ok(free
+            .drain(keep..)
+            .rev()
+            .map(|chunk| {
                 #[expect(
                     clippy::expect_used,
                     reason = "panic-path debt (ROADMAP item 4): free chunk ids fit 6 bits"

@@ -88,7 +88,7 @@ fn stock_driver_enumeration_and_io() {
         &Sqe::admin(AdminOpcode::Identify, Cid(1), 1, idc_buf),
     );
     assert!(st.is_success());
-    let idc = IdentifyController::from_page(&host.read_vec(idc_buf, 4096));
+    let idc = IdentifyController::from_page(&host.read_vec(idc_buf, 4096)).unwrap();
     assert_eq!(idc.model, "BM-Store Virtual NVMe");
 
     // Identify namespace (CNS=0): the bound 256 GB shows through.
@@ -99,7 +99,7 @@ fn stock_driver_enumeration_and_io() {
         &Sqe::admin(AdminOpcode::Identify, Cid(2), 0, idn_buf),
     );
     assert!(st.is_success());
-    let idn = IdentifyNamespace::from_page(&host.read_vec(idn_buf, 4096));
+    let idn = IdentifyNamespace::from_page(&host.read_vec(idn_buf, 4096)).unwrap();
     assert_eq!(idn.nsze * idn.block_size, 256 << 30);
 
     // Create I/O CQ then SQ via admin commands (qid=1, 64 entries).

@@ -6,6 +6,7 @@
 //! bytes to the back-end SSD. Keeping the real layout means those
 //! rewrites are byte-exact, like the RTL.
 
+use crate::field;
 use crate::status::Status;
 use crate::types::{Cid, Lba, Nsid, QueueId};
 use bm_pcie::PciAddr;
@@ -380,16 +381,6 @@ impl Cqe {
             status: Status::from_wire(((sf >> 9) & 0x7) as u8, ((sf >> 1) & 0xFF) as u8),
         }
     }
-}
-
-/// The `N` bytes at offset `AT` of a fixed-size wire entry. The range
-/// is checked against the entry length `LEN` when the call compiles, so
-/// a field read has no panic path.
-fn field<const AT: usize, const N: usize, const LEN: usize>(b: &[u8; LEN]) -> [u8; N] {
-    const { assert!(AT + N <= LEN, "field runs past the end of the entry") };
-    let mut out = [0u8; N];
-    out.copy_from_slice(&b[AT..AT + N]);
-    out
 }
 
 #[cfg(test)]

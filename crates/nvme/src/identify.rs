@@ -6,6 +6,7 @@
 //! namespace geometry, serialized into the 4 KiB page the command DMAs
 //! back.
 
+use crate::field;
 use crate::namespace::Namespace;
 use crate::types::Nsid;
 
@@ -57,25 +58,18 @@ impl IdentifyController {
         page
     }
 
-    /// Parses a 4 KiB identify page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is shorter than [`IDENTIFY_PAGE_SIZE`].
-    pub fn from_page(page: &[u8]) -> Self {
-        assert!(page.len() >= IDENTIFY_PAGE_SIZE, "short identify page");
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the length assert keeps these constant ranges in bounds"
-        )]
-        IdentifyController {
-            vid: u16::from_le_bytes(page[0..2].try_into().expect("2 bytes")),
-            serial: read_padded(&page[4..24]),
-            model: read_padded(&page[24..64]),
-            firmware: read_padded(&page[64..72]),
-            nn: u32::from_le_bytes(page[516..520].try_into().expect("4 bytes")),
+    /// Parses a 4 KiB identify page; `None` if `page` is shorter than
+    /// [`IDENTIFY_PAGE_SIZE`].
+    pub fn from_page(page: &[u8]) -> Option<Self> {
+        let page = page.first_chunk::<IDENTIFY_PAGE_SIZE>()?;
+        Some(IdentifyController {
+            vid: u16::from_le_bytes(field::<0, 2, _>(page)),
+            serial: read_padded(&field::<4, 20, _>(page)),
+            model: read_padded(&field::<24, 40, _>(page)),
+            firmware: read_padded(&field::<64, 8, _>(page)),
+            nn: u32::from_le_bytes(field::<516, 4, _>(page)),
             mdts: page[77],
-        }
+        })
     }
 }
 
@@ -111,21 +105,14 @@ impl IdentifyNamespace {
         page
     }
 
-    /// Parses a 4 KiB identify page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is shorter than [`IDENTIFY_PAGE_SIZE`].
-    pub fn from_page(page: &[u8]) -> Self {
-        assert!(page.len() >= IDENTIFY_PAGE_SIZE, "short identify page");
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the length assert keeps this constant range in bounds"
-        )]
-        IdentifyNamespace {
-            nsze: u64::from_le_bytes(page[0..8].try_into().expect("8 bytes")),
-            block_size: 1u64 << page[130],
-        }
+    /// Parses a 4 KiB identify page; `None` if `page` is shorter than
+    /// [`IDENTIFY_PAGE_SIZE`] or its LBA-format shift is 64 or more.
+    pub fn from_page(page: &[u8]) -> Option<Self> {
+        let page = page.first_chunk::<IDENTIFY_PAGE_SIZE>()?;
+        Some(IdentifyNamespace {
+            nsze: u64::from_le_bytes(field::<0, 8, _>(page)),
+            block_size: 1u64.checked_shl(u32::from(page[130]))?,
+        })
     }
 }
 
@@ -151,7 +138,7 @@ mod tests {
         let id = IdentifyController::bm_store_front_end(17);
         let page = id.to_page();
         assert_eq!(page.len(), IDENTIFY_PAGE_SIZE);
-        assert_eq!(IdentifyController::from_page(&page), id);
+        assert_eq!(IdentifyController::from_page(&page), Some(id.clone()));
         assert_eq!(id.serial, "BMS00017");
     }
 
@@ -159,7 +146,7 @@ mod tests {
     fn namespace_page_round_trip() {
         let ns = Namespace::new(Nsid::new(4).unwrap(), 1 << 28, 4096);
         let id = IdentifyNamespace::from_namespace(&ns);
-        let back = IdentifyNamespace::from_page(&id.to_page());
+        let back = IdentifyNamespace::from_page(&id.to_page()).unwrap();
         assert_eq!(back, id);
         assert_eq!(back.to_namespace(Nsid::new(4).unwrap()), ns);
     }
@@ -174,7 +161,7 @@ mod tests {
             nn: 1,
             mdts: 0,
         };
-        let parsed = IdentifyController::from_page(&id.to_page());
+        let parsed = IdentifyController::from_page(&id.to_page()).unwrap();
         assert_eq!(parsed.serial.len(), 20);
         assert_eq!(parsed.model.len(), 40);
         assert_eq!(parsed.firmware.len(), 8);

@@ -70,3 +70,15 @@ pub use namespace::Namespace;
 pub use queue::{BadSqe, CompletionQueue, DoorbellLayout, SubmissionQueue};
 pub use status::Status;
 pub use types::{Cid, Lba, Nsid, QueueId};
+
+/// The `N` bytes at offset `AT` of a fixed-size wire structure (an
+/// entry, a page or a payload). The range is checked against the
+/// structure's length `LEN` when the call compiles, so a field read has
+/// no panic path; decoders convert their input to `&[u8; LEN]` once,
+/// rejecting a short one with their own error.
+pub(crate) fn field<const AT: usize, const N: usize, const LEN: usize>(b: &[u8; LEN]) -> [u8; N] {
+    const { assert!(AT + N <= LEN, "field runs past the end of the structure") };
+    let mut out = [0u8; N];
+    out.copy_from_slice(&b[AT..AT + N]);
+    out
+}

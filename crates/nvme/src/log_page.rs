@@ -8,6 +8,7 @@
 //! coarse latency bucket registers, in a fixed little-endian layout so
 //! a console can decode it without any schema negotiation.
 
+use crate::field;
 use crate::mi::MiFrameError;
 
 /// Log page identifier of the BM-Store telemetry page (vendor range).
@@ -118,42 +119,31 @@ impl TelemetryLogPage {
     /// [`MiFrameError::UnknownOpcode`] when the page id or version byte
     /// doesn't match what this crate encodes.
     pub fn from_bytes(bytes: &[u8]) -> Result<TelemetryLogPage, MiFrameError> {
-        if bytes.len() < TELEMETRY_LOG_PAGE_LEN {
-            return Err(MiFrameError::Empty);
+        let b = bytes
+            .first_chunk::<TELEMETRY_LOG_PAGE_LEN>()
+            .ok_or(MiFrameError::Empty)?;
+        if b[0] != TELEMETRY_LOG_PAGE_ID {
+            return Err(MiFrameError::UnknownOpcode(b[0]));
         }
-        if bytes[0] != TELEMETRY_LOG_PAGE_ID {
-            return Err(MiFrameError::UnknownOpcode(bytes[0]));
+        if b[1] != TELEMETRY_LOG_VERSION {
+            return Err(MiFrameError::UnknownOpcode(b[1]));
         }
-        if bytes[1] != TELEMETRY_LOG_VERSION {
-            return Err(MiFrameError::UnknownOpcode(bytes[1]));
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the length check keeps every fixed field offset in bounds"
-        )]
-        let u64_at =
-            |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the length check keeps every fixed field offset in bounds"
-        )]
-        let u32_at =
-            |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
+        let buckets = field::<68, { TELEMETRY_LATENCY_BUCKETS * 8 }, _>(b);
         let mut latency_buckets = [0u64; TELEMETRY_LATENCY_BUCKETS];
-        for (i, b) in latency_buckets.iter_mut().enumerate() {
-            *b = u64_at(68 + i * 8);
+        for (v, le) in latency_buckets.iter_mut().zip(buckets.as_chunks::<8>().0) {
+            *v = u64::from_le_bytes(*le);
         }
         Ok(TelemetryLogPage {
-            function: bytes[2],
-            reads: u64_at(4),
-            writes: u64_at(12),
-            read_bytes: u64_at(20),
-            write_bytes: u64_at(28),
-            errors: u64_at(36),
-            qos_deferred: u64_at(44),
-            total_latency_ns: u64_at(52),
-            outstanding: u32_at(60),
-            peak_outstanding: u32_at(64),
+            function: b[2],
+            reads: u64::from_le_bytes(field::<4, 8, _>(b)),
+            writes: u64::from_le_bytes(field::<12, 8, _>(b)),
+            read_bytes: u64::from_le_bytes(field::<20, 8, _>(b)),
+            write_bytes: u64::from_le_bytes(field::<28, 8, _>(b)),
+            errors: u64::from_le_bytes(field::<36, 8, _>(b)),
+            qos_deferred: u64::from_le_bytes(field::<44, 8, _>(b)),
+            total_latency_ns: u64::from_le_bytes(field::<52, 8, _>(b)),
+            outstanding: u32::from_le_bytes(field::<60, 4, _>(b)),
+            peak_outstanding: u32::from_le_bytes(field::<64, 4, _>(b)),
             latency_buckets,
         })
     }

@@ -8,6 +8,7 @@
 //! hot-upgrade, hot-plug), which are defined where they are interpreted,
 //! in `bmstore-core`.
 
+use crate::field;
 use std::fmt;
 
 /// An NVMe-MI opcode: standard values plus the vendor-specific range.
@@ -229,18 +230,12 @@ impl HealthStatus {
     ///
     /// Returns [`MiFrameError::Empty`] if fewer than 8 bytes arrive.
     pub fn from_bytes(bytes: &[u8]) -> Result<HealthStatus, MiFrameError> {
-        if bytes.len() < 8 {
-            return Err(MiFrameError::Empty);
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the length check keeps the 2-byte range in bounds"
-        )]
+        let b = bytes.first_chunk::<8>().ok_or(MiFrameError::Empty)?;
         Ok(HealthStatus {
-            temperature_k: u16::from_le_bytes(bytes[0..2].try_into().expect("2 bytes")),
-            percent_used: bytes[2],
-            available_spare: bytes[3],
-            critical_warning: bytes[4],
+            temperature_k: u16::from_le_bytes(field::<0, 2, _>(b)),
+            percent_used: b[2],
+            available_spare: b[3],
+            critical_warning: b[4],
         })
     }
 }

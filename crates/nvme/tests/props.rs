@@ -1,8 +1,11 @@
 //! Property tests: NVMe wire encodings survive arbitrary field values,
-//! arbitrary entry bytes never panic the decoders, and PRP chains
-//! always cover transfers exactly.
+//! arbitrary entry, page and payload bytes never panic the decoders,
+//! and PRP chains always cover transfers exactly.
 
 use bm_nvme::command::{AdminOpcode, Cqe, IoOpcode, Sqe};
+use bm_nvme::identify::{IdentifyController, IdentifyNamespace};
+use bm_nvme::log_page::{TelemetryLogPage, TELEMETRY_LOG_PAGE_ID, TELEMETRY_LOG_VERSION};
+use bm_nvme::mi::HealthStatus;
 use bm_nvme::prp::PrpPair;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::Status;
@@ -139,6 +142,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_entry_decoders(
         sqe in proptest::collection::vec(any::<u8>(), 64),
         cqe in proptest::collection::vec(any::<u8>(), 16),
+        page in proptest::collection::vec(any::<u8>(), 0..4200),
     ) {
         let sqe: [u8; 64] = sqe.try_into().unwrap();
         let cqe: [u8; 16] = cqe.try_into().unwrap();
@@ -147,6 +151,18 @@ proptest! {
         let _ = Sqe::from_bytes(&sqe);
         let _ = Sqe::from_bytes_admin(&sqe);
         let _ = Cqe::from_bytes(&cqe);
+        // Pages and payloads of any length either parse or are rejected.
+        let _ = IdentifyController::from_page(&page);
+        let _ = IdentifyNamespace::from_page(&page);
+        let _ = HealthStatus::from_bytes(&page);
+        let _ = TelemetryLogPage::from_bytes(&page);
+        // With a valid header the telemetry page reaches its field reads.
+        let mut log = page;
+        if let [id, version, ..] = &mut log[..] {
+            *id = TELEMETRY_LOG_PAGE_ID;
+            *version = TELEMETRY_LOG_VERSION;
+        }
+        let _ = TelemetryLogPage::from_bytes(&log);
     }
 
     #[test]

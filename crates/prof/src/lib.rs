@@ -18,9 +18,9 @@
 //! state. A run with the profiler enabled therefore produces
 //! byte-identical figures to a run without it — the property
 //! `tests/prof.rs` asserts. `clippy.toml` disallows
-//! `Instant::now` in the workspace; [`monotonic_ns`] is one of its three
-//! sanctioned reads (the other two are `bench_report`'s timers), so
-//! everything else reaches the host clock through it or not at all.
+//! `Instant::now` in the workspace; [`monotonic_ns`] is its one
+//! sanctioned read, so everything else reaches the host clock through
+//! it or not at all.
 //!
 //! # Cost model
 //!

@@ -1043,7 +1043,7 @@ mod tests {
         );
         assert!(done[0].status.is_success());
         let page = mem.read_vec(page_buf, 4096);
-        let idc = IdentifyController::from_page(&page);
+        let idc = IdentifyController::from_page(&page).unwrap();
         assert_eq!(idc.model, "INTEL SSDPE2KX020T8");
         assert_eq!(idc.firmware, "VDV10131");
     }

@@ -323,21 +323,9 @@ impl FioResult {
     }
 }
 
-/// A fully wired fio experiment that has not started simulating yet.
-///
-/// Produced by [`prepare_fio`]; consumed by [`FioRig::run`]. The split
-/// lets harnesses (e.g. `bench_report`) attribute wall-clock time to
-/// setup (testbed construction, job wiring) separately from the event
-/// loop without this crate ever reading a clock itself.
-pub struct FioRig {
-    world: World,
-    per_device: Vec<Vec<SharedStats>>,
-    spec: FioSpec,
-}
-
-/// Builds the testbed from `cfg` and wires one [`FioJob`] per
-/// device × numjob, returning the ready-to-run rig.
-pub fn prepare_fio(cfg: bm_testbed::TestbedConfig, spec: FioSpec) -> FioRig {
+/// Runs `spec` on every device of a fresh testbed built from `cfg`;
+/// returns per-device results and the finished world.
+pub fn run_fio(cfg: bm_testbed::TestbedConfig, spec: FioSpec) -> (Vec<FioResult>, World) {
     let seed_base = cfg.seed;
     let mut tb = Testbed::new(cfg);
     let devices = tb.device_count();
@@ -364,38 +352,18 @@ pub fn prepare_fio(cfg: bm_testbed::TestbedConfig, spec: FioSpec) -> FioRig {
     for job in jobs {
         world.add_client(Box::new(job));
     }
-    FioRig {
-        world,
-        per_device,
-        spec,
-    }
-}
-
-impl FioRig {
-    /// Runs the event loop to completion and merges per-job stats into
-    /// per-device results.
-    pub fn run(self) -> (Vec<FioResult>, World) {
-        let world = self.world.run(None);
-        let spec = self.spec;
-        let results = self
-            .per_device
-            .into_iter()
-            .map(|sinks| {
-                let mut total = IoStats::new();
-                for s in sinks {
-                    total.merge(&s.borrow());
-                }
-                FioResult::from_stats(&total, spec.runtime)
-            })
-            .collect();
-        (results, world)
-    }
-}
-
-/// Runs `spec` on every device of a fresh testbed built from `cfg`;
-/// returns per-device results and the finished world.
-pub fn run_fio(cfg: bm_testbed::TestbedConfig, spec: FioSpec) -> (Vec<FioResult>, World) {
-    prepare_fio(cfg, spec).run()
+    let world = world.run(None);
+    let results = per_device
+        .into_iter()
+        .map(|sinks| {
+            let mut total = IoStats::new();
+            for s in sinks {
+                total.merge(&s.borrow());
+            }
+            FioResult::from_stats(&total, spec.runtime)
+        })
+        .collect();
+    (results, world)
 }
 
 /// Sums per-device results into one (whole-host view).

@@ -19,4 +19,4 @@ pub mod mixed;
 pub mod oltp;
 pub mod ycsb;
 
-pub use fio::{prepare_fio, run_fio, FioResult, FioRig, FioSpec, RwMode};
+pub use fio::{run_fio, FioResult, FioSpec, RwMode};

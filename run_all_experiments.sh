@@ -1,13 +1,11 @@
 #!/bin/sh
 # Regenerates every table and figure of the paper (see DESIGN.md).
-# Pass --quick for a fast pass at reduced simulated windows.
+# Pass --quick for a fast pass at reduced simulated windows; the
+# --quick tables are committed goldens (crates/bench/tests/goldens.rs),
+# so the preflight already checks them byte for byte.
 # Pass --telemetry to also run the telemetry report (telemetry_report),
 # which prints the per-tenant/per-stage latency breakdown and the
 # out-of-band NVMe-MI scrape tables.
-# Pass --metrics to also run the bench report (bench_report), which
-# profiles the fig08/09/10/12 BM-Store workloads with the metrics
-# registry on and writes BENCH_BMSTORE.json (the regression compare
-# against bench-baseline.json runs in the preflight).
 # Pass --chaos to also run a seeded chaos campaign (bmstore_cli chaos
 # run) under both fail policies: generated crash/power-loss/death
 # fault plans checked against the invariant oracles, with automatic
@@ -23,7 +21,6 @@ if [ "${SKIP_CHECKS:-0}" != "1" ]; then
     sh "$(dirname "$0")/scripts/check.sh"
 fi
 with_telemetry=0
-with_metrics=0
 with_chaos=0
 with_slo=0
 figure_args=""
@@ -34,8 +31,6 @@ for arg in "$@"; do
         with_slo=1
     elif [ "$arg" = "--telemetry" ]; then
         with_telemetry=1
-    elif [ "$arg" = "--metrics" ]; then
-        with_metrics=1
     else
         figure_args="$figure_args $arg"
     fi
@@ -51,12 +46,6 @@ if [ "$with_slo" = "1" ]; then
 fi
 if [ "$with_telemetry" = "1" ]; then
     cargo run --release -q -p bm-bench --bin telemetry_report -- "$@"
-fi
-if [ "$with_metrics" = "1" ]; then
-    # The gated compare against bench-baseline.json happens in the
-    # preflight (quick mode); the sweep just produces the report at the
-    # requested scale.
-    cargo run --release -q -p bm-bench --bin bench_report -- "$@"
 fi
 for bin in fig01_spdk_cores table02_fpga_resources fig08_baremetal \
            table06_os_matrix fig09_vm_perf fig10_scalability fig11_multivm \

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Workspace-wide preflight: build, tests, formatting, lints.
+# Workspace-wide preflight: builds, lints, tests, golden outputs, one
+# calibrated wall-clock gate and formatting.
 #
 # Run before committing or regenerating experiment tables; the full
 # experiment sweep (run_all_experiments.sh) calls this first so stale
@@ -56,13 +57,16 @@ echo "==> allocation budget (release)"
 # one-page one, at the optimisation level the experiments use.
 cargo test --release -q --test alloc_budget
 
-echo "==> observer goldens and overhead bound (release)"
-# The observers' contract: the telemetry report, the SLO incident
-# report and the metrics exposition stay byte-identical to the
-# committed goldens (crates/bench/tests/golden/), and telemetry, the
-# 20 µs sampler and an SLO together cost at most the measured bound
+echo "==> golden outputs and observer overhead bound (release)"
+# The simulated results, exactly: every figure and table binary's
+# --quick table, the telemetry report, the SLO incident report and four
+# metrics expositions (the fig08 rand-r-128 and rand-w-16, fig09
+# single-VM and fig10 4-SSD envelopes: IOPS, latency percentiles, peak
+# queue depths, events fired, saturated stage) stay byte-identical to
+# the committed goldens (crates/bench/tests/golden/). Also, telemetry,
+# the 20 µs sampler and an SLO together cost at most the measured bound
 # over an unobserved bm-4k-randread window.
-cargo test --release -q -p bm-bench --test observer_goldens
+cargo test --release -q -p bm-bench --test goldens
 cargo test --release -q --test observe_overhead
 
 echo "==> observability, profiler and chaos suites (release)"
@@ -74,22 +78,38 @@ echo "==> observability, profiler and chaos suites (release)"
 # byte-identical and its folded and JSON exports hold (prof); and 100
 # seeds per fail policy of crashes, power losses, SSD death and error
 # bursts pass every chaos oracle (campaign). The telemetry report's
-# WARNING lines are pinned by the observer goldens above.
+# WARNING lines are pinned by the goldens above.
 cargo test --release -q --test telemetry
 cargo test --release -q --test slo_critical_path
 cargo test --release -q --test prof -- profiler_is_read_only_in_vm_layouts_and_its_exports_hold
 cargo test --release -q -p bm-chaos --test campaign
 
-echo "==> bench report regression gate (release, --quick)"
-# The performance contract: the fig08/09/10/12 BM-Store envelope
-# (throughput, p50/p99, peak queue depth, saturated stage) must stay
-# inside bench-baseline.json's tolerances. Also a wall-clock smoke
-# gate: events_per_sec (simulator events retired per host second) is
-# ratcheted one-sided — a run slower than baseline by more than 40%
-# fails, a faster run never does. Writes BENCH_BMSTORE.json as a side
-# effect; regenerate the baseline after an intentional perf change
-# with --write-baseline bench-baseline.json.
-cargo run --release -q -p bm-bench --bin bench_report -- --quick --baseline bench-baseline.json
+echo "==> calibrated wall-clock gate (bmbench, release)"
+# The simulator's own speed, apart from the simulated results the
+# goldens pin: bmbench repeats a workload for 8 s in fresh processes,
+# scales host time by its calibration kernel and prints the calibrated
+# simulated I/Os per host second. A workload fails if its output checks
+# fail or that value is below its floor. bm-4k-randread drives the
+# engine's per-command path, bm-128k-seqread its PRP-list path. Each
+# floor is 0.8 x the lowest calibrated value on record for an unchanged
+# tree (0.8 is one minus BENCHMARK.json's 0.2 bound on sim_ios_per_s);
+# CHANGES.md lists the runs. The binary is the one the bmbench build
+# step above produced, so benchmark/Cargo.lock stays as committed.
+floor_4k_randread=515934     # 0.8 x 644,918 (lowest on record)
+floor_128k_seqread=363965    # 0.8 x 454,957 (lowest on record)
+bmbench_gate() { # WORKLOAD FLOOR
+    "${CARGO_TARGET_DIR:-benchmark/target}/release/bmbench" \
+        --workload "$1" --seed 42 --seconds 8 --trace 0 |
+        awk -v w="$1" -v floor="$2" '
+            $1 == "check" && $2 == w { ok = ($3 == "ok"); print }
+            $1 == "sim_ios_per_s" && $2 == w { v = $3; print }
+            END {
+                if (!ok) { print w ": output checks failed"; exit 1 }
+                if (v < floor) { printf "%s: sim_ios_per_s %.0f is below its floor %d\n", w, v, floor; exit 1 }
+            }'
+}
+bmbench_gate bm-4k-randread "$floor_4k_randread"
+bmbench_gate bm-128k-seqread "$floor_128k_seqread"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

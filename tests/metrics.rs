@@ -191,28 +191,33 @@ fn littles_law_relates_backend_occupancy_to_ssd_busy() {
 
 #[test]
 fn bottleneck_report_names_ssd_for_ssd_bound_load() {
-    // Deep random reads on one SSD: device service time dominates.
-    let cfg = TestbedConfig::bm_store_bare_metal(1).with_metrics();
-    let (_, world) = run_fio(cfg, spec(RwMode::RandRead, 4096, 128));
-    world
-        .tb
-        .observer()
-        .metrics()
-        .map(|reg| {
-            let end = reg.last_sample().expect("sampler ran");
-            let report = reg.bottleneck_report(end, 3);
-            assert_eq!(
-                report.saturated.as_deref(),
-                Some(stages::SSD),
-                "stages: {:?}",
-                report
-                    .stages
-                    .iter()
-                    .map(|s| (s.stage.clone(), s.occupancy))
-                    .collect::<Vec<_>>()
-            );
-        })
-        .expect("metrics enabled");
+    // Deep random reads on one SSD, bare metal and from the Fig. 12
+    // four-VM layout: device service time dominates.
+    for cfg in [
+        TestbedConfig::bm_store_bare_metal(1),
+        TestbedConfig::multi_vm_bm_store(4),
+    ] {
+        let (_, world) = run_fio(cfg.with_metrics(), spec(RwMode::RandRead, 4096, 128));
+        world
+            .tb
+            .observer()
+            .metrics()
+            .map(|reg| {
+                let end = reg.last_sample().expect("sampler ran");
+                let report = reg.bottleneck_report(end, 3);
+                assert_eq!(
+                    report.saturated.as_deref(),
+                    Some(stages::SSD),
+                    "stages: {:?}",
+                    report
+                        .stages
+                        .iter()
+                        .map(|s| (s.stage.clone(), s.occupancy))
+                        .collect::<Vec<_>>()
+                );
+            })
+            .expect("metrics enabled");
+    }
 }
 
 #[test]
