@@ -152,6 +152,11 @@ fn parse_args() -> Args {
         eprintln!("--iodepth, --numjobs and --runtime-ms must be at least 1");
         usage()
     }
+    // Only `metrics` writes a file; a plain fio run would drop it.
+    if args.out.is_some() && !args.metrics {
+        eprintln!("--out needs the metrics subcommand");
+        usage()
+    }
     args
 }
 

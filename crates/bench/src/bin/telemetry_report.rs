@@ -32,6 +32,8 @@ use bm_testbed::{
     World,
 };
 use bmstore_core::controller::commands::BmsCommand;
+use std::fs::File;
+use std::io::Write;
 
 struct Loader {
     dev: DeviceId,
@@ -113,6 +115,19 @@ fn main() {
             _ => usage(),
         }
     }
+    // Create both output files before the run, so an unwritable path
+    // fails in a moment instead of after it.
+    let create = |path: Option<String>| {
+        path.map(|path| match File::create(&path) {
+            Ok(file) => (path, file),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(2)
+            }
+        })
+    };
+    let trace_out = create(trace_path);
+    let jsonl_out = create(jsonl_path);
     let per_tenant: u64 = if quick { 600 } else { 3_000 };
 
     // Tenant i on SSD i; the spike hits SSD 0 only.
@@ -284,14 +299,23 @@ fn main() {
         "tenant 1 was not hit by the spike"
     );
 
-    if let Some(path) = trace_path {
+    if let Some((path, file)) = trace_out {
         let trace = telemetry.map(chrome_trace).expect("telemetry enabled");
-        std::fs::write(&path, trace).expect("trace file writable");
+        write_out(&path, file, &trace);
         println!("\nChrome trace written to {path}");
     }
-    if let Some(path) = jsonl_path {
+    if let Some((path, file)) = jsonl_out {
         let dump = telemetry.map(jsonl).expect("telemetry enabled");
-        std::fs::write(&path, dump).expect("jsonl file writable");
+        write_out(&path, file, &dump);
         println!("event dump written to {path}");
+    }
+}
+
+/// Writes `text` to the already created `file`; a failure (a full disk)
+/// exits 2 like a path that cannot be created.
+fn write_out(path: &str, mut file: File, text: &str) {
+    if let Err(e) = file.write_all(text.as_bytes()) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2)
     }
 }

@@ -3,7 +3,8 @@
 //! of panicking in the PRP builder, the engine's chunk allocator or the
 //! vhost model, or silently running something else (a different size,
 //! or nothing at all and reporting 0 IOPS). A size `bmstore_cli` runs
-//! but whose I/Os fail is reported and exits 1.
+//! but whose I/Os fail is reported and exits 1. An output file that
+//! cannot be written is reported, and exits 2, before the run.
 
 use std::process::Command;
 
@@ -38,6 +39,7 @@ fn bad_arguments_exit_with_usage_instead_of_panicking() {
             &["--rw", "rw:-1"],
             &["--rw", "rw:NaN"],
             &["--scheme", "spdk:0"],
+            &["--runtime-ms", "5", "--out", "/nonexistent/dir/x.prom"],
         ],
     );
 }
@@ -48,6 +50,27 @@ fn telemetry_report_bad_arguments_exit_with_usage() {
         env!("CARGO_BIN_EXE_telemetry_report"),
         &[&["--bogus"], &["--trace"], &["--quick", "--jsonl"]],
     );
+}
+
+#[test]
+fn telemetry_report_unwritable_output_exits_before_the_run() {
+    let bin = env!("CARGO_BIN_EXE_telemetry_report");
+    for flag in ["--trace", "--jsonl"] {
+        let args = ["--quick", flag, "/nonexistent/dir/t.json"];
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("{bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write /nonexistent/dir/t.json"),
+            "{args:?}: {stderr}"
+        );
+        // Nothing ran: the report's table never started.
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }
 
 #[test]

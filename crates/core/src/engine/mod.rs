@@ -28,6 +28,7 @@ mod journal;
 pub mod mapping;
 pub mod qos;
 pub mod resources;
+mod retry;
 
 use crate::engine::counters::IoCounters;
 use crate::engine::dma_routing::{ChipWindow, DmaRouter, GlobalPrp, RoutingStats};
@@ -35,6 +36,7 @@ use crate::engine::front_end::{Binding, FrontEndFunction};
 use crate::engine::host_adaptor::{HostAdaptor, Outstanding, MAX_FORWARD_PAGES};
 use crate::engine::mapping::{ChunkAllocator, MappingTable, ENTRIES_PER_ROW};
 use crate::engine::qos::{Admission, NamespaceQos, QosLimit};
+use crate::engine::retry::SeqWindow;
 use bm_nvme::command::{AdminOpcode, IoOpcode, Opcode, Sqe};
 use bm_nvme::identify::{IdentifyController, IdentifyNamespace};
 use bm_nvme::queue::{BadSqe, DoorbellLayout};
@@ -462,9 +464,10 @@ pub struct BmsEngine {
     /// Monotonic id for forwarding attempts (also assigned with the
     /// timeout machinery off — a bare counter costs nothing).
     cmd_seq: u64,
-    /// Attempts whose deadline has not fired yet, keyed by `seq`.
-    /// Populated only when [`EngineConfig::command_timeout`] is set.
-    pending_retry: BTreeMap<u64, RetryEntry>,
+    /// Attempts whose deadline has not fired yet, by `seq`. Populated
+    /// only when [`EngineConfig::command_timeout`] is set; every push
+    /// then takes the next `seq`, so the live entries form a window.
+    pending_retry: SeqWindow<RetryEntry>,
     /// Recovery actions not yet drained by the harness.
     recovery_log: Vec<RecoveryEvent>,
     resilience: ResilienceStats,
@@ -608,7 +611,7 @@ impl BmsEngine {
             fanout: BTreeMap::new(),
             copy_link: cfg.store_and_forward_bw.map(BandwidthLink::new),
             cmd_seq: 0,
-            pending_retry: BTreeMap::new(),
+            pending_retry: SeqWindow::default(),
             recovery_log: Vec::new(),
             resilience: ResilienceStats::default(),
             crashed: false,
@@ -919,7 +922,7 @@ impl BmsEngine {
             // deadlines armed by the dead instance are void.
             return actions;
         }
-        let Some(entry) = self.pending_retry.remove(&seq) else {
+        let Some(entry) = self.pending_retry.remove(seq) else {
             return actions; // completed in time
         };
         debug_assert_eq!(entry.ssd, ssd);
@@ -1052,7 +1055,7 @@ impl BmsEngine {
         for origin in origins {
             // The pristine retry copy dies with the attempt — a later
             // deadline for this seq must not resurrect the command.
-            self.pending_retry.remove(&origin.seq);
+            self.pending_retry.remove(origin.seq);
             self.finish_origin(now, origin, Status::Aborted, &mut actions);
         }
         if count > 0 {
@@ -1144,7 +1147,7 @@ impl BmsEngine {
         // order — replay must not reorder attempts.
         let pending = std::mem::take(&mut self.pending_retry);
         let mut journaled_seqs = BTreeSet::new();
-        for (seq, entry) in pending {
+        for (seq, entry) in pending.into_entries() {
             journaled_seqs.insert(seq);
             image.spans.push((entry.ssd.0, entry.io));
         }
@@ -1925,7 +1928,7 @@ impl BmsEngine {
         let from = actions.len();
         for (origin, cqe) in done.drain(..) {
             if !self.pending_retry.is_empty() {
-                self.pending_retry.remove(&origin.seq);
+                self.pending_retry.remove(origin.seq);
             }
             // One DMA-routing span per forwarding attempt: push into the
             // back-end ring → back-end completion observed.

@@ -9,6 +9,7 @@
 //! (§VI-B) that MCTP stability required real engineering, so the error
 //! paths here are first-class.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -240,37 +241,32 @@ impl Assembler {
     /// gaps, orphan fragments, or unknown message types.
     pub fn push(&mut self, pkt: MctpPacket) -> Result<Option<MctpMessage>, MctpError> {
         let key = (pkt.src, pkt.tag);
-        if pkt.som {
-            self.in_progress.insert(
-                key,
-                Partial {
-                    next_seq: (pkt.pkt_seq + 1) % 4,
-                    data: pkt.payload.clone(),
-                },
-            );
+        let entry = if pkt.som {
+            self.in_progress.entry(key).insert_entry(Partial {
+                next_seq: pkt.pkt_seq.wrapping_add(1) % 4,
+                data: pkt.payload.clone(),
+            })
         } else {
-            let partial = self.in_progress.get_mut(&key).ok_or_else(|| {
+            let Entry::Occupied(mut entry) = self.in_progress.entry(key) else {
                 self.errors += 1;
-                MctpError::UnexpectedFragment
-            })?;
+                return Err(MctpError::UnexpectedFragment);
+            };
+            let partial = entry.get_mut();
             if partial.next_seq != pkt.pkt_seq {
                 let expected = partial.next_seq;
-                self.in_progress.remove(&key);
+                entry.remove();
                 self.errors += 1;
                 return Err(MctpError::SequenceGap {
                     expected,
                     got: pkt.pkt_seq,
                 });
             }
-            partial.next_seq = (pkt.pkt_seq + 1) % 4;
+            partial.next_seq = pkt.pkt_seq.wrapping_add(1) % 4;
             partial.data.extend_from_slice(&pkt.payload);
-        }
+            entry
+        };
         if pkt.eom {
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): the entry for this key was inserted or extended above"
-            )]
-            let partial = self.in_progress.remove(&key).expect("just inserted");
+            let partial = entry.remove();
             if partial.data.is_empty() {
                 self.errors += 1;
                 return Err(MctpError::Empty);

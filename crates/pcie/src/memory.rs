@@ -5,18 +5,34 @@
 //! particular) are testable end to end: write a pattern from the "host",
 //! let the simulated SSD DMA it out and back, and compare checksums.
 //!
-//! Memory is stored as sparse 4 KiB pages; untouched pages read as zero,
-//! so simulating a 768 GB host costs nothing until pages are written.
+//! Memory is paged in 4 KiB pages that exist only once written;
+//! untouched pages read as zero, so simulating a 768 GB host costs
+//! nothing until pages are written. The bump allocator keeps live
+//! pages dense, so pages below its high-water mark are found through a
+//! page table indexed by page number, grown on the first write to a
+//! page. Writes at or above the mark (the allocator never handed those
+//! pages out) land in a sparse map, so a stray write near the top of a
+//! large memory costs one page, not a table reaching up to it.
 
 use crate::addr::PciAddr;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Page granularity of the sparse store (matches the x86 page size the
-/// NVMe PRP mechanism is built around).
+/// Page granularity of the store (matches the x86 page size the NVMe
+/// PRP mechanism is built around).
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Sparse byte-addressable memory with a bump allocator.
+/// One resident page.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// Page frames per slab. A slab is one zeroed 128 KiB block: its pages
+/// cost resident memory only once written, and the system allocator
+/// maps a block of this size on its own, so dropping the memory hands
+/// the slabs straight back instead of leaving page-sized holes in the
+/// heap.
+const SLAB_PAGES: usize = 32;
+
+/// Byte-addressable memory with a bump allocator.
 ///
 /// # Examples
 ///
@@ -32,7 +48,19 @@ pub const PAGE_SIZE: u64 = 4096;
 /// ```
 pub struct HostMemory {
     size: u64,
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Page number → frame number + 1 (0: not resident), for pages
+    /// first written below the allocator's high-water mark. It ends at
+    /// the highest such page written.
+    table: Vec<u32>,
+    /// The frames `table` points at, in first-write order, packed
+    /// [`SLAB_PAGES`] to a slab.
+    slabs: Vec<Box<[u8]>>,
+    /// Frames handed out.
+    frames: usize,
+    /// Every other resident page, keyed by page number: pages first
+    /// written at or above the mark (a later `alloc` may raise the mark
+    /// over them; they stay here).
+    stray: BTreeMap<u64, Box<Page>>,
     next_alloc: u64,
     bytes_written: u64,
     bytes_read: u64,
@@ -42,7 +70,7 @@ impl fmt::Debug for HostMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostMemory")
             .field("size", &self.size)
-            .field("resident_pages", &self.pages.len())
+            .field("resident_pages", &self.resident_pages())
             .field("next_alloc", &self.next_alloc)
             .finish()
     }
@@ -59,7 +87,10 @@ impl HostMemory {
         assert!(size >= 2 * PAGE_SIZE, "memory too small");
         HostMemory {
             size,
-            pages: BTreeMap::new(),
+            table: Vec::new(),
+            slabs: Vec::new(),
+            frames: 0,
+            stray: BTreeMap::new(),
             next_alloc: PAGE_SIZE,
             bytes_written: 0,
             bytes_read: 0,
@@ -98,10 +129,7 @@ impl HostMemory {
             let page_idx = offset / PAGE_SIZE;
             let in_page = (offset % PAGE_SIZE) as usize;
             let n = remaining.len().min(PAGE_SIZE as usize - in_page);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+            let page = self.page_mut(page_idx);
             page[in_page..in_page + n].copy_from_slice(&remaining[..n]);
             remaining = &remaining[n..];
             offset += n as u64;
@@ -122,7 +150,7 @@ impl HostMemory {
             let page_idx = offset / PAGE_SIZE;
             let in_page = (offset % PAGE_SIZE) as usize;
             let n = remaining.len().min(PAGE_SIZE as usize - in_page);
-            match self.pages.get(&page_idx) {
+            match self.page(page_idx) {
                 Some(page) => remaining[..n].copy_from_slice(&page[in_page..in_page + n]),
                 None => remaining[..n].fill(0),
             }
@@ -191,7 +219,57 @@ impl HostMemory {
 
     /// Number of resident (touched) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames + self.stray.len()
+    }
+
+    /// The resident page `idx`, if it was ever written.
+    fn page(&self, idx: u64) -> Option<&[u8]> {
+        match self.table.get(idx as usize) {
+            Some(&frame) if frame != 0 => {
+                let (slab, at) = frame_at(frame);
+                Some(&self.slabs[slab][at..at + PAGE_SIZE as usize])
+            }
+            _ => self.stray.get(&idx).map(|page| &page[..]),
+        }
+    }
+
+    /// Page `idx`, made resident (zeroed) on its first write: in the
+    /// table when the allocator has handed it out, in the stray map
+    /// otherwise.
+    fn page_mut(&mut self, idx: u64) -> &mut [u8] {
+        let frame = match self.table.get(idx as usize) {
+            Some(&frame) if frame != 0 => frame,
+            _ => match self.new_frame(idx) {
+                Some(frame) => frame,
+                None => {
+                    let page = self.stray.entry(idx);
+                    return &mut page.or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))[..];
+                }
+            },
+        };
+        let (slab, at) = frame_at(frame);
+        &mut self.slabs[slab][at..at + PAGE_SIZE as usize]
+    }
+
+    /// Enters page `idx` in the table with a fresh zeroed frame, unless
+    /// the allocator has not handed it out yet or it is already a stray
+    /// page.
+    fn new_frame(&mut self, idx: u64) -> Option<u32> {
+        if idx >= self.next_alloc / PAGE_SIZE || self.stray.contains_key(&idx) {
+            return None;
+        }
+        let frame = u32::try_from(self.frames + 1).ok()?;
+        let slot = idx as usize;
+        if slot >= self.table.len() {
+            self.table.resize(slot + 1, 0);
+        }
+        self.table[slot] = frame;
+        if self.frames.is_multiple_of(SLAB_PAGES) {
+            let slab = vec![0; SLAB_PAGES * PAGE_SIZE as usize];
+            self.slabs.push(slab.into_boxed_slice());
+        }
+        self.frames += 1;
+        Some(frame)
     }
 
     fn check_range(&self, addr: PciAddr, len: u64) {
@@ -210,6 +288,12 @@ impl HostMemory {
             self.size
         );
     }
+}
+
+/// The slab and byte offset of table entry `frame` (a frame number + 1).
+fn frame_at(frame: u32) -> (usize, usize) {
+    let f = frame as usize - 1;
+    (f / SLAB_PAGES, f % SLAB_PAGES * PAGE_SIZE as usize)
 }
 
 #[cfg(test)]
@@ -280,6 +364,32 @@ mod tests {
         let _ = mem.read_vec(a, 40);
         assert_eq!(mem.bytes_written(), 100);
         assert_eq!(mem.bytes_read(), 40);
+    }
+
+    #[test]
+    fn stray_write_at_the_top_stays_out_of_the_table() {
+        let mut mem = HostMemory::new(8 << 30);
+        let a = mem.alloc(PAGE_SIZE).unwrap();
+        mem.write(a, &[1]);
+        mem.write(PciAddr::new((8 << 30) - 1), &[0xab]);
+        assert_eq!(mem.resident_pages(), 2);
+        assert_eq!(mem.read_vec(PciAddr::new((8 << 30) - 2), 2), vec![0, 0xab]);
+        // The table ends at the one allocated page.
+        assert!(mem.table.len() as u64 <= a.raw() / PAGE_SIZE + 1);
+        assert_eq!(mem.stray.len(), 1);
+    }
+
+    #[test]
+    fn alloc_over_a_stray_page_keeps_its_bytes() {
+        let mut mem = HostMemory::new(1 << 20);
+        let stray = PciAddr::new(3 * PAGE_SIZE + 10);
+        mem.write(stray, b"early");
+        let a = mem.alloc(4 * PAGE_SIZE).unwrap();
+        assert!(a.raw() <= stray.raw());
+        assert_eq!(mem.read_vec(stray, 5), b"early");
+        mem.write(stray + 5, b"!");
+        assert_eq!(mem.read_vec(stray, 6), b"early!");
+        assert_eq!(mem.resident_pages(), 1);
     }
 
     #[test]

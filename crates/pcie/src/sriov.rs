@@ -78,12 +78,16 @@ impl SriovConfig {
 
     /// The paper's production configuration: 4 PFs + 124 VFs = 128
     /// independent NVMe devices (§IV-E).
-    pub fn bm_store_default() -> Self {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): 4 + 124 functions fit the 128-entry function space"
-        )]
-        SriovConfig::new(4, 124).expect("4+124 fits the function space")
+    pub const fn bm_store_default() -> Self {
+        const PFS: u8 = 4;
+        const VFS: u8 = 124;
+        const _: () = assert!(PFS as u16 + VFS as u16 <= FunctionId::MAX_FUNCTIONS as u16);
+        SriovConfig {
+            pfs: PFS,
+            vfs: VFS,
+            bar0_len: Self::DEFAULT_BAR0_LEN,
+            mmio_base: Self::DEFAULT_MMIO_BASE,
+        }
     }
 
     /// Number of physical functions.
@@ -110,22 +114,18 @@ impl SriovConfig {
     /// round-robin-parented across the PFs, each with a disjoint BAR0
     /// window above `mmio_base`.
     pub fn enumerate(&self) -> Vec<PciFunction> {
-        let mut out = Vec::with_capacity(self.total_functions() as usize);
-        for i in 0..self.total_functions() {
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): new() bounds pfs + vfs by the function space, so every id fits"
-            )]
-            let id = FunctionId::new(i).expect("checked at construction");
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): a parent id is below pfs, which new() keeps inside the function space"
-            )]
+        let mut out: Vec<PciFunction> = Vec::with_capacity(self.total_functions() as usize);
+        // `new` bounded pfs + vfs by the function space, so every index
+        // yields an id.
+        for id in (0..self.total_functions()).filter_map(FunctionId::new) {
+            let i = id.index();
             let kind = if i < self.pfs {
                 FunctionKind::Physical
             } else {
+                // A VF's parent is a PF, laid out before it.
+                let parent = &out[usize::from((i - self.pfs) % self.pfs)];
                 FunctionKind::Virtual {
-                    parent: FunctionId::new((i - self.pfs) % self.pfs).expect("parent id in range"),
+                    parent: parent.id(),
                 }
             };
             // ARI-style flat routing: device = i / 8, function = i % 8.

@@ -2,8 +2,77 @@
 //! inputs.
 
 use bm_pcie::mctp::{Assembler, Eid, MctpMessage, MctpPacket, MessageType, BASELINE_MTU};
+use bm_pcie::memory::PAGE_SIZE;
 use bm_pcie::{HostMemory, PciAddr};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The page store `HostMemory` used before its page table: every
+/// resident page in one ordered map. Kept as the oracle the table is
+/// checked against.
+struct MapMemory {
+    size: u64,
+    next_alloc: u64,
+    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    bytes_written: u64,
+    bytes_read: u64,
+}
+
+impl MapMemory {
+    fn new(size: u64) -> Self {
+        MapMemory {
+            size,
+            next_alloc: PAGE_SIZE,
+            pages: BTreeMap::new(),
+            bytes_written: 0,
+            bytes_read: 0,
+        }
+    }
+
+    fn alloc(&mut self, len: u64) -> Option<PciAddr> {
+        let len = len.max(1).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        if self.next_alloc.checked_add(len)? > self.size {
+            return None;
+        }
+        let addr = PciAddr::new(self.next_alloc);
+        self.next_alloc += len;
+        Some(addr)
+    }
+
+    fn write(&mut self, mut addr: u64, mut data: &[u8]) {
+        self.bytes_written += data.len() as u64;
+        while !data.is_empty() {
+            let in_page = (addr % PAGE_SIZE) as usize;
+            let n = data.len().min(PAGE_SIZE as usize - in_page);
+            let page = self
+                .pages
+                .entry(addr / PAGE_SIZE)
+                .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
+            page[in_page..in_page + n].copy_from_slice(&data[..n]);
+            data = &data[n..];
+            addr += n as u64;
+        }
+    }
+
+    fn read(&mut self, mut addr: u64, len: u64) -> Vec<u8> {
+        self.bytes_read += len;
+        let mut out = vec![0; len as usize];
+        let mut buf = &mut out[..];
+        while !buf.is_empty() {
+            let in_page = (addr % PAGE_SIZE) as usize;
+            let n = buf.len().min(PAGE_SIZE as usize - in_page);
+            if let Some(page) = self.pages.get(&(addr / PAGE_SIZE)) {
+                buf[..n].copy_from_slice(&page[in_page..in_page + n]);
+            }
+            buf = &mut buf[n..];
+            addr += n as u64;
+        }
+        out
+    }
+}
+
+/// Size of the memories the op-sequence property runs on: 24 pages.
+const OP_MEM: u64 = 24 * PAGE_SIZE;
 
 proptest! {
     /// Read-after-write returns exactly what was written, for arbitrary
@@ -96,6 +165,81 @@ proptest! {
                 prop_assert_eq!(m, msg.clone(), "only the true message may complete");
             }
         }
+    }
+
+    /// Random sequences of `alloc`, `write` and `read` on `HostMemory`
+    /// and on the ordered-map store it replaced agree on every byte
+    /// read, the resident page count and the traffic counters. Writes
+    /// straddle pages and land above the allocator's high-water mark
+    /// too, and later allocations raise the mark over those pages.
+    #[test]
+    fn memory_matches_the_ordered_map_store(
+        ops in proptest::collection::vec(
+            (0u8..5, 0u64..OP_MEM, 1u64..(2 * PAGE_SIZE + 100), any::<u8>()),
+            1..60,
+        ),
+    ) {
+        let mut mem = HostMemory::new(OP_MEM);
+        let mut oracle = MapMemory::new(OP_MEM);
+        for (kind, addr, len, fill) in ops {
+            let len = len.min(OP_MEM - addr);
+            match kind {
+                0 => {
+                    let pages = 1 + len / PAGE_SIZE;
+                    prop_assert_eq!(mem.alloc(pages * PAGE_SIZE), oracle.alloc(pages * PAGE_SIZE));
+                }
+                1 | 2 => {
+                    let data: Vec<u8> =
+                        (0..len).map(|i| fill.wrapping_add(i as u8) | 1).collect();
+                    mem.write(PciAddr::new(addr), &data);
+                    oracle.write(addr, &data);
+                }
+                _ => {
+                    let got = mem.read_vec(PciAddr::new(addr), len);
+                    prop_assert_eq!(got, oracle.read(addr, len));
+                }
+            }
+            prop_assert_eq!(mem.resident_pages(), oracle.pages.len());
+            prop_assert_eq!(mem.bytes_written(), oracle.bytes_written);
+            prop_assert_eq!(mem.bytes_read(), oracle.bytes_read);
+        }
+        let all = mem.read_vec(PciAddr::NULL, OP_MEM);
+        prop_assert_eq!(all, oracle.read(0, OP_MEM));
+    }
+
+    /// Arbitrary packet sequences (any source, tag, sequence number and
+    /// framing bits, in any order) never panic the reassembler: each
+    /// push returns a message, nothing, or an error.
+    #[test]
+    fn arbitrary_packets_never_panic_the_assembler(
+        packets in proptest::collection::vec(
+            (0u8..3, any::<u8>(), any::<u8>(), 0u8..4, proptest::collection::vec(any::<u8>(), 0..80)),
+            0..40,
+        ),
+    ) {
+        let mut asm = Assembler::new();
+        let (mut ok, mut err) = (0u64, 0u64);
+        for (src, tag, seq, flags, payload) in packets {
+            // Half the packets keep to the 3-bit tag and 2-bit sequence
+            // number the wire carries, so fragments meet their partials.
+            let (tag, seq) = if tag & 1 == 0 { (tag >> 6, seq & 3) } else { (tag, seq) };
+            let pkt = MctpPacket {
+                dest: Eid(8),
+                src: Eid(9 + src),
+                som: flags & 1 != 0,
+                eom: flags & 2 != 0,
+                pkt_seq: seq,
+                tag,
+                payload,
+            };
+            match asm.push(pkt) {
+                Ok(Some(_)) => ok += 1,
+                Ok(None) => {}
+                Err(_) => err += 1,
+            }
+        }
+        prop_assert_eq!(asm.completed(), ok);
+        prop_assert_eq!(asm.errors(), err);
     }
 
     #[test]

@@ -78,10 +78,12 @@
 //!
 //!        // The interpreter hands back each SSD completion.
 //!        fn on_stage(&mut self, now, stage, ctx, out: &mut Vec<Effect>) {
-//!            let Stage::BackendComplete { ssd, io } = stage else { .. };
-//!            Ssd::deliver_read_payload(&io, ctx.host_mem);
-//!            let cqe = ctx.ssds[ssd].post_completion(&io, ctx.host_mem)?;
+//!            let Stage::BackendComplete { ssd, slot } = stage else { .. };
+//!            let io = ctx.completions.get(slot);
+//!            Ssd::deliver_read_payload(io, ctx.host_mem);
+//!            let cqe = ctx.ssds[ssd].post_completion(io, ctx.host_mem)?;
 //!            let dev = self.direct_map[&(ssd, io.qid.0)];
+//!            ctx.completions.release(slot);
 //!            out.push(Effect::Trace { stage: PipelineStage::Backend });
 //!            out.push(Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status });
 //!        }
@@ -129,6 +131,9 @@ pub mod types;
 pub mod world;
 
 pub use config::{DeviceSpec, SchemeKind, TestbedConfig};
-pub use schemes::{Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx, Stage};
+pub use schemes::{
+    CompletionSlot, CompletionSlots, Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx,
+    Stage,
+};
 pub use types::{BufferId, Client, ClientId, ClientOutput, Completion, DeviceId, IoOp, IoRequest};
 pub use world::{ProfilerView, Testbed, World, WorldEvent};

@@ -47,6 +47,9 @@ struct MediatedAttach {
     fetch_sq: SubmissionQueue,
     /// Mediator's producer view of the SSD SQ.
     ssd_sq: SubmissionQueue,
+    /// Fetched guest SQEs waiting for their [`Stage::Forward`], indexed
+    /// by guest command id.
+    parked: Vec<Sqe>,
     /// Mediator's producer view of the guest CQ.
     guest_cq: CompletionQueue,
     /// Consumer position on the SSD CQ (for its head doorbell).
@@ -93,6 +96,7 @@ pub(crate) fn build<M: Mediator + 'static>(
             lba_offset,
             fetch_sq,
             ssd_sq: bsq,
+            parked: Vec::new(),
             guest_cq,
             backend_cq_head: 0,
             backend_cq_entries: entries,
@@ -151,9 +155,14 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
             let bytes = sqe.transfer_len(4096);
             let is_write = sqe.io_opcode() == Some(IoOpcode::Write);
             let ready = self.mediator.process_submission(now, bytes, is_write);
+            let slot = usize::from(sqe.cid.0);
+            if slot >= att.parked.len() {
+                att.parked.resize(slot + 1, sqe);
+            }
+            att.parked[slot] = sqe;
             out.push(Effect::ScheduleAt {
                 at: ready,
-                stage: Stage::Forward { dev, sqe },
+                stage: Stage::Forward { dev, cid: sqe.cid },
             });
         }
     }
@@ -162,8 +171,9 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
         match stage {
             // Mediator data path: push the SQE into the SSD's ring and
             // ring its doorbell.
-            Stage::Forward { dev, sqe } => {
+            Stage::Forward { dev, cid } => {
                 let att = &mut self.attach[dev.0];
+                let sqe = att.parked[usize::from(cid.0)];
                 #[expect(
                     clippy::expect_used,
                     reason = "panic-path debt (ROADMAP item 4): the back-end ring is sized above the guest queue depth"
@@ -178,25 +188,28 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                     tail: att.ssd_sq.tail() as u32,
                 });
             }
-            Stage::BackendComplete { ssd, io } => {
-                Ssd::deliver_read_payload(&io, ctx.host_mem);
-                let cqe = match ctx.ssds[ssd].post_completion(&io, ctx.host_mem) {
+            Stage::BackendComplete { ssd, slot } => {
+                let io = ctx.completions.get(slot);
+                Ssd::deliver_read_payload(io, ctx.host_mem);
+                let cqe = match ctx.ssds[ssd].post_completion(io, ctx.host_mem) {
                     Ok(cqe) => cqe,
                     Err(_) => {
                         out.push(Effect::ScheduleAt {
                             at: now + SimDuration::from_us(1),
-                            stage: Stage::BackendComplete { ssd, io },
+                            stage: Stage::BackendComplete { ssd, slot },
                         });
                         return;
                     }
                 };
+                let qid = io.qid;
+                ctx.completions.release(slot);
                 #[expect(
                     clippy::expect_used,
                     reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
                 )]
                 let dev = *self
                     .direct_map
-                    .get(&(ssd, io.qid.0))
+                    .get(&(ssd, qid.0))
                     .expect("completion for mapped queue");
                 // The mediator consumes the backend CQE (polling) and
                 // acks the SSD CQ immediately.
@@ -205,7 +218,7 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 // The mediator's producer view of the SSD SQ learns the
                 // consumption from the CQE.
                 att.ssd_sq.sync_head(cqe.sq_head);
-                ctx.ssds[ssd].ring_cq_doorbell(io.qid, att.backend_cq_head as u32);
+                ctx.ssds[ssd].ring_cq_doorbell(qid, att.backend_cq_head as u32);
                 out.push(Effect::Trace {
                     stage: PipelineStage::Backend,
                 });

@@ -101,11 +101,59 @@ pub struct SchemeCtx<'a> {
     /// The world's observer, which a scheme lends to the model it
     /// drives for the duration of the hook.
     pub obs: &'a mut Observer,
+    /// Plain-DMA backend completions whose [`Stage::BackendComplete`]
+    /// has not run to the end yet.
+    pub completions: &'a mut CompletionSlots,
 }
 
-/// A deferred pipeline continuation. Stages carry their own data
-/// (fetched SQEs, backend completions), so re-entering the scheme
-/// needs no lookup of transient state.
+/// Where a [`Stage::BackendComplete`] finds its completion in
+/// [`CompletionSlots`].
+#[derive(Debug, Clone, Copy)]
+pub struct CompletionSlot(u32);
+
+/// Backend completions between the doorbell that produced them and the
+/// stage that posts them, in recycled slots: the scheduled stage
+/// carries a slot index, not the 72-byte completion, and a warm table
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct CompletionSlots {
+    slots: Vec<CompletedIo>,
+    /// Released slots, reused last-in first-out.
+    free: Vec<CompletionSlot>,
+}
+
+impl CompletionSlots {
+    /// Keeps `io` until its slot is released.
+    pub(crate) fn park(&mut self, io: CompletedIo) -> CompletionSlot {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot.0 as usize] = io;
+                slot
+            }
+            None => {
+                self.slots.push(io);
+                CompletionSlot(self.slots.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// The completion parked in `slot`.
+    pub fn get(&self, slot: CompletionSlot) -> &CompletedIo {
+        &self.slots[slot.0 as usize]
+    }
+
+    /// Frees `slot` once its stage has posted the completion (a stage
+    /// that retries later keeps it). Drops the read payload it held.
+    pub fn release(&mut self, slot: CompletionSlot) {
+        self.slots[slot.0 as usize].read_payload = None;
+        self.free.push(slot);
+    }
+}
+
+/// A deferred pipeline continuation. Stages are small (the scheduler
+/// stores them inline and moves them on every event): a stage that
+/// needs a fetched SQE or a backend completion carries the key under
+/// which the scheme or [`CompletionSlots`] keeps it.
 #[derive(Debug)]
 pub enum Stage {
     /// `dev`'s SQ tail doorbell rings after the submit-side latency.
@@ -123,16 +171,17 @@ pub enum Stage {
     Forward {
         /// Mediated device the SQE came from.
         dev: DeviceId,
-        /// The command, as fetched from the guest SQ.
-        sqe: Sqe,
+        /// Its guest command id, under which the mediator parked the
+        /// SQE it fetched (unique while the command is outstanding).
+        cid: Cid,
     },
-    /// A backend SSD on a plain-DMA ring finished `io` (scheduled by
-    /// [`Effect::ForwardToSsd`]).
+    /// A backend SSD on a plain-DMA ring finished a command (scheduled
+    /// by [`Effect::ForwardToSsd`]).
     BackendComplete {
         /// Backend SSD index.
         ssd: usize,
-        /// The finished command.
-        io: CompletedIo,
+        /// The finished command, in [`SchemeCtx::completions`].
+        slot: CompletionSlot,
     },
     /// Mediated: the mediator writes the guest CQE and injects the
     /// interrupt.

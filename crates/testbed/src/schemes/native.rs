@@ -83,26 +83,29 @@ impl Scheme for DirectScheme {
 
     fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>) {
         match stage {
-            Stage::BackendComplete { ssd, io } => {
-                Ssd::deliver_read_payload(&io, ctx.host_mem);
-                let cqe = match ctx.ssds[ssd].post_completion(&io, ctx.host_mem) {
+            Stage::BackendComplete { ssd, slot } => {
+                let io = ctx.completions.get(slot);
+                Ssd::deliver_read_payload(io, ctx.host_mem);
+                let cqe = match ctx.ssds[ssd].post_completion(io, ctx.host_mem) {
                     Ok(cqe) => cqe,
                     Err(_) => {
                         // CQ full: retry after the host consumes.
                         out.push(Effect::ScheduleAt {
                             at: now + SimDuration::from_us(1),
-                            stage: Stage::BackendComplete { ssd, io },
+                            stage: Stage::BackendComplete { ssd, slot },
                         });
                         return;
                     }
                 };
+                let qid = io.qid;
+                ctx.completions.release(slot);
                 #[expect(
                     clippy::expect_used,
                     reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
                 )]
                 let dev = *self
                     .direct_map
-                    .get(&(ssd, io.qid.0))
+                    .get(&(ssd, qid.0))
                     .expect("completion for mapped queue");
                 out.push(Effect::Trace {
                     stage: PipelineStage::Backend,

@@ -23,7 +23,8 @@
 
 use crate::config::{SchemeKind, TestbedConfig};
 use crate::schemes::{
-    self, BuildCtx, Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx, Stage,
+    self, BuildCtx, CompletionSlots, Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx,
+    Stage,
 };
 use crate::types::{BufferId, Client, ClientId, Completion, DeviceId, IoOp, IoRequest};
 use bm_baselines::vfio::VfioCosts;
@@ -358,7 +359,12 @@ type RawAction = Box<dyn FnOnce(&mut World, &mut Sched)>;
 /// One scheduled event of a [`World`] run, stored inline in the
 /// scheduler's arena. The I/O pipeline's hops are typed, so scheduling
 /// them allocates nothing; rare events ride as one boxed closure.
+/// Payloads larger than a few words (fetched SQEs, backend
+/// completions) stay with their owner and the event carries their key,
+/// which keeps every event 40 bytes.
 pub struct WorldEvent(Hop);
+
+const _: () = assert!(std::mem::size_of::<WorldEvent>() <= 40);
 
 enum Hop {
     /// A scheme pipeline continuation ([`Effect::ScheduleAt`]).
@@ -378,8 +384,9 @@ enum Hop {
         cid: Cid,
         status: Status,
     },
-    /// A scheduled client call (its start or a timer).
-    Client(ClientId, ClientCall),
+    /// A scheduled client call: its start or a timer. (Completions are
+    /// delivered in the event that completes them, never scheduled.)
+    Client(ClientId, Wake),
     /// Anything else.
     Action(RawAction),
 }
@@ -395,7 +402,8 @@ impl Event<World> for WorldEvent {
                 w.deliver_to_client(s, dev, cid, status);
                 w.tb.obs.exit();
             }
-            Hop::Client(id, call) => w.call_client(s, id, call),
+            Hop::Client(id, Wake::Start) => w.call_client(s, id, ClientCall::Start),
+            Hop::Client(id, Wake::Timer) => w.call_client(s, id, ClientCall::Timer),
             Hop::Action(f) => f(w, s),
         }
     }
@@ -418,6 +426,13 @@ const POWER_LOSS_RESTART: SimDuration = SimDuration::from_ms(5);
 enum ClientCall {
     Start,
     Completion(Completion),
+    Timer,
+}
+
+/// The client calls a [`Hop::Client`] schedules.
+#[derive(Clone, Copy)]
+enum Wake {
+    Start,
     Timer,
 }
 
@@ -483,6 +498,8 @@ pub struct World {
     effect_pool: Vec<Vec<Effect>>,
     /// Completions of one plain-DMA backend doorbell.
     completed_ios: Vec<CompletedIo>,
+    /// Plain-DMA completions waiting for their stage.
+    completions: CompletionSlots,
     /// Total simulator events fired by the last [`World::run`] (zero
     /// before any run). Dividing by host wall-clock time yields the
     /// harness's events-per-second throughput figure.
@@ -517,6 +534,7 @@ impl World {
             faults: FaultRuntime::default(),
             effect_pool: Vec::new(),
             completed_ios: Vec::new(),
+            completions: CompletionSlots::default(),
             events_fired: 0,
             peak_event_queue: 0,
             clamped_past: 0,
@@ -583,7 +601,7 @@ impl World {
         let mut sim: Simulation<World, WorldEvent> = Simulation::typed(self);
         let s = sim.scheduler_mut();
         for id in ids {
-            hop_at(s, SimTime::ZERO, Hop::Client(id, ClientCall::Start));
+            hop_at(s, SimTime::ZERO, Hop::Client(id, Wake::Start));
         }
         for ev in plan {
             action_at(s, ev.at, move |w, s| w.apply_fault(s, ev.kind));
@@ -781,7 +799,7 @@ impl World {
             self.submit_request(s, id, req);
         }
         if let Some(at) = out.next_timer {
-            hop_at(s, at, Hop::Client(id, ClientCall::Timer));
+            hop_at(s, at, Hop::Client(id, Wake::Timer));
         }
         self.tb.obs.exit();
     }
@@ -800,6 +818,7 @@ impl World {
                 ssds: &mut self.tb.ssds,
                 kernel: &self.tb.kernel,
                 obs: &mut self.tb.obs,
+                completions: &mut self.completions,
             };
             f(scheme.as_mut(), &mut ctx)
         };
@@ -1034,7 +1053,9 @@ impl World {
         let ios = &mut self.completed_ios;
         tb.ssds[ssd].ring_sq_doorbell_into(s.now(), qid, tail, &mut tb.host_mem, ios);
         for io in ios.drain(..) {
-            hop_at(s, io.at, Hop::Stage(Stage::BackendComplete { ssd, io }));
+            let at = io.at;
+            let slot = self.completions.park(io);
+            hop_at(s, at, Hop::Stage(Stage::BackendComplete { ssd, slot }));
         }
         self.tb.obs.exit();
     }

@@ -16,7 +16,11 @@
 //!    inline, effects and engine actions go into reused buffers, and
 //!    host commands sit in a CID-indexed table. The one allocation left
 //!    per I/O is the `ClientOutput.requests` vector the `Client` trait
-//!    returns.
+//!    returns. The same holds with a 5 ms command timeout armed (the
+//!    engine's retry entries sit in a window indexed by sequence
+//!    number, not in tree nodes) and for SPDK vhost 4K writes (fetched
+//!    SQEs and backend completions are parked in reused tables, not
+//!    carried in the events).
 //! 4. On a standalone BMS-Engine, the doorbell that forwards a 32-block
 //!    read allocates no more often than one that forwards a 1-block
 //!    read: the 31-entry PRP list is read, tagged and written into chip
@@ -31,7 +35,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bmstore::core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
+use bmstore::core::engine::{BmsEngine, EngineAction, EngineConfig, FailPolicy, Placement};
 use bmstore::nvme::command::{IoOpcode, Sqe};
 use bmstore::nvme::prp::PrpPair;
 use bmstore::nvme::queue::DoorbellLayout;
@@ -43,7 +47,7 @@ use bmstore::prof::alloc::{self, CountingAlloc};
 use bmstore::sim::stats::IoStats;
 use bmstore::sim::{SimDuration, SimTime, Simulation};
 use bmstore::ssd::SsdId;
-use bmstore::testbed::{PipelineStage, Testbed, TestbedConfig, World};
+use bmstore::testbed::{PipelineStage, SchemeKind, Testbed, TestbedConfig, World};
 use bmstore::workloads::fio::{FioJob, FioSpec};
 
 #[global_allocator]
@@ -86,8 +90,14 @@ fn pure_scheduler_steady_state_is_allocation_free() {
 /// The Fig. 8 bare-metal 4K-random-read rig, scaled down: ramp ends at
 /// 12.5 ms, measurement ends at 112.5 ms.
 fn bm_store_read_rig() -> World {
-    let cfg = TestbedConfig::bm_store_bare_metal(1);
-    let spec = FioSpec::rand_r_128().scaled(0.25);
+    fio_rig(
+        TestbedConfig::bm_store_bare_metal(1),
+        FioSpec::rand_r_128().scaled(0.25),
+    )
+}
+
+/// `spec` on every device of a testbed built from `cfg`.
+fn fio_rig(cfg: TestbedConfig, spec: FioSpec) -> World {
     let seed_base = cfg.seed;
     let mut tb = Testbed::new(cfg);
     let devices = tb.device_count();
@@ -138,8 +148,9 @@ fn bm_store_read_window_does_not_grow_the_arena() {
     assert!(world.events_fired > 0, "the run retired events");
 }
 
-fn bm_store_read_window_allocates_once_per_io() {
-    let mut world = bm_store_read_rig();
+/// Asserts that the steady-state window 40–100 ms of `world` makes at
+/// most 1.1 heap allocations per completed I/O.
+fn window_allocates_once_per_io(name: &str, mut world: World) {
     // (allocation events, completed I/Os) at both ends of a steady-state
     // window; reserved up front so recording allocates nothing.
     let marks: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::with_capacity(2)));
@@ -157,13 +168,27 @@ fn bm_store_read_window_allocates_once_per_io() {
         panic!("both window marks fired: {marks:?}");
     };
     let ios = done1 - done0;
-    assert!(ios > 10_000, "the window completed {ios} I/Os");
+    assert!(ios > 10_000, "{name}: the window completed {ios} I/Os");
     let per_io = (allocs1 - allocs0) as f64 / ios as f64;
     assert!(
         per_io <= 1.1,
-        "{per_io:.3} heap allocations per completed I/O ({} over {ios} I/Os)",
+        "{name}: {per_io:.3} heap allocations per completed I/O ({} over {ios} I/Os)",
         allocs1 - allocs0
     );
+}
+
+fn bm_store_read_window_allocates_once_per_io() {
+    window_allocates_once_per_io("bm-store read", bm_store_read_rig());
+    let cfg = TestbedConfig::bm_store_bare_metal(1)
+        .with_command_timeout(SimDuration::from_ms(5), FailPolicy::QuiesceReplay);
+    let rig = fio_rig(cfg, FioSpec::rand_r_128().scaled(0.25));
+    window_allocates_once_per_io("bm-store read, 5 ms timeout", rig);
+}
+
+fn spdk_write_window_allocates_once_per_io() {
+    let cfg = TestbedConfig::single_vm(SchemeKind::SpdkVhost { cores: 1 });
+    let rig = fio_rig(cfg, FioSpec::rand_w_16().scaled(0.25));
+    window_allocates_once_per_io("spdk vhost write", rig);
 }
 
 /// A BMS-Engine on one SSD with function 0 bound, its I/O queue pair,
@@ -264,5 +289,6 @@ fn hot_path_allocation_budget() {
     pure_scheduler_steady_state_is_allocation_free();
     bm_store_read_window_does_not_grow_the_arena();
     bm_store_read_window_allocates_once_per_io();
+    spdk_write_window_allocates_once_per_io();
     prp_list_doorbell_allocates_like_a_single_page_read();
 }
