@@ -1,7 +1,9 @@
 //! # bm-baselines — the schemes BM-Store is compared against
 //!
-//! * [`native`] — bare-metal direct attachment: the host NVMe driver
-//!   talks straight to the SSD. The paper's baseline for Table V/Fig. 8.
+//! Bare-metal direct attachment (the paper's baseline for Table V and
+//! Fig. 8) has no scheme-specific cost beyond the host kernel profile,
+//! so it has no model here; the testbed's native scheme runs it.
+//!
 //! * [`vfio`] — VFIO passthrough into a VM: near-native, but the whole
 //!   device is monopolized by one guest (no sharing), and completions
 //!   pay posted-interrupt delivery.
@@ -18,7 +20,6 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod arm_offload;
-pub mod native;
 pub mod spdk;
 pub mod vfio;
 

@@ -18,7 +18,6 @@
 //!   ~12 µs per large I/O, capping whole-host bandwidth near 80 % of
 //!   native regardless of core count.
 
-use bm_host::cpu::CoreId;
 use bm_sim::resource::FifoServer;
 use bm_sim::{SimDuration, SimTime};
 
@@ -90,11 +89,6 @@ impl SpdkVhostConfig {
             ..Self::centos310()
         }
     }
-
-    /// Peak small-read IOPS per polling core.
-    pub fn small_read_iops_per_core(&self) -> f64 {
-        1.0 / (self.submit_small + self.complete_small).as_secs_f64()
-    }
 }
 
 impl Default for SpdkVhostConfig {
@@ -108,24 +102,24 @@ impl Default for SpdkVhostConfig {
 #[derive(Debug, Clone)]
 pub struct SpdkVhost {
     cfg: SpdkVhostConfig,
-    cores: Vec<(CoreId, FifoServer)>,
+    cores: Vec<FifoServer>,
     shared: FifoServer,
     next_core: usize,
     ios: u64,
 }
 
 impl SpdkVhost {
-    /// Creates a target polling on `cores` (which the caller must have
-    /// reserved from the CPU pool).
+    /// Creates a target with `cores` dedicated polling cores (at most
+    /// `bm_host::HOST_CORES` on the paper's host).
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is empty.
-    pub fn new(cfg: SpdkVhostConfig, cores: Vec<CoreId>) -> Self {
-        assert!(!cores.is_empty(), "vhost needs at least one polling core");
+    /// Panics if `cores` is zero.
+    pub fn new(cfg: SpdkVhostConfig, cores: usize) -> Self {
+        assert!(cores > 0, "vhost needs at least one polling core");
         SpdkVhost {
             cfg,
-            cores: cores.into_iter().map(|c| (c, FifoServer::new())).collect(),
+            cores: vec![FifoServer::new(); cores],
             shared: FifoServer::new(),
             next_core: 0,
             ios: 0,
@@ -135,11 +129,6 @@ impl SpdkVhost {
     /// The configuration.
     pub fn config(&self) -> &SpdkVhostConfig {
         &self.cfg
-    }
-
-    /// Number of polling cores (each one is a whole host core burnt).
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
     }
 
     /// I/Os processed.
@@ -183,7 +172,7 @@ impl SpdkVhost {
         let cost = self.io_cost(bytes, is_write);
         let idx = self.next_core % self.cores.len();
         self.next_core += 1;
-        let core_done = self.cores[idx].1.occupy(seen, cost);
+        let core_done = self.cores[idx].occupy(seen, cost);
         if bytes >= LARGE_IO_BYTES {
             self.shared
                 .occupy(seen, self.cfg.shared_per_large_io)
@@ -201,7 +190,7 @@ impl SpdkVhost {
 
     /// Total polling-core busy time (CPU the host cannot sell).
     pub fn cpu_busy(&self) -> SimDuration {
-        self.cores.iter().map(|(_, s)| s.busy_total()).sum()
+        self.cores.iter().map(FifoServer::busy_total).sum()
     }
 }
 
@@ -220,21 +209,21 @@ mod tests {
 
     #[test]
     fn one_core_small_read_ceiling() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), vec![0]);
+        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), 1);
         let iops = drive(&mut v, 50_000, 4096, false);
         assert!((250e3..290e3).contains(&iops), "iops {iops}");
     }
 
     #[test]
     fn one_core_small_write_ceiling() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), vec![0]);
+        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), 1);
         let iops = drive(&mut v, 50_000, 4096, true);
         assert!((195e3..225e3).contains(&iops), "iops {iops}");
     }
 
     #[test]
     fn one_core_large_read_bandwidth() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), vec![0]);
+        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), 1);
         let iops = drive(&mut v, 20_000, 128 * 1024, false);
         let bw = iops * 128.0 * 1024.0;
         assert!((1.9e9..2.2e9).contains(&bw), "bw {bw}");
@@ -242,7 +231,7 @@ mod tests {
 
     #[test]
     fn multi_core_large_reads_hit_shared_cap() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), (0..8).collect());
+        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), 8);
         let iops = drive(&mut v, 80_000, 128 * 1024, false);
         let bw = iops * 128.0 * 1024.0;
         // The 12.4 µs shared cost caps at ~10.4 GB/s even with 8 cores.
@@ -254,7 +243,7 @@ mod tests {
         let per_core: Vec<f64> = [1usize, 2, 4]
             .iter()
             .map(|&n| {
-                let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), (0..n).collect());
+                let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), n);
                 drive(&mut v, 40_000, 128 * 1024, false) * 128.0 * 1024.0
             })
             .collect();
@@ -264,7 +253,7 @@ mod tests {
 
     #[test]
     fn modern_kernel_removes_the_anomaly() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::modern_kernel(), vec![0]);
+        let mut v = SpdkVhost::new(SpdkVhostConfig::modern_kernel(), 1);
         let iops = drive(&mut v, 20_000, 128 * 1024, false);
         let bw = iops * 128.0 * 1024.0;
         assert!(bw > 10e9, "bw {bw}");
@@ -272,11 +261,10 @@ mod tests {
 
     #[test]
     fn cpu_accounting() {
-        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), vec![0]);
+        let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), 1);
         drive(&mut v, 1000, 4096, false);
         let busy = v.cpu_busy().as_secs_f64();
         assert!((busy - 1000.0 * 3.7e-6).abs() < 1e-4, "busy {busy}");
         assert_eq!(v.ios(), 1000);
-        assert_eq!(v.core_count(), 1);
     }
 }

@@ -17,7 +17,7 @@ proptest! {
     ) {
         let bytes = if large { 128 * 1024 } else { 4_096 };
         let rate = |n: usize| {
-            let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), (0..n).collect());
+            let mut v = SpdkVhost::new(SpdkVhostConfig::centos310(), n);
             let mut last = SimTime::ZERO;
             for _ in 0..5_000 {
                 last = v.process_submission(SimTime::ZERO, bytes, false);
@@ -56,7 +56,7 @@ fn vfio_write_ceiling_below_read_ceiling() {
 fn vhost_cpu_accounting_matches_io_costs() {
     let cfg = SpdkVhostConfig::centos310();
     let per_io = (cfg.submit_small + cfg.complete_small).as_secs_f64();
-    let mut v = SpdkVhost::new(cfg, vec![0]);
+    let mut v = SpdkVhost::new(cfg, 1);
     for _ in 0..10_000 {
         v.process_submission(SimTime::ZERO, 4096, false);
     }

@@ -61,6 +61,7 @@
 //!     --scheme bm-store --rw randread --iodepth 128 --qos-iops 50000
 //! ```
 
+use bm_host::HOST_CORES;
 use bm_pcie::memory::PAGE_SIZE;
 use bm_sim::faults::{FaultKind, FaultPlan};
 use bm_sim::metrics::{prometheus, render_bottleneck};
@@ -169,11 +170,12 @@ fn scheme_kind(s: &str) -> SchemeKind {
         "arm" => SchemeKind::ArmOffload,
         other => match other.strip_prefix("spdk") {
             Some(rest) => {
-                // vhost needs at least one polling core.
+                // vhost needs at least one polling core, and the host
+                // has no more than HOST_CORES to dedicate.
                 let cores = rest
                     .strip_prefix(':')
                     .map(|c| match c.parse() {
-                        Ok(n) if n > 0 => n,
+                        Ok(n) if (1..=HOST_CORES).contains(&n) => n,
                         _ => usage(),
                     })
                     .unwrap_or(1);

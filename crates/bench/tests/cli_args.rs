@@ -39,6 +39,7 @@ fn bad_arguments_exit_with_usage_instead_of_panicking() {
             &["--rw", "rw:-1"],
             &["--rw", "rw:NaN"],
             &["--scheme", "spdk:0"],
+            &["--scheme", "spdk:49"],
             &["--runtime-ms", "5", "--out", "/nonexistent/dir/x.prom"],
         ],
     );

@@ -231,13 +231,6 @@ impl ReproArtifact {
         run_case(&self.config(), &self.plan)
     }
 
-    /// Replays the artifact with observability on, returning the fresh
-    /// incident report alongside the verdict. Deterministic: replaying
-    /// the same artifact always renders the same incident text.
-    pub fn replay_observed(&self) -> (CaseReport, String) {
-        run_case_observed(&self.config(), &self.plan)
-    }
-
     /// Serializes to the dependency-free text format:
     ///
     /// ```text

@@ -240,7 +240,7 @@ pub mod collection {
         max: usize,
     }
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// The inclusive length bounds.
         fn bounds(&self) -> (usize, usize);

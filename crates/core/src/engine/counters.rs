@@ -76,11 +76,6 @@ pub struct FunctionCounters {
 }
 
 impl FunctionCounters {
-    /// Total commands.
-    pub fn total_ops(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Total bytes.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
@@ -213,7 +208,6 @@ mod tests {
         assert_eq!(r.read_bytes, 4096);
         assert_eq!(r.write_bytes, 8192);
         assert_eq!(r.errors, 1);
-        assert_eq!(r.total_ops(), 2);
         assert_eq!(r.total_bytes(), 12_288);
     }
 

@@ -61,7 +61,6 @@ pub struct IoQueuePair {
 /// One front-end function's engine-side state.
 pub struct FrontEndFunction {
     id: FunctionId,
-    enabled: bool,
     binding: Option<Binding>,
     admin: Option<IoQueuePair>,
     io_queues: Vec<Option<IoQueuePair>>,
@@ -73,7 +72,6 @@ impl fmt::Debug for FrontEndFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FrontEndFunction")
             .field("id", &self.id)
-            .field("enabled", &self.enabled)
             .field("bound", &self.binding.is_some())
             .finish()
     }
@@ -83,11 +81,11 @@ impl fmt::Debug for FrontEndFunction {
 pub const MAX_IO_QUEUES: usize = 32;
 
 impl FrontEndFunction {
-    /// Creates an unbound, disabled function.
+    /// Creates an unbound function. Whether the host enabled it (CC.EN)
+    /// is the engine's to track: [`super::BmsEngine::set_function_enabled`].
     pub fn new(id: FunctionId) -> Self {
         FrontEndFunction {
             id,
-            enabled: false,
             binding: None,
             admin: None,
             io_queues: (0..MAX_IO_QUEUES).map(|_| None).collect(),
@@ -98,16 +96,6 @@ impl FrontEndFunction {
     /// The function id.
     pub fn id(&self) -> FunctionId {
         self.id
-    }
-
-    /// Whether the host enabled the controller (CC.EN).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Host writes CC.EN.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// The current binding, if any.
@@ -202,15 +190,6 @@ impl FrontEndFunction {
             self.io_queues.get_mut(qid.0 as usize)?.as_mut()
         }
     }
-
-    /// Ids of all live I/O queues.
-    pub fn io_queue_ids(&self) -> Vec<QueueId> {
-        self.io_queues
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.as_ref().map(|_| QueueId(i as u16)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +221,6 @@ mod tests {
         assert!(f.create_io_cq(QueueId(1), PciAddr::new(0x2000), 64));
         assert!(f.create_io_sq(QueueId(1), PciAddr::new(0x1000), 64));
         assert!(f.queue(QueueId(1)).is_some());
-        assert_eq!(f.io_queue_ids(), vec![QueueId(1)]);
     }
 
     #[test]

@@ -167,19 +167,6 @@ impl MappingTable {
         Ok(())
     }
 
-    /// Clears the valid bit of `[row][slot]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::OutOfTable`] for bad coordinates.
-    pub fn invalidate(&mut self, row: usize, slot: usize) -> Result<(), MapError> {
-        if row >= self.rows.len() || slot >= ENTRIES_PER_ROW {
-            return Err(MapError::OutOfTable);
-        }
-        self.rows[row].valid &= !(1 << slot);
-        Ok(())
-    }
-
     /// Reads the entry at `[row][slot]` if valid.
     pub fn entry(&self, row: usize, slot: usize) -> Option<MapEntry> {
         let r = self.rows.get(row)?;
@@ -253,12 +240,6 @@ impl MappingTable {
         }
         n
     }
-
-    /// BRAM bytes this table occupies (entries + validation vectors) —
-    /// feeds the Table II resource model.
-    pub fn bram_bytes(&self) -> usize {
-        self.rows.len() * (ENTRIES_PER_ROW + 1)
-    }
 }
 
 /// Allocates physical chunks across the back-end SSDs.
@@ -301,11 +282,6 @@ impl ChunkAllocator {
             free: (0..ssds).map(|_| (0..chunks).rev().collect()).collect(),
             next_rr: 0,
         }
-    }
-
-    /// Free chunks remaining on `ssd`.
-    pub fn free_on(&self, ssd: SsdId) -> usize {
-        self.free.get(ssd.0 as usize).map_or(0, Vec::len)
     }
 
     /// Total free chunks.
@@ -458,11 +434,6 @@ mod tests {
             mt.map(0, Lba(cs)), // entry [0][1] never installed
             Err(MapError::InvalidEntry { row: 0, entry: 1 })
         );
-        mt.invalidate(0, 0).unwrap();
-        assert_eq!(
-            mt.map(0, Lba(0)),
-            Err(MapError::InvalidEntry { row: 0, entry: 0 })
-        );
         // Walking past the table.
         assert_eq!(
             mt.map(0, Lba(100 * cs * ENTRIES_PER_ROW as u64)),
@@ -516,12 +487,6 @@ mod tests {
         for e in entries {
             assert!(seen.insert((e.ssd(), e.chunk_base())), "duplicate chunk");
         }
-    }
-
-    #[test]
-    fn bram_accounting() {
-        let mt = MappingTable::new(8, 4096);
-        assert_eq!(mt.bram_bytes(), 8 * 9);
     }
 
     #[test]

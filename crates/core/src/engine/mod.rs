@@ -43,7 +43,7 @@ use bm_nvme::queue::{BadSqe, DoorbellLayout};
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
-use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr, SriovConfig};
+use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr};
 use bm_sim::metrics::{names as metric_names, Metric, Stage as MetricStage};
 use bm_sim::observe::Observer;
 use bm_sim::resource::BandwidthLink;
@@ -73,20 +73,17 @@ pub struct EngineTiming {
     pub admin_processing: SimDuration,
 }
 
-impl Default for EngineTiming {
-    fn default() -> Self {
-        EngineTiming {
-            command_fetch: SimDuration::from_nanos(900),
-            pipeline: SimDuration::from_nanos(200),
-            backend_forward: SimDuration::from_nanos(500),
-            cqe_forward: SimDuration::from_nanos(800),
-            interrupt: SimDuration::from_nanos(600),
-            admin_processing: SimDuration::from_us(5),
-        }
-    }
-}
-
 impl EngineTiming {
+    /// The shipped engine's pipeline latencies.
+    pub const PAPER: EngineTiming = EngineTiming {
+        command_fetch: SimDuration::from_nanos(900),
+        pipeline: SimDuration::from_nanos(200),
+        backend_forward: SimDuration::from_nanos(500),
+        cqe_forward: SimDuration::from_nanos(800),
+        interrupt: SimDuration::from_nanos(600),
+        admin_processing: SimDuration::from_us(5),
+    };
+
     /// The total engine-added round-trip latency.
     pub fn round_trip(&self) -> SimDuration {
         self.command_fetch
@@ -97,25 +94,26 @@ impl EngineTiming {
     }
 }
 
-/// Engine construction parameters.
+/// Capacity of each back-end SSD: a 2 TB P4510.
+const SSD_CAPACITY_BYTES: u64 = 2_000_000_000_000;
+/// Depth of each back-end SQ/CQ ring.
+const BACKEND_QUEUE_ENTRIES: u16 = 1024;
+/// Engine chip (BRAM/URAM-backed) memory size.
+const CHIP_MEM_BYTES: u64 = 64 << 20;
+/// Logical block size of all namespaces.
+const BLOCK_SIZE: u64 = 4096;
+/// Mapping-table rows.
+const MAPPING_ROWS: usize = 128;
+
+/// Engine construction parameters: what differs between the figures,
+/// ablations and fault campaigns. The hardware's fixed shape (4 PFs +
+/// 124 VFs, one 2 TB capacity per SSD, 1024-entry back-end rings, 64 MiB
+/// of chip memory, 4 KiB blocks, 128 mapping rows and
+/// [`EngineTiming::PAPER`]) is not configurable.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Front-end SR-IOV shape.
-    pub sriov: SriovConfig,
     /// Back-end SSD count (≤ 4 in the shipped hardware).
     pub ssd_count: usize,
-    /// Capacity of each back-end SSD.
-    pub ssd_capacity_bytes: u64,
-    /// Depth of each back-end SQ/CQ ring.
-    pub backend_queue_entries: u16,
-    /// Engine chip (BRAM/URAM-backed) memory size.
-    pub chip_mem_bytes: u64,
-    /// Logical block size of all namespaces.
-    pub block_size: u64,
-    /// Mapping-table rows.
-    pub mapping_rows: usize,
-    /// Pipeline latencies.
-    pub timing: EngineTiming,
     /// Ablation: when set, the engine *buffers data in its own DRAM*
     /// instead of routing DMA zero-copy — every payload byte crosses
     /// the card memory at this rate (bytes/s), once on each direction
@@ -145,14 +143,7 @@ impl EngineConfig {
     /// up to 4 × 2 TB P4510 back-end, 64 GB chunks.
     pub fn paper_default(ssd_count: usize) -> Self {
         EngineConfig {
-            sriov: SriovConfig::bm_store_default(),
             ssd_count,
-            ssd_capacity_bytes: 2_000_000_000_000,
-            backend_queue_entries: 1024,
-            chip_mem_bytes: 64 << 20,
-            block_size: 4096,
-            mapping_rows: 128,
-            timing: EngineTiming::default(),
             store_and_forward_bw: None,
             command_timeout: None,
             max_retries: 2,
@@ -166,14 +157,6 @@ impl EngineConfig {
     pub fn with_command_timeout(mut self, timeout: SimDuration, policy: FailPolicy) -> Self {
         self.command_timeout = Some(timeout);
         self.fail_policy = policy;
-        self
-    }
-
-    /// The store-and-forward ablation variant (see
-    /// [`EngineConfig::store_and_forward_bw`]); `bw` is the card DRAM's
-    /// effective copy bandwidth.
-    pub fn with_store_and_forward(mut self, bw: f64) -> Self {
-        self.store_and_forward_bw = Some(bw);
         self
     }
 }
@@ -313,8 +296,6 @@ pub struct ResilienceStats {
 /// Why a bind operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindError {
-    /// The function id is outside the configured SR-IOV shape.
-    NoSuchFunction,
     /// Not enough free chunks on the back-end.
     OutOfCapacity,
     /// Not enough mapping-table rows.
@@ -326,7 +307,6 @@ pub enum BindError {
 impl std::fmt::Display for BindError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BindError::NoSuchFunction => write!(f, "no such front-end function"),
             BindError::OutOfCapacity => write!(f, "insufficient back-end capacity"),
             BindError::OutOfRows => write!(f, "mapping table exhausted"),
             BindError::AlreadyBound => write!(f, "function already bound"),
@@ -474,10 +454,6 @@ pub struct BmsEngine {
     /// Firmware-dead flag: between [`Self::crash`] and [`Self::recover`]
     /// the data plane is down and the harness defers doorbells.
     crashed: bool,
-    /// Bumped on every crash. Back-end stages minted before the crash
-    /// carry the old epoch and are dropped by the harness, so stale
-    /// doorbells and completions can never corrupt the reset rings.
-    epoch: u64,
     /// Per-SSD ring incarnation: bumped whenever that SSD's back-end
     /// rings reset (engine crash = all of them; hot-plug replacement or
     /// surprise re-insert = just that one). The harness stamps back-end
@@ -585,19 +561,17 @@ impl BmsEngine {
     ///
     /// Panics if the chip memory cannot hold the back-end rings.
     pub fn new(cfg: EngineConfig) -> Self {
-        let mut chip = HostMemory::new(cfg.chip_mem_bytes);
-        let adaptor = HostAdaptor::new(cfg.ssd_count, cfg.backend_queue_entries, &mut chip);
-        let functions = cfg
-            .sriov
-            .enumerate()
-            .into_iter()
-            .map(|f| FrontEndFunction::new(f.id()))
+        let mut chip = HostMemory::new(CHIP_MEM_BYTES);
+        let adaptor = HostAdaptor::new(cfg.ssd_count, BACKEND_QUEUE_ENTRIES, &mut chip);
+        let functions = (0..FunctionId::MAX_FUNCTIONS)
+            .filter_map(FunctionId::new)
+            .map(FrontEndFunction::new)
             .collect::<Vec<_>>();
         let total = functions.len();
         BmsEngine {
-            mapping: MappingTable::new(cfg.mapping_rows, cfg.block_size),
+            mapping: MappingTable::new(MAPPING_ROWS, BLOCK_SIZE),
             next_free_row: 0,
-            chunk_alloc: ChunkAllocator::new(cfg.ssd_count, cfg.ssd_capacity_bytes),
+            chunk_alloc: ChunkAllocator::new(cfg.ssd_count, SSD_CAPACITY_BYTES),
             adaptor,
             chip,
             counters: IoCounters::new(total),
@@ -615,7 +589,6 @@ impl BmsEngine {
             recovery_log: Vec::new(),
             resilience: ResilienceStats::default(),
             crashed: false,
-            epoch: 0,
             ring_epochs: vec![0; cfg.ssd_count],
             crashed_at: SimTime::ZERO,
             restart_at: SimTime::ZERO,
@@ -667,7 +640,7 @@ impl BmsEngine {
 
     /// The engine's timing parameters.
     pub fn timing(&self) -> &EngineTiming {
-        &self.cfg.timing
+        &EngineTiming::PAPER
     }
 
     /// The I/O counter bank (read by the BMS-Controller over AXI).
@@ -754,26 +727,17 @@ impl BmsEngine {
     // ------------------------------------------------------------------
 
     /// Function state access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is outside the SR-IOV shape.
     pub fn function(&self, func: FunctionId) -> &FrontEndFunction {
         &self.functions[func.index() as usize]
     }
 
     /// Mutable function state access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is outside the SR-IOV shape.
     pub fn function_mut(&mut self, func: FunctionId) -> &mut FrontEndFunction {
         &mut self.functions[func.index() as usize]
     }
 
     /// Host enabled/disabled the controller (CC.EN write).
     pub fn set_function_enabled(&mut self, func: FunctionId, enabled: bool) {
-        self.functions[func.index() as usize].set_enabled(enabled);
         self.valid_functions[func.index() as usize] = enabled;
     }
 
@@ -790,9 +754,6 @@ impl BmsEngine {
         placement: Placement,
     ) -> Result<(), BindError> {
         let idx = func.index() as usize;
-        if idx >= self.functions.len() {
-            return Err(BindError::NoSuchFunction);
-        }
         if self.functions[idx].binding().is_some() {
             return Err(BindError::AlreadyBound);
         }
@@ -819,7 +780,7 @@ impl BmsEngine {
         }
         self.functions[idx].bind(Binding {
             size_bytes,
-            block_size: self.cfg.block_size,
+            block_size: BLOCK_SIZE,
             row_base,
             rows,
             entries,
@@ -1090,17 +1051,11 @@ impl BmsEngine {
         self.crashed
     }
 
-    /// The crash epoch. The harness stamps back-end stages with the
-    /// epoch they were minted under and drops stale ones after a crash
-    /// bumps it, fencing the reset rings from in-flight events.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The ring incarnation of `ssd`'s back-end rings (see the field
     /// docs): bumped by engine crashes, hot-plug replacement, and
-    /// surprise re-inserts. This — not [`BmsEngine::epoch`] — is what
-    /// the harness stamps onto back-end stages.
+    /// surprise re-inserts. The harness stamps it onto back-end stages
+    /// and drops stages minted under an older one, fencing the reset
+    /// rings from in-flight events.
     pub fn ring_epoch(&self, ssd: SsdId) -> u64 {
         self.ring_epochs[ssd.0 as usize]
     }
@@ -1119,8 +1074,8 @@ impl BmsEngine {
     /// firmware, journals the volatile pipeline state to the
     /// persistent-model region (the §IV-D "store I/O context" mechanism
     /// applied to a whole-engine failure), quiesces the back-end rings,
-    /// and bumps the epoch so events minted by the dead instance are
-    /// fenced. Until [`BmsEngine::recover`] runs, host SQ doorbells are
+    /// and bumps every ring epoch so events minted by the dead instance
+    /// are fenced. Until [`BmsEngine::recover`] runs, host SQ doorbells are
     /// deferred by the harness and QoS/deadline callbacks are no-ops.
     ///
     /// A crash while already crashed just extends the outage.
@@ -1130,7 +1085,6 @@ impl BmsEngine {
             return;
         }
         self.crashed = true;
-        self.epoch += 1;
         for e in &mut self.ring_epochs {
             *e += 1;
         }
@@ -1170,8 +1124,8 @@ impl BmsEngine {
         // Quiesce the rings: every live slot is abandoned. Slots whose
         // command has a journaled copy replay on restart; the rest are
         // orphans recovery can only abort. The dead instance's stale
-        // completions can never arrive on the reset rings (the epoch
-        // fence drops them), so zombies are reaped immediately.
+        // completions can never arrive on the reset rings (the ring
+        // epoch fence drops them), so zombies are reaped immediately.
         for i in 0..self.adaptor.len() {
             let ssd = SsdId(i as u8);
             let port = self.adaptor.port_mut(ssd);
@@ -1294,14 +1248,13 @@ impl BmsEngine {
             FailPolicy::AbortToHost => {
                 // The fan-out table is not restored: each command gets
                 // exactly one untracked abort completion.
-                let block_size = self.cfg.block_size;
                 for io in spans.into_iter().map(|(_, io)| io).chain(unmapped) {
                     let key = (io.func.index(), io.host_qid.0, io.host_cid.0);
                     let origin = Outstanding {
                         func: io.func,
                         host_qid: io.host_qid,
                         host_cid: io.host_cid,
-                        bytes: io.sqe.transfer_len(block_size),
+                        bytes: io.sqe.transfer_len(BLOCK_SIZE),
                         is_write: io.sqe.io_opcode() == Some(IoOpcode::Write),
                         fetched_at: io.fetched_at,
                         pushed_at: now,
@@ -1404,10 +1357,10 @@ impl BmsEngine {
                 Err(bad) => sqes.push(Err(bad)),
             }
         }
-        let fetch_at = now + self.cfg.timing.command_fetch;
+        let fetch_at = now + EngineTiming::PAPER.command_fetch;
         if !sqes.is_empty() {
             let n = sqes.len() as u64;
-            let busy = self.cfg.timing.command_fetch * n;
+            let busy = EngineTiming::PAPER.command_fetch * n;
             self.obs.stage_busy(MetricStage::FrontEnd, busy, n);
         }
         let from = actions.len();
@@ -1422,7 +1375,7 @@ impl BmsEngine {
                         qid,
                         cid: bad.cid,
                         status: bad.status,
-                        at: fetch_at + self.cfg.timing.admin_processing,
+                        at: fetch_at + EngineTiming::PAPER.admin_processing,
                     });
                     continue;
                 }
@@ -1435,7 +1388,7 @@ impl BmsEngine {
                         qid,
                         cid: sqe.cid,
                         status,
-                        at: fetch_at + self.cfg.timing.admin_processing,
+                        at: fetch_at + EngineTiming::PAPER.admin_processing,
                     });
                 }
                 Opcode::Io(_) => {
@@ -1500,7 +1453,7 @@ impl BmsEngine {
                         .to_page(),
                         None => IdentifyNamespace {
                             nsze: 0,
-                            block_size: self.cfg.block_size,
+                            block_size: BLOCK_SIZE,
                         }
                         .to_page(),
                     }
@@ -1571,7 +1524,7 @@ impl BmsEngine {
         actions: &mut Vec<EngineAction>,
     ) {
         let idx = io.func.index() as usize;
-        let bytes = io.sqe.transfer_len(self.cfg.block_size);
+        let bytes = io.sqe.transfer_len(BLOCK_SIZE);
         let is_flush = io.sqe.io_opcode() == Some(IoOpcode::Flush);
         let in_range = |b: &Binding| {
             is_flush
@@ -1603,7 +1556,7 @@ impl BmsEngine {
                 qid: io.host_qid,
                 cid: io.host_cid,
                 status,
-                at: now + self.cfg.timing.pipeline + self.cfg.timing.cqe_forward,
+                at: now + EngineTiming::PAPER.pipeline + EngineTiming::PAPER.cqe_forward,
             });
             return;
         }
@@ -1612,7 +1565,7 @@ impl BmsEngine {
         self.counters.command_started(io.func);
         if let Some(m) = self.obs.metrics_mut() {
             let outstanding = self.counters.regs(io.func).outstanding;
-            m.stage_busy(MetricStage::TargetCtrl, self.cfg.timing.pipeline, 1);
+            m.stage_busy(MetricStage::TargetCtrl, EngineTiming::PAPER.pipeline, 1);
             m.counter_add_id(Metric::EngineStarted.of(idx), 1);
             m.gauge_set_id(
                 now,
@@ -1624,7 +1577,7 @@ impl BmsEngine {
             &io,
             TelemetryStage::Translate,
             now,
-            now + self.cfg.timing.pipeline,
+            now + EngineTiming::PAPER.pipeline,
         );
         // QoS admission (flush bypasses QoS).
         if io.sqe.io_opcode() != Some(IoOpcode::Flush) {
@@ -1676,7 +1629,7 @@ impl BmsEngine {
             ssds.sort_unstable();
             ssds.dedup();
             let n = ssds.len() as u64;
-            let busy = self.cfg.timing.pipeline * n;
+            let busy = EngineTiming::PAPER.pipeline * n;
             self.obs.stage_busy(MetricStage::Mapping, busy, n);
             // Single-target commands skip the fan-out table:
             // `finish_origin` treats an untracked origin as its own
@@ -1696,7 +1649,7 @@ impl BmsEngine {
         let mut spans = std::mem::take(&mut self.span_scratch);
         self.split_spans_into(&io, &mut spans);
         let n = spans.len() as u64;
-        let busy = self.cfg.timing.pipeline * n;
+        let busy = EngineTiming::PAPER.pipeline * n;
         self.obs.stage_busy(MetricStage::Mapping, busy, n);
         // Single-span commands skip the fan-out table (see the flush
         // branch above).
@@ -1798,7 +1751,7 @@ impl BmsEngine {
         host: &mut HostMemory,
         actions: &mut Vec<EngineAction>,
     ) {
-        let bytes = io.sqe.transfer_len(self.cfg.block_size);
+        let bytes = io.sqe.transfer_len(BLOCK_SIZE);
         let is_write = io.sqe.io_opcode() == Some(IoOpcode::Write);
         self.cmd_seq += 1;
         let seq = self.cmd_seq;
@@ -1838,7 +1791,7 @@ impl BmsEngine {
             // two pages gets its tagged list in the command's chip slot
             // (the "global PRP stored into chip memory" of §IV-C).
             debug_assert_eq!(
-                self.cfg.block_size, PAGE_SIZE,
+                BLOCK_SIZE, PAGE_SIZE,
                 "block == page keeps PRP slicing exact"
             );
             let nblocks = sqe.nlb_blocks();
@@ -1856,7 +1809,7 @@ impl BmsEngine {
         }
         let port = self.adaptor.port_mut(ssd);
         let tail = port.push_sqe(&mut self.chip, &sqe);
-        let mut at = now + self.cfg.timing.pipeline + self.cfg.timing.backend_forward;
+        let mut at = now + EngineTiming::PAPER.pipeline + EngineTiming::PAPER.backend_forward;
         // Store-and-forward ablation: write payloads must land in card
         // DRAM before the SSD can fetch them.
         if is_write && bytes > 0 {
@@ -1983,12 +1936,12 @@ impl BmsEngine {
                 origin.bytes,
                 !final_status.is_success(),
             );
-            let mut at = now + self.cfg.timing.cqe_forward;
+            let mut at = now + EngineTiming::PAPER.cqe_forward;
             // Store-and-forward ablation: read payloads cross the card
             // DRAM on the way up.
             if !origin.is_write && origin.bytes > 0 {
                 if let Some(link) = &mut self.copy_link {
-                    at = at.max(link.transfer(now, origin.bytes) + self.cfg.timing.cqe_forward);
+                    at = at.max(link.transfer(now, origin.bytes) + EngineTiming::PAPER.cqe_forward);
                 }
             }
             // Latch the engine-observed latency (fetch → CQE posted)
@@ -2001,8 +1954,8 @@ impl BmsEngine {
                 // forward copy time: it belongs to the DMA routing
                 // stage, not the host adaptor (busy only — forwards
                 // already counted the arrival).
-                let copy_wait = at.saturating_since(now + self.cfg.timing.cqe_forward);
-                let busy = at.saturating_since(now) + self.cfg.timing.interrupt - copy_wait;
+                let copy_wait = at.saturating_since(now + EngineTiming::PAPER.cqe_forward);
+                let busy = at.saturating_since(now) + EngineTiming::PAPER.interrupt - copy_wait;
                 let outstanding = self.counters.regs(origin.func).outstanding;
                 let idx = origin.func.index() as usize;
                 if copy_wait > SimDuration::ZERO {
@@ -2098,8 +2051,7 @@ mod tests {
 
     #[test]
     fn timing_sums_to_three_microseconds() {
-        let t = EngineTiming::default();
-        let rt = t.round_trip().as_micros_f64();
+        let rt = EngineTiming::PAPER.round_trip().as_micros_f64();
         assert!((2.5..3.5).contains(&rt), "round trip {rt}");
     }
 
@@ -2428,6 +2380,10 @@ mod tests {
 
     /// Builds an engine with the timeout machinery armed and one read
     /// forwarded to SSD 0, returning the attempt's deadline action.
+    fn ring_epochs(engine: &BmsEngine) -> Vec<u64> {
+        (0..4).map(|i| engine.ring_epoch(SsdId(i))).collect()
+    }
+
     fn timeout_rig(
         timeout: SimDuration,
         max_retries: u32,
@@ -2585,10 +2541,11 @@ mod tests {
             timeout_rig(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
         let crash_at = SimTime::from_nanos(2_000);
         let restart_at = crash_at + SimDuration::from_us(100);
-        let epoch_before = engine.epoch();
+        let rings_before = ring_epochs(&engine);
         engine.crash(crash_at, restart_at);
         assert!(engine.is_crashed());
-        assert_eq!(engine.epoch(), epoch_before + 1);
+        let bumped: Vec<u64> = rings_before.iter().map(|e| e + 1).collect();
+        assert_eq!(ring_epochs(&engine), bumped, "a crash resets every ring");
         assert_eq!(engine.restart_at(), restart_at);
         assert!(matches!(
             engine.take_recovery_events()[..],
@@ -2752,12 +2709,12 @@ mod tests {
             timeout_rig(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
         let t1 = SimTime::from_nanos(2_000);
         engine.crash(t1, t1 + SimDuration::from_us(50));
-        let epoch = engine.epoch();
+        let rings = ring_epochs(&engine);
         engine.crash(
             t1 + SimDuration::from_us(10),
             t1 + SimDuration::from_us(200),
         );
-        assert_eq!(engine.epoch(), epoch, "still the same outage");
+        assert_eq!(ring_epochs(&engine), rings, "still the same outage");
         assert_eq!(engine.restart_at(), t1 + SimDuration::from_us(200));
         let actions = engine.recover(engine.restart_at(), &mut host);
         assert!(!engine.is_crashed());

@@ -114,14 +114,6 @@ impl KernelProfile {
         ]
     }
 
-    /// The guest kernel in the paper's VMs (same CentOS image).
-    pub fn guest_centos79() -> Self {
-        KernelProfile {
-            name: "guest CentOS 7.9.2009 / 3.10.0",
-            ..Self::centos79_310()
-        }
-    }
-
     /// Per-I/O added latency due to the stack (both directions).
     pub fn round_trip_latency(&self) -> SimDuration {
         self.submit_cost + self.complete_cost + self.extra_latency

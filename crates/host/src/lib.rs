@@ -1,16 +1,18 @@
 //! # bm-host — host-side model
 //!
-//! Models the parts of the paper's testbed that live above PCIe:
+//! Models the part of the paper's testbed that lives above PCIe and
+//! differs between hosts:
 //!
 //! * [`kernel`] — per-OS/kernel I/O-stack profiles (submit/complete CPU
 //!   costs, added latency, block-layer plugging behaviour). These carry
 //!   Table VI: BM-Store itself is host-independent, but the measured
 //!   numbers differ across kernels because the *host stack* differs.
-//! * [`cpu`] — the host CPU pool: cores are busy-until resources, and
-//!   polling schemes (SPDK vhost) reserve dedicated cores, which is the
-//!   entire TCO argument of the paper.
-//! * [`vm`] — the virtual-machine model: vCPU count, doorbell exit
-//!   costs, and interrupt delivery costs per virtualization scheme.
+//! * [`HOST_CORES`] — the host's core count, the ceiling on how many
+//!   cores a polling scheme (SPDK vhost) can dedicate.
+//!
+//! The guest side (doorbell exits, interrupt delivery) is the testbed's
+//! per-VM state over `bm_baselines::vfio::VfioCosts`; a polling
+//! scheme's cores are the baseline model's own servers.
 //!
 //! # Examples
 //!
@@ -23,10 +25,10 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod cpu;
 pub mod kernel;
-pub mod vm;
 
-pub use cpu::CpuPool;
 pub use kernel::KernelProfile;
-pub use vm::VmConfig;
+
+/// Cores of the paper's host: two 24-core Xeon 8163 sockets with
+/// hyper-threading disabled (Table III, §V-A).
+pub const HOST_CORES: usize = 48;

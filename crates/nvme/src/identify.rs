@@ -8,7 +8,6 @@
 
 use crate::field;
 use crate::namespace::Namespace;
-use crate::types::Nsid;
 
 /// Size of an identify data page.
 pub const IDENTIFY_PAGE_SIZE: usize = 4096;
@@ -91,11 +90,6 @@ impl IdentifyNamespace {
         }
     }
 
-    /// Reconstructs a [`Namespace`] under `nsid`.
-    pub fn to_namespace(self, nsid: Nsid) -> Namespace {
-        Namespace::new(nsid, self.nsze, self.block_size)
-    }
-
     /// Serializes into a 4 KiB identify page (NSZE @0; the block size is
     /// encoded as the LBA-format shift @130 the way LBAF descriptors do).
     pub fn to_page(&self) -> Vec<u8> {
@@ -132,6 +126,7 @@ fn read_padded(src: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Nsid;
 
     #[test]
     fn controller_page_round_trip() {
@@ -148,7 +143,6 @@ mod tests {
         let id = IdentifyNamespace::from_namespace(&ns);
         let back = IdentifyNamespace::from_page(&id.to_page()).unwrap();
         assert_eq!(back, id);
-        assert_eq!(back.to_namespace(Nsid::new(4).unwrap()), ns);
     }
 
     #[test]

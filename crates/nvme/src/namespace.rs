@@ -82,11 +82,6 @@ impl Namespace {
             _ => Err(Status::LbaOutOfRange),
         }
     }
-
-    /// Byte offset of an LBA within the namespace.
-    pub fn byte_offset(&self, lba: Lba) -> u64 {
-        lba.raw() * self.block_size
-    }
 }
 
 impl fmt::Display for Namespace {
@@ -115,7 +110,6 @@ mod tests {
         let ns = ns();
         assert_eq!(ns.blocks(), 1000);
         assert_eq!(ns.bytes(), 4_096_000);
-        assert_eq!(ns.byte_offset(Lba(10)), 40_960);
     }
 
     #[test]

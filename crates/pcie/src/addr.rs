@@ -1,5 +1,4 @@
-//! PCIe addressing: bus addresses, BDF triples, and BM-Store's flat
-//! function-id space.
+//! PCIe addressing: bus addresses and BM-Store's flat function-id space.
 
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -87,47 +86,6 @@ impl fmt::LowerHex for PciAddr {
     }
 }
 
-/// Bus / device / function notation for one PCIe function.
-///
-/// # Examples
-///
-/// ```
-/// use bm_pcie::Bdf;
-/// let bdf = Bdf::new(0x3b, 0, 2);
-/// assert_eq!(bdf.to_string(), "3b:00.2");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Bdf {
-    /// Bus number.
-    pub bus: u8,
-    /// Device number (0–31).
-    pub device: u8,
-    /// Function number (0–7 routing view; SR-IOV VFs use extended ARI).
-    pub function: u8,
-}
-
-impl Bdf {
-    /// Creates a BDF triple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device > 31`.
-    pub fn new(bus: u8, device: u8, function: u8) -> Self {
-        assert!(device < 32, "PCIe device number is 5 bits");
-        Bdf {
-            bus,
-            device,
-            function,
-        }
-    }
-}
-
-impl fmt::Display for Bdf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:02x}:{:02x}.{}", self.bus, self.device, self.function)
-    }
-}
-
 /// BM-Store's flat function index: the BMS-Engine exposes up to 128
 /// front-end NVMe functions (4 PFs + 124 VFs) and routes DMA by a 7-bit
 /// function id embedded in the *global PRP* (paper Fig. 4(b)).
@@ -168,31 +126,6 @@ impl fmt::Display for FunctionId {
     }
 }
 
-impl TryFrom<u8> for FunctionId {
-    type Error = InvalidFunctionId;
-    fn try_from(value: u8) -> Result<Self, Self::Error> {
-        FunctionId::new(value).ok_or(InvalidFunctionId(value))
-    }
-}
-
-impl From<FunctionId> for u8 {
-    fn from(id: FunctionId) -> u8 {
-        id.0
-    }
-}
-
-/// Error returned when a raw value does not fit the 7-bit function-id space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidFunctionId(pub u8);
-
-impl fmt::Display for InvalidFunctionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "function id {} exceeds the 7-bit space", self.0)
-    }
-}
-
-impl std::error::Error for InvalidFunctionId {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,27 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn bdf_display() {
-        assert_eq!(Bdf::new(0, 4, 1).to_string(), "00:04.1");
-        assert_eq!(Bdf::new(0xaf, 31, 7).to_string(), "af:1f.7");
-    }
-
-    #[test]
-    #[should_panic(expected = "5 bits")]
-    fn bdf_rejects_large_device() {
-        Bdf::new(0, 32, 0);
-    }
-
-    #[test]
     fn function_id_bounds() {
         assert_eq!(FunctionId::new(0).unwrap().index(), 0);
         assert_eq!(FunctionId::new(127).unwrap().index(), 127);
         assert!(FunctionId::new(128).is_none());
-        assert_eq!(
-            FunctionId::try_from(200).unwrap_err(),
-            InvalidFunctionId(200)
-        );
-        let id: u8 = FunctionId::new(9).unwrap().into();
-        assert_eq!(id, 9);
     }
 }

@@ -1,13 +1,13 @@
 //! The DMA port abstraction.
 //!
 //! A device (SSD controller) does not know what is on the other side of
-//! its PCIe link: in a native attachment its memory read/write TLPs land
-//! directly in host DRAM, while behind the BMS-Engine every TLP is
-//! *inspected and routed* by the DMA-routing module (paper §IV-C). The
-//! [`DmaContext`] trait is that seam: the SSD model issues loads and
-//! stores against it, and each attachment supplies an implementation —
-//! plain [`HostMemory`] for native/VFIO, or the
-//! engine's router for BM-Store.
+//! its PCIe link: in a native attachment its memory reads and writes
+//! land directly in host DRAM, while behind the BMS-Engine every access
+//! is *routed by the function tag in its address* by the DMA-routing
+//! module (paper §IV-C). The [`DmaContext`] trait is that seam: the SSD
+//! model issues loads and stores against it, and each attachment
+//! supplies an implementation — plain [`HostMemory`] for native/VFIO,
+//! or the engine's router for BM-Store.
 
 use crate::addr::PciAddr;
 use crate::memory::HostMemory;

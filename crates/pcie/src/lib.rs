@@ -2,18 +2,22 @@
 //!
 //! The transport substrate under both BM-Store and the baselines:
 //!
-//! * [`addr`] — bus addresses, BDF notation, and the flat [`FunctionId`]
-//!   space the BMS-Engine routes DMA by,
+//! * [`addr`] — bus addresses and the flat [`FunctionId`] space (4 PF +
+//!   124 VF) the BMS-Engine routes DMA by,
+//! * [`bus`] — the [`DmaContext`] seam: a device's DMA is an
+//!   address-routed load or store, which plain host memory serves
+//!   directly and the BMS-Engine's router serves by the function tag in
+//!   each address,
 //! * [`memory`] — simulated physical memory with real byte contents, the
 //!   target of every DMA in the repository (data integrity through the
 //!   whole stack is testable because bytes genuinely move),
-//! * [`function`] / [`sriov`] — PCIe functions and the SR-IOV physical /
-//!   virtual function structure the BMS-Engine exposes (4 PF + 124 VF),
-//! * [`tlp`] — transaction-layer packets (memory read/write, completions,
-//!   vendor messages) that the DMA-routing module inspects,
-//! * [`link`] — Gen3 link timing: per-TLP latency and shared bandwidth,
 //! * [`mctp`] — MCTP-over-PCIe packetization and reassembly, carrying the
 //!   out-of-band NVMe-MI management traffic to the BMS-Controller.
+//!
+//! DMA is modelled per access, not per packet: the wire timing of a
+//! transfer is charged by the scheme that issues it (a fixed bus hop, or
+//! a `bm_sim::resource::BandwidthLink` for the store-and-forward
+//! ablation).
 //!
 //! # Examples
 //!
@@ -41,17 +45,9 @@
 
 pub mod addr;
 pub mod bus;
-pub mod function;
-pub mod link;
 pub mod mctp;
 pub mod memory;
-pub mod sriov;
-pub mod tlp;
 
-pub use addr::{Bdf, FunctionId, PciAddr};
+pub use addr::{FunctionId, PciAddr};
 pub use bus::DmaContext;
-pub use function::{FunctionKind, PciFunction};
-pub use link::{LinkGen, PcieLink};
 pub use memory::HostMemory;
-pub use sriov::SriovConfig;
-pub use tlp::Tlp;

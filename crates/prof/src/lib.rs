@@ -389,14 +389,6 @@ impl Profiler {
         }
     }
 
-    /// Events-per-second over the run, from the exact totals.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.total_run_ns == 0 {
-            return 0.0;
-        }
-        self.events as f64 / (self.total_run_ns as f64 / 1e9)
-    }
-
     /// Builds the deterministic end-of-run view: scopes path-sorted,
     /// sampled nanoseconds scaled so self-ns sums to `total_run_ns`.
     pub fn snapshot(&self) -> Snapshot {

@@ -92,28 +92,6 @@ enum FrontSlot {
     Batch,
 }
 
-/// Error returned by [`Scheduler::try_schedule_at`] for a target time
-/// earlier than the current clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulePastError {
-    /// The requested (past) fire time.
-    pub at: SimTime,
-    /// The scheduler clock when the request was made.
-    pub now: SimTime,
-}
-
-impl std::fmt::Display for SchedulePastError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot schedule into the past: at={:?} < now={:?}",
-            self.at, self.now
-        )
-    }
-}
-
-impl std::error::Error for SchedulePastError {}
-
 /// The pending-event queue, passed to every event so it can schedule more.
 ///
 /// `E` is the event payload; the default, [`Action`], takes closures
@@ -200,28 +178,13 @@ impl<W> Scheduler<W> {
     /// Schedules `action` to fire at absolute time `at`.
     ///
     /// A target earlier than the current clock is clamped to `now` (and
-    /// counted in [`Scheduler::clamped_past`]); use
-    /// [`Scheduler::try_schedule_at`] to treat that as an error instead.
+    /// counted in [`Scheduler::clamped_past`]).
     pub fn schedule_at(
         &mut self,
         at: SimTime,
         action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     ) {
         self.schedule_event_at(at, Action::new(action));
-    }
-
-    /// Schedules `action` to fire at absolute time `at`, rejecting
-    /// times earlier than the current clock with a typed error.
-    pub fn try_schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) -> Result<(), SchedulePastError> {
-        if at < self.now {
-            return Err(SchedulePastError { at, now: self.now });
-        }
-        self.push_event(at, Action::new(action));
-        Ok(())
     }
 
     /// Schedules `action` to fire `delay` after the current time.
@@ -790,25 +753,6 @@ mod tests {
         // The past-targeted event fired at the clamp time, not at zero.
         assert_eq!(sim.world(), &[1_000]);
         assert_eq!(sim.scheduler_mut().clamped_past(), 1);
-    }
-
-    #[test]
-    fn try_schedule_at_rejects_past_times() {
-        let mut sim = Simulation::new(0u32);
-        sim.schedule_in(SimDuration::from_us(1), |_, sched| {
-            let err = sched
-                .try_schedule_at(SimTime::ZERO, |w: &mut u32, _| *w += 1)
-                .expect_err("past time must be rejected");
-            assert_eq!(err.at, SimTime::ZERO);
-            assert_eq!(err.now, SimTime::from_nanos(1_000));
-            assert!(err.to_string().contains("past"));
-            sched
-                .try_schedule_at(SimTime::from_nanos(2_000), |w: &mut u32, _| *w += 1)
-                .expect("future time is accepted");
-        });
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 1);
-        assert_eq!(sim.scheduler_mut().clamped_past(), 0);
     }
 
     #[test]

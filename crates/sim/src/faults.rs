@@ -290,6 +290,12 @@ impl FaultPlan {
     /// Parses the text format produced by [`Self::to_text`]. Blank
     /// lines and `#` comment lines are skipped. Returns a description
     /// of the first malformed line on error.
+    ///
+    /// A plan is outside input (a repro artifact on disk), so the parser
+    /// also rejects values the simulator cannot run: an instant or
+    /// duration of 2^63 ns or more (the sum of any two must fit the
+    /// clock, as `at + restart_after` does) and a probability outside
+    /// [0, 1].
     pub fn from_text(text: &str) -> Result<FaultPlan, String> {
         let mut lines = text
             .lines()
@@ -319,7 +325,8 @@ impl FaultPlan {
                 .next()
                 .ok_or_else(|| format!("bad event line (no instant): {line:?}"))?
                 .parse::<u64>()
-                .map_err(|e| format!("bad instant in {line:?}: {e}"))?;
+                .map_err(|e| format!("bad instant in {line:?}: {e}"))
+                .and_then(|at| bounded_nanos("instant", at, line))?;
             let name = words
                 .next()
                 .ok_or_else(|| format!("bad event line (no kind): {line:?}"))?;
@@ -329,6 +336,17 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+}
+
+/// Largest instant or duration a parsed plan may hold: below 2^63 ns,
+/// so adding any two of them cannot overflow the clock.
+const MAX_NANOS: u64 = (1 << 63) - 1;
+
+fn bounded_nanos(what: &str, nanos: u64, line: &str) -> Result<u64, String> {
+    if nanos > MAX_NANOS {
+        return Err(format!("{what} {nanos} is 2^63 ns or more in {line:?}"));
+    }
+    Ok(nanos)
 }
 
 /// Parsed `key=value` pairs of one event line.
@@ -375,18 +393,27 @@ impl<'a> Fields<'a> {
             .map_err(|e| format!("bad `{key}` in {:?}: {e}", self.line))
     }
 
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        self.raw(key)?
+    fn probability(&self, key: &str) -> Result<f64, String> {
+        let p = self
+            .raw(key)?
             .parse::<f64>()
-            .map_err(|e| format!("bad `{key}` in {:?}: {e}", self.line))
+            .map_err(|e| format!("bad `{key}` in {:?}: {e}", self.line))?;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("`{key}` {p} is outside [0, 1] in {:?}", self.line));
+        }
+        Ok(p)
+    }
+
+    fn nanos(&self, key: &str) -> Result<u64, String> {
+        bounded_nanos(&format!("`{key}`"), self.u64(key)?, self.line)
     }
 
     fn time(&self, key: &str) -> Result<SimTime, String> {
-        Ok(SimTime::from_nanos(self.u64(key)?))
+        Ok(SimTime::from_nanos(self.nanos(key)?))
     }
 
     fn duration(&self, key: &str) -> Result<SimDuration, String> {
-        Ok(SimDuration::from_nanos(self.u64(key)?))
+        Ok(SimDuration::from_nanos(self.nanos(key)?))
     }
 }
 
@@ -407,7 +434,7 @@ impl FaultKind {
             },
             "ssd-error-burst" => FaultKind::SsdErrorBurst {
                 ssd: f.usize("ssd")?,
-                probability: f.f64("probability")?,
+                probability: f.probability("probability")?,
                 until: f.time("until")?,
             },
             "ssd-drop-commands" => FaultKind::SsdDropCommands {
@@ -569,6 +596,33 @@ mod tests {
         assert!(FaultPlan::from_text(bad_kind).is_err());
         let missing_field = "bmstore-fault-plan v1\nseed 1\nat 5 mctp-drop\n";
         assert!(FaultPlan::from_text(missing_field).is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_values_the_clock_cannot_hold() {
+        let plan = |event: &str| {
+            FaultPlan::from_text(&format!("bmstore-fault-plan v1\nseed 1\n{event}\n"))
+        };
+        for event in [
+            "at 1000000 engine-crash restart_after=18446744073709551615",
+            "at 1000000 ssd-latency-spike ssd=0 extra=18446744073709551615 until=3000000",
+            "at 9223372036854775808 mctp-drop count=1",
+            "at 1000 link-retrain until=9223372036854775808",
+            "at 1000 ssd-error-burst ssd=0 probability=7 until=2000",
+            "at 1000 ssd-error-burst ssd=0 probability=NaN until=2000",
+            "at 1000 ssd-error-burst ssd=0 probability=-0.5 until=2000",
+        ] {
+            let err = plan(event).expect_err(event);
+            assert!(err.contains(event), "{err} does not name {event:?}");
+        }
+        let largest = "at 9223372036854775807 engine-crash restart_after=9223372036854775807";
+        let kept = plan(largest).expect("2^63 - 1 fits");
+        let ev = kept.events()[0];
+        let FaultKind::EngineCrash { restart_after } = ev.kind else {
+            panic!("{:?}", ev.kind)
+        };
+        assert_eq!((ev.at + restart_after).as_nanos(), u64::MAX - 1);
+        assert!(plan("at 0 ssd-error-burst ssd=0 probability=1 until=5").is_ok());
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use engine::{Action, Event, SchedulePastError, Scheduler, Simulation};
+pub use engine::{Action, Event, Scheduler, Simulation};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use observe::Observer;
 pub use rng::SimRng;

@@ -60,11 +60,6 @@ impl FifoServer {
         self.free_at
     }
 
-    /// Whether the server is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Total busy time accumulated (for utilization reporting).
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total
@@ -146,24 +141,6 @@ impl MultiServer {
         self.units[idx] = start + service;
         self.busy_total += service;
         self.units[idx]
-    }
-
-    /// Serves a request on a *specific* unit (e.g. the die an LBA maps to),
-    /// returning completion time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit` is out of range.
-    pub fn occupy_unit(&mut self, unit: usize, now: SimTime, service: SimDuration) -> SimTime {
-        let start = self.units[unit].max(now);
-        self.units[unit] = start + service;
-        self.busy_total += service;
-        self.units[unit]
-    }
-
-    /// Number of units still busy at `now`.
-    pub fn busy_units(&self, now: SimTime) -> usize {
-        self.units.iter().filter(|&&t| t > now).count()
     }
 
     /// Total busy time across all units.
@@ -355,12 +332,10 @@ mod tests {
     fn fifo_server_serializes() {
         let mut s = FifoServer::new();
         let t0 = SimTime::ZERO;
-        assert!(s.is_idle(t0));
         let d1 = s.occupy(t0, US(5));
         let d2 = s.occupy(t0, US(5));
         assert_eq!(d1, SimTime::from_nanos(5_000));
         assert_eq!(d2, SimTime::from_nanos(10_000));
-        assert!(!s.is_idle(t0));
         // Arriving after the server drained starts immediately.
         let late = SimTime::from_nanos(20_000);
         let d3 = s.occupy(late, US(5));
@@ -385,19 +360,7 @@ mod tests {
         }
         // Fifth request queues behind the earliest-free unit.
         assert_eq!(m.occupy(t0, US(10)), SimTime::from_nanos(20_000));
-        assert_eq!(m.busy_units(t0), 4);
-        assert_eq!(m.busy_units(SimTime::from_nanos(15_000)), 1);
         assert_eq!(m.len(), 4);
-    }
-
-    #[test]
-    fn multi_server_specific_unit() {
-        let mut m = MultiServer::new(2);
-        let t0 = SimTime::ZERO;
-        assert_eq!(m.occupy_unit(0, t0, US(10)), SimTime::from_nanos(10_000));
-        // Same unit queues even though unit 1 is free.
-        assert_eq!(m.occupy_unit(0, t0, US(10)), SimTime::from_nanos(20_000));
-        assert_eq!(m.occupy_unit(1, t0, US(10)), SimTime::from_nanos(10_000));
     }
 
     #[test]

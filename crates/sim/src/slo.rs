@@ -3,7 +3,7 @@
 //!
 //! The telemetry layer records what happened and the critical-path pass
 //! explains per-command blame; this module decides *when to page*.
-//! Tenants declare latency or throughput objectives ([`SloSpec`]); the
+//! Tenants declare latency objectives ([`SloSpec`]); the
 //! engine consumes every command completion and, on each periodic
 //! sampler tick, evaluates the classic SRE multi-window burn rate: an
 //! alert fires only when **both** a short and a long window burn error
@@ -40,21 +40,6 @@ pub enum SloObjective {
         /// Per-command latency objective.
         threshold: SimDuration,
     },
-    /// The tenant must sustain at least `min_iops` completions per
-    /// second over each evaluation window.
-    Throughput {
-        /// Floor on delivered IOPS.
-        min_iops: f64,
-    },
-}
-
-impl SloObjective {
-    fn kind(&self) -> AlertKind {
-        match self {
-            SloObjective::Latency { .. } => AlertKind::Latency,
-            SloObjective::Throughput { .. } => AlertKind::Throughput,
-        }
-    }
 }
 
 /// Alert severity attached to a spec.
@@ -114,38 +99,10 @@ impl SloSpec {
         }
     }
 
-    /// Throughput-floor objective with the same window defaults.
-    pub fn throughput(tenant: u16, min_iops: f64) -> Self {
-        SloSpec {
-            tenant,
-            objective: SloObjective::Throughput { min_iops },
-            budget: 0.25,
-            short_window: SimDuration::from_us(100),
-            long_window: SimDuration::from_ms(1),
-            fire_burn: 2.0,
-            clear_burn: 1.0,
-            severity: Severity::Warning,
-        }
-    }
-
-    /// Overrides the error budget (fraction of completions allowed to
-    /// miss the objective).
-    pub fn with_budget(mut self, budget: f64) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Overrides the evaluation windows.
     pub fn with_windows(mut self, short: SimDuration, long: SimDuration) -> Self {
         self.short_window = short;
         self.long_window = long;
-        self
-    }
-
-    /// Overrides the fire/clear burn thresholds.
-    pub fn with_burn(mut self, fire: f64, clear: f64) -> Self {
-        self.fire_burn = fire;
-        self.clear_burn = clear;
         self
     }
 }
@@ -186,8 +143,6 @@ impl SloConfig {
 pub enum AlertKind {
     /// Latency objective burn.
     Latency,
-    /// Throughput-floor burn.
-    Throughput,
     /// Progress watchdog: outstanding work but no completions.
     Stall,
 }
@@ -197,7 +152,6 @@ impl AlertKind {
     pub fn name(self) -> &'static str {
         match self {
             AlertKind::Latency => "latency",
-            AlertKind::Throughput => "throughput",
             AlertKind::Stall => "stall",
         }
     }
@@ -347,27 +301,18 @@ impl SloEngine {
     }
 
     /// Classifies one delivered completion against every matching
-    /// spec. `ok=false` completions always count as bad for latency
-    /// objectives and never count toward throughput.
+    /// spec. `ok=false` completions always count as bad.
     pub fn observe_completion(&mut self, tenant: u16, latency: SimDuration, ok: bool) {
         self.completions_total += 1;
         for (spec, state) in self.config.specs.iter().zip(self.states.iter_mut()) {
             if spec.tenant != tenant {
                 continue;
             }
-            match spec.objective {
-                SloObjective::Latency { threshold } => {
-                    if ok && latency <= threshold {
-                        state.good += 1;
-                    } else {
-                        state.bad += 1;
-                    }
-                }
-                SloObjective::Throughput { .. } => {
-                    if ok {
-                        state.good += 1;
-                    }
-                }
+            let SloObjective::Latency { threshold } = spec.objective;
+            if ok && latency <= threshold {
+                state.good += 1;
+            } else {
+                state.bad += 1;
             }
         }
     }
@@ -380,27 +325,14 @@ impl SloEngine {
         now: SimTime,
         window: SimDuration,
     ) -> Option<f64> {
-        let (at, g0, b0) = state.baseline(now, window)?;
+        let (_, g0, b0) = state.baseline(now, window)?;
         let budget = spec.budget.max(1e-9);
-        match spec.objective {
-            SloObjective::Latency { .. } => {
-                let dbad = state.bad - b0;
-                let dtotal = (state.good + state.bad) - (g0 + b0);
-                if dtotal == 0 {
-                    return Some(0.0);
-                }
-                Some((dbad as f64 / dtotal as f64) / budget)
-            }
-            SloObjective::Throughput { min_iops } => {
-                let elapsed = now.saturating_since(at).as_secs_f64();
-                if elapsed <= 0.0 || min_iops <= 0.0 {
-                    return Some(0.0);
-                }
-                let rate = (state.good - g0) as f64 / elapsed;
-                let shortfall = ((min_iops - rate) / min_iops).max(0.0);
-                Some(shortfall / budget)
-            }
+        let dbad = state.bad - b0;
+        let dtotal = (state.good + state.bad) - (g0 + b0);
+        if dtotal == 0 {
+            return Some(0.0);
         }
+        Some((dbad as f64 / dtotal as f64) / budget)
     }
 
     /// One sampler tick: evaluates every spec's two windows, runs the
@@ -419,7 +351,7 @@ impl SloEngine {
                         edges.push(Alert {
                             at: now,
                             tenant: Some(spec.tenant),
-                            kind: spec.objective.kind(),
+                            kind: AlertKind::Latency,
                             state: AlertState::Fire,
                             severity: spec.severity,
                             burn: s,
@@ -432,7 +364,7 @@ impl SloEngine {
                     edges.push(Alert {
                         at: now,
                         tenant: Some(spec.tenant),
-                        kind: spec.objective.kind(),
+                        kind: AlertKind::Latency,
                         state: AlertState::Clear,
                         severity: spec.severity,
                         burn: s,
@@ -698,9 +630,7 @@ mod tests {
 
     fn latency_spec() -> SloSpec {
         SloSpec::latency(0, SimDuration::from_us(50))
-            .with_budget(0.01)
             .with_windows(SimDuration::from_us(100), SimDuration::from_us(300))
-            .with_burn(2.0, 1.0)
     }
 
     #[test]
@@ -774,31 +704,6 @@ mod tests {
             }
         }
         assert_eq!(eng.alerts()[0].state, AlertState::Fire);
-    }
-
-    #[test]
-    fn throughput_floor_fires_when_rate_collapses() {
-        let spec = SloSpec::throughput(1, 100_000.0)
-            .with_budget(0.25)
-            .with_windows(SimDuration::from_us(100), SimDuration::from_us(300))
-            .with_burn(2.0, 1.0);
-        let mut eng = SloEngine::new(SloConfig::new().with_spec(spec));
-        // 20 completions / 100us = 200k IOPS: healthy.
-        for tick in 1..=3u64 {
-            for _ in 0..20 {
-                eng.observe_completion(1, SimDuration::from_us(10), true);
-            }
-            assert!(eng.evaluate(t(tick * 100), 0).is_empty());
-        }
-        // Rate collapses to zero: shortfall 1.0 / budget 0.25 = 4x.
-        let mut edges = Vec::new();
-        for tick in 4..=6u64 {
-            edges.extend(eng.evaluate(t(tick * 100), 0));
-        }
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].kind, AlertKind::Throughput);
-        assert_eq!(edges[0].state, AlertState::Fire);
-        assert!(edges[0].burn >= 2.0);
     }
 
     #[test]

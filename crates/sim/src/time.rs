@@ -130,16 +130,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a span from fractional microseconds (rounded to nanoseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "duration must be non-negative");
-        SimDuration((us * 1_000.0).round() as u64)
-    }
-
     /// Creates a span from fractional seconds (rounded to nanoseconds).
     ///
     /// # Panics
@@ -286,7 +276,6 @@ mod tests {
         assert_eq!(SimDuration::from_us(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_ms(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_secs_f64(), 0.25);
     }
 
@@ -326,7 +315,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_duration_panics() {
-        let _ = SimDuration::from_micros_f64(-1.0);
+        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

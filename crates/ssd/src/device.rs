@@ -145,8 +145,6 @@ struct FaultState {
     /// I/O commands still to be silently swallowed (consumed from the
     /// SQ but never completed — the stimulus for engine timeouts).
     drop_remaining: u32,
-    /// Total commands swallowed so far.
-    dropped: u64,
 }
 
 /// One recently persisted write, kept so a power-loss fault can tear
@@ -309,11 +307,6 @@ impl Ssd {
         self.faults.dead = true;
     }
 
-    /// True once [`Ssd::inject_death`] has fired.
-    pub fn is_dead(&self) -> bool {
-        self.faults.dead
-    }
-
     /// Arms a probabilistic error window: until `until`, each I/O
     /// independently fails with `probability`, sampled from `rng`
     /// (fork it from the fault plan seed so device timing streams stay
@@ -328,11 +321,6 @@ impl Ssd {
     /// consumed from the queue but never complete.
     pub fn inject_command_drops(&mut self, count: u32) {
         self.faults.drop_remaining += count;
-    }
-
-    /// Total I/O commands silently swallowed by injected drops.
-    pub fn dropped_commands(&self) -> u64 {
-        self.faults.dropped
     }
 
     /// Power loss at `now`: up to `torn_writes` of the newest *un-acked*
@@ -492,7 +480,6 @@ impl Ssd {
                         // Injected loss: the SQE is consumed but no
                         // completion will ever be posted.
                         self.faults.drop_remaining -= 1;
-                        self.faults.dropped += 1;
                         continue;
                     }
                     out.push(self.process(now, qid, sqe, dma));
@@ -1222,7 +1209,6 @@ mod tests {
     fn revive_undoes_surprise_removal() {
         let (mut mem, mut ssd) = rig(DataMode::TimingOnly);
         ssd.inject_death();
-        assert!(ssd.is_dead());
         let sq_base = PciAddr::new(bm_pcie::memory::PAGE_SIZE);
         let mut host_sq = SubmissionQueue::new(QueueId(1), sq_base, 1024);
         let sqe = Sqe::io(
@@ -1237,7 +1223,6 @@ mod tests {
         let done = submit_io(&mut mem, &mut ssd, &mut host_sq, SimTime::ZERO, &sqe);
         assert_eq!(done[0].status, Status::InternalError);
         ssd.revive();
-        assert!(!ssd.is_dead());
         let done = submit_io(&mut mem, &mut ssd, &mut host_sq, SimTime::ZERO, &sqe);
         assert!(done[0].status.is_success());
     }

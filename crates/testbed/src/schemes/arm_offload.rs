@@ -1,8 +1,8 @@
 //! ARM-SoC offload card (LeapIO-like): the card's cores mediate
 //! between host rings and the backend SSDs, so the host pays no
 //! polling CPU but each I/O crosses the slower SoC. Ring plumbing is
-//! the shared [`mediated`](super::mediated) core; this module supplies
-//! the [`ArmOffload`] cost model.
+//! the shared [`mediated`] core; this module supplies the
+//! [`ArmOffload`] cost model.
 
 use super::mediated::{self, Mediator};
 use super::{BuildCtx, Scheme};

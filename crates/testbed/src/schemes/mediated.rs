@@ -1,6 +1,6 @@
 //! Software-mediated data path shared by SPDK vhost and ARM offload.
 //!
-//! A [`Mediator`] polls the guest rings, pays its per-I/O processing
+//! A `Mediator` polls the guest rings, pays its per-I/O processing
 //! cost, forwards commands to backend rings it owns, consumes the
 //! backend CQEs, and writes guest CQEs itself. The two concrete
 //! mediators differ only in cost model, so everything ring-shaped

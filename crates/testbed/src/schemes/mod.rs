@@ -31,7 +31,6 @@ pub mod vfio;
 use crate::config::TestbedConfig;
 use crate::types::DeviceId;
 use crate::world::Device;
-use bm_host::cpu::CpuPool;
 use bm_host::kernel::KernelProfile;
 use bm_nvme::command::{Sqe, CQE_SIZE, SQE_SIZE};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
@@ -53,7 +52,6 @@ pub(crate) const BUS_HOP: SimDuration = SimDuration::from_nanos(300);
 pub(crate) struct BuildCtx<'a> {
     pub(crate) cfg: &'a TestbedConfig,
     pub(crate) host_mem: &'a mut HostMemory,
-    pub(crate) cpu: &'a mut CpuPool,
     pub(crate) ssds: &'a mut Vec<Ssd>,
     pub(crate) devices: &'a mut Vec<Device>,
 }

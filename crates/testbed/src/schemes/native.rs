@@ -1,9 +1,10 @@
 //! Direct-attach scheme: host rings registered straight at the SSD.
 //!
-//! Serves both bare-metal native I/O and VFIO passthrough ([`vfio`]):
-//! the data path is identical hardware queue-pair DMA; VFIO only adds
-//! the guest-side interrupt costs, which live in the device's
-//! [`VmState`](crate::world) and are charged by the interpreter.
+//! Serves both bare-metal native I/O and VFIO passthrough
+//! ([`vfio`](super::vfio)): the data path is identical hardware
+//! queue-pair DMA; VFIO only adds the guest-side interrupt costs, which
+//! live in the device's [`VmState`](crate::world) and are charged by
+//! the interpreter.
 
 use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
 use crate::types::DeviceId;

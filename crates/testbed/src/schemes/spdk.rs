@@ -1,7 +1,7 @@
 //! SPDK vhost-user-blk target: dedicated host polling cores mediate
 //! between guest virtio rings and the backend SSDs. Ring plumbing is
-//! the shared [`mediated`](super::mediated) core; this module supplies
-//! the [`SpdkVhost`] cost model and reserves the polling cores.
+//! the shared [`mediated`] core; this module supplies the [`SpdkVhost`]
+//! cost model and its dedicated polling cores.
 
 use super::mediated::{self, Mediator};
 use super::{BuildCtx, Scheme};
@@ -26,16 +26,8 @@ impl Mediator for SpdkVhost {
     }
 }
 
-/// Builds the SPDK vhost scheme with `cores` reserved polling cores.
+/// Builds the SPDK vhost scheme with `cores` dedicated polling cores.
 pub(crate) fn build(ctx: &mut BuildCtx, cores: usize) -> Box<dyn Scheme> {
-    #[expect(
-        clippy::expect_used,
-        reason = "panic-path debt (ROADMAP item 4): the harness reserves no more polling cores than the host has"
-    )]
-    let reserved = ctx
-        .cpu
-        .reserve(cores)
-        .expect("enough cores for vhost polling");
     let vhost_cfg = ctx.cfg.spdk_config.clone().unwrap_or_else(|| {
         if ctx.cfg.kernel.name.contains("3.10") {
             SpdkVhostConfig::centos310()
@@ -43,6 +35,6 @@ pub(crate) fn build(ctx: &mut BuildCtx, cores: usize) -> Box<dyn Scheme> {
             SpdkVhostConfig::modern_kernel()
         }
     });
-    let vhost = SpdkVhost::new(vhost_cfg, reserved);
+    let vhost = SpdkVhost::new(vhost_cfg, cores);
     mediated::build(ctx, vhost, true)
 }

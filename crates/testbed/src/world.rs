@@ -1,7 +1,7 @@
 //! The composed simulation world: a generic interpreter for the
 //! scheme effects pipeline.
 //!
-//! A [`World`] owns one host (memory, kernel profile, CPU pool), the
+//! A [`World`] owns one host (memory, kernel profile), the
 //! back-end SSDs, the [`Scheme`] under test (built from
 //! [`crate::schemes`] at construction time), the tenant devices, and
 //! the registered workload [`Client`]s. The world never branches on
@@ -28,7 +28,6 @@ use crate::schemes::{
 };
 use crate::types::{BufferId, Client, ClientId, Completion, DeviceId, IoOp, IoRequest};
 use bm_baselines::vfio::VfioCosts;
-use bm_host::cpu::CpuPool;
 use bm_host::kernel::KernelProfile;
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::mi::{HealthStatus, MiResponse};
@@ -148,8 +147,6 @@ pub struct Testbed {
     cfg: TestbedConfig,
     /// Host physical memory (rings, PRP lists, data buffers).
     pub host_mem: HostMemory,
-    /// Host CPU pool (polling reservations, utilization accounting).
-    pub cpu: CpuPool,
     kernel: KernelProfile,
     ssds: Vec<Ssd>,
     /// The scheme under test. `Option` only so hooks can borrow the
@@ -181,7 +178,6 @@ impl Testbed {
             })
             .collect();
         let mut host_mem = HostMemory::new(8 << 30);
-        let mut cpu = CpuPool::xeon_8163_dual();
         let mut devices = Vec::new();
         let obs = Observer::new(
             cfg.telemetry
@@ -194,7 +190,6 @@ impl Testbed {
             let mut ctx = BuildCtx {
                 cfg: &cfg,
                 host_mem: &mut host_mem,
-                cpu: &mut cpu,
                 ssds: &mut ssds,
                 devices: &mut devices,
             };
@@ -213,7 +208,6 @@ impl Testbed {
             buffers: Vec::new(),
             obs,
             host_mem,
-            cpu,
             ssds,
             cfg,
         }
@@ -299,20 +293,6 @@ impl Testbed {
     /// Access to the BMS-Controller when running BM-Store.
     pub fn controller(&self) -> Option<&BmsController> {
         self.scheme.as_ref().and_then(|s| s.controller())
-    }
-
-    /// Mutable access to engine and controller together (management-
-    /// plane drivers need both plus host memory).
-    pub fn bm_store_parts(
-        &mut self,
-    ) -> Option<(
-        &mut BmsEngine,
-        &mut BmsController,
-        &mut HostMemory,
-        &mut Vec<Ssd>,
-    )> {
-        let (engine, controller) = self.scheme.as_mut()?.bm_parts()?;
-        Some((engine, controller, &mut self.host_mem, &mut self.ssds))
     }
 
     /// Access to a back-end SSD.

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Workspace-wide preflight: builds, lints, tests, golden outputs, one
-# calibrated wall-clock gate and formatting.
+# Workspace-wide preflight: builds, lints, doc links, tests, golden
+# outputs, one calibrated wall-clock gate and formatting.
 #
 # Run before committing or regenerating experiment tables; the full
 # experiment sweep (run_all_experiments.sh) calls this first so stale
@@ -31,6 +31,11 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # and each crate root; bm-lint's float-determinism and time-unit rules
 # run in the test suite below (crates/lint/tests/rules.rs).
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
+# Every intra-doc link must resolve: a doc that names a deleted or
+# private item fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
