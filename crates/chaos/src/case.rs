@@ -351,11 +351,11 @@ fn run_case_inner(
             match e.kind {
                 FaultKind::EngineCrash { restart_after } => {
                     crash_events += 1;
-                    bound = bound + restart_after + RECOVERY_SLACK;
+                    bound = bound.saturating_add(restart_after + RECOVERY_SLACK);
                 }
                 FaultKind::PowerLoss { .. } => {
                     crash_events += 1;
-                    bound = bound + POWER_LOSS_RESTART + RECOVERY_SLACK;
+                    bound = bound.saturating_add(POWER_LOSS_RESTART + RECOVERY_SLACK);
                 }
                 FaultKind::SsdLatencySpike { .. }
                 | FaultKind::SsdStall { .. }

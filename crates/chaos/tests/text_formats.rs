@@ -1,10 +1,12 @@
 //! The two text formats a repro artifact is read back through, fed
 //! arbitrary text: `FaultPlan::from_text` and
 //! `ReproArtifact::from_text` never panic, and a plan either is
-//! rejected or holds only values the clock can add up.
+//! rejected or holds only values within `MAX_FAULT_NANOS`. An artifact
+//! whose faults sit at that limit replays without overflowing the
+//! clock.
 
 use bm_chaos::ReproArtifact;
-use bm_sim::faults::{FaultKind, FaultPlan};
+use bm_sim::faults::{FaultKind, FaultPlan, MAX_FAULT_NANOS};
 use proptest::prelude::*;
 
 /// Event kinds, field keys, format keywords and near misses.
@@ -68,6 +70,8 @@ const KEYS: &[&str] = &[
 fn number() -> impl Strategy<Value = String> {
     prop_oneof![
         (0u64..10_000_000).prop_map(|n| n.to_string()),
+        Just(MAX_FAULT_NANOS.to_string()),
+        Just((MAX_FAULT_NANOS + 1).to_string()),
         Just("9223372036854775807".to_string()),
         Just("9223372036854775808".to_string()),
         Just(u64::MAX.to_string()),
@@ -138,12 +142,11 @@ fn text() -> impl Strategy<Value = String> {
     })
 }
 
-/// Every value in `plan` is below 2^63 ns (so any two add up without
-/// overflow) and every probability is in [0, 1].
+/// Every value in `plan` is at most `MAX_FAULT_NANOS` and every
+/// probability is in [0, 1].
 fn check_bounds(plan: &FaultPlan) -> Result<(), TestCaseError> {
-    const LIMIT: u64 = 1 << 63;
     for ev in plan.events() {
-        prop_assert!(ev.at.as_nanos() < LIMIT, "{ev:?}");
+        prop_assert!(ev.at.as_nanos() <= MAX_FAULT_NANOS, "{ev:?}");
         let nanos = match ev.kind {
             FaultKind::SsdLatencySpike { extra, until, .. } => {
                 vec![extra.as_nanos(), until.as_nanos()]
@@ -164,7 +167,7 @@ fn check_bounds(plan: &FaultPlan) -> Result<(), TestCaseError> {
             | FaultKind::PowerLoss { .. }
             | FaultKind::SsdReinsert { .. } => Vec::new(),
         };
-        prop_assert!(nanos.iter().all(|&n| n < LIMIT), "{ev:?}");
+        prop_assert!(nanos.iter().all(|&n| n <= MAX_FAULT_NANOS), "{ev:?}");
     }
     Ok(())
 }
@@ -189,5 +192,39 @@ proptest! {
         if let Ok(artifact) = ReproArtifact::from_text(&text) {
             check_bounds(&artifact.plan)?;
         }
+    }
+}
+
+/// Plans whose instants and durations sit at `MAX_FAULT_NANOS` replay
+/// to a clean verdict. With the values at 2^63 − 1 ns instead, the
+/// first three overflow the clock or a busy total and panic a debug
+/// build: two crash outages summed by the recovery oracle, a crash
+/// whose outage begins where an earlier one ends, and commands under a
+/// latency spike.
+#[test]
+fn plans_at_the_limit_replay_without_overflow() {
+    let max = MAX_FAULT_NANOS;
+    for events in [
+        format!(
+            "at 1000000 engine-crash restart_after={max}\n\
+             at 2000000 engine-crash restart_after={max}"
+        ),
+        format!(
+            "at 0 engine-crash restart_after={max}\n\
+             at {max} engine-crash restart_after={max}"
+        ),
+        format!("at 1000 ssd-latency-spike ssd=0 extra={max} until={max}"),
+        format!(
+            "at 1000 ssd-stall ssd=1 until={max}\n\
+             at 2000 link-retrain until={max}\n\
+             at 3000 ssd-error-burst ssd=2 probability=1 until={max}\n\
+             at {max} power-loss torn_writes=1"
+        ),
+    ] {
+        let text = format!("{REPRO_HEADER}{PLAN_HEADER}{events}\n");
+        let artifact = ReproArtifact::from_text(&text).expect("values at the limit parse");
+        let report = artifact.replay();
+        assert!(report.passed(), "{events}: {}", report.summary());
+        assert_eq!(report.completed, report.issued, "{events}");
     }
 }

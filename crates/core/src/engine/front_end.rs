@@ -190,6 +190,15 @@ impl FrontEndFunction {
             self.io_queues.get_mut(qid.0 as usize)?.as_mut()
         }
     }
+
+    /// Ids of all live I/O queues.
+    pub fn io_queue_ids(&self) -> Vec<QueueId> {
+        self.io_queues
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| q.as_ref().map(|_| QueueId(i as u16)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +230,7 @@ mod tests {
         assert!(f.create_io_cq(QueueId(1), PciAddr::new(0x2000), 64));
         assert!(f.create_io_sq(QueueId(1), PciAddr::new(0x1000), 64));
         assert!(f.queue(QueueId(1)).is_some());
+        assert_eq!(f.io_queue_ids(), vec![QueueId(1)]);
     }
 
     #[test]

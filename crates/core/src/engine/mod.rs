@@ -2378,12 +2378,15 @@ mod tests {
         assert_eq!(ssd, SsdId(3));
     }
 
-    /// Builds an engine with the timeout machinery armed and one read
-    /// forwarded to SSD 0, returning the attempt's deadline action.
+    /// Every back-end SSD's ring epoch, in SSD order.
     fn ring_epochs(engine: &BmsEngine) -> Vec<u64> {
-        (0..4).map(|i| engine.ring_epoch(SsdId(i))).collect()
+        (0..engine.adaptor().len())
+            .map(|i| engine.ring_epoch(SsdId(i as u8)))
+            .collect()
     }
 
+    /// Builds an engine with the timeout machinery armed and one read
+    /// forwarded to SSD 0, returning the attempt's deadline action.
     fn timeout_rig(
         timeout: SimDuration,
         max_retries: u32,

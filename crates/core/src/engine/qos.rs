@@ -127,6 +127,11 @@ impl NamespaceQos {
         }
     }
 
+    /// Commands currently buffered.
+    pub fn buffered_len(&self) -> usize {
+        self.buffered.len()
+    }
+
     /// Drops every buffered release slot without touching the token
     /// buckets. Used by crash recovery: the buffered commands themselves
     /// are journaled and replayed through [`NamespaceQos::admit`] again,
@@ -217,9 +222,11 @@ mod tests {
             q.admit(t0, 512);
         }
         // 1 token of burst (10/10 clamped to >=1) admits one; 12 buffer.
+        assert_eq!(q.buffered_len(), 12);
         assert!(q.pop_due(t0).is_none(), "nothing due yet");
         let later = t0 + SimDuration::from_secs(1);
         assert!(q.pop_due(later).is_some());
+        assert_eq!(q.buffered_len(), 11);
     }
 
     #[test]

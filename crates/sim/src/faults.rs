@@ -293,8 +293,7 @@ impl FaultPlan {
     ///
     /// A plan is outside input (a repro artifact on disk), so the parser
     /// also rejects values the simulator cannot run: an instant or
-    /// duration of 2^63 ns or more (the sum of any two must fit the
-    /// clock, as `at + restart_after` does) and a probability outside
+    /// duration above [`MAX_FAULT_NANOS`] and a probability outside
     /// [0, 1].
     pub fn from_text(text: &str) -> Result<FaultPlan, String> {
         let mut lines = text
@@ -338,13 +337,17 @@ impl FaultPlan {
     }
 }
 
-/// Largest instant or duration a parsed plan may hold: below 2^63 ns,
-/// so adding any two of them cannot overflow the clock.
-const MAX_NANOS: u64 = (1 << 63) - 1;
+/// Largest instant or duration a parsed plan may hold: 2^40 − 1 ns,
+/// about 18 simulated minutes. A replay adds plan values into the clock
+/// and into busy totals once for every command a fault touches, so a
+/// bound that only lets two values add up is not enough (two outages or
+/// two spiked commands of 2^63 − 1 ns each overflow them); under 2^40
+/// ns, 2^24 values add up within 64 bits.
+pub const MAX_FAULT_NANOS: u64 = (1 << 40) - 1;
 
 fn bounded_nanos(what: &str, nanos: u64, line: &str) -> Result<u64, String> {
-    if nanos > MAX_NANOS {
-        return Err(format!("{what} {nanos} is 2^63 ns or more in {line:?}"));
+    if nanos > MAX_FAULT_NANOS {
+        return Err(format!("{what} {nanos} is 2^40 ns or more in {line:?}"));
     }
     Ok(nanos)
 }
@@ -606,8 +609,10 @@ mod tests {
         for event in [
             "at 1000000 engine-crash restart_after=18446744073709551615",
             "at 1000000 ssd-latency-spike ssd=0 extra=18446744073709551615 until=3000000",
-            "at 9223372036854775808 mctp-drop count=1",
-            "at 1000 link-retrain until=9223372036854775808",
+            "at 9223372036854775807 engine-crash restart_after=1000",
+            "at 1000 engine-crash restart_after=9223372036854775807",
+            "at 1099511627776 mctp-drop count=1",
+            "at 1000 link-retrain until=1099511627776",
             "at 1000 ssd-error-burst ssd=0 probability=7 until=2000",
             "at 1000 ssd-error-burst ssd=0 probability=NaN until=2000",
             "at 1000 ssd-error-burst ssd=0 probability=-0.5 until=2000",
@@ -615,13 +620,14 @@ mod tests {
             let err = plan(event).expect_err(event);
             assert!(err.contains(event), "{err} does not name {event:?}");
         }
-        let largest = "at 9223372036854775807 engine-crash restart_after=9223372036854775807";
-        let kept = plan(largest).expect("2^63 - 1 fits");
+        let largest = "at 1099511627775 engine-crash restart_after=1099511627775";
+        let kept = plan(largest).expect("2^40 - 1 fits");
         let ev = kept.events()[0];
         let FaultKind::EngineCrash { restart_after } = ev.kind else {
             panic!("{:?}", ev.kind)
         };
-        assert_eq!((ev.at + restart_after).as_nanos(), u64::MAX - 1);
+        assert_eq!(ev.at.as_nanos(), MAX_FAULT_NANOS);
+        assert_eq!(restart_after.as_nanos(), MAX_FAULT_NANOS);
         assert!(plan("at 0 ssd-error-burst ssd=0 probability=1 until=5").is_ok());
     }
 

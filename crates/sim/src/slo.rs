@@ -5,12 +5,13 @@
 //! explains per-command blame; this module decides *when to page*.
 //! Tenants declare latency objectives ([`SloSpec`]); the
 //! engine consumes every command completion and, on each periodic
-//! sampler tick, evaluates the classic SRE multi-window burn rate: an
-//! alert fires only when **both** a short and a long window burn error
-//! budget faster than `fire_burn`, and clears when the short window
-//! drops below `clear_burn`. A progress watchdog raises a [`Stall`]
-//! alert when completions stop arriving while commands are
-//! outstanding — the alerting analogue of the chaos drain oracle.
+//! sampler tick, evaluates the classic SRE multi-window burn rate over a
+//! 1% error budget: an alert fires only when **both** a short and a
+//! long window burn it at least twice as fast as allowed, and clears
+//! when the short window burns slower than allowed. A progress
+//! watchdog raises a [`Stall`] alert when completions stop arriving
+//! while commands are outstanding — the alerting analogue of the chaos
+//! drain oracle.
 //!
 //! Everything is driven by sim time and integer completion counts, so
 //! the alert sequence is a pure function of `(seed, fault plan,
@@ -31,71 +32,37 @@ use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// What a tenant is promised.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SloObjective {
-    /// Completions must finish within `threshold`; failures also count
-    /// against the error budget.
-    Latency {
-        /// Per-command latency objective.
-        threshold: SimDuration,
-    },
-}
+/// Error budget: the fraction of completions allowed to miss the
+/// objective.
+const BUDGET: f64 = 0.01;
+/// An alert fires when both windows burn the budget at least this many
+/// times faster than allowed.
+const FIRE_BURN: f64 = 2.0;
+/// A firing alert clears when the short window's burn drops below this.
+const CLEAR_BURN: f64 = 1.0;
 
-/// Alert severity attached to a spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Worth a dashboard.
-    Warning,
-    /// Worth a page.
-    Critical,
-}
-
-impl Severity {
-    /// Stable lowercase name used in rendered alerts.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Critical => "critical",
-        }
-    }
-}
-
-/// One declarative objective for one tenant.
+/// One tenant's latency objective: completions must finish within
+/// `threshold`; failures also count against the error budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// Tenant the objective covers.
     pub tenant: u16,
-    /// The promised behaviour.
-    pub objective: SloObjective,
-    /// Allowed bad fraction (error budget), e.g. `0.01` = 1% of
-    /// completions may miss the objective. Clamped away from zero.
-    pub budget: f64,
+    /// Per-command latency objective.
+    pub threshold: SimDuration,
     /// Fast-reacting evaluation window.
     pub short_window: SimDuration,
     /// Slow, sustained-burn evaluation window.
     pub long_window: SimDuration,
-    /// Fire when both windows burn at ≥ this multiple of budget.
-    pub fire_burn: f64,
-    /// Clear when the short window drops below this multiple.
-    pub clear_burn: f64,
-    /// Severity stamped on alerts from this spec.
-    pub severity: Severity,
 }
 
 impl SloSpec {
-    /// Latency objective with burn-rate defaults: 1% budget, 100µs/1ms
-    /// windows, fire at 2× budget, clear at 1×.
+    /// Latency objective over the default 100µs/1ms windows.
     pub fn latency(tenant: u16, threshold: SimDuration) -> Self {
         SloSpec {
             tenant,
-            objective: SloObjective::Latency { threshold },
-            budget: 0.01,
+            threshold,
             short_window: SimDuration::from_us(100),
             long_window: SimDuration::from_ms(1),
-            fire_burn: 2.0,
-            clear_burn: 1.0,
-            severity: Severity::Critical,
         }
     }
 
@@ -188,8 +155,6 @@ pub struct Alert {
     pub kind: AlertKind,
     /// Fire or clear.
     pub state: AlertState,
-    /// Severity from the spec (`Critical` for stalls).
-    pub severity: Severity,
     /// Short-window burn multiple at the edge (for stalls: elapsed
     /// silence as a multiple of the watchdog threshold).
     pub burn: f64,
@@ -198,18 +163,18 @@ pub struct Alert {
 impl Alert {
     /// Canonical one-line rendering, e.g.
     /// `t=150000ns alert fire latency tenant=0 severity=critical burn=4.20`.
+    /// Every alert is critical: each one is worth a page.
     pub fn render(&self) -> String {
         let tenant = match self.tenant {
             Some(t) => t.to_string(),
             None => "-".to_string(),
         };
         format!(
-            "t={}ns alert {} {} tenant={} severity={} burn={:.2}",
+            "t={}ns alert {} {} tenant={} severity=critical burn={:.2}",
             self.at.as_nanos(),
             self.state.name(),
             self.kind.name(),
             tenant,
-            self.severity.name(),
             self.burn,
         )
     }
@@ -308,8 +273,7 @@ impl SloEngine {
             if spec.tenant != tenant {
                 continue;
             }
-            let SloObjective::Latency { threshold } = spec.objective;
-            if ok && latency <= threshold {
+            if ok && latency <= spec.threshold {
                 state.good += 1;
             } else {
                 state.bad += 1;
@@ -319,20 +283,14 @@ impl SloEngine {
 
     /// Burn multiple for one spec over one window, or `None` while the
     /// window has not filled yet.
-    fn window_burn(
-        spec: &SloSpec,
-        state: &SpecState,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Option<f64> {
+    fn window_burn(state: &SpecState, now: SimTime, window: SimDuration) -> Option<f64> {
         let (_, g0, b0) = state.baseline(now, window)?;
-        let budget = spec.budget.max(1e-9);
         let dbad = state.bad - b0;
         let dtotal = (state.good + state.bad) - (g0 + b0);
         if dtotal == 0 {
             return Some(0.0);
         }
-        Some((dbad as f64 / dtotal as f64) / budget)
+        Some((dbad as f64 / dtotal as f64) / BUDGET)
     }
 
     /// One sampler tick: evaluates every spec's two windows, runs the
@@ -342,31 +300,29 @@ impl SloEngine {
     pub fn evaluate(&mut self, now: SimTime, outstanding: u64) -> Vec<Alert> {
         let mut edges = Vec::new();
         for (spec, state) in self.config.specs.iter().zip(self.states.iter_mut()) {
-            let short = Self::window_burn(spec, state, now, spec.short_window);
-            let long = Self::window_burn(spec, state, now, spec.long_window);
+            let short = Self::window_burn(state, now, spec.short_window);
+            let long = Self::window_burn(state, now, spec.long_window);
             if !state.firing {
                 if let (Some(s), Some(l)) = (short, long) {
-                    if s >= spec.fire_burn && l >= spec.fire_burn {
+                    if s >= FIRE_BURN && l >= FIRE_BURN {
                         state.firing = true;
                         edges.push(Alert {
                             at: now,
                             tenant: Some(spec.tenant),
                             kind: AlertKind::Latency,
                             state: AlertState::Fire,
-                            severity: spec.severity,
                             burn: s,
                         });
                     }
                 }
             } else if let Some(s) = short {
-                if s < spec.clear_burn {
+                if s < CLEAR_BURN {
                     state.firing = false;
                     edges.push(Alert {
                         at: now,
                         tenant: Some(spec.tenant),
                         kind: AlertKind::Latency,
                         state: AlertState::Clear,
-                        severity: spec.severity,
                         burn: s,
                     });
                 }
@@ -395,7 +351,6 @@ impl SloEngine {
                     tenant: None,
                     kind: AlertKind::Stall,
                     state: AlertState::Clear,
-                    severity: Severity::Critical,
                     burn: 0.0,
                 });
             }
@@ -408,7 +363,6 @@ impl SloEngine {
                     tenant: None,
                     kind: AlertKind::Stall,
                     state: AlertState::Fire,
-                    severity: Severity::Critical,
                     burn: silent.as_nanos_f64()
                         / after.max(SimDuration::from_nanos(1)).as_nanos_f64(),
                 });
@@ -779,7 +733,6 @@ mod tests {
                 tenant: Some(3),
                 kind: AlertKind::Latency,
                 state: AlertState::Fire,
-                severity: Severity::Critical,
                 burn: 4.2,
             },
             Alert {
@@ -787,7 +740,6 @@ mod tests {
                 tenant: Some(3),
                 kind: AlertKind::Latency,
                 state: AlertState::Clear,
-                severity: Severity::Critical,
                 burn: 0.1,
             },
         ];

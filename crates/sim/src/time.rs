@@ -171,6 +171,11 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
+    /// Saturating addition.
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
+    }
+
     /// The larger of two spans.
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
@@ -299,6 +304,10 @@ mod tests {
         assert_eq!(
             d.saturating_sub(SimDuration::from_us(20)),
             SimDuration::ZERO
+        );
+        assert_eq!(
+            SimDuration::from_nanos(u64::MAX).saturating_add(d),
+            SimDuration::from_nanos(u64::MAX)
         );
         let total: SimDuration = vec![d, d, d].into_iter().sum();
         assert_eq!(total, SimDuration::from_us(30));
