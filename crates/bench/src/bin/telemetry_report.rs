@@ -14,8 +14,8 @@
 //!
 //! `--trace` writes a Chrome `chrome://tracing` / Perfetto JSON file;
 //! `--jsonl` dumps the raw event stream one JSON object per line.
-//! Dropped telemetry events, NVMe-MI decode failures, crash-recovery
-//! noise and past-due clamping each print a WARNING line to stdout, so
+//! Dropped telemetry events, crash-recovery noise and past-due
+//! clamping each print a WARNING line to stdout, so
 //! the committed `--quick` golden (`crates/bench/tests/goldens.rs`)
 //! fails on any of them.
 
@@ -207,20 +207,6 @@ fn main() {
             }
         })
         .expect("telemetry enabled");
-
-    // The controller-side NVMe-MI monitor tracks response payloads that
-    // failed to decode; a non-zero count means scraped tables are
-    // incomplete and must not be trusted silently.
-    if let Some(controller) = world.tb.controller() {
-        let decode_failures = controller.monitor().decode_failures();
-        row("mi decode", &[format!("{decode_failures} failures")]);
-        if decode_failures > 0 {
-            println!(
-                "WARNING: {decode_failures} NVMe-MI response payloads failed to \
-                 decode — the scrape tables below are incomplete"
-            );
-        }
-    }
 
     // Engine resilience and scheduler-health counters. All zero on this
     // fault plan (a latency spike neither times out nor crashes); any

@@ -38,7 +38,6 @@ pub struct IoRates {
 pub struct IoMonitor {
     last: BTreeMap<u8, Snapshot>,
     polls: u64,
-    decode_failures: u64,
 }
 
 impl IoMonitor {
@@ -141,38 +140,9 @@ impl IoMonitor {
         })
     }
 
-    /// Like [`IoMonitor::decode_counters`], but records failures in the
-    /// monitor's decode-failure counter instead of swallowing them —
-    /// the console-side scrape path uses this so truncated or corrupted
-    /// response frames are observable rather than silent `None`s.
-    pub fn decode_counters_tracked(&mut self, p: &[u8]) -> Option<FunctionCounters> {
-        let decoded = Self::decode_counters(p);
-        if decoded.is_none() {
-            self.decode_failures += 1;
-        }
-        decoded
-    }
-
-    /// Like [`TelemetryLogPage::from_bytes`], but bumps the monitor's
-    /// decode-failure counter on malformed pages.
-    pub fn decode_log_page_tracked(&mut self, p: &[u8]) -> Option<TelemetryLogPage> {
-        match TelemetryLogPage::from_bytes(p) {
-            Ok(page) => Some(page),
-            Err(_) => {
-                self.decode_failures += 1;
-                None
-            }
-        }
-    }
-
     /// AXI reads performed so far.
     pub fn polls(&self) -> u64 {
         self.polls
-    }
-
-    /// Response payloads that failed to decode (short or corrupt).
-    pub fn decode_failures(&self) -> u64 {
-        self.decode_failures
     }
 }
 
@@ -211,14 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn tracked_decode_counts_failures() {
-        let mut mon = IoMonitor::new();
+    fn decoders_reject_short_payloads() {
         let enc = IoMonitor::encode_counters(&FunctionCounters::default());
-        assert!(mon.decode_counters_tracked(&enc).is_some());
-        assert_eq!(mon.decode_failures(), 0);
-        assert!(mon.decode_counters_tracked(&enc[..40]).is_none());
-        assert!(mon.decode_log_page_tracked(&[0u8; 3]).is_none());
-        assert_eq!(mon.decode_failures(), 2);
+        assert!(IoMonitor::decode_counters(&enc).is_some());
+        assert!(IoMonitor::decode_counters(&enc[..40]).is_none());
+        assert!(TelemetryLogPage::from_bytes(&[0u8; 3]).is_err());
     }
 
     #[test]

@@ -18,12 +18,20 @@ use bm_sim::SimTime;
 use bm_ssd::SsdId;
 use std::fmt;
 
-/// Chip memory each back-end command slot holds for its PRP list: one
-/// page, the "global PRP stored into chip memory" of §IV-C.
+/// Chip memory each back-end command slot holds for a PRP list of more
+/// than 32 entries: one page, the "global PRP stored into chip memory"
+/// of §IV-C. Each slot also holds a [`SMALL_LIST_SLOT_BYTES`] block, in
+/// a region of its own, for a list of up to 32 entries, so the lists of
+/// 128 KiB commands in flight share pages instead of taking one each.
 pub const PRP_LIST_SLOT_BYTES: u64 = 4096;
 
+/// Chip memory each back-end command slot holds for a PRP list of up to
+/// 32 entries (a 128 KiB transfer's 31): the block size the host carves
+/// short lists from.
+pub const SMALL_LIST_SLOT_BYTES: u64 = bm_pcie::memory::BLOCK_BYTES;
+
 /// The most pages one forwarded command can address: PRP1 plus one
-/// 8-byte entry per word of its PRP-list slot.
+/// 8-byte entry per word of its page-sized PRP-list slot.
 pub const MAX_FORWARD_PAGES: u32 = 1 + (PRP_LIST_SLOT_BYTES / 8) as u32;
 
 /// What the adaptor remembers about one forwarded command.
@@ -71,8 +79,10 @@ pub struct BackEndPort {
     /// otherwise a late completion could resolve to a different
     /// command's origin.
     zombies: Vec<bool>,
-    /// Per-command PRP-list slots in chip memory (bus addresses).
-    list_slots: Vec<PciAddr>,
+    /// Bus addresses of the per-command PRP-list slot regions: one
+    /// [`SMALL_LIST_SLOT_BYTES`] block and one page per back-end CID.
+    small_lists: PciAddr,
+    page_lists: PciAddr,
     forwarded: u64,
     completed: u64,
     abandoned: u64,
@@ -94,7 +104,8 @@ impl fmt::Debug for BackEndPort {
 }
 
 impl BackEndPort {
-    /// Allocates the port's rings and PRP-list slots in `chip`.
+    /// Allocates the port's rings and both PRP-list slot regions in
+    /// `chip`.
     ///
     /// # Panics
     ///
@@ -118,9 +129,10 @@ impl BackEndPort {
             clippy::expect_used,
             reason = "panic-path debt (ROADMAP item 4): the chip is sized for every back-end port; exhaustion is a configuration bug"
         )]
-        let list_base = chip
-            .alloc(entries as u64 * PRP_LIST_SLOT_BYTES)
+        let page_lists = chip
+            .alloc(entries as u64 * (PRP_LIST_SLOT_BYTES + SMALL_LIST_SLOT_BYTES))
             .expect("chip memory for PRP-list slots");
+        let small_lists = page_lists + entries as u64 * PRP_LIST_SLOT_BYTES;
         let sq_bus = ChipWindow::bus_addr(sq_local);
         let cq_bus = ChipWindow::bus_addr(cq_local);
         BackEndPort {
@@ -133,9 +145,8 @@ impl BackEndPort {
             outstanding: vec![None; entries as usize],
             free_cids: (0..entries).rev().collect(),
             zombies: vec![false; entries as usize],
-            list_slots: (0..entries as u64)
-                .map(|i| ChipWindow::bus_addr(list_base + i * PRP_LIST_SLOT_BYTES))
-                .collect(),
+            small_lists: ChipWindow::bus_addr(small_lists),
+            page_lists: ChipWindow::bus_addr(page_lists),
             forwarded: 0,
             completed: 0,
             abandoned: 0,
@@ -203,13 +214,12 @@ impl BackEndPort {
     }
 
     /// Reserves a back-end CID for a command, recording its origin.
-    /// Returns the CID and the command's dedicated PRP-list slot.
     ///
     /// # Panics
     ///
     /// Panics if no capacity remains (callers must gate on
     /// [`BackEndPort::has_capacity`]).
-    pub fn reserve(&mut self, origin: Outstanding) -> (Cid, PciAddr) {
+    pub fn reserve(&mut self, origin: Outstanding) -> Cid {
         #[expect(
             clippy::expect_used,
             reason = "documented contract — callers gate on has_capacity(), so an empty free list is a bookkeeping bug that must stop the sim"
@@ -219,7 +229,20 @@ impl BackEndPort {
         self.inflight_payload += origin.bytes;
         self.outstanding[cid as usize] = Some(origin);
         self.forwarded += 1;
-        (Cid(cid), self.list_slots[cid as usize])
+        Cid(cid)
+    }
+
+    /// The chip slot (bus address) back-end CID `cid` holds for a PRP
+    /// list of `entries` entries: its [`SMALL_LIST_SLOT_BYTES`] block
+    /// when the list fits, its page otherwise. The list's own length
+    /// picks the slot, so no list runs into a neighbouring CID's.
+    pub(crate) fn list_slot(&self, cid: Cid, entries: u32) -> PciAddr {
+        let cid = u64::from(cid.0);
+        if u64::from(entries) * 8 <= SMALL_LIST_SLOT_BYTES {
+            self.small_lists + cid * SMALL_LIST_SLOT_BYTES
+        } else {
+            self.page_lists + cid * PRP_LIST_SLOT_BYTES
+        }
     }
 
     /// Pushes a rewritten SQE into the back-end ring; returns the new
@@ -467,10 +490,9 @@ mod tests {
     fn reserve_and_resolve_round_trip() {
         let mut chip = HostMemory::new(64 << 20);
         let mut port = BackEndPort::new(SsdId(0), 64, &mut chip);
-        let (cid1, slot1) = port.reserve(origin(1));
-        let (cid2, slot2) = port.reserve(origin(2));
+        let cid1 = port.reserve(origin(1));
+        let cid2 = port.reserve(origin(2));
         assert_ne!(cid1, cid2);
-        assert_ne!(slot1, slot2);
         assert_eq!(port.inflight(), 2);
 
         // SSD completes cid2 then cid1.
@@ -491,6 +513,25 @@ mod tests {
         assert_eq!(head, 2);
         assert_eq!(port.inflight(), 0);
         assert_eq!(port.completed(), 2);
+    }
+
+    #[test]
+    fn list_slots_follow_the_list_length() {
+        let mut chip = HostMemory::new(64 << 20);
+        let port = BackEndPort::new(SsdId(0), 64, &mut chip);
+        let slot = |cid: u16, entries: u32| port.list_slot(Cid(cid), entries);
+        // Up to 32 entries: one block per CID, packed.
+        assert_eq!(slot(0, 2), slot(0, 32));
+        assert_eq!(slot(1, 32), slot(0, 32) + SMALL_LIST_SLOT_BYTES);
+        // From 33 entries: the CID's page.
+        let page = slot(0, 33);
+        assert_eq!(page, slot(0, 512));
+        assert_eq!(page.page_offset(PRP_LIST_SLOT_BYTES), 0);
+        assert_eq!(slot(1, 33), page + PRP_LIST_SLOT_BYTES);
+        // The two regions do not overlap.
+        let blocks = slot(0, 32).raw()..slot(63, 32).raw() + SMALL_LIST_SLOT_BYTES;
+        let pages = page.raw()..slot(63, 33).raw() + PRP_LIST_SLOT_BYTES;
+        assert!(blocks.end <= pages.start || pages.end <= blocks.start);
     }
 
     #[test]
@@ -535,7 +576,7 @@ mod tests {
     fn abandoned_slot_swallows_stale_completion() {
         let mut chip = HostMemory::new(64 << 20);
         let mut port = BackEndPort::new(SsdId(0), 8, &mut chip);
-        let (cid, _) = port.reserve(origin(1));
+        let cid = port.reserve(origin(1));
         let got = port.abandon(cid).expect("origin handed back");
         assert_eq!(got, origin(1));
         assert!(port.abandon(cid).is_none(), "already abandoned");
@@ -560,8 +601,8 @@ mod tests {
     fn reap_zombies_frees_slots_after_device_swap() {
         let mut chip = HostMemory::new(64 << 20);
         let mut port = BackEndPort::new(SsdId(0), 4, &mut chip);
-        let (c1, _) = port.reserve(origin(1));
-        let (c2, _) = port.reserve(origin(2));
+        let c1 = port.reserve(origin(1));
+        let c2 = port.reserve(origin(2));
         port.abandon(c1);
         port.abandon(c2);
         assert_eq!(port.inflight(), 2, "zombies still hold slots");

@@ -1756,7 +1756,7 @@ impl BmsEngine {
         self.cmd_seq += 1;
         let seq = self.cmd_seq;
         let port = self.adaptor.port_mut(ssd);
-        let (backend_cid, list_slot) = port.reserve(Outstanding {
+        let backend_cid = port.reserve(Outstanding {
             func: io.func,
             host_qid: io.host_qid,
             host_cid: io.host_cid,
@@ -1789,7 +1789,8 @@ impl BmsEngine {
         if sqe.io_opcode() != Some(IoOpcode::Flush) {
             // Global PRPs for the span's host pages. A span of more than
             // two pages gets its tagged list in the command's chip slot
-            // (the "global PRP stored into chip memory" of §IV-C).
+            // (the "global PRP stored into chip memory" of §IV-C): its
+            // 256-byte block for up to 32 entries, its page beyond.
             debug_assert_eq!(
                 BLOCK_SIZE, PAGE_SIZE,
                 "block == page keeps PRP slicing exact"
@@ -1802,6 +1803,7 @@ impl BmsEngine {
                 1 => PciAddr::NULL,
                 2 => prp_at(prps, 1),
                 _ => {
+                    let list_slot = self.adaptor.port(ssd).list_slot(backend_cid, nblocks - 1);
                     ChipWindow(&mut self.chip).dma_write(list_slot, &prps[8..]);
                     list_slot
                 }
@@ -2161,6 +2163,72 @@ mod tests {
         let b = engine.function(fid(0)).binding().unwrap();
         let (_, pl) = engine.mapping().map(b.row_base, Lba(100)).unwrap();
         assert_eq!(fwd.slba, pl);
+    }
+
+    #[test]
+    fn prp_lists_take_the_chip_slot_their_length_fits() {
+        // PRP1 plus 31, 32 and 33 list entries: the first two fit the
+        // CID's 256-byte block, the third needs its 4 KiB slot.
+        for pages in [32u32, 33, 34] {
+            let (mut engine, mut host) = engine();
+            engine
+                .bind_namespace(fid(0), 256 << 30, Placement::Single(SsdId(0)))
+                .unwrap();
+            engine.set_function_enabled(fid(0), true);
+            let sq_base = host.alloc(64 * 64).unwrap();
+            let cq_base = host.alloc(64 * 16).unwrap();
+            engine
+                .function_mut(fid(0))
+                .create_io_cq(QueueId(1), cq_base, 64);
+            engine
+                .function_mut(fid(0))
+                .create_io_sq(QueueId(1), sq_base, 64);
+            let len = u64::from(pages) * PAGE_SIZE;
+            let buf = host.alloc(len).unwrap();
+            let prp = bm_nvme::prp::PrpPair::build(&mut host, buf, len);
+            let sqe = Sqe::io(
+                IoOpcode::Read,
+                Cid(3),
+                Nsid::ONE,
+                Lba(0),
+                pages,
+                prp.prp1,
+                prp.prp2,
+            );
+            let mut host_sq = bm_nvme::SubmissionQueue::new(QueueId(1), sq_base, 64);
+            host_sq.push(&mut host, &sqe).unwrap();
+            engine.host_doorbell_write(
+                SimTime::ZERO,
+                fid(0),
+                DoorbellLayout::sq_tail_offset(QueueId(1)),
+                1,
+                &mut host,
+            );
+            let (mut ssd_sq, _) = engine.ssd_rings(SsdId(0));
+            ssd_sq.doorbell_tail(1).unwrap();
+            let fwd = ssd_sq
+                .fetch(&mut engine.dma_router(&mut host))
+                .unwrap()
+                .unwrap();
+            let port = engine.adaptor().port(SsdId(0));
+            let (block, page) = (port.list_slot(fwd.cid, 2), port.list_slot(fwd.cid, 512));
+            assert_ne!(block, page);
+            let want = if pages - 1 <= 32 { block } else { page };
+            assert_eq!(fwd.prp2, want, "{pages}-page read");
+            // The SSD walks the tagged list from that slot over the
+            // host buffer.
+            let fwd_prp = bm_nvme::prp::PrpPair {
+                prp1: fwd.prp1,
+                prp2: fwd.prp2,
+                len,
+            };
+            let segs = fwd_prp.segments(&mut engine.dma_router(&mut host)).unwrap();
+            assert_eq!(segs.len() as u32, pages);
+            for (i, (addr, _)) in segs.iter().enumerate() {
+                let (untagged, func, _) = GlobalPrp::untag(*addr);
+                assert_eq!((untagged, func), (buf + i as u64 * PAGE_SIZE, fid(0)));
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The BMS-Engine's zero-copy mechanism (paper §IV-C) rewrites exactly
 //! these values, so we build and walk them for real in simulated memory.
 
-use bm_pcie::memory::PAGE_SIZE;
+use bm_pcie::memory::{BLOCK_BYTES, PAGE_SIZE};
 use bm_pcie::{DmaContext, HostMemory, PciAddr};
 use std::fmt;
 
@@ -54,6 +54,9 @@ impl PrpPair {
     /// The list is one flat run of entries, however long. Real NVMe
     /// chains list pages through their last entry; nothing here does:
     /// [`Self::segments`] and the BMS-Engine read the same flat list.
+    /// A list of up to 32 entries (a 128 KiB buffer needs 31) takes a
+    /// 256-byte block from [`HostMemory::alloc_block`], which never
+    /// crosses a page; a longer one takes whole pages.
     ///
     /// # Panics
     ///
@@ -85,7 +88,12 @@ impl PrpPair {
             clippy::expect_used,
             reason = "panic-path debt (ROADMAP item 4): the caller sizes host memory; exhaustion is a harness sizing bug"
         )]
-        let list_base = mem.alloc(list.len() as u64).expect("PRP list allocation");
+        let list_base = if list.len() as u64 <= BLOCK_BYTES {
+            mem.alloc_block()
+        } else {
+            mem.alloc(list.len() as u64)
+        }
+        .expect("PRP list allocation");
         mem.write(list_base, &list);
         PrpPair {
             prp1: buf,
@@ -196,6 +204,53 @@ mod tests {
             assert_eq!(*addr, buf + i as u64 * PAGE_SIZE);
         }
         assert_eq!(prp.entry_count() as usize, segs.len());
+    }
+
+    #[test]
+    fn short_lists_share_pages() {
+        // 64 buffers of 128 KiB: 31-entry lists, 16 to a page.
+        let mut m = mem();
+        let len = 128 * 1024;
+        for _ in 0..64 {
+            let buf = m.alloc(len).unwrap();
+            assert!(PrpPair::build(&mut m, buf, len).uses_list());
+        }
+        assert_eq!(m.resident_pages(), 4);
+    }
+
+    #[test]
+    fn a_short_list_never_crosses_a_page() {
+        let mut m = mem();
+        // Lists of 2..=32 entries, twice over, land at every block
+        // offset of several pages.
+        for entries in (2..=32u64).chain(2..=32) {
+            let len = (entries + 1) * PAGE_SIZE;
+            let buf = m.alloc(len).unwrap();
+            let prp = PrpPair::build(&mut m, buf, len);
+            let last = prp.prp2 + (entries * 8 - 1);
+            assert_eq!(prp.prp2.page_base(PAGE_SIZE), last.page_base(PAGE_SIZE));
+            let segs = prp.segments(&mut m).unwrap();
+            assert_eq!(segs.len() as u64, entries + 1);
+            assert_eq!(segs.last().unwrap().0, buf + entries * PAGE_SIZE);
+        }
+    }
+
+    #[test]
+    fn a_33_entry_list_gets_a_page() {
+        let mut m = mem();
+        let short = |m: &mut HostMemory| {
+            let buf = m.alloc(3 * PAGE_SIZE).unwrap();
+            PrpPair::build(m, buf, 3 * PAGE_SIZE).prp2
+        };
+        let before = short(&mut m);
+        let len = 34 * PAGE_SIZE;
+        let buf = m.alloc(len).unwrap();
+        let long = PrpPair::build(&mut m, buf, len);
+        assert_eq!(long.prp2.page_offset(PAGE_SIZE), 0);
+        assert_ne!(long.prp2.page_base(PAGE_SIZE), before.page_base(PAGE_SIZE));
+        assert_eq!(long.segments(&mut m).unwrap().len(), 34);
+        // Blocks go on in their own page, not in the long list's.
+        assert_eq!(short(&mut m), before + BLOCK_BYTES);
     }
 
     #[test]

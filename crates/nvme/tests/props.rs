@@ -9,7 +9,7 @@ use bm_nvme::mi::HealthStatus;
 use bm_nvme::prp::PrpPair;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::Status;
-use bm_pcie::memory::PAGE_SIZE;
+use bm_pcie::memory::{BLOCK_BYTES, PAGE_SIZE};
 use bm_pcie::{HostMemory, PciAddr};
 use proptest::prelude::*;
 
@@ -115,8 +115,14 @@ proptest! {
     fn prp_segments_cover_transfer_exactly(
         offset in 0u64..PAGE_SIZE,
         len in 1u64..(1 << 20),
+        blocks in 0u32..20,
     ) {
         let mut mem = HostMemory::new(8 << 20);
+        // Blocks carved before the build put a short list at any offset
+        // of its page.
+        for _ in 0..blocks {
+            mem.alloc_block().unwrap();
+        }
         let base = mem.alloc(len + 2 * PAGE_SIZE).unwrap();
         let buf = base + offset;
         let prp = PrpPair::build(&mut mem, buf, len);
@@ -136,6 +142,17 @@ proptest! {
             cursor = *addr + *n;
         }
         prop_assert_eq!(prp.entry_count() as usize, segs.len());
+        // A list never crosses a page: a short one sits in one block,
+        // a long one starts a page of its own.
+        if prp.uses_list() {
+            let list_bytes = (segs.len() as u64 - 1) * 8;
+            let last = prp.prp2 + (list_bytes - 1);
+            if list_bytes <= BLOCK_BYTES {
+                prop_assert_eq!(prp.prp2.page_base(PAGE_SIZE), last.page_base(PAGE_SIZE));
+            } else {
+                prop_assert_eq!(prp.prp2.page_offset(PAGE_SIZE), 0);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   each address,
 //! * [`memory`] — simulated physical memory with real byte contents, the
 //!   target of every DMA in the repository (data integrity through the
-//!   whole stack is testable because bytes genuinely move),
+//!   whole stack is testable because bytes genuinely move), with a page
+//!   allocator for buffers and rings and a 256-byte block allocator for
+//!   short PRP lists,
 //! * [`mctp`] — MCTP-over-PCIe packetization and reassembly, carrying the
 //!   out-of-band NVMe-MI management traffic to the BMS-Controller.
 //!

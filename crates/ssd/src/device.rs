@@ -417,11 +417,9 @@ impl Ssd {
     /// Handles an SQ tail doorbell: fetches every newly published SQE
     /// and returns their timed completions, in fetch order.
     ///
-    /// # Panics
-    ///
-    /// Panics if `qid` has no attached queue pair or the doorbell value
-    /// is out of range (hardware would raise an async error; the
-    /// simulation treats both as harness bugs).
+    /// A write for a queue with no attached pair, or of a tail outside
+    /// the ring, is dropped as a controller drops an invalid doorbell
+    /// write: nothing is fetched.
     pub fn ring_sq_doorbell(
         &mut self,
         now: SimTime,
@@ -436,10 +434,6 @@ impl Ssd {
 
     /// [`Ssd::ring_sq_doorbell`] appending the completions to `out`, so
     /// a caller that reuses one buffer allocates nothing per doorbell.
-    ///
-    /// # Panics
-    ///
-    /// As [`Ssd::ring_sq_doorbell`].
     pub fn ring_sq_doorbell_into(
         &mut self,
         now: SimTime,
@@ -448,31 +442,17 @@ impl Ssd {
         mut dma: &mut dyn DmaContext,
         out: &mut Vec<CompletedIo>,
     ) {
-        {
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): doorbells arrive only for attached queues"
-            )]
-            let pair = self.pair_mut(qid).expect("doorbell for unattached queue");
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): doorbell tails stay inside the ring"
-            )]
-            pair.sq.doorbell_tail(tail).expect("doorbell in range");
+        let valid = self
+            .pair_mut(qid)
+            .is_some_and(|pair| pair.sq.doorbell_tail(tail).is_ok());
+        if !valid {
+            return;
         }
         let first = out.len();
-        loop {
-            let fetch = {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): the queue was attached when its doorbell rang"
-                )]
-                let pair = self.pair_mut(qid).expect("attached");
-                if pair.sq.is_empty() {
-                    break;
-                }
-                pair.sq.fetch(&mut dma)
-            };
+        // Each turn finds the pair the doorbell just checked again
+        // (processing borrows the whole device); no command detaches it.
+        while let Some(pair) = self.pair_mut(qid).filter(|pair| !pair.sq.is_empty()) {
+            let fetch = pair.sq.fetch(&mut dma);
             self.fetched += 1;
             match fetch {
                 Ok(Some(sqe)) => {
@@ -845,23 +825,13 @@ impl Ssd {
         }
     }
 
-    /// Handles a CQ head doorbell (host consumed entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qid` has no attached queue pair or the value is out of
-    /// range.
+    /// Handles a CQ head doorbell (host consumed entries). A write for
+    /// a queue with no attached pair, or of a head outside the ring, is
+    /// dropped.
     pub fn ring_cq_doorbell(&mut self, qid: QueueId, head: u32) {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): doorbells arrive only for attached queues"
-        )]
-        let pair = self.pair_mut(qid).expect("doorbell for unattached queue");
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): doorbell heads stay inside the ring"
-        )]
-        pair.cq.doorbell_head(head).expect("doorbell in range");
+        if let Some(pair) = self.pair_mut(qid) {
+            let _ = pair.cq.doorbell_head(head);
+        }
     }
 }
 
@@ -951,6 +921,51 @@ mod tests {
         let cqe = ssd.post_completion(&done[0], &mut mem).unwrap();
         assert!(cqe.status.is_success());
         assert_eq!(mem.read_vec(rbuf, pattern.len() as u64), pattern);
+    }
+
+    #[test]
+    fn invalid_doorbell_writes_are_dropped() {
+        let mut mem = HostMemory::new(1 << 20);
+        let mut ssd = Ssd::new(SsdConfig::p4510_2tb(SsdId(0)));
+        let sq_base = mem.alloc(4 * SQE_SIZE).unwrap();
+        let cq_base = mem.alloc(4 * CQE_SIZE).unwrap();
+        let buf = mem.alloc(4096).unwrap();
+        ssd.attach_io_queues(
+            SubmissionQueue::new(QueueId(1), sq_base, 4),
+            CompletionQueue::new(QueueId(1), cq_base, 4),
+        );
+        let mut host_sq = SubmissionQueue::new(QueueId(1), sq_base, 4);
+        let sqe = Sqe::io(
+            IoOpcode::Read,
+            Cid(1),
+            Nsid::new(1).unwrap(),
+            Lba(0),
+            1,
+            buf,
+            PciAddr::NULL,
+        );
+        host_sq.push(&mut mem, &sqe).unwrap();
+        // Queue 2 is not attached, and 4 is past the end of a 4-entry
+        // ring: neither tail write fetches the published entry.
+        assert!(ssd
+            .ring_sq_doorbell(SimTime::ZERO, QueueId(2), 1, &mut mem)
+            .is_empty());
+        assert!(ssd
+            .ring_sq_doorbell(SimTime::ZERO, QueueId(1), 4, &mut mem)
+            .is_empty());
+        assert_eq!(ssd.fetched(), 0);
+        // Nor does either head write move a completion queue.
+        ssd.ring_cq_doorbell(QueueId(2), 1);
+        ssd.ring_cq_doorbell(QueueId(1), 4);
+        // The valid tail still fetches the entry, and the CQ still holds
+        // three completions before it fills: its head stayed at 0.
+        let done = ssd.ring_sq_doorbell(SimTime::ZERO, QueueId(1), 1, &mut mem);
+        assert_eq!(done.len(), 1);
+        assert_eq!(ssd.fetched(), 1);
+        for _ in 0..3 {
+            assert!(ssd.post_completion(&done[0], &mut mem).is_ok());
+        }
+        assert!(ssd.post_completion(&done[0], &mut mem).is_err());
     }
 
     #[test]

@@ -123,6 +123,20 @@ fn bm_store_round_trip_with_prp_list() {
 }
 
 #[test]
+fn bm_store_round_trip_with_a_full_short_prp_list() {
+    // 33 pages: PRP1 plus 32 entries, which exactly fill the 256-byte
+    // blocks the host list and the engine's chip slot are carved from.
+    round_trip(SchemeKind::BmStore { in_vm: false }, 33, 4_242);
+}
+
+#[test]
+fn bm_store_round_trip_with_the_shortest_page_prp_list() {
+    // 34 pages: 33 entries, the first list too long for a block, so it
+    // takes a host page and the command's 4 KiB chip slot.
+    round_trip(SchemeKind::BmStore { in_vm: false }, 34, 77_777);
+}
+
+#[test]
 fn bm_store_vm_round_trip() {
     round_trip(SchemeKind::BmStore { in_vm: true }, 16, 42);
 }
@@ -221,12 +235,24 @@ fn concurrent_writes(sizes: &[u32]) -> Vec<(Vec<Status>, bool)> {
 #[test]
 fn bm_store_rejects_a_transfer_longer_than_its_prp_list_slot() {
     // Each forwarded command has a one-page PRP-list slot in chip
-    // memory: PRP1 plus 512 entries, 513 pages. A 600-page write must
+    // memory for lists too long for its 256-byte one: PRP1 plus 512
+    // entries, 513 pages. A 600-page write must
     // fail instead of spilling its list into the concurrent write's
     // slot, and the concurrent write must still round-trip.
     let got = concurrent_writes(&[600, 3]);
     assert_eq!(got[0], (vec![Status::InvalidField], false));
     assert_eq!(got[1], (vec![Status::Success; 2], true));
+}
+
+#[test]
+fn bm_store_keeps_lists_either_side_of_the_block_limit_apart() {
+    // A 33-entry list beside a 32-entry one and a 2-entry one: each
+    // list sits in a slot its length fits, so none spills into a
+    // neighbour's block and all three round-trip.
+    let got = concurrent_writes(&[34, 33, 3]);
+    for (i, write) in got.iter().enumerate() {
+        assert_eq!(*write, (vec![Status::Success; 2], true), "write {i}");
+    }
 }
 
 #[test]
