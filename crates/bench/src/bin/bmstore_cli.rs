@@ -628,7 +628,8 @@ fn main() {
     if agg.failed > 0 {
         println!(
             "failed: {} of {} measured I/Os completed with an error status",
-            agg.failed, agg.ops
+            agg.failed,
+            agg.ops + agg.failed
         );
     }
     let polling = world.tb.polling_cpu_busy();

@@ -88,5 +88,12 @@ fn failed_ios_are_counted_and_fail_the_run() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {stdout}");
         assert_eq!(stdout.contains("failed: "), code == 1, "{args:?}: {stdout}");
+        // A failed command moved no data, so it is not throughput.
+        let total_iops = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("total:"))
+            .and_then(|l| l.split_whitespace().next())
+            .unwrap_or_else(|| panic!("{args:?}: no total line in {stdout}"));
+        assert_eq!(total_iops == "0", code == 1, "{args:?}: {stdout}");
     }
 }

@@ -12,25 +12,35 @@
 //! allocates nothing. Ties on the timestamp are broken by insertion
 //! order, which makes runs with the same seed bit-for-bit reproducible.
 //!
-//! # Implementation: hierarchical timer wheel
+//! # Implementation: one timer wheel and one sorted run
 //!
-//! The queue is a hierarchical timer wheel (8 levels × 64 slots covering
-//! 48 bits of nanosecond ticks) backed by a slab arena with an intrusive
-//! free list, so steady-state scheduling performs no per-event heap
-//! allocation: popped slots are recycled. The arena keeps each slot's
-//! ordering header (`at`, `seq`, next link) in one array and its payload
-//! in a parallel one, so cascades and batch sorts walk dense 24-byte
-//! headers whatever the payload size. Events beyond the 2⁴⁸ ns horizon
-//! overflow into a `BTreeMap` and migrate into the wheel when it drains;
-//! events scheduled between `now` and a cursor that peeking
-//! fast-forwarded land in a small spill map that always pops first.
-//! Same-tick events are drained as one batch and sorted by sequence
-//! number, so pop order is exactly the `(at, seq)` order the previous
-//! `BinaryHeap` implementation produced — see DESIGN.md "Simulator core
-//! & hot path".
+//! A pending event sits in one of two places. The wheel's cursor is a
+//! *grain*, 64 ns of ticks (`tick >> 6`). Every event due in the
+//! cursor's grain or earlier is in the *run*, a vector of arena indices
+//! sorted by `(at, seq)` and read from the front. Every later event is
+//! in a hierarchical timer wheel of 10 levels × 64 slots, whose level-0
+//! slot holds one grain, at the level of the highest 6-bit group in
+//! which its grain differs from the cursor's. Ten levels span 60 bits,
+//! more than the 58 bits of grain a `u64` tick has, so every tick fits:
+//! no event waits beyond the wheel's horizon.
+//!
+//! When the run is spent, the cursor moves to the next occupied slot,
+//! cascading higher levels down, until it reaches a grain; that grain's
+//! events become the run, sorted once. A newly scheduled event at or
+//! before the cursor's grain goes into the run at its sorted position:
+//! it has the largest `seq`, so it follows every entry due at or before
+//! its tick. That one rule covers zero-delay events and events scheduled
+//! behind a cursor that a peek moved past `now`.
+//!
+//! The slots are intrusive lists through a slab arena with a free list,
+//! so steady-state scheduling performs no per-event heap allocation:
+//! popped slots are recycled. The arena keeps each slot's ordering
+//! header (`at`, `seq`, next link) in one array and its payload in a
+//! parallel one, so cascades and run sorts walk dense 24-byte headers
+//! whatever the payload size. Pop order is exactly the `(at, seq)` order
+//! of a binary heap — see DESIGN.md "Simulator core & hot path".
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// A scheduled event payload, fired once with the world and the
@@ -63,13 +73,14 @@ impl<W> Event<W> for Action<W> {
 
 /// Sentinel for "no node" in the intrusive lists.
 const NIL: u32 = u32::MAX;
-/// Wheel geometry: 8 levels of 64 slots, 6 bits per level.
-const LEVELS: usize = 8;
+/// A grain, the span of one level-0 slot, is `1 << GRAIN_BITS` ticks.
+const GRAIN_BITS: u32 = 6;
+/// Wheel geometry: 10 levels of 64 slots, 6 bits per level.
+const LEVELS: usize = 10;
 const SLOTS: usize = 64;
 const LEVEL_BITS: u32 = 6;
-/// Total bits the wheel spans; ticks differing only above this go to
-/// the overflow map.
-const WHEEL_BITS: u32 = LEVELS as u32 * LEVEL_BITS;
+// The wheel spans every grain, so no event is beyond its horizon.
+const _: () = assert!(LEVELS as u32 * LEVEL_BITS >= u64::BITS - GRAIN_BITS);
 
 /// The ordering header of one arena slot. Its payload lives at the same
 /// index of the payload array.
@@ -81,15 +92,6 @@ struct Node {
     seq: u64,
     /// Next node in the slot list (or the free list once recycled).
     next: u32,
-}
-
-/// Where [`Scheduler::prepare_front`] found the next event.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FrontSlot {
-    /// In the spill map (scheduled behind a fast-forwarded cursor).
-    Spill,
-    /// In the current-tick batch.
-    Batch,
 }
 
 /// The pending-event queue, passed to every event so it can schedule more.
@@ -114,7 +116,7 @@ enum FrontSlot {
 pub struct Scheduler<W, E = Action<W>> {
     now: SimTime,
     next_seq: u64,
-    /// Total pending events across wheel, batch, spill and overflow.
+    /// Pending events, in the run and the wheel.
     len: usize,
     /// Cumulative events fired since construction.
     fired: u64,
@@ -122,8 +124,10 @@ pub struct Scheduler<W, E = Action<W>> {
     peak_pending: usize,
     /// How many `schedule_at` calls were clamped from the past to `now`.
     clamped_past: u64,
-    /// The wheel's read position. Invariant: every tick stored in the
-    /// wheel or overflow is `>= cursor`; ticks below it live in `spill`.
+    /// The wheel's read position, a grain. Invariant: every pending
+    /// event whose grain is at or before it is in `run[pos..]`; every
+    /// other one is in the wheel, at the level of the highest 6-bit
+    /// group in which its grain differs from the cursor.
     cursor: u64,
     /// Slab arena headers; freed slots are chained through `free_head`.
     nodes: Vec<Node>,
@@ -134,13 +138,9 @@ pub struct Scheduler<W, E = Action<W>> {
     slots: Vec<u32>,
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
-    /// Current-tick nodes, sorted by `seq`, drained via `batch_pos`.
-    batch: Vec<u32>,
-    batch_pos: usize,
-    /// Events beyond the wheel horizon, keyed by `(at, seq)`.
-    overflow: BTreeMap<(u64, u64), u32>,
-    /// Events below `cursor` (but `>= now`), keyed by `(at, seq)`.
-    spill: BTreeMap<(u64, u64), u32>,
+    /// Arena indices sorted by `(at, seq)`; `run[..pos]` have fired.
+    run: Vec<u32>,
+    pos: usize,
     _world: PhantomData<fn(&mut W)>,
 }
 
@@ -159,10 +159,8 @@ impl<W, E> Default for Scheduler<W, E> {
             free_head: NIL,
             slots: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
-            batch: Vec::new(),
-            batch_pos: 0,
-            overflow: BTreeMap::new(),
-            spill: BTreeMap::new(),
+            run: Vec::new(),
+            pos: 0,
             _world: PhantomData,
         }
     }
@@ -247,8 +245,13 @@ impl<W, E> Scheduler<W, E> {
     fn push_event(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.alloc(at.as_nanos(), seq, event);
-        self.insert(idx);
+        let tick = at.as_nanos();
+        let idx = self.alloc(tick, seq, event);
+        if tick >> GRAIN_BITS <= self.cursor {
+            self.insert_run(idx, tick);
+        } else {
+            self.place(idx);
+        }
         self.len += 1;
         if self.len > self.peak_pending {
             self.peak_pending = self.len;
@@ -280,163 +283,99 @@ impl<W, E> Scheduler<W, E> {
         self.free_head = idx;
     }
 
-    /// Routes a node to the spill map, overflow map, or a wheel slot.
-    fn insert(&mut self, idx: u32) {
-        let tick = self.nodes[idx as usize].at;
-        if tick < self.cursor {
-            // Possible only after a peek fast-forwarded the cursor past
-            // `now`; spill entries always pop before wheel content.
-            let seq = self.nodes[idx as usize].seq;
-            self.spill.insert((tick, seq), idx);
+    /// Inserts a new node due at `tick`, at or before the cursor's
+    /// grain, into the run at its sorted position. It has the largest
+    /// `seq`, so it goes after every pending entry due at or before
+    /// `tick`.
+    fn insert_run(&mut self, idx: u32, tick: u64) {
+        let nodes = &self.nodes;
+        let to = self.pos + self.run[self.pos..].partition_point(|&i| nodes[i as usize].at <= tick);
+        if self.pos > 0 && to - self.pos <= self.run.len() - to {
+            // Fewer entries go before it than after: move them one place
+            // down, into the fired entry before `pos`, which the new node
+            // takes outright when nothing goes before it.
+            self.run.copy_within(self.pos..to, self.pos - 1);
+            self.pos -= 1;
+            self.run[to - 1] = idx;
         } else {
-            self.place(idx);
+            self.run.insert(to, idx);
         }
     }
 
-    /// Places a node (with tick `>= cursor`) into the wheel or overflow.
+    /// Files a node whose grain is after the cursor's in the wheel.
     fn place(&mut self, idx: u32) {
-        let (tick, seq) = {
-            let node = &self.nodes[idx as usize];
-            (node.at, node.seq)
-        };
-        debug_assert!(tick >= self.cursor);
-        let diff = tick ^ self.cursor;
-        if diff >> WHEEL_BITS != 0 {
-            self.overflow.insert((tick, seq), idx);
-            return;
-        }
-        // Level = highest 6-bit group where the tick differs from the
-        // cursor; same-tick events land in level 0 at the cursor slot.
-        let level = if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros()) as usize / LEVEL_BITS as usize
-        };
-        let slot = ((tick >> (level as u32 * LEVEL_BITS)) & 63) as usize;
-        let pos = level * SLOTS + slot;
+        let grain = self.nodes[idx as usize].at >> GRAIN_BITS;
+        debug_assert!(grain > self.cursor);
+        let level = (63 - (grain ^ self.cursor).leading_zeros()) / LEVEL_BITS;
+        let slot = (grain >> (level * LEVEL_BITS)) & 63;
+        let pos = level as usize * SLOTS + slot as usize;
         self.nodes[idx as usize].next = self.slots[pos];
         self.slots[pos] = idx;
-        self.occupied[level] |= 1u64 << slot;
+        self.occupied[level as usize] |= 1u64 << slot;
     }
 
-    /// Drains the level-0 slot at the cursor into `batch`, sorted by
-    /// `seq`. Every node in the slot shares the cursor's tick.
-    fn collect_batch(&mut self, slot: usize) {
-        debug_assert!(self.batch_pos >= self.batch.len());
-        self.batch.clear();
-        self.batch_pos = 0;
-        let head = std::mem::replace(&mut self.slots[slot], NIL);
-        self.occupied[0] &= !(1u64 << slot);
-        let mut idx = head;
-        while idx != NIL {
-            debug_assert_eq!(self.nodes[idx as usize].at, self.cursor);
-            self.batch.push(idx);
-            idx = self.nodes[idx as usize].next;
-        }
-        let (batch, nodes) = (&mut self.batch, &self.nodes);
-        batch.sort_unstable_by_key(|&i| nodes[i as usize].seq);
+    /// The lowest level with an occupied slot after the cursor's group
+    /// at that level, and that slot. The cursor's own group never holds
+    /// anything: an event sharing it differs from the cursor lower down.
+    fn next_slot(&self) -> Option<(usize, u64)> {
+        (0..LEVELS).find_map(|level| {
+            let group = (self.cursor >> (level as u32 * LEVEL_BITS)) & 63;
+            let mask = self.occupied[level] & ((!0u64 << group) << 1);
+            (mask != 0).then(|| (level, u64::from(mask.trailing_zeros())))
+        })
     }
 
-    /// Advances the cursor to the next occupied higher-level slot and
-    /// redistributes its nodes into lower levels. Returns whether a
-    /// slot was cascaded.
-    fn cascade_next(&mut self) -> bool {
-        debug_assert_eq!(self.occupied[0] & (!0u64 << (self.cursor & 63)), 0);
-        for level in 1..LEVELS {
-            let shift = level as u32 * LEVEL_BITS;
-            let group = ((self.cursor >> shift) & 63) as u32;
-            // Slots at or before the cursor's own group are spent; the
-            // cursor's group itself only ever held ticks that differ
-            // from the cursor below this level, which live lower down.
-            let mask = if group >= 63 {
-                0
-            } else {
-                self.occupied[level] & (!0u64 << (group + 1))
+    /// Refills the spent run: moves the cursor to the next occupied
+    /// slot, cascading its nodes to lower levels, until that slot is a
+    /// grain, whose nodes then form the run, sorted by `(at, seq)`.
+    fn refill(&mut self) {
+        self.run.clear();
+        self.pos = 0;
+        while self.run.is_empty() {
+            let Some((level, slot)) = self.next_slot() else {
+                debug_assert_eq!(self.len, 0);
+                return;
             };
-            if mask != 0 {
-                let slot = u64::from(mask.trailing_zeros());
-                let keep = self.cursor & (!0u64 << (shift + LEVEL_BITS));
-                self.cursor = keep | (slot << shift);
-                let head = std::mem::replace(&mut self.slots[level * SLOTS + slot as usize], NIL);
-                self.occupied[level] &= !(1u64 << slot);
-                let mut idx = head;
-                while idx != NIL {
-                    let next = self.nodes[idx as usize].next;
-                    self.place(idx);
-                    idx = next;
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Ensures the front event (if any) is exposed in the spill map or
-    /// the current batch, advancing the cursor as needed, and returns
-    /// where it lives and when it fires. Shared by peek and pop.
-    fn prepare_front(&mut self) -> Option<(FrontSlot, SimTime)> {
-        loop {
-            // Spill ticks are all < cursor, and wheel/batch ticks are
-            // all >= cursor, so the spill map always goes first.
-            if let Some((&(at, _), _)) = self.spill.first_key_value() {
-                return Some((FrontSlot::Spill, SimTime::from_nanos(at)));
-            }
-            if let Some(&idx) = self.batch.get(self.batch_pos) {
-                let at = self.nodes[idx as usize].at;
-                return Some((FrontSlot::Batch, SimTime::from_nanos(at)));
-            }
-            if self.len == 0 {
-                return None;
-            }
-            // Scan level 0 from the cursor's slot within its window.
-            let from = (self.cursor & 63) as u32;
-            let mask = self.occupied[0] & (!0u64 << from);
-            if mask != 0 {
-                let slot = u64::from(mask.trailing_zeros());
-                self.cursor = (self.cursor & !63) | slot;
-                self.collect_batch(slot as usize);
-                continue;
-            }
-            if self.cascade_next() {
-                continue;
-            }
-            // Wheel drained: migrate the earliest overflow horizon in.
-            if let Some((&(at, _), _)) = self.overflow.first_key_value() {
-                self.cursor = at;
-                let horizon = at >> WHEEL_BITS;
-                while let Some(entry) = self.overflow.first_entry() {
-                    if entry.key().0 >> WHEEL_BITS != horizon {
-                        break;
-                    }
-                    let (_, idx) = entry.remove_entry();
+            let shift = level as u32 * LEVEL_BITS;
+            self.cursor = (self.cursor & (!0u64 << (shift + LEVEL_BITS))) | (slot << shift);
+            let mut idx = std::mem::replace(&mut self.slots[level * SLOTS + slot as usize], NIL);
+            self.occupied[level] &= !(1u64 << slot);
+            while idx != NIL {
+                let node = self.nodes[idx as usize];
+                if node.at >> GRAIN_BITS == self.cursor {
+                    self.run.push(idx);
+                } else {
                     self.place(idx);
                 }
-                continue;
+                idx = node.next;
             }
-            debug_assert_eq!(self.len, 0);
-            return None;
         }
+        let (run, nodes) = (&mut self.run, &self.nodes);
+        run.sort_unstable_by_key(|&i| {
+            let node = &nodes[i as usize];
+            (node.at, node.seq)
+        });
     }
 
-    /// Earliest pending fire time, advancing the wheel cursor (but not
-    /// the clock) to find it.
+    /// The arena index of the earliest pending event, refilling the run
+    /// (which moves the wheel cursor, but not the clock) when it is spent.
+    fn front(&mut self) -> Option<u32> {
+        if self.pos == self.run.len() && self.len > 0 {
+            self.refill();
+        }
+        self.run.get(self.pos).copied()
+    }
+
+    /// Earliest pending fire time; see [`Scheduler::front`].
     fn peek_next_at(&mut self) -> Option<SimTime> {
-        self.prepare_front().map(|(_, at)| at)
+        let idx = self.front()?;
+        Some(SimTime::from_nanos(self.nodes[idx as usize].at))
     }
 
     fn pop_due(&mut self) -> Option<(SimTime, E)> {
-        let (front, at) = self.prepare_front()?;
-        let idx = match front {
-            FrontSlot::Spill => match self.spill.pop_first() {
-                Some((_, idx)) => idx,
-                None => return None,
-            },
-            FrontSlot::Batch => {
-                let idx = self.batch[self.batch_pos];
-                self.batch_pos += 1;
-                idx
-            }
-        };
+        let idx = self.front()?;
+        self.pos += 1;
+        let at = SimTime::from_nanos(self.nodes[idx as usize].at);
         debug_assert!(at >= self.now);
         self.now = at;
         self.len -= 1;
@@ -758,13 +697,13 @@ mod tests {
     #[test]
     fn far_future_events_cross_wheel_levels() {
         let mut sim = Simulation::new(Vec::<u64>::new());
-        // One event per wheel level, plus two beyond the 2^48 horizon.
-        let mut times: Vec<u64> = (0..LEVELS)
-            .map(|l| 3u64 << (l as u32 * LEVEL_BITS))
+        // One event per wheel level, two a few ticks apart inside one
+        // grain, and the last tick there is: the top level holds it.
+        let mut times: Vec<u64> = (0..LEVELS as u32)
+            .map(|l| 3u64 << (GRAIN_BITS + l * LEVEL_BITS))
             .collect();
-        times.push(1u64 << WHEEL_BITS);
-        times.push((1u64 << WHEEL_BITS) + 5);
-        times.push(u64::MAX);
+        times.extend([(1u64 << 48) + 5, (1u64 << 48) + 40, u64::MAX]);
+        times.sort_unstable();
         for &t in times.iter().rev() {
             sim.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, _| {
                 w.push(t);
@@ -786,7 +725,7 @@ mod tests {
         sim.run_until(SimTime::from_nanos(15_000));
         assert_eq!(sim.now(), SimTime::from_nanos(15_000));
         // An event between the clock and the cursor must still precede
-        // the 20 µs event (it lands in the spill map).
+        // the 20 µs event (it lands in the run, ahead of it).
         sim.schedule_at(SimTime::from_nanos(17_000), |w: &mut Vec<u64>, _| {
             w.push(17_000);
         });
@@ -854,6 +793,7 @@ mod tests {
 
     #[test]
     fn pending_counts_all_tiers() {
+        // The first event goes into the run, the others into the wheel.
         let mut sched: Scheduler<u32> = Scheduler::new();
         sched.schedule_at(SimTime::from_nanos(1), |_, _| {});
         sched.schedule_at(SimTime::from_nanos(1 << 20), |_, _| {});
@@ -863,8 +803,11 @@ mod tests {
     }
 
     /// Replays one op sequence on the wheel and the classic heap,
-    /// asserting identical pop order (time and identity).
-    fn check_equivalence(ops: &[(u64, u8)]) {
+    /// asserting identical pop order (time and identity). An op peeks
+    /// at the wheel (which may move its cursor past `now`, as
+    /// [`Simulation::step_until`] does), schedules one event, then pops
+    /// up to `pops`.
+    fn check_equivalence(ops: &[(u64, u8, bool)]) {
         let mut wheel: Scheduler<Vec<(u64, u32)>> = Scheduler::new();
         let mut world: Vec<(u64, u32)> = Vec::new();
         let mut oracle = classic::ClassicQueue::new();
@@ -882,7 +825,10 @@ mod tests {
                 assert!(oracle.pop().is_none());
             }
         };
-        for (id, &(at, pops)) in ops.iter().enumerate() {
+        for (id, &(at, pops, peek)) in ops.iter().enumerate() {
+            if peek {
+                wheel.peek_next_at();
+            }
             let t = SimTime::from_nanos(at);
             let this_id = id as u32;
             wheel.schedule_at(t, move |w: &mut Vec<(u64, u32)>, s| {
@@ -905,8 +851,8 @@ mod tests {
 
     proptest! {
         /// Random schedules (clustered ticks for ties, far-future and
-        /// past-clamped times, interleaved pops) produce exactly the
-        /// classic BinaryHeap's pop order on the wheel.
+        /// past-clamped times, interleaved peeks and pops) produce
+        /// exactly the classic BinaryHeap's pop order on the wheel.
         #[test]
         fn wheel_matches_classic_heap(
             ops in proptest::collection::vec(
@@ -915,10 +861,11 @@ mod tests {
                         0u64..50,
                         0u64..5_000,
                         1u64 << 20..(1u64 << 20) + 100,
-                        (1u64 << WHEEL_BITS) - 50..(1u64 << WHEEL_BITS) + 50,
+                        (1u64 << 60) - 50..(1u64 << 60) + 50,
                         any::<u64>(),
                     ],
                     0u8..3,
+                    any::<bool>(),
                 ),
                 1..120,
             )
@@ -929,11 +876,12 @@ mod tests {
 
     #[test]
     fn wheel_matches_classic_heap_on_dense_ties() {
-        // Deterministic worst case: many ties on few ticks with pops
-        // interleaved so spill and batch refill paths are exercised.
+        // Deterministic worst case: many ties on few ticks, four to a
+        // grain, with peeks and pops interleaved so events land in the
+        // run both in front of and behind its read position.
         let mut ops = Vec::new();
         for i in 0..400u64 {
-            ops.push((i % 7 * 64, (i % 3) as u8));
+            ops.push((i % 7 * 64 + i % 4 * 16, (i % 3) as u8, i % 5 < 2));
         }
         check_equivalence(&ops);
     }

@@ -216,8 +216,9 @@ impl IoStats {
         self.latency.record(latency);
     }
 
-    /// Marks one recorded operation as failed (it completed with an
-    /// error status). It still counts in the ops, bytes and latencies.
+    /// Counts one operation that completed with an error status. It
+    /// counts only here, not in the ops, bytes or latencies: a failed
+    /// command moved no data.
     pub fn record_failure(&mut self) {
         self.failed += 1;
     }
@@ -230,7 +231,7 @@ impl IoStats {
         self.latency.merge(&other.latency);
     }
 
-    /// Completed operations.
+    /// Operations that completed without error.
     pub fn ops(&self) -> u64 {
         self.ops
     }
@@ -240,7 +241,7 @@ impl IoStats {
         self.bytes
     }
 
-    /// Recorded operations marked failed.
+    /// Operations that completed with an error status.
     pub fn failed(&self) -> u64 {
         self.failed
     }

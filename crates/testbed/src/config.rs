@@ -87,8 +87,6 @@ pub struct TestbedConfig {
     pub kernel: KernelProfile,
     /// Tenant devices.
     pub devices: Vec<DeviceSpec>,
-    /// Ring depth of tenant queues.
-    pub queue_entries: u16,
     /// RNG seed.
     pub seed: u64,
     /// Apply the kernel's block-layer plug factor to reported latency
@@ -150,7 +148,6 @@ impl TestbedConfig {
             data_mode: DataMode::TimingOnly,
             kernel: KernelProfile::centos79_310(),
             devices: (0..ssds).map(|i| DeviceSpec::whole_disk(i as u8)).collect(),
-            queue_entries: 2048,
             seed: 42,
             apply_plug_factor: false,
             spdk_config: None,

@@ -62,8 +62,7 @@
 //!
 //!    ```ignore
 //!    pub(crate) struct CxlScheme {
-//!        attach: Vec<(usize, QueueId)>,                 // per DeviceId
-//!        direct_map: HashMap<(usize, u16), DeviceId>,   // completions
+//!        attach: Vec<(usize, QueueId)>, // (SSD, queue) per DeviceId
 //!    }
 //!
 //!    impl Scheme for CxlScheme {
@@ -73,17 +72,17 @@
 //!        // the window write is the transport).
 //!        fn on_doorbell(&mut self, now, dev, tail, _ctx, out: &mut Vec<Effect>) {
 //!            let (ssd, qid) = self.attach[dev.0];
-//!            out.push(Effect::ForwardToSsd { at: now, ssd, qid, tail });
+//!            out.push(Effect::ForwardToSsd { at: now, dev, ssd, qid, tail });
 //!        }
 //!
-//!        // The interpreter hands back each SSD completion.
+//!        // The interpreter hands back each SSD completion, with the
+//!        // device whose doorbell produced it.
 //!        fn on_stage(&mut self, now, stage, ctx, out: &mut Vec<Effect>) {
-//!            let Stage::BackendComplete { ssd, slot } = stage else { .. };
-//!            let io = ctx.completions.get(slot);
-//!            Ssd::deliver_read_payload(io, ctx.host_mem);
-//!            let cqe = ctx.ssds[ssd].post_completion(io, ctx.host_mem)?;
-//!            let dev = self.direct_map[&(ssd, io.qid.0)];
-//!            ctx.completions.release(slot);
+//!            let Stage::BackendComplete { dev, ssd, slot } = stage else { .. };
+//!            // Posts the CQE, or retries the stage while the SSD's CQ is full.
+//!            let Some(cqe) = ctx.post_backend_completion(now, dev, ssd, slot, out) else {
+//!                return;
+//!            };
 //!            out.push(Effect::Trace { stage: PipelineStage::Backend });
 //!            out.push(Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status });
 //!        }

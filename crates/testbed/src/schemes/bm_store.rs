@@ -40,7 +40,7 @@ struct Buffers {
 /// Builds the BM-Store scheme: engine + controller, backend rings
 /// attached to every SSD, one front-end function per device spec.
 pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
-    let entries = ctx.cfg.queue_entries;
+    let entries = super::QUEUE_ENTRIES;
     let specs = ctx.cfg.devices.clone();
     let mut engine_cfg = EngineConfig::paper_default(ctx.ssds.len());
     engine_cfg.store_and_forward_bw = ctx.cfg.store_and_forward_bw;

@@ -6,7 +6,7 @@
 //! mediators differ only in cost model, so everything ring-shaped
 //! lives here once.
 
-use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
+use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP, QUEUE_ENTRIES};
 use crate::types::DeviceId;
 use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
@@ -17,8 +17,6 @@ use bm_nvme::types::{Lba, QueueId};
 use bm_nvme::Cqe;
 use bm_sim::resource::FifoServer;
 use bm_sim::{SimDuration, SimTime};
-use bm_ssd::Ssd;
-use std::collections::BTreeMap;
 
 /// Virtio kick cost on the guest (ioeventfd exit).
 const VIRTIO_KICK: SimDuration = SimDuration::from_nanos(600);
@@ -62,8 +60,6 @@ struct MediatedAttach {
 pub(crate) struct MediatedScheme<M: Mediator> {
     mediator: M,
     attach: Vec<MediatedAttach>,
-    /// Maps (ssd index, backend qid) → device for completions.
-    direct_map: BTreeMap<(usize, u16), DeviceId>,
 }
 
 /// Builds a mediated scheme around `mediator`. Devices carve slices of
@@ -74,10 +70,9 @@ pub(crate) fn build<M: Mediator + 'static>(
     mediator: M,
     in_vm: bool,
 ) -> Box<dyn Scheme> {
-    let entries = ctx.cfg.queue_entries;
+    let entries = QUEUE_ENTRIES;
     let specs = ctx.cfg.devices.clone();
     let mut attach = Vec::new();
-    let mut direct_map = BTreeMap::new();
     for (i, spec) in specs.iter().enumerate() {
         let ssd = i % ctx.ssds.len();
         let size_blocks = spec.size_bytes / 4096;
@@ -89,7 +84,6 @@ pub(crate) fn build<M: Mediator + 'static>(
         let ssd_view_sq = SubmissionQueue::new(QueueId(1), bsq.base(), entries);
         let ssd_view_cq = CompletionQueue::new(QueueId(1), bcq.base(), entries);
         let qid = ctx.ssds[ssd].attach_io_queues(ssd_view_sq, ssd_view_cq);
-        direct_map.insert((ssd, qid.0), DeviceId(i));
         attach.push(MediatedAttach {
             ssd,
             qid,
@@ -110,11 +104,7 @@ pub(crate) fn build<M: Mediator + 'static>(
         });
         ctx.devices.push(Device::new(sq, cq, vm, size_blocks));
     }
-    Box::new(MediatedScheme {
-        mediator,
-        attach,
-        direct_map,
-    })
+    Box::new(MediatedScheme { mediator, attach })
 }
 
 impl<M: Mediator> Scheme for MediatedScheme<M> {
@@ -183,34 +173,16 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                     .expect("backend ring sized above queue depth");
                 out.push(Effect::ForwardToSsd {
                     at: now + BUS_HOP,
+                    dev,
                     ssd: att.ssd,
                     qid: att.qid,
                     tail: att.ssd_sq.tail() as u32,
                 });
             }
-            Stage::BackendComplete { ssd, slot } => {
-                let io = ctx.completions.get(slot);
-                Ssd::deliver_read_payload(io, ctx.host_mem);
-                let cqe = match ctx.ssds[ssd].post_completion(io, ctx.host_mem) {
-                    Ok(cqe) => cqe,
-                    Err(_) => {
-                        out.push(Effect::ScheduleAt {
-                            at: now + SimDuration::from_us(1),
-                            stage: Stage::BackendComplete { ssd, slot },
-                        });
-                        return;
-                    }
+            Stage::BackendComplete { dev, ssd, slot } => {
+                let Some(cqe) = ctx.post_backend_completion(now, dev, ssd, slot, out) else {
+                    return;
                 };
-                let qid = io.qid;
-                ctx.completions.release(slot);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
-                )]
-                let dev = *self
-                    .direct_map
-                    .get(&(ssd, qid.0))
-                    .expect("completion for mapped queue");
                 // The mediator consumes the backend CQE (polling) and
                 // acks the SSD CQ immediately.
                 let att = &mut self.attach[dev.0];
@@ -218,7 +190,7 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 // The mediator's producer view of the SSD SQ learns the
                 // consumption from the CQE.
                 att.ssd_sq.sync_head(cqe.sq_head);
-                ctx.ssds[ssd].ring_cq_doorbell(qid, att.backend_cq_head as u32);
+                ctx.ssds[ssd].ring_cq_doorbell(att.qid, att.backend_cq_head as u32);
                 out.push(Effect::Trace {
                     stage: PipelineStage::Backend,
                 });

@@ -35,7 +35,7 @@ use bm_host::kernel::KernelProfile;
 use bm_nvme::command::{Sqe, CQE_SIZE, SQE_SIZE};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Cid, Lba, QueueId};
-use bm_nvme::Status;
+use bm_nvme::{Cqe, Status};
 use bm_pcie::{FunctionId, HostMemory};
 use bm_sim::observe::Observer;
 use bm_sim::{SimDuration, SimTime};
@@ -45,6 +45,10 @@ use bmstore_core::engine::{BmsEngine, EngineAction};
 
 /// Latency of a doorbell/MSI hop across the PCIe fabric.
 pub(crate) const BUS_HOP: SimDuration = SimDuration::from_nanos(300);
+
+/// Ring depth of every tenant queue and of the backend queues the
+/// schemes attach for them.
+pub(crate) const QUEUE_ENTRIES: u16 = 2048;
 
 /// Construction-time view of the testbed handed to the scheme
 /// builders: they allocate rings, attach SSD queue views, and push the
@@ -102,6 +106,38 @@ pub struct SchemeCtx<'a> {
     /// Plain-DMA backend completions whose [`Stage::BackendComplete`]
     /// has not run to the end yet.
     pub completions: &'a mut CompletionSlots,
+}
+
+impl SchemeCtx<'_> {
+    /// Posts `dev`'s plain-DMA completion parked in `slot`: delivers a
+    /// read's payload, writes the CQE into SSD `ssd`'s completion ring
+    /// and frees the slot. While that ring is full the stage retries
+    /// 1 µs later, keeping its slot, and this returns `None`.
+    pub(crate) fn post_backend_completion(
+        &mut self,
+        now: SimTime,
+        dev: DeviceId,
+        ssd: usize,
+        slot: CompletionSlot,
+        out: &mut Vec<Effect>,
+    ) -> Option<Cqe> {
+        let io = self.completions.get(slot);
+        Ssd::deliver_read_payload(io, self.host_mem);
+        match self.ssds[ssd].post_completion(io, self.host_mem) {
+            Ok(cqe) => {
+                self.completions.release(slot);
+                Some(cqe)
+            }
+            Err(_) => {
+                // CQ full: retry after the host consumes.
+                out.push(Effect::ScheduleAt {
+                    at: now + SimDuration::from_us(1),
+                    stage: Stage::BackendComplete { dev, ssd, slot },
+                });
+                None
+            }
+        }
+    }
 }
 
 /// Where a [`Stage::BackendComplete`] finds its completion in
@@ -176,6 +212,8 @@ pub enum Stage {
     /// A backend SSD on a plain-DMA ring finished a command (scheduled
     /// by [`Effect::ForwardToSsd`]).
     BackendComplete {
+        /// Device whose command it was.
+        dev: DeviceId,
         /// Backend SSD index.
         ssd: usize,
         /// The finished command, in [`SchemeCtx::completions`].
@@ -268,10 +306,12 @@ pub enum Effect {
     },
     /// Ring backend SSD `ssd`'s SQ doorbell at `at` over plain host
     /// DMA. Every resulting completion re-enters the pipeline as a
-    /// [`Stage::BackendComplete`] at its completion time.
+    /// [`Stage::BackendComplete`] for `dev` at its completion time.
     ForwardToSsd {
         /// When the doorbell write lands.
         at: SimTime,
+        /// Device whose commands the queue carries.
+        dev: DeviceId,
         /// Backend SSD index.
         ssd: usize,
         /// The SSD-side queue.

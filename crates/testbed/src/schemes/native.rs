@@ -6,24 +6,20 @@
 //! live in the device's [`VmState`](crate::world) and are charged by
 //! the interpreter.
 
-use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
+use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP, QUEUE_ENTRIES};
 use crate::types::DeviceId;
 use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::QueueId;
 use bm_sim::resource::FifoServer;
-use bm_sim::{SimDuration, SimTime};
-use bm_ssd::Ssd;
-use std::collections::BTreeMap;
+use bm_sim::SimTime;
 
 /// One whole SSD per device, rings registered at the hardware.
 pub(crate) struct DirectScheme {
     name: &'static str,
     /// Per-device backend: (ssd index, SSD-side queue id).
     attach: Vec<(usize, QueueId)>,
-    /// Maps (ssd index, backend qid) → device for completions.
-    direct_map: BTreeMap<(usize, u16), DeviceId>,
 }
 
 /// Builds the native (bare-metal) scheme.
@@ -34,10 +30,9 @@ pub(crate) fn build(ctx: &mut BuildCtx) -> Box<dyn Scheme> {
 /// Shared constructor for native and VFIO: identical data path, VFIO
 /// adds per-device VM interrupt state.
 pub(crate) fn build_direct(ctx: &mut BuildCtx, in_vm: bool, name: &'static str) -> Box<dyn Scheme> {
-    let entries = ctx.cfg.queue_entries;
+    let entries = QUEUE_ENTRIES;
     let specs = ctx.cfg.devices.clone();
     let mut attach = Vec::new();
-    let mut direct_map = BTreeMap::new();
     for (i, _spec) in specs.iter().enumerate() {
         assert!(i < ctx.ssds.len(), "one whole SSD per direct device");
         let (sq, cq) = ctx.alloc_rings(QueueId(1), entries);
@@ -45,7 +40,6 @@ pub(crate) fn build_direct(ctx: &mut BuildCtx, in_vm: bool, name: &'static str) 
         let ssd_cq = CompletionQueue::new(QueueId(1), cq.base(), entries);
         let qid = ctx.ssds[i].attach_io_queues(ssd_sq, ssd_cq);
         let blocks = ctx.ssds[i].namespace().blocks();
-        direct_map.insert((i, qid.0), DeviceId(i));
         attach.push((i, qid));
         let vm = in_vm.then(|| VmState {
             irq_cpu: FifoServer::new(),
@@ -53,11 +47,7 @@ pub(crate) fn build_direct(ctx: &mut BuildCtx, in_vm: bool, name: &'static str) 
         });
         ctx.devices.push(Device::new(sq, cq, vm, blocks));
     }
-    Box::new(DirectScheme {
-        name,
-        attach,
-        direct_map,
-    })
+    Box::new(DirectScheme { name, attach })
 }
 
 impl Scheme for DirectScheme {
@@ -76,6 +66,7 @@ impl Scheme for DirectScheme {
         let (ssd, qid) = self.attach[dev.0];
         out.push(Effect::ForwardToSsd {
             at: now + BUS_HOP,
+            dev,
             ssd,
             qid,
             tail,
@@ -84,30 +75,10 @@ impl Scheme for DirectScheme {
 
     fn on_stage(&mut self, now: SimTime, stage: Stage, ctx: &mut SchemeCtx, out: &mut Vec<Effect>) {
         match stage {
-            Stage::BackendComplete { ssd, slot } => {
-                let io = ctx.completions.get(slot);
-                Ssd::deliver_read_payload(io, ctx.host_mem);
-                let cqe = match ctx.ssds[ssd].post_completion(io, ctx.host_mem) {
-                    Ok(cqe) => cqe,
-                    Err(_) => {
-                        // CQ full: retry after the host consumes.
-                        out.push(Effect::ScheduleAt {
-                            at: now + SimDuration::from_us(1),
-                            stage: Stage::BackendComplete { ssd, slot },
-                        });
-                        return;
-                    }
+            Stage::BackendComplete { dev, ssd, slot } => {
+                let Some(cqe) = ctx.post_backend_completion(now, dev, ssd, slot, out) else {
+                    return;
                 };
-                let qid = io.qid;
-                ctx.completions.release(slot);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): completions arrive only on queues the scheme mapped at build time"
-                )]
-                let dev = *self
-                    .direct_map
-                    .get(&(ssd, qid.0))
-                    .expect("completion for mapped queue");
                 out.push(Effect::Trace {
                     stage: PipelineStage::Backend,
                 });

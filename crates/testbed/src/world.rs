@@ -351,7 +351,12 @@ enum Hop {
     Stage(Stage),
     /// A backend SQ doorbell over plain host DMA lands
     /// ([`Effect::ForwardToSsd`]).
-    SsdDoorbell { ssd: usize, qid: QueueId, tail: u32 },
+    SsdDoorbell {
+        dev: DeviceId,
+        ssd: usize,
+        qid: QueueId,
+        tail: u32,
+    },
     /// An interrupt reaches the host or guest ([`Effect::RaiseInterrupt`]).
     Interrupt {
         dev: DeviceId,
@@ -375,7 +380,12 @@ impl Event<World> for WorldEvent {
     fn fire(self, w: &mut World, s: &mut Sched) {
         match self.0 {
             Hop::Stage(stage) => w.run_stage(s, stage),
-            Hop::SsdDoorbell { ssd, qid, tail } => w.ring_ssd_doorbell(s, ssd, qid, tail),
+            Hop::SsdDoorbell {
+                dev,
+                ssd,
+                qid,
+                tail,
+            } => w.ring_ssd_doorbell(s, dev, ssd, qid, tail),
             Hop::Interrupt { dev, cid, status } => w.host_notify(s, dev, cid, status),
             Hop::Deliver { dev, cid, status } => {
                 w.tb.obs.enter("deliver");
@@ -993,9 +1003,24 @@ impl World {
                 };
                 hop_at(s, at, Hop::Stage(stage));
             }
-            Effect::ForwardToSsd { at, ssd, qid, tail } => {
+            Effect::ForwardToSsd {
+                at,
+                dev,
+                ssd,
+                qid,
+                tail,
+            } => {
                 let at = self.defer_past_retrain(s, at);
-                hop_at(s, at, Hop::SsdDoorbell { ssd, qid, tail });
+                hop_at(
+                    s,
+                    at,
+                    Hop::SsdDoorbell {
+                        dev,
+                        ssd,
+                        qid,
+                        tail,
+                    },
+                );
             }
             Effect::RaiseInterrupt {
                 at,
@@ -1026,8 +1051,16 @@ impl World {
     }
 
     /// A backend SSD's SQ doorbell over plain host DMA lands: each
-    /// completion re-enters the pipeline at its completion time.
-    fn ring_ssd_doorbell(&mut self, s: &mut Sched, ssd: usize, qid: QueueId, tail: u32) {
+    /// completion re-enters the pipeline at its completion time, for
+    /// `dev`, whose commands the queue carries.
+    fn ring_ssd_doorbell(
+        &mut self,
+        s: &mut Sched,
+        dev: DeviceId,
+        ssd: usize,
+        qid: QueueId,
+        tail: u32,
+    ) {
         self.tb.obs.enter("ssd:doorbell");
         let tb = &mut self.tb;
         let ios = &mut self.completed_ios;
@@ -1035,7 +1068,7 @@ impl World {
         for io in ios.drain(..) {
             let at = io.at;
             let slot = self.completions.park(io);
-            hop_at(s, at, Hop::Stage(Stage::BackendComplete { ssd, slot }));
+            hop_at(s, at, Hop::Stage(Stage::BackendComplete { dev, ssd, slot }));
         }
         self.tb.obs.exit();
     }

@@ -267,12 +267,13 @@ impl Client for FioJob {
     fn on_completion(&mut self, now: SimTime, c: Completion) -> ClientOutput {
         if now >= self.measure_start && now < self.measure_end {
             let mut stats = self.stats.borrow_mut();
-            stats.record(c.bytes, c.latency());
-            if !c.status.is_success() {
+            if c.status.is_success() {
+                stats.record(c.bytes, c.latency());
+                if let Some(trace) = &self.trace {
+                    trace.borrow_mut().record(now);
+                }
+            } else {
                 stats.record_failure();
-            }
-            if let Some(trace) = &self.trace {
-                trace.borrow_mut().record(now);
             }
         }
         if now >= self.measure_end {
@@ -300,10 +301,10 @@ pub struct FioResult {
     pub p99: SimDuration,
     /// 99.9th percentile latency.
     pub p999: SimDuration,
-    /// Operations measured.
+    /// Operations measured that completed without error.
     pub ops: u64,
-    /// Of `ops`, those that completed with an error status. They count
-    /// in the throughput and latency figures above too.
+    /// Operations measured that completed with an error status. They
+    /// count in none of the figures above.
     pub failed: u64,
 }
 

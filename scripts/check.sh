@@ -97,14 +97,17 @@ echo "==> calibrated wall-clock gate (bmbench, release)"
 # fail or that value is below its floor. bm-4k-randread drives the
 # engine's per-command path, bm-128k-seqread its PRP-list path and
 # bm-4k-observed-faults the observers, command timeouts and recovery,
-# which the other two never run. Each floor is 0.8 x the lowest
-# calibrated value on record for an unchanged tree (0.8 is one minus
-# BENCHMARK.json's 0.2 bound on sim_ios_per_s); CHANGES.md lists the
-# runs. The binary is the one the bmbench build step above produced, so
-# benchmark/Cargo.lock stays as committed.
+# which the other two never run. spdk-4k-randwrite runs no engine code:
+# the event scheduler, which every workload shares, is the largest cost
+# it has left, so a scheduler regression shows there first. Each floor
+# is 0.8 x the lowest calibrated value on record for an unchanged tree
+# (0.8 is one minus BENCHMARK.json's 0.2 bound on sim_ios_per_s);
+# CHANGES.md lists the runs. The binary is the one the bmbench build
+# step above produced, so benchmark/Cargo.lock stays as committed.
 floor_4k_randread=515934     # 0.8 x 644,918 (lowest on record)
 floor_128k_seqread=655772    # 0.8 x 819,715 (lowest of 12 runs, seed 42)
 floor_4k_observed=363292     # 0.8 x 454,116 (lowest of 20 runs, seed 42)
+floor_spdk_randwrite=1334240 # 0.8 x 1,667,801 (lowest of 12 runs, seed 42)
 bmbench_gate() { # WORKLOAD FLOOR
     "${CARGO_TARGET_DIR:-benchmark/target}/release/bmbench" \
         --workload "$1" --seed 42 --seconds 8 --trace 0 |
@@ -119,6 +122,7 @@ bmbench_gate() { # WORKLOAD FLOOR
 bmbench_gate bm-4k-randread "$floor_4k_randread"
 bmbench_gate bm-128k-seqread "$floor_128k_seqread"
 bmbench_gate bm-4k-observed-faults "$floor_4k_observed"
+bmbench_gate spdk-4k-randwrite "$floor_spdk_randwrite"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
