@@ -119,8 +119,11 @@ pub struct EngineConfig {
     /// the card memory at this rate (bytes/s), once on each direction
     /// of the store-and-forward. `None` = the paper's zero-copy design.
     pub store_and_forward_bw: Option<f64>,
-    /// Per-command back-end timeout. `None` (the default) disables the
-    /// timeout machinery entirely: no deadline events are emitted and
+    /// Per-command back-end timeout. With it set, every forwarded
+    /// attempt keeps a retry entry with its deadline, and one engine
+    /// timer ([`EngineAction::CommandDeadline`]) fires at the earliest
+    /// live deadline, not one event per attempt. `None` (the default)
+    /// disables the timeout machinery entirely: no timer is armed and
     /// no retry state is kept, so the fault-free pipeline is
     /// byte-identical to a build without it.
     pub command_timeout: Option<SimDuration>,
@@ -192,16 +195,14 @@ pub enum EngineAction {
         /// When the earliest buffered command releases.
         at: SimTime,
     },
-    /// A forwarded command's timeout deadline: call
-    /// [`BmsEngine::check_deadline`] at `at`. A no-op if the attempt
-    /// completed in the meantime. Only emitted when
+    /// The engine's deadline timer was armed: call
+    /// [`BmsEngine::check_deadline`] at `at`, the earliest deadline of
+    /// a live forwarding attempt. At most one timer is armed at a time;
+    /// the call expires every attempt due by then and re-arms the timer
+    /// at the next live deadline. Only emitted when
     /// [`EngineConfig::command_timeout`] is set.
     CommandDeadline {
-        /// SSD the attempt was forwarded to.
-        ssd: SsdId,
-        /// The forwarding attempt's sequence number.
-        seq: u64,
-        /// When the deadline expires.
+        /// When the timer fires.
         at: SimTime,
     },
 }
@@ -447,7 +448,13 @@ pub struct BmsEngine {
     /// Attempts whose deadline has not fired yet, by `seq`. Populated
     /// only when [`EngineConfig::command_timeout`] is set; every push
     /// then takes the next `seq`, so the live entries form a window.
+    /// One timeout and a clock that never goes back make deadlines grow
+    /// with `seq`: the front entry's is the earliest.
     pending_retry: SeqWindow<RetryEntry>,
+    /// When the one deadline timer fires, if it is armed. Armed at or
+    /// before every live entry's deadline, and whenever an entry is
+    /// live; a timer event at any other instant is stale.
+    deadline_timer: Option<SimTime>,
     /// Recovery actions not yet drained by the harness.
     recovery_log: Vec<RecoveryEvent>,
     resilience: ResilienceStats,
@@ -539,6 +546,8 @@ fn origin_opcode(origin: &Outstanding) -> u8 {
 struct RetryEntry {
     ssd: SsdId,
     cid: Cid,
+    /// When the attempt times out.
+    deadline: SimTime,
     /// Pristine span-level command, re-enqueued verbatim on retry
     /// (`push_to_port` rebuilds its data pointers each attempt).
     io: PendingIo,
@@ -586,6 +595,7 @@ impl BmsEngine {
             copy_link: cfg.store_and_forward_bw.map(BandwidthLink::new),
             cmd_seq: 0,
             pending_retry: SeqWindow::default(),
+            deadline_timer: None,
             recovery_log: Vec::new(),
             resilience: ResilienceStats::default(),
             crashed: false,
@@ -860,35 +870,58 @@ impl BmsEngine {
         self.mapping.retarget_ssd(from, to)
     }
 
-    /// Fires a forwarding attempt's timeout deadline (call at the
+    /// Fires the deadline timer (call at the
     /// [`EngineAction::CommandDeadline`] time).
     ///
-    /// If attempt `seq` already completed this is a no-op. Otherwise
-    /// the attempt's slot is abandoned (a later stale completion is
-    /// swallowed, never double-delivered) and the command is either
-    /// forwarded again, or — once [`EngineConfig::max_retries`] is
-    /// exhausted — handled per [`EngineConfig::fail_policy`]: aborted
-    /// to the host with [`Status::Aborted`], or quiesced into the
-    /// backlog for buffered replay on the next management resume.
-    pub fn check_deadline(
-        &mut self,
-        now: SimTime,
-        ssd: SsdId,
-        seq: u64,
-        host: &mut HostMemory,
-    ) -> Vec<EngineAction> {
+    /// A no-op while crashed, or unless `now` is the instant the timer
+    /// is armed for: a crash voids the timer, and only the latest
+    /// arming counts. Otherwise every attempt whose deadline is at or
+    /// before `now` expires, oldest first. Its slot is abandoned (a
+    /// later stale completion is swallowed, never double-delivered) and
+    /// the command is either forwarded again, or — once
+    /// [`EngineConfig::max_retries`] is exhausted — handled per
+    /// [`EngineConfig::fail_policy`]: aborted to the host with
+    /// [`Status::Aborted`], or quiesced into the backlog for buffered
+    /// replay on the next management resume. The timer then re-arms at
+    /// the earliest deadline still live, if any.
+    pub fn check_deadline(&mut self, now: SimTime, host: &mut HostMemory) -> Vec<EngineAction> {
         let mut actions = Vec::new();
-        if self.crashed {
-            // The crash journaled (or orphaned) every in-flight attempt;
-            // deadlines armed by the dead instance are void.
+        if self.crashed || self.deadline_timer != Some(now) {
             return actions;
         }
-        let Some(entry) = self.pending_retry.remove(seq) else {
-            return actions; // completed in time
-        };
-        debug_assert_eq!(entry.ssd, ssd);
+        // Deadlines grow with `seq`, so the due attempts are a prefix
+        // of the window. The timer stays armed at `now` meanwhile, so a
+        // retry pushed below, due a timeout after `now`, arms nothing.
+        while let Some((seq, _)) = self
+            .pending_retry
+            .front()
+            .filter(|(_, e)| e.deadline <= now)
+        {
+            if let Some(entry) = self.pending_retry.remove(seq) {
+                self.expire_attempt(now, seq, entry, host, &mut actions);
+            }
+        }
+        self.deadline_timer = self.pending_retry.front().map(|(_, e)| e.deadline);
+        if let Some(at) = self.deadline_timer {
+            actions.push(EngineAction::CommandDeadline { at });
+        }
+        coalesce_actions(&mut actions, 0);
+        actions
+    }
+
+    /// Times out attempt `seq`, which [`Self::check_deadline`] took off
+    /// the window: abandons its slot, then retries, aborts or quiesces.
+    fn expire_attempt(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        entry: RetryEntry,
+        host: &mut HostMemory,
+        actions: &mut Vec<EngineAction>,
+    ) {
+        let ssd = entry.ssd;
         let Some(origin) = self.adaptor.port_mut(ssd).abandon(entry.cid) else {
-            return actions; // slot already resolved (defensive)
+            return; // slot already resolved (defensive)
         };
         debug_assert_eq!(origin.seq, seq);
         self.resilience.timeouts += 1;
@@ -929,7 +962,7 @@ impl BmsEngine {
                     },
                 );
             }
-            self.enqueue_backend(now, ssd, io, host, &mut actions);
+            self.enqueue_backend(now, ssd, io, host, actions);
         } else {
             match self.cfg.fail_policy {
                 FailPolicy::AbortToHost => {
@@ -950,7 +983,7 @@ impl BmsEngine {
                             },
                         );
                     }
-                    self.finish_origin(now, origin, Status::Aborted, &mut actions);
+                    self.finish_origin(now, origin, Status::Aborted, actions);
                 }
                 FailPolicy::QuiesceReplay => {
                     self.pause_ssd(ssd);
@@ -974,8 +1007,6 @@ impl BmsEngine {
                 }
             }
         }
-        coalesce_actions(&mut actions, 0);
-        actions
     }
 
     /// Tells the engine the hardware behind `ssd` was physically
@@ -1014,8 +1045,8 @@ impl BmsEngine {
         self.ring_epochs[ssd.0 as usize] += 1;
         let mut actions = Vec::new();
         for origin in origins {
-            // The pristine retry copy dies with the attempt — a later
-            // deadline for this seq must not resurrect the command.
+            // The pristine retry copy dies with the attempt — the
+            // deadline timer must not resurrect the command.
             self.pending_retry.remove(origin.seq);
             self.finish_origin(now, origin, Status::Aborted, &mut actions);
         }
@@ -1098,8 +1129,10 @@ impl BmsEngine {
         self.fanout.clear();
         // Command table first: in-flight attempts that kept a pristine
         // copy (the timeout machinery's retry entries), in forwarding
-        // order — replay must not reorder attempts.
+        // order — replay must not reorder attempts. The deadline timer
+        // goes with them; the replays re-arm it.
         let pending = std::mem::take(&mut self.pending_retry);
+        self.deadline_timer = None;
         let mut journaled_seqs = BTreeSet::new();
         for (seq, entry) in pending.into_entries() {
             journaled_seqs.insert(seq);
@@ -1768,19 +1801,23 @@ impl BmsEngine {
             cmd: io.cmd,
         });
         if let Some(timeout) = self.cfg.command_timeout {
+            let deadline = now + timeout;
             self.pending_retry.insert(
                 seq,
                 RetryEntry {
                     ssd,
                     cid: backend_cid,
+                    deadline,
                     io: io.clone(),
                 },
             );
-            actions.push(EngineAction::CommandDeadline {
-                ssd,
-                seq,
-                at: now + timeout,
-            });
+            // An armed timer fires no later than this deadline; it
+            // re-arms for this attempt when the attempt reaches the
+            // front of the window.
+            if self.deadline_timer.is_none() {
+                self.deadline_timer = Some(deadline);
+                actions.push(EngineAction::CommandDeadline { at: deadline });
+            }
         }
         let mut sqe = io.sqe;
         let block_off = sqe.cdw12 >> 16;
@@ -2453,90 +2490,255 @@ mod tests {
             .collect()
     }
 
-    /// Builds an engine with the timeout machinery armed and one read
-    /// forwarded to SSD 0, returning the attempt's deadline action.
-    fn timeout_rig(
-        timeout: SimDuration,
-        max_retries: u32,
-        policy: FailPolicy,
-    ) -> (BmsEngine, HostMemory, u64, SimTime) {
-        let mut cfg = EngineConfig::paper_default(4).with_command_timeout(timeout, policy);
-        cfg.max_retries = max_retries;
-        let mut engine = BmsEngine::new(cfg);
-        let mut host = HostMemory::new(1 << 30);
-        engine
-            .bind_namespace(fid(0), 64 << 30, Placement::Single(SsdId(0)))
-            .unwrap();
-        engine.set_function_enabled(fid(0), true);
-        let sq_base = host.alloc(64 * 64).unwrap();
-        let cq_base = host.alloc(64 * 16).unwrap();
-        engine
-            .function_mut(fid(0))
-            .create_io_cq(QueueId(1), cq_base, 64);
-        engine
-            .function_mut(fid(0))
-            .create_io_sq(QueueId(1), sq_base, 64);
-        let buf = host.alloc(4096).unwrap();
-        let sqe = Sqe::io(
-            IoOpcode::Read,
-            Cid(9),
-            Nsid::new(1).unwrap(),
-            Lba(0),
-            1,
-            buf,
-            PciAddr::NULL,
-        );
-        let mut host_sq = bm_nvme::SubmissionQueue::new(QueueId(1), sq_base, 64);
-        host_sq.push(&mut host, &sqe).unwrap();
-        let actions = engine.host_doorbell_write(
-            SimTime::ZERO,
-            fid(0),
-            DoorbellLayout::sq_tail_offset(QueueId(1)),
-            1,
-            &mut host,
-        );
-        let (seq, deadline) = actions
+    /// An engine with the timeout machinery armed and function 0 bound
+    /// to SSD 0, with the host submission queue and the SSD-side
+    /// completion queue a test drives it through.
+    struct TimeoutRig {
+        engine: BmsEngine,
+        host: HostMemory,
+        sq: bm_nvme::SubmissionQueue,
+        ssd_cq: bm_nvme::CompletionQueue,
+        buf: PciAddr,
+        /// Back-end completions posted so far (the CQEs' SQ head).
+        posted: u16,
+    }
+
+    impl TimeoutRig {
+        fn new(timeout: SimDuration, max_retries: u32, policy: FailPolicy) -> TimeoutRig {
+            let mut cfg = EngineConfig::paper_default(4).with_command_timeout(timeout, policy);
+            cfg.max_retries = max_retries;
+            let mut engine = BmsEngine::new(cfg);
+            let mut host = HostMemory::new(1 << 30);
+            engine
+                .bind_namespace(fid(0), 64 << 30, Placement::Single(SsdId(0)))
+                .unwrap();
+            engine.set_function_enabled(fid(0), true);
+            let sq_base = host.alloc(64 * 64).unwrap();
+            let cq_base = host.alloc(64 * 16).unwrap();
+            engine
+                .function_mut(fid(0))
+                .create_io_cq(QueueId(1), cq_base, 64);
+            engine
+                .function_mut(fid(0))
+                .create_io_sq(QueueId(1), sq_base, 64);
+            let buf = host.alloc(4096).unwrap();
+            let sq = bm_nvme::SubmissionQueue::new(QueueId(1), sq_base, 64);
+            let (_, ssd_cq) = engine.ssd_rings(SsdId(0));
+            TimeoutRig {
+                engine,
+                host,
+                sq,
+                ssd_cq,
+                buf,
+                posted: 0,
+            }
+        }
+
+        /// The rig with one read (host CID 9) forwarded at time zero,
+        /// and the deadline the timer was armed for.
+        fn with_one_read(
+            timeout: SimDuration,
+            max_retries: u32,
+            policy: FailPolicy,
+        ) -> (TimeoutRig, SimTime) {
+            let mut rig = TimeoutRig::new(timeout, max_retries, policy);
+            let actions = rig.submit(SimTime::ZERO, &[9]);
+            assert!(
+                actions
+                    .iter()
+                    .any(|a| matches!(a, EngineAction::BackendDoorbell { .. })),
+                "command still forwarded"
+            );
+            let [deadline] = timers(&actions)[..] else {
+                panic!("one timer armed: {actions:?}");
+            };
+            (rig, deadline)
+        }
+
+        /// Submits one 4 KiB read per host CID in `cids` and rings the
+        /// doorbell once at `now`.
+        fn submit(&mut self, now: SimTime, cids: &[u16]) -> Vec<EngineAction> {
+            for &cid in cids {
+                let sqe = Sqe::io(
+                    IoOpcode::Read,
+                    Cid(cid),
+                    Nsid::ONE,
+                    Lba(0),
+                    1,
+                    self.buf,
+                    PciAddr::NULL,
+                );
+                self.sq.push(&mut self.host, &sqe).unwrap();
+            }
+            self.engine.host_doorbell_write(
+                now,
+                fid(0),
+                DoorbellLayout::sq_tail_offset(QueueId(1)),
+                u32::from(self.sq.tail()),
+                &mut self.host,
+            )
+        }
+
+        /// SSD 0 completes the forwarded command holding back-end CID
+        /// `cid` at `now`.
+        fn complete(&mut self, now: SimTime, cid: u16) -> Vec<EngineAction> {
+            self.posted += 1;
+            let cqe = Cqe::success(Cid(cid), QueueId(1), self.posted, false);
+            let mut router_host = HostMemory::new(1 << 20);
+            let mut router = self.engine.dma_router(&mut router_host);
+            self.ssd_cq.post(&mut router, cqe).unwrap();
+            self.engine
+                .on_backend_completion(now, SsdId(0), &mut self.host)
+                .0
+        }
+
+        /// Fires the deadline timer's event at `now`.
+        fn fire(&mut self, now: SimTime) -> Vec<EngineAction> {
+            self.engine.check_deadline(now, &mut self.host)
+        }
+    }
+
+    /// The instants of the deadline timers `actions` arm.
+    fn timers(actions: &[EngineAction]) -> Vec<SimTime> {
+        actions
             .iter()
-            .find_map(|a| match a {
-                EngineAction::CommandDeadline { seq, at, .. } => Some((*seq, *at)),
+            .filter_map(|a| match a {
+                EngineAction::CommandDeadline { at } => Some(*at),
                 _ => None,
             })
-            .expect("deadline armed");
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, EngineAction::BackendDoorbell { .. })),
-            "command still forwarded"
-        );
-        (engine, host, seq, deadline)
+            .collect()
+    }
+
+    /// When a read submitted at `now` is forwarded: after the SQE fetch.
+    fn forwarded_at(now: SimTime) -> SimTime {
+        now + EngineTiming::PAPER.command_fetch
+    }
+
+    #[test]
+    fn many_forwarded_commands_arm_one_timer() {
+        let timeout = SimDuration::from_ms(10);
+        let mut rig = TimeoutRig::new(timeout, 1, FailPolicy::AbortToHost);
+        let actions = rig.submit(SimTime::ZERO, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(timers(&actions), [forwarded_at(SimTime::ZERO) + timeout]);
+        // With no deadline action between them, the eight same-instant
+        // doorbells coalesce into one ring carrying the final tail.
+        let tails: Vec<u32> = actions
+            .iter()
+            .filter_map(|a| match a {
+                EngineAction::BackendDoorbell { tail, .. } => Some(*tail),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tails, [8]);
+        // Later commands find the timer armed and arm nothing.
+        let later = rig.submit(SimTime::from_nanos(1_000), &[10, 11, 12]);
+        assert!(timers(&later).is_empty(), "got {later:?}");
+    }
+
+    #[test]
+    fn stuck_command_expires_at_its_own_deadline() {
+        let timeout = SimDuration::from_ms(10);
+        let mut rig = TimeoutRig::new(timeout, 1, FailPolicy::AbortToHost);
+        let ms = |n| SimTime::ZERO + SimDuration::from_ms(n);
+        let first = timers(&rig.submit(ms(0), &[1]));
+        assert!(timers(&rig.submit(ms(1), &[2])).is_empty());
+        assert!(timers(&rig.submit(ms(2), &[3])).is_empty());
+        let stuck = forwarded_at(ms(1)) + timeout;
+        let next = forwarded_at(ms(2)) + timeout;
+        // The first command (back-end CID 0) completes; the second is
+        // stuck behind it in the window.
+        rig.complete(ms(3), 0);
+        // The timer armed for the completed command finds nothing due
+        // and re-arms at the stuck command's own deadline.
+        assert_eq!(first, [forwarded_at(ms(0)) + timeout]);
+        let actions = rig.fire(first[0]);
+        assert_eq!(actions, [EngineAction::CommandDeadline { at: stuck }]);
+        assert_eq!(rig.engine.resilience_stats().timeouts, 0);
+        // At that deadline the stuck command alone expires and is
+        // retried; the timer then targets the next live attempt, not
+        // the retry, whose deadline is later.
+        let actions = rig.fire(stuck);
+        assert_eq!(rig.engine.resilience_stats().timeouts, 1);
+        assert_eq!(timers(&actions), [next]);
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, EngineAction::BackendDoorbell { .. })));
+        assert!(matches!(
+            rig.engine.take_recovery_events()[..],
+            [RecoveryEvent::TimeoutRetry { attempt: 1, .. }]
+        ));
+        // The third command expires at its deadline, and the retry is
+        // the last live attempt.
+        let actions = rig.fire(next);
+        assert_eq!(rig.engine.resilience_stats().timeouts, 2);
+        assert_eq!(timers(&actions), [stuck + timeout]);
+    }
+
+    #[test]
+    fn crash_voids_the_timer_and_recovery_rearms_it() {
+        let timeout = SimDuration::from_ms(10);
+        let (mut rig, deadline) = TimeoutRig::with_one_read(timeout, 1, FailPolicy::QuiesceReplay);
+        let crash_at = SimTime::from_nanos(2_000);
+        let restart_at = crash_at + SimDuration::from_us(100);
+        rig.engine.crash(crash_at, restart_at);
+        let actions = rig.engine.recover(restart_at, &mut rig.host);
+        // The replayed attempt arms a fresh timer at its own deadline.
+        assert_eq!(timers(&actions), [restart_at + timeout]);
+        // The timer minted before the crash is void.
+        assert!(rig.fire(deadline).is_empty());
+        assert_eq!(rig.engine.resilience_stats().timeouts, 0);
+        // The fresh one expires the replayed attempt.
+        let actions = rig.fire(restart_at + timeout);
+        assert_eq!(rig.engine.resilience_stats().timeouts, 1);
+        assert_eq!(timers(&actions), [restart_at + timeout * 2]);
+    }
+
+    #[test]
+    fn stale_or_superseded_timer_events_are_no_ops() {
+        let timeout = SimDuration::from_us(10);
+        let (mut rig, deadline) = TimeoutRig::with_one_read(timeout, 1, FailPolicy::AbortToHost);
+        let ns = deadline.as_nanos();
+        // Only the armed instant fires the timer, even with the command
+        // about to be due (before it) or overdue (after it).
+        assert!(rig.fire(SimTime::from_nanos(ns - 1)).is_empty());
+        assert!(rig.fire(SimTime::from_nanos(ns + 1)).is_empty());
+        assert_eq!(rig.engine.resilience_stats().timeouts, 0);
+        // The armed event retries the command and re-arms for the retry.
+        let actions = rig.fire(deadline);
+        assert_eq!(timers(&actions), [deadline + timeout]);
+        assert_eq!(rig.engine.resilience_stats().timeouts, 1);
+        // A second event at the superseded instant does nothing.
+        assert!(rig.fire(deadline).is_empty());
+        assert_eq!(rig.engine.resilience_stats().timeouts, 1);
+        assert!(matches!(
+            rig.engine.take_recovery_events()[..],
+            [RecoveryEvent::TimeoutRetry { attempt: 1, .. }]
+        ));
     }
 
     #[test]
     fn timeout_retries_then_aborts_to_host() {
-        let (mut engine, mut host, seq, deadline) =
-            timeout_rig(SimDuration::from_us(10), 1, FailPolicy::AbortToHost);
+        let timeout = SimDuration::from_us(10);
+        let (mut rig, deadline) = TimeoutRig::with_one_read(timeout, 1, FailPolicy::AbortToHost);
         // The SSD never completes the command (injected drop): the
-        // deadline fires and the engine re-forwards once.
-        let actions = engine.check_deadline(deadline, SsdId(0), seq, &mut host);
-        let (seq2, deadline2) = actions
-            .iter()
-            .find_map(|a| match a {
-                EngineAction::CommandDeadline { seq, at, .. } => Some((*seq, *at)),
-                _ => None,
-            })
-            .expect("retry re-armed a deadline");
-        assert_ne!(seq2, seq, "a retry is a fresh attempt");
+        // deadline fires and the engine re-forwards once, re-arming the
+        // timer for the fresh attempt.
+        let actions = rig.fire(deadline);
+        let [deadline2] = timers(&actions)[..] else {
+            panic!("retry re-armed the timer: {actions:?}");
+        };
+        assert_eq!(deadline2, deadline + timeout);
         assert!(actions
             .iter()
             .any(|a| matches!(a, EngineAction::BackendDoorbell { .. })));
-        assert_eq!(engine.resilience_stats().retries, 1);
+        assert_eq!(rig.engine.resilience_stats().retries, 1);
         assert!(matches!(
-            engine.take_recovery_events()[..],
+            rig.engine.take_recovery_events()[..],
             [RecoveryEvent::TimeoutRetry { attempt: 1, .. }]
         ));
 
         // The retry times out too: retries exhausted, abort to host.
-        let actions = engine.check_deadline(deadline2, SsdId(0), seq2, &mut host);
+        let actions = rig.fire(deadline2);
         assert!(
             matches!(
                 actions[..],
@@ -2548,27 +2750,29 @@ mod tests {
             ),
             "got {actions:?}"
         );
-        let stats = engine.resilience_stats();
+        let stats = rig.engine.resilience_stats();
         assert_eq!(stats.timeouts, 2);
         assert_eq!(stats.aborts, 1);
         assert!(matches!(
-            engine.take_recovery_events()[..],
+            rig.engine.take_recovery_events()[..],
             [RecoveryEvent::TimeoutAbort { .. }]
         ));
     }
 
     #[test]
     fn timeout_quiesce_buffers_for_replay() {
-        let (mut engine, mut host, seq, deadline) =
-            timeout_rig(SimDuration::from_us(10), 0, FailPolicy::QuiesceReplay);
-        let actions = engine.check_deadline(deadline, SsdId(0), seq, &mut host);
+        let (mut rig, deadline) =
+            TimeoutRig::with_one_read(SimDuration::from_us(10), 0, FailPolicy::QuiesceReplay);
+        let actions = rig.fire(deadline);
         assert!(actions.is_empty(), "no host-visible action on quiesce");
-        assert!(engine.is_paused(SsdId(0)));
-        assert_eq!(engine.save_io_context(SsdId(0)).buffered, 1);
-        assert_eq!(engine.resilience_stats().quiesces, 1);
+        assert!(rig.engine.is_paused(SsdId(0)));
+        assert_eq!(rig.engine.save_io_context(SsdId(0)).buffered, 1);
+        assert_eq!(rig.engine.resilience_stats().quiesces, 1);
         // Management resumes the device (e.g. after a hot-plug swap):
         // the command replays.
-        let actions = engine.resume_ssd(deadline + SimDuration::from_ms(1), SsdId(0), &mut host);
+        let actions =
+            rig.engine
+                .resume_ssd(deadline + SimDuration::from_ms(1), SsdId(0), &mut rig.host);
         assert!(actions
             .iter()
             .any(|a| matches!(a, EngineAction::BackendDoorbell { .. })));
@@ -2579,19 +2783,10 @@ mod tests {
 
     #[test]
     fn deadline_after_completion_is_a_no_op() {
-        let (mut engine, mut host, seq, deadline) =
-            timeout_rig(SimDuration::from_us(10), 1, FailPolicy::AbortToHost);
-        // The SSD completes in time: post a CQE into the back-end CQ.
-        let (_, mut ssd_cq) = engine.ssd_rings(SsdId(0));
-        let mut router_host = HostMemory::new(1 << 20);
-        {
-            let mut router = engine.dma_router(&mut router_host);
-            ssd_cq
-                .post(&mut router, Cqe::success(Cid(0), QueueId(1), 1, false))
-                .unwrap();
-        }
-        let (actions, _) =
-            engine.on_backend_completion(SimTime::from_nanos(5_000), SsdId(0), &mut host);
+        let (mut rig, deadline) =
+            TimeoutRig::with_one_read(SimDuration::from_us(10), 1, FailPolicy::AbortToHost);
+        // The SSD completes in time.
+        let actions = rig.complete(SimTime::from_nanos(5_000), 0);
         assert!(actions.iter().any(|a| matches!(
             a,
             EngineAction::HostCompletion {
@@ -2599,47 +2794,49 @@ mod tests {
                 ..
             }
         )));
-        // The stale deadline fires afterwards and must do nothing.
-        let actions = engine.check_deadline(deadline, SsdId(0), seq, &mut host);
-        assert!(actions.is_empty());
-        assert_eq!(engine.resilience_stats().timeouts, 0);
-        assert!(engine.take_recovery_events().is_empty());
+        // The timer fires afterwards and must do nothing, not even
+        // re-arm: no attempt is live.
+        assert!(rig.fire(deadline).is_empty());
+        assert_eq!(rig.engine.resilience_stats().timeouts, 0);
+        assert!(rig.engine.take_recovery_events().is_empty());
     }
 
     #[test]
     fn crash_journals_and_quiesce_replay_replays() {
-        let (mut engine, mut host, seq, _deadline) =
-            timeout_rig(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
+        let (mut rig, _deadline) =
+            TimeoutRig::with_one_read(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
         let crash_at = SimTime::from_nanos(2_000);
         let restart_at = crash_at + SimDuration::from_us(100);
-        let rings_before = ring_epochs(&engine);
-        engine.crash(crash_at, restart_at);
-        assert!(engine.is_crashed());
+        let rings_before = ring_epochs(&rig.engine);
+        rig.engine.crash(crash_at, restart_at);
+        assert!(rig.engine.is_crashed());
         let bumped: Vec<u64> = rings_before.iter().map(|e| e + 1).collect();
-        assert_eq!(ring_epochs(&engine), bumped, "a crash resets every ring");
-        assert_eq!(engine.restart_at(), restart_at);
+        assert_eq!(
+            ring_epochs(&rig.engine),
+            bumped,
+            "a crash resets every ring"
+        );
+        assert_eq!(rig.engine.restart_at(), restart_at);
         assert!(matches!(
-            engine.take_recovery_events()[..],
+            rig.engine.take_recovery_events()[..],
             [RecoveryEvent::EngineCrashed { journaled: 1 }]
         ));
         // Data plane down: SQ doorbells are dropped, stale deadlines
         // and QoS wakeups are void.
-        let actions = engine.host_doorbell_write(
+        let actions = rig.engine.host_doorbell_write(
             crash_at,
             fid(0),
             DoorbellLayout::sq_tail_offset(QueueId(1)),
             1,
-            &mut host,
+            &mut rig.host,
         );
         assert!(actions.is_empty(), "SQ doorbell while crashed");
-        assert!(engine
-            .check_deadline(restart_at, SsdId(0), seq, &mut host)
-            .is_empty());
-        assert!(engine.qos_wakeup(restart_at, &mut host).is_empty());
+        assert!(rig.fire(restart_at).is_empty());
+        assert!(rig.engine.qos_wakeup(restart_at, &mut rig.host).is_empty());
 
         // Restart: the journaled in-flight command replays.
-        let actions = engine.recover(restart_at, &mut host);
-        assert!(!engine.is_crashed());
+        let actions = rig.engine.recover(restart_at, &mut rig.host);
+        assert!(!rig.engine.is_crashed());
         assert!(actions
             .iter()
             .any(|a| matches!(a, EngineAction::BackendDoorbell { ssd: SsdId(0), .. })));
@@ -2647,35 +2844,26 @@ mod tests {
             actions
                 .iter()
                 .any(|a| matches!(a, EngineAction::CommandDeadline { .. })),
-            "replayed attempt re-arms its deadline"
+            "replayed attempt re-arms the timer"
         );
-        let stats = engine.resilience_stats();
+        let stats = rig.engine.resilience_stats();
         assert_eq!(stats.recoveries, 1);
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.aborted_on_recovery, 0);
         assert_eq!(stats.recovery_time, SimDuration::from_us(100));
         assert!(matches!(
-            engine.take_recovery_events()[..],
+            rig.engine.take_recovery_events()[..],
             [RecoveryEvent::EngineRecovered {
                 replayed: 1,
                 aborted: 0,
             }]
         ));
 
-        // The replayed attempt completes end-to-end, exactly once.
-        let (_, mut ssd_cq) = engine.ssd_rings(SsdId(0));
-        let mut router_host = HostMemory::new(1 << 20);
-        {
-            let mut router = engine.dma_router(&mut router_host);
-            ssd_cq
-                .post(&mut router, Cqe::success(Cid(0), QueueId(1), 1, false))
-                .unwrap();
-        }
-        let (actions, _) = engine.on_backend_completion(
-            restart_at + SimDuration::from_us(50),
-            SsdId(0),
-            &mut host,
-        );
+        // The replayed attempt completes end-to-end, exactly once, on
+        // the reset rings.
+        rig.ssd_cq = rig.engine.ssd_rings(SsdId(0)).1;
+        rig.posted = 0;
+        let actions = rig.complete(restart_at + SimDuration::from_us(50), 0);
         assert!(
             matches!(
                 actions[..],
@@ -2691,11 +2879,14 @@ mod tests {
 
     #[test]
     fn crash_with_abort_policy_aborts_each_command_once() {
-        let (mut engine, mut host, _seq, _deadline) =
-            timeout_rig(SimDuration::from_ms(10), 1, FailPolicy::AbortToHost);
+        let (mut rig, _deadline) =
+            TimeoutRig::with_one_read(SimDuration::from_ms(10), 1, FailPolicy::AbortToHost);
         let crash_at = SimTime::from_nanos(2_000);
-        engine.crash(crash_at, crash_at + SimDuration::from_us(100));
-        let actions = engine.recover(crash_at + SimDuration::from_us(100), &mut host);
+        rig.engine
+            .crash(crash_at, crash_at + SimDuration::from_us(100));
+        let actions = rig
+            .engine
+            .recover(crash_at + SimDuration::from_us(100), &mut rig.host);
         assert!(
             matches!(
                 actions[..],
@@ -2707,7 +2898,7 @@ mod tests {
             ),
             "got {actions:?}"
         );
-        let stats = engine.resilience_stats();
+        let stats = rig.engine.resilience_stats();
         assert_eq!(stats.replayed, 0);
         assert_eq!(stats.aborted_on_recovery, 1);
     }
@@ -2776,8 +2967,9 @@ mod tests {
 
     #[test]
     fn double_crash_extends_the_outage() {
-        let (mut engine, mut host, _seq, _deadline) =
-            timeout_rig(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
+        let (rig, _deadline) =
+            TimeoutRig::with_one_read(SimDuration::from_ms(10), 1, FailPolicy::QuiesceReplay);
+        let (mut engine, mut host) = (rig.engine, rig.host);
         let t1 = SimTime::from_nanos(2_000);
         engine.crash(t1, t1 + SimDuration::from_us(50));
         let rings = ring_epochs(&engine);

@@ -6,6 +6,8 @@
 //! in a window of consecutive sequence numbers: a ring buffer indexed
 //! by `seq - base` holds them, so an insert is a push, a removal an
 //! index, and the emptied slots at the front are trimmed as they go.
+//! The front entry is the oldest live attempt, whose deadline is the
+//! earliest: the engine's one deadline timer targets it.
 
 use std::collections::VecDeque;
 
@@ -64,6 +66,12 @@ impl<T> SeqWindow<T> {
         self.slots.is_empty()
     }
 
+    /// The oldest live entry and its sequence number.
+    pub(super) fn front(&self) -> Option<(u64, &T)> {
+        let value = self.slots.front()?.as_ref()?;
+        Some((self.base, value))
+    }
+
     /// The live entries, in sequence order.
     pub(super) fn into_entries(self) -> impl Iterator<Item = (u64, T)> {
         (self.base..)
@@ -114,6 +122,7 @@ mod tests {
                 // oldest live entry.
                 let first = window.slots.front().map(|_| window.base);
                 prop_assert_eq!(first, model.keys().next().copied());
+                prop_assert_eq!(window.front(), model.iter().next().map(|(&k, v)| (k, v)));
             }
             let drained: Vec<_> = window.into_entries().collect();
             prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());

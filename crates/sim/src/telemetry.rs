@@ -178,6 +178,32 @@ struct OpenCmd {
     started: SimTime,
 }
 
+/// One ring entry: a [`TelemetryEvent`] packed into 24 bytes, half a
+/// decoded event's 48.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// [`TelemetryEvent::at`], in nanoseconds.
+    at: u64,
+    cmd: u64,
+    tenant: u16,
+    opcode: u8,
+    /// The kind in bits 0–1 (`KIND_*`), the span stage in bits 2–4 and
+    /// `ok` in bit 5.
+    tag: u8,
+    /// The retry attempt, or the index of a `Mark` label in
+    /// [`TelemetryRecorder::labels`].
+    arg: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+
+const KIND_BEGIN: u8 = 0;
+const KIND_END: u8 = 1;
+const KIND_RETRY: u8 = 2;
+const KIND_MARK: u8 = 3;
+const STAGE_SHIFT: u8 = 2;
+const OK_BIT: u8 = 1 << 5;
+
 /// The recorder: a bounded ring of [`TelemetryEvent`]s plus streaming
 /// per-key latency aggregation. Owns [`CmdId`] allocation so IDs are
 /// unique across the whole run.
@@ -185,11 +211,17 @@ struct OpenCmd {
 /// Every per-command call is O(1): open commands sit in a table per
 /// tenant indexed by CID, and each histogram in a dense slot behind
 /// the ordered [`AggKey`] index, which only the roll-ups and
-/// [`histogram`](Self::histogram) read.
+/// [`histogram`](Self::histogram) read. The ring keeps each event as a
+/// 24-byte record (its time, command, tenant, opcode, a tag byte for
+/// the kind, stage and `ok`, and a 32-bit argument: a retry's attempt
+/// or the index of a `Mark` label in a per-recorder table), and
+/// [`events`](Self::events) decodes them.
 #[derive(Debug)]
 pub struct TelemetryRecorder {
     capacity: usize,
-    ring: VecDeque<TelemetryEvent>,
+    ring: VecDeque<Record>,
+    /// The distinct `Mark` labels recorded, in first-use order.
+    labels: Vec<&'static str>,
     dropped: u64,
     next_cmd: u64,
     /// `[tenant][host cid]` → open root span, grown on demand to the
@@ -215,6 +247,7 @@ impl TelemetryRecorder {
         TelemetryRecorder {
             capacity: capacity.max(2),
             ring: VecDeque::new(),
+            labels: Vec::new(),
             dropped: 0,
             next_cmd: 0,
             open: Vec::new(),
@@ -225,11 +258,63 @@ impl TelemetryRecorder {
     }
 
     fn push(&mut self, ev: TelemetryEvent) {
+        let stage_bits = |stage: TelemetryStage| (stage as u8) << STAGE_SHIFT;
+        let (tag, arg) = match ev.kind {
+            TelemetryEventKind::SpanBegin { stage } => (KIND_BEGIN | stage_bits(stage), 0),
+            TelemetryEventKind::SpanEnd { stage, ok } => {
+                let ok = if ok { OK_BIT } else { 0 };
+                (KIND_END | stage_bits(stage) | ok, 0)
+            }
+            TelemetryEventKind::Retry { attempt } => (KIND_RETRY, attempt),
+            TelemetryEventKind::Mark { label } => (KIND_MARK, self.intern(label)),
+        };
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(ev);
+        self.ring.push_back(Record {
+            at: ev.at.as_nanos(),
+            cmd: ev.cmd.0,
+            tenant: ev.tenant,
+            opcode: ev.opcode,
+            tag,
+            arg,
+        });
+    }
+
+    /// The index of `label` in the label table, added on first use.
+    fn intern(&mut self, label: &'static str) -> u32 {
+        let i = match self.labels.iter().position(|&l| l == label) {
+            Some(i) => i,
+            None => {
+                self.labels.push(label);
+                self.labels.len() - 1
+            }
+        };
+        i as u32
+    }
+
+    /// The event `r` packs.
+    fn decode(&self, r: &Record) -> TelemetryEvent {
+        let stage = TelemetryStage::ALL[usize::from((r.tag >> STAGE_SHIFT) & 0b111)];
+        let kind = match r.tag & 0b11 {
+            KIND_BEGIN => TelemetryEventKind::SpanBegin { stage },
+            KIND_END => TelemetryEventKind::SpanEnd {
+                stage,
+                ok: r.tag & OK_BIT != 0,
+            },
+            KIND_RETRY => TelemetryEventKind::Retry { attempt: r.arg },
+            _ => TelemetryEventKind::Mark {
+                label: self.labels[r.arg as usize],
+            },
+        };
+        TelemetryEvent {
+            at: SimTime::from_nanos(r.at),
+            cmd: CmdId(r.cmd),
+            tenant: r.tenant,
+            opcode: r.opcode,
+            kind,
+        }
     }
 
     /// Opens the root span for a newly submitted command and returns its
@@ -385,9 +470,10 @@ impl TelemetryRecorder {
         self.agg.iter().map(|(k, &slot)| (k, &self.hists[slot]))
     }
 
-    /// The event stream, oldest first (bounded by the ring capacity).
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.ring.iter()
+    /// The event stream, oldest first (bounded by the ring capacity),
+    /// decoded from the ring's records.
+    pub fn events(&self) -> impl Iterator<Item = TelemetryEvent> + '_ {
+        self.ring.iter().map(|r| self.decode(r))
     }
 
     /// Events evicted from the ring because it was full.
@@ -436,7 +522,7 @@ impl TelemetryRecorder {
         type OpenBegins = BTreeMap<(CmdId, TelemetryStage), Vec<(SimTime, u16, u8)>>;
         let mut open: OpenBegins = BTreeMap::new();
         let mut spans = Vec::new();
-        for ev in &self.ring {
+        for ev in self.events() {
             match ev.kind {
                 TelemetryEventKind::SpanBegin { stage } => open
                     .entry((ev.cmd, stage))
@@ -495,7 +581,7 @@ pub fn chrome_trace(rec: &TelemetryRecorder) -> String {
             s.ok,
         ));
     }
-    let mut instants: Vec<&TelemetryEvent> = rec
+    let mut instants: Vec<TelemetryEvent> = rec
         .events()
         .filter(|e| {
             matches!(
@@ -655,6 +741,46 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let first = r.events().next().unwrap();
         assert_eq!(first.at, t(2), "oldest events evicted first");
+    }
+
+    #[test]
+    fn ring_records_round_trip_every_kind() {
+        let mut kinds = Vec::new();
+        for stage in TelemetryStage::ALL {
+            kinds.push(TelemetryEventKind::SpanBegin { stage });
+            for ok in [true, false] {
+                kinds.push(TelemetryEventKind::SpanEnd { stage, ok });
+            }
+        }
+        kinds.extend([
+            TelemetryEventKind::Retry { attempt: 0 },
+            TelemetryEventKind::Retry { attempt: u32::MAX },
+            TelemetryEventKind::Mark { label: "first" },
+            TelemetryEventKind::Mark { label: "second" },
+            TelemetryEventKind::Mark { label: "first" },
+        ]);
+        // Each field at the top of its range, less the index, so no
+        // two entries agree and a truncated field would show.
+        let pushed: Vec<TelemetryEvent> = (0u8..)
+            .zip(kinds)
+            .map(|(i, kind)| TelemetryEvent {
+                at: SimTime::from_nanos(u64::MAX - u64::from(i)),
+                cmd: CmdId(u64::MAX - u64::from(i)),
+                tenant: u16::MAX - u16::from(i),
+                opcode: u8::MAX - i,
+                kind,
+            })
+            .collect();
+        let mut r = TelemetryRecorder::new(1024);
+        for e in &pushed {
+            r.event(e.at, e.cmd, e.tenant, e.opcode, e.kind);
+        }
+        assert_eq!(r.events().collect::<Vec<_>>(), pushed);
+        assert_eq!(
+            r.labels,
+            ["first", "second"],
+            "a repeated label is interned once"
+        );
     }
 
     #[test]

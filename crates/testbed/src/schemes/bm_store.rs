@@ -94,17 +94,12 @@ pub(crate) fn build(ctx: &mut BuildCtx, in_vm: bool) -> Box<dyn Scheme> {
     })
 }
 
-/// Maps front-end identity back to the device.
-fn device_for(funcs: &[(FunctionId, QueueId)], func: FunctionId, qid: QueueId) -> DeviceId {
-    #[expect(
-        clippy::expect_used,
-        reason = "panic-path debt (ROADMAP item 4): the engine only reports queues that build() registered"
-    )]
-    funcs
-        .iter()
-        .position(|&(f, q)| f == func && q == qid)
-        .map(DeviceId)
-        .expect("device for function")
+/// Maps front-end identity back to the device: [`build`] gives device
+/// `i` function `i`, so its index is the function's, and the entry
+/// confirms the queue. `None` for a queue no device owns.
+fn device_for(funcs: &[(FunctionId, QueueId)], func: FunctionId, qid: QueueId) -> Option<DeviceId> {
+    let i = usize::from(func.index());
+    (funcs.get(i) == Some(&(func, qid))).then_some(DeviceId(i))
 }
 
 /// Engine actions become scheduled pipeline stages, in order, drained
@@ -152,9 +147,9 @@ fn actions_to_effects(
             at,
             stage: Stage::EngineQosWakeup,
         },
-        EngineAction::CommandDeadline { ssd, seq, at } => Effect::ScheduleAt {
+        EngineAction::CommandDeadline { at } => Effect::ScheduleAt {
             at,
-            stage: Stage::EngineDeadline { ssd, seq },
+            stage: Stage::EngineDeadline,
         },
     }));
 }
@@ -279,7 +274,9 @@ fn engine_stage(
                 });
                 return;
             }
-            let dev = device_for(funcs, func, qid);
+            let Some(dev) = device_for(funcs, func, qid) else {
+                return; // no device to interrupt
+            };
             out.push(Effect::Trace {
                 stage: PipelineStage::Backend,
             });
@@ -294,8 +291,8 @@ fn engine_stage(
             let mut actions = engine.qos_wakeup(now, host_mem);
             actions_to_effects(engine, &mut actions, out);
         }
-        Stage::EngineDeadline { ssd, seq } => {
-            let mut actions = engine.check_deadline(now, ssd, seq, host_mem);
+        Stage::EngineDeadline => {
+            let mut actions = engine.check_deadline(now, host_mem);
             actions_to_effects(engine, &mut actions, out);
         }
         other @ (Stage::Doorbell { .. }

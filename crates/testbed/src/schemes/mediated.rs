@@ -236,7 +236,7 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
             | Stage::EngineBackendComplete { .. }
             | Stage::EngineHostCompletion { .. }
             | Stage::EngineQosWakeup
-            | Stage::EngineDeadline { .. }) => {
+            | Stage::EngineDeadline) => {
                 unreachable!("mediated scheme never schedules {other:?}")
             }
         }

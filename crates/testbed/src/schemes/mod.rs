@@ -281,16 +281,12 @@ pub enum Stage {
     },
     /// BM-Store: QoS pacing wakeup.
     EngineQosWakeup,
-    /// BM-Store: a forwarded command's timeout deadline expires
-    /// (dispatched to the engine's `check_deadline`; a no-op when the
-    /// attempt completed in time). Only scheduled when the engine's
-    /// command timeout is armed.
-    EngineDeadline {
-        /// Backend SSD the attempt targeted.
-        ssd: SsdId,
-        /// The forwarding attempt's sequence number.
-        seq: u64,
-    },
+    /// BM-Store: the engine's one deadline timer fires (dispatched to
+    /// the engine's `check_deadline`, which expires every forwarding
+    /// attempt due by now and re-arms the timer; a no-op when a crash
+    /// or a later arming superseded it). Only scheduled when the
+    /// engine's command timeout is armed.
+    EngineDeadline,
 }
 
 /// One typed output of a scheme hook, interpreted by the world's

@@ -98,7 +98,7 @@ impl Scheme for DirectScheme {
             | Stage::EngineBackendComplete { .. }
             | Stage::EngineHostCompletion { .. }
             | Stage::EngineQosWakeup
-            | Stage::EngineDeadline { .. }) => {
+            | Stage::EngineDeadline) => {
                 unreachable!("direct scheme never schedules {other:?}")
             }
         }

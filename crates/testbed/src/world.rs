@@ -451,7 +451,7 @@ fn stage_seg(stage: &Stage) -> &'static str {
         Stage::EngineBackendComplete { .. } => "stage:EngineBackendComplete",
         Stage::EngineHostCompletion { .. } => "stage:EngineHostCompletion",
         Stage::EngineQosWakeup => "stage:EngineQosWakeup",
-        Stage::EngineDeadline { .. } => "stage:EngineDeadline",
+        Stage::EngineDeadline => "stage:EngineDeadline",
     }
 }
 
@@ -940,7 +940,7 @@ impl World {
             | Stage::EngineBackendComplete { .. }
             | Stage::EngineHostCompletion { .. }
             | Stage::EngineQosWakeup
-            | Stage::EngineDeadline { .. }) => {
+            | Stage::EngineDeadline) => {
                 self.with_scheme(|scheme, ctx| scheme.on_stage(now, other, ctx, &mut effects))
             }
         }
@@ -999,7 +999,7 @@ impl World {
                     | Stage::EngineBackendComplete { .. }
                     | Stage::EngineHostCompletion { .. }
                     | Stage::EngineQosWakeup
-                    | Stage::EngineDeadline { .. } => at,
+                    | Stage::EngineDeadline => at,
                 };
                 hop_at(s, at, Hop::Stage(stage));
             }

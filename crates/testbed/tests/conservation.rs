@@ -12,6 +12,7 @@ use bm_nvme::types::Lba;
 use bm_nvme::Status;
 use bm_sim::faults::{FaultKind, FaultPlan};
 use bm_sim::{SimDuration, SimTime};
+use bm_ssd::SsdId;
 use bm_testbed::{
     BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, SchemeKind, Testbed,
     TestbedConfig, World,
@@ -204,6 +205,12 @@ fn run_under_faults(plan: FaultPlan, depth: u32, total: u64, seed: u64) -> Statu
         .with_seed(seed)
         .with_fault_plan(plan)
         .with_command_timeout(SimDuration::from_us(500), FailPolicy::AbortToHost);
+    run_tracked(cfg, depth, total).0
+}
+
+/// Runs a [`FaultTracker`] of `depth` and `total` commands on `cfg`,
+/// checking that each completes once.
+fn run_tracked(cfg: TestbedConfig, depth: u32, total: u64) -> (StatusCounts, World) {
     let mut tb = Testbed::new(cfg);
     let buf = tb.register_buffer(4096);
     let counts = Rc::new(RefCell::new(StatusCounts::default()));
@@ -224,10 +231,8 @@ fn run_under_faults(plan: FaultPlan, depth: u32, total: u64, seed: u64) -> Statu
         total,
         "lost or stuck completions under faults"
     );
-    drop(world);
-    Rc::try_unwrap(counts)
-        .unwrap_or_else(|_| panic!("counts still shared"))
-        .into_inner()
+    let counts = counts.take();
+    (counts, world)
 }
 
 proptest! {
@@ -296,4 +301,31 @@ fn dead_ssd_fails_everything_but_conserves_completions() {
     let counts = run_under_faults(plan, 8, 100, 1);
     assert_eq!(counts.success + counts.error + counts.aborted, 100);
     assert!(counts.error > 0, "a dead SSD must fail I/O loudly");
+}
+
+#[test]
+fn a_command_timeout_arms_one_timer_not_an_event_per_command() {
+    // A fault-free run with and without a 5 ms timeout. The timeout
+    // machinery keeps one engine timer, re-armed about once per
+    // timeout, so it adds far less than one event per forwarded
+    // command, the cost of a deadline event per command.
+    let run = |cfg: TestbedConfig| {
+        let (counts, world) = run_tracked(cfg.with_seed(3), 32, 4_000);
+        assert_eq!(counts.success, 4_000);
+        let engine = world.tb.engine().expect("BM-Store has an engine");
+        let forwarded = engine.adaptor().port(SsdId(0)).forwarded();
+        (world.events_fired, forwarded)
+    };
+    let plain = TestbedConfig::bm_store_bare_metal(1);
+    let timed = plain
+        .clone()
+        .with_command_timeout(SimDuration::from_ms(5), FailPolicy::AbortToHost);
+    let (base, forwarded) = run(plain);
+    let (events, _) = run(timed);
+    assert!(forwarded >= 4_000);
+    assert!(
+        events < base + base / 100,
+        "{events} events with a timeout against {base} without, \
+         for {forwarded} forwarded commands"
+    );
 }

@@ -54,14 +54,19 @@ impl Default for LsmConfig {
 /// Results of a YCSB-over-LSM run.
 #[derive(Debug, Default)]
 pub struct KvStats {
-    /// Foreground operations completed in the measured window.
+    /// Foreground operations completed in the measured window: every
+    /// I/O step completed without error.
     pub ops: u64,
     /// Reads among them.
     pub reads: u64,
     /// Writes among them.
     pub writes: u64,
-    /// Operation latency histogram.
+    /// Latency histogram of the completed operations.
     pub latency: LatencyHistogram,
+    /// Foreground operations in the measured window with a failed I/O
+    /// step. They count here only, not in `ops`, `reads`, `writes` or
+    /// the latency.
+    pub failed: u64,
     /// Flushes triggered.
     pub flushes: u64,
     /// Background bytes moved (flush + compaction).
@@ -89,6 +94,9 @@ struct FgThread {
     next_step: usize,
     started: SimTime,
     is_read: bool,
+    /// Whether a step of the current operation failed. The remaining
+    /// steps still run, so the I/O stream does not depend on failures.
+    failed: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -153,6 +161,7 @@ impl KvClient {
                     next_step: 0,
                     started: SimTime::ZERO,
                     is_read: false,
+                    failed: false,
                 })
                 .collect(),
             read_bufs,
@@ -197,6 +206,7 @@ impl KvClient {
         t.steps = steps;
         t.next_step = 0;
         t.started = now;
+        t.failed = false;
         self.issue_fg(thread)
     }
 
@@ -301,23 +311,27 @@ impl Client for KvClient {
             return ClientOutput::submit(out);
         }
         let thread = c.tag as usize;
-        self.threads[thread].next_step += 1;
-        if self.threads[thread].next_step < self.threads[thread].steps.len() {
+        let t = &mut self.threads[thread];
+        t.failed |= !c.status.is_success();
+        t.next_step += 1;
+        if t.next_step < t.steps.len() {
             out.push(self.issue_fg(thread));
             return ClientOutput::submit(out);
         }
-        // Operation complete.
+        // Operation complete, or failed.
         if now >= self.measure_start && now < self.measure_end {
             let mut stats = self.stats.borrow_mut();
-            stats.ops += 1;
-            if self.threads[thread].is_read {
-                stats.reads += 1;
+            if t.failed {
+                stats.failed += 1;
             } else {
-                stats.writes += 1;
+                stats.ops += 1;
+                if t.is_read {
+                    stats.reads += 1;
+                } else {
+                    stats.writes += 1;
+                }
+                stats.latency.record(now.saturating_since(t.started));
             }
-            stats
-                .latency
-                .record(now.saturating_since(self.threads[thread].started));
         }
         if now < self.measure_end {
             out.push(self.begin_op(thread, now));

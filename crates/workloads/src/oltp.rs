@@ -156,12 +156,16 @@ impl OltpSpec {
 /// Results of an OLTP run.
 #[derive(Debug, Default)]
 pub struct OltpStats {
-    /// Transactions committed in the measured window.
+    /// Transactions committed in the measured window: every I/O
+    /// step completed without error.
     pub transactions: u64,
     /// Queries executed (transactions × mix factor, as Sysbench counts).
     pub queries: u64,
-    /// Transaction latency histogram.
+    /// Latency histogram of the committed transactions.
     pub latency: LatencyHistogram,
+    /// Transactions in the measured window with a failed I/O step.
+    /// They count here only, not as transactions, queries or latency.
+    pub failed: u64,
 }
 
 impl OltpStats {
@@ -190,6 +194,9 @@ struct ThreadState {
     next_step: usize,
     txn_started: SimTime,
     profile: TxnProfile,
+    /// Whether a step of the current transaction failed. The remaining
+    /// steps still run, so the I/O stream does not depend on failures.
+    failed: bool,
 }
 
 /// The OLTP client: `threads` closed-loop workers on one device.
@@ -250,6 +257,7 @@ impl OltpClient {
                 next_step: 0,
                 txn_started: SimTime::ZERO,
                 profile: spec.mix.sample(&mut seed_rng),
+                failed: false,
             })
             .collect();
         let measure_start = SimTime::ZERO + spec.ramp;
@@ -289,6 +297,7 @@ impl OltpClient {
         t.steps = steps;
         t.next_step = 0;
         t.txn_started = now;
+        t.failed = false;
         self.issue_step(thread)
     }
 
@@ -359,17 +368,23 @@ impl Client for OltpClient {
 
     fn on_completion(&mut self, now: SimTime, c: Completion) -> ClientOutput {
         let thread = c.tag as usize;
-        self.threads[thread].next_step += 1;
-        if self.threads[thread].next_step < self.threads[thread].steps.len() {
+        let t = &mut self.threads[thread];
+        t.failed |= !c.status.is_success();
+        t.next_step += 1;
+        if t.next_step < t.steps.len() {
             return ClientOutput::submit(vec![self.issue_step(thread)]);
         }
-        // Commit.
-        let started = self.threads[thread].txn_started;
+        // Commit, or count the failure.
+        let (started, failed) = (t.txn_started, t.failed);
         if now >= self.measure_start && now < self.measure_end {
             let mut stats = self.stats.borrow_mut();
-            stats.transactions += 1;
-            stats.queries += QUERIES_PER_TXN;
-            stats.latency.record(now.saturating_since(started));
+            if failed {
+                stats.failed += 1;
+            } else {
+                stats.transactions += 1;
+                stats.queries += QUERIES_PER_TXN;
+                stats.latency.record(now.saturating_since(started));
+            }
         }
         if now >= self.measure_end {
             return ClientOutput::idle();

@@ -1,7 +1,8 @@
 //! Workload-generator tests: the fio patterns, OLTP step machines, and
 //! the LSM's flush/compaction accounting behave as specified.
 
-use bm_sim::SimDuration;
+use bm_sim::faults::{FaultKind, FaultPlan};
+use bm_sim::{SimDuration, SimTime};
 use bm_testbed::{SchemeKind, TestbedConfig};
 use bm_workloads::fio::{aggregate, run_fio, FioSpec, RwMode};
 use bm_workloads::kvstore::{run_ycsb, LsmConfig};
@@ -120,5 +121,42 @@ fn lsm_flushes_track_write_volume() {
         "background {} < {}",
         stats.background_bytes,
         expected_min
+    );
+}
+
+#[test]
+fn failed_ios_count_as_failed_work_not_committed() {
+    // Every I/O on the one SSD fails for the whole run, so no
+    // transaction or operation completes without error.
+    let cfg = || {
+        let plan = FaultPlan::new(7).with(
+            SimTime::ZERO,
+            FaultKind::SsdErrorBurst {
+                ssd: 0,
+                probability: 1.0,
+                until: SimTime::ZERO + SimDuration::from_secs(10),
+            },
+        );
+        TestbedConfig::single_vm(SchemeKind::Vfio).with_fault_plan(plan)
+    };
+    let (oltp, _) = run_oltp(cfg(), OltpSpec::sysbench().scaled(0.05));
+    assert!(oltp.failed > 0, "no failed transaction counted");
+    assert_eq!(
+        (oltp.transactions, oltp.queries, oltp.latency.count()),
+        (0, 0, 0),
+        "failed transactions counted as committed"
+    );
+    let spec = YcsbSpec {
+        workload: YcsbWorkload::A,
+        threads: 4,
+        ramp: SimDuration::from_ms(5),
+        runtime: SimDuration::from_ms(20),
+    };
+    let (kv, _) = run_ycsb(cfg(), spec, LsmConfig::default());
+    assert!(kv.failed > 0, "no failed operation counted");
+    assert_eq!(
+        (kv.ops, kv.reads, kv.writes, kv.latency.count()),
+        (0, 0, 0, 0),
+        "failed operations counted as completed"
     );
 }

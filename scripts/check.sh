@@ -106,7 +106,7 @@ echo "==> calibrated wall-clock gate (bmbench, release)"
 # step above produced, so benchmark/Cargo.lock stays as committed.
 floor_4k_randread=515934     # 0.8 x 644,918 (lowest on record)
 floor_128k_seqread=655772    # 0.8 x 819,715 (lowest of 12 runs, seed 42)
-floor_4k_observed=363292     # 0.8 x 454,116 (lowest of 20 runs, seed 42)
+floor_4k_observed=423864     # 0.8 x 529,830 (lowest of 12 runs, seed 42)
 floor_spdk_randwrite=1334240 # 0.8 x 1,667,801 (lowest of 12 runs, seed 42)
 bmbench_gate() { # WORKLOAD FLOOR
     "${CARGO_TARGET_DIR:-benchmark/target}/release/bmbench" \
