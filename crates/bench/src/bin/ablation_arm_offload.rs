@@ -9,6 +9,7 @@ use bm_testbed::{SchemeKind, TestbedConfig};
 use bm_workloads::fio::{aggregate, run_fio, FioSpec};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let spec = scaled(FioSpec::rand_r_128());
     let (native, _) = run_fio(TestbedConfig::native(1), spec);
     let (bm, _) = run_fio(TestbedConfig::bm_store_bare_metal(1), spec);

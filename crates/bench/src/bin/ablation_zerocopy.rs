@@ -15,6 +15,7 @@ use bm_workloads::fio::{aggregate, run_fio, FioSpec};
 const CARD_DRAM_BW: f64 = 9.6e9;
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Ablation: zero-copy vs store-and-forward (4 SSDs, bare metal)",
         &["IOPS", "BW", "avg lat"],

@@ -14,6 +14,7 @@ fn four_ssd_devices() -> Vec<DeviceSpec> {
 }
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let spec = scaled(FioSpec::seq_r_256());
 
     // Native baseline: 4 SSDs driven directly.

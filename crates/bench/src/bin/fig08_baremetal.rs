@@ -8,6 +8,7 @@ use bm_testbed::TestbedConfig;
 use bm_workloads::fio::{aggregate, run_fio, FioSpec};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Fig. 8 / Table V: bare-metal, 1 disk",
         &[

@@ -6,6 +6,7 @@ use bm_testbed::{SchemeKind, TestbedConfig};
 use bm_workloads::fio::{aggregate, run_fio, FioSpec};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Fig. 9 / Table VII: single VM, 1 disk",
         &[

@@ -6,6 +6,7 @@ use bm_testbed::TestbedConfig;
 use bm_workloads::fio::{aggregate, run_fio, FioSpec};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Fig. 10: BM-Store total bandwidth vs #SSDs (seq-r-256)",
         &["total BW", "per SSD"],

@@ -11,6 +11,7 @@ use bm_testbed::TestbedConfig;
 use bm_workloads::fio::{aggregate, run_fio, FioSpec, RwMode};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Fig. 11: BM-Store multi-VM total bandwidth (4 SSDs)",
         &["total BW", "per VM", "min/max VM"],

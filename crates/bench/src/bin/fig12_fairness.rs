@@ -56,6 +56,7 @@ fn run_case(name: &str, spec: FioSpec) {
 }
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     run_case("rand-r-128", scaled(FioSpec::rand_r_128()));
     run_case("rand-w-16", scaled(FioSpec::rand_w_16()));
     println!("\npaper: tail-latency distributions of the four VMs are close to each");

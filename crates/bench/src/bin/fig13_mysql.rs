@@ -12,6 +12,7 @@ fn run(scheme: SchemeKind, spec: OltpSpec) -> OltpStats {
 }
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let s = scale();
     // --- TPC-C (Fig. 13a) ---
     let spec = OltpSpec::tpcc().scaled(s);

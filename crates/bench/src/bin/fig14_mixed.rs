@@ -8,6 +8,7 @@ use bm_workloads::oltp::OltpSpec;
 use bm_workloads::ycsb::YcsbSpec;
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let s = scale();
     let oltp_spec = OltpSpec::sysbench().scaled(s);
     let ycsb_spec = YcsbSpec::paper_mixed().scaled(s);

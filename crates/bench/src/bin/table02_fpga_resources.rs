@@ -4,6 +4,7 @@ use bm_bench::{header, row};
 use bmstore_core::engine::resources::{FpgaDevice, ResourceUsage};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let dev = FpgaDevice::zu19eg();
     header(
         "Table II: FPGA resources (model vs paper)",

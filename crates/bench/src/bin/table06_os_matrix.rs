@@ -10,6 +10,7 @@ use bm_testbed::TestbedConfig;
 use bm_workloads::fio::{aggregate, run_fio, FioSpec, RwMode};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     header(
         "Table VI: BM-Store on different OS/kernels (4K randread qd16 x8)",
         &["IOPS", "BW", "avg lat", "paper IOPS", "paper lat"],

@@ -82,6 +82,7 @@ fn run_case(mode: RwMode, upgrades: &[u64], horizon: u64) -> Run {
 }
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let (upgrades, horizon): (Vec<u64>, u64) = if quick() {
         (vec![2], 10)
     } else {

@@ -4,6 +4,7 @@ use bm_bench::{fmt_pct, header, row};
 use bmstore_core::tco::{compare, InstanceShape, ServerConfig};
 
 fn main() {
+    bm_bench::check_args(env!("CARGO_BIN_NAME"));
     let server = ServerConfig::paper_typical();
     let shape = InstanceShape::paper_default();
     let c = compare(&server, &shape);

@@ -16,6 +16,17 @@ pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// The argument check every figure and table binary runs first:
+/// `--quick` is the one argument they take. Any other prints the usage
+/// line for `bin` and exits 2, so a mistyped `--quick` cannot start the
+/// full-length experiment instead.
+pub fn check_args(bin: &str) {
+    if std::env::args().skip(1).any(|a| a != "--quick") {
+        eprintln!("usage: {bin} [--quick]");
+        std::process::exit(2);
+    }
+}
+
 /// The window scale factor for this invocation.
 pub fn scale() -> f64 {
     if quick() {

@@ -4,7 +4,9 @@
 //! vhost model, or silently running something else (a different size,
 //! or nothing at all and reporting 0 IOPS). A size `bmstore_cli` runs
 //! but whose I/Os fail is reported and exits 1. An output file that
-//! cannot be written is reported, and exits 2, before the run.
+//! cannot be written is reported, and exits 2, before the run. The
+//! figure and table binaries take `--quick` alone and refuse the rest
+//! the same way.
 
 use std::process::Command;
 
@@ -51,6 +53,29 @@ fn telemetry_report_bad_arguments_exit_with_usage() {
         env!("CARGO_BIN_EXE_telemetry_report"),
         &[&["--bogus"], &["--trace"], &["--quick", "--jsonl"]],
     );
+}
+
+#[test]
+fn figure_and_table_binaries_take_only_quick() {
+    let bins = [
+        env!("CARGO_BIN_EXE_ablation_arm_offload"),
+        env!("CARGO_BIN_EXE_ablation_zerocopy"),
+        env!("CARGO_BIN_EXE_fig01_spdk_cores"),
+        env!("CARGO_BIN_EXE_fig08_baremetal"),
+        env!("CARGO_BIN_EXE_fig09_vm_perf"),
+        env!("CARGO_BIN_EXE_fig10_scalability"),
+        env!("CARGO_BIN_EXE_fig11_multivm"),
+        env!("CARGO_BIN_EXE_fig12_fairness"),
+        env!("CARGO_BIN_EXE_fig13_mysql"),
+        env!("CARGO_BIN_EXE_fig14_mixed"),
+        env!("CARGO_BIN_EXE_table02_fpga_resources"),
+        env!("CARGO_BIN_EXE_table06_os_matrix"),
+        env!("CARGO_BIN_EXE_table09_hotupgrade"),
+        env!("CARGO_BIN_EXE_tco_analysis"),
+    ];
+    for bin in bins {
+        assert_usage_exit(bin, &[&["--quik"], &["--quick", "--seed"], &["quick"]]);
+    }
 }
 
 #[test]

@@ -122,6 +122,22 @@ impl BmsCommand {
         }
     }
 
+    /// The back-end SSDs this verb names.
+    pub fn ssds(&self) -> [Option<SsdId>; 2] {
+        match self {
+            BmsCommand::CreateAndBind { single_ssd, .. } => [*single_ssd, None],
+            BmsCommand::HealthPoll { ssd }
+            | BmsCommand::FirmwareUpgrade { ssd, .. }
+            | BmsCommand::HotPlugPrepare { ssd }
+            | BmsCommand::QueryVersion { ssd } => [Some(*ssd), None],
+            BmsCommand::HotPlugComplete { old, new } => [Some(*old), Some(*new)],
+            BmsCommand::Unbind { .. }
+            | BmsCommand::SetQos { .. }
+            | BmsCommand::QueryStats { .. }
+            | BmsCommand::QueryTelemetry { .. } => [None, None],
+        }
+    }
+
     /// Encodes into an NVMe-MI request frame.
     pub fn to_request(&self) -> MiRequest {
         let mut p = Vec::new();
@@ -133,7 +149,10 @@ impl BmsCommand {
             } => {
                 p.push(func.index());
                 p.extend_from_slice(&size_bytes.to_le_bytes());
-                p.push(single_ssd.map_or(PLACEMENT_RR, |s| s.0 + 1));
+                // SSD `s` travels as `s + 1`, saturating: id 255
+                // arrives as 254, a bay no card has, never as
+                // round-robin.
+                p.push(single_ssd.map_or(PLACEMENT_RR, |s| s.0.saturating_add(1)));
             }
             BmsCommand::Unbind { func }
             | BmsCommand::QueryStats { func }

@@ -196,6 +196,18 @@ impl BmsController {
                 (MiResponse::ok(h.to_bytes().to_vec()), Vec::new())
             }
             MiOpcode::Vendor(_) => match BmsCommand::from_request(req) {
+                // The engine and the back end index their per-SSD state
+                // by these ids: a verb naming a bay the card lacks stops
+                // here.
+                Ok(cmd)
+                    if cmd
+                        .ssds()
+                        .into_iter()
+                        .flatten()
+                        .any(|ssd| usize::from(ssd.0) >= engine.config().ssd_count) =>
+                {
+                    (MiResponse::err(MiStatus::InvalidParameter), Vec::new())
+                }
                 Ok(cmd) => self.dispatch_vendor(now, cmd, engine, backend, host),
                 Err(_) => (MiResponse::err(MiStatus::InvalidParameter), Vec::new()),
             },
@@ -326,10 +338,15 @@ impl BmsController {
                     self.hotplugs.insert(old.0, state);
                     return (MiResponse::err(MiStatus::InvalidParameter), Vec::new());
                 }
-                let retargeted = if old != new {
-                    engine.retarget_ssd(old, new)
-                } else {
+                let retargeted = if old == new {
                     0
+                } else if let Some(n) = engine.retarget_ssd(old, new) {
+                    n
+                } else {
+                    // The new bay already holds chunks: migrating onto
+                    // it would map two namespaces onto the same chunks.
+                    self.hotplugs.insert(old.0, state);
+                    return (MiResponse::err(MiStatus::InvalidParameter), Vec::new());
                 };
                 let mut resumed = engine.resume_ssd(now, new, host);
                 if old != new {
@@ -450,9 +467,14 @@ mod tests {
     }
 
     fn rig() -> (BmsController, BmsEngine, FakeBackend, HostMemory) {
+        rig_of(4)
+    }
+
+    /// [`rig`] on an engine of `ssds` SSDs.
+    fn rig_of(ssds: usize) -> (BmsController, BmsEngine, FakeBackend, HostMemory) {
         (
             BmsController::new(Eid(8)),
-            BmsEngine::new(EngineConfig::paper_default(4)),
+            BmsEngine::new(EngineConfig::paper_default(ssds)),
             FakeBackend {
                 downloads: 0,
                 commits: 0,
@@ -701,6 +723,102 @@ mod tests {
         let row = engine.function(func).binding().unwrap().row_base;
         let (ssd, _) = engine.mapping().map(row, bm_nvme::Lba(0)).unwrap();
         assert_eq!(ssd, SsdId(3));
+    }
+
+    #[test]
+    fn verbs_naming_a_missing_ssd_are_rejected_before_dispatch() {
+        let (mut ctl, mut engine, mut backend, mut host) = rig_of(2);
+        let func = FunctionId::new(0).unwrap();
+        engine
+            .bind_namespace(func, 128 << 30, Placement::Single(SsdId(0)))
+            .unwrap();
+        let mut status = |engine: &mut BmsEngine, cmd| {
+            send(&mut ctl, engine, &mut backend, &mut host, cmd)
+                .0
+                .status
+        };
+        let prepare = BmsCommand::HotPlugPrepare { ssd: SsdId(0) };
+        assert_eq!(status(&mut engine, prepare), MiStatus::Success);
+        let b = engine.function(func).binding().unwrap();
+        let (row_base, rows) = (b.row_base, b.rows);
+        let state = |engine: &BmsEngine| {
+            let paused = [0, 1].map(|i| engine.is_paused(SsdId(i)));
+            let chunks: Vec<_> = engine.mapping().chunks(row_base, rows).collect();
+            (paused, chunks)
+        };
+        let before = state(&engine);
+        for id in [2, 255] {
+            let ssd = SsdId(id);
+            let verbs = [
+                BmsCommand::CreateAndBind {
+                    func: FunctionId::new(1).unwrap(),
+                    size_bytes: 64 << 30,
+                    single_ssd: Some(ssd),
+                },
+                BmsCommand::HealthPoll { ssd },
+                BmsCommand::FirmwareUpgrade {
+                    ssd,
+                    slot: 2,
+                    image: vec![1u8; 64],
+                },
+                BmsCommand::HotPlugPrepare { ssd },
+                BmsCommand::HotPlugComplete {
+                    old: SsdId(0),
+                    new: ssd,
+                },
+                BmsCommand::HotPlugComplete {
+                    old: ssd,
+                    new: SsdId(0),
+                },
+                BmsCommand::QueryVersion { ssd },
+            ];
+            for cmd in verbs {
+                let got = status(&mut engine, cmd.clone());
+                assert_eq!(got, MiStatus::InvalidParameter, "{cmd:?}");
+                assert_eq!(state(&engine), before, "{cmd:?}");
+            }
+        }
+        // The hot-plug of SSD 0 is still pending and completes.
+        let complete = BmsCommand::HotPlugComplete {
+            old: SsdId(0),
+            new: SsdId(0),
+        };
+        assert_eq!(status(&mut engine, complete), MiStatus::Success);
+        assert_eq!(backend.downloads, 0);
+    }
+
+    #[test]
+    fn hot_plug_onto_an_occupied_bay_stays_pending() {
+        let (mut ctl, mut engine, mut backend, mut host) = rig();
+        for (f, ssd) in [(0, 1), (1, 3)] {
+            engine
+                .bind_namespace(
+                    FunctionId::new(f).unwrap(),
+                    128 << 30,
+                    Placement::Single(SsdId(ssd)),
+                )
+                .unwrap();
+        }
+        let mut status = |engine: &mut BmsEngine, cmd| {
+            send(&mut ctl, engine, &mut backend, &mut host, cmd)
+                .0
+                .status
+        };
+        let prepare = BmsCommand::HotPlugPrepare { ssd: SsdId(1) };
+        assert_eq!(status(&mut engine, prepare), MiStatus::Success);
+        let onto_3 = BmsCommand::HotPlugComplete {
+            old: SsdId(1),
+            new: SsdId(3),
+        };
+        assert_eq!(status(&mut engine, onto_3), MiStatus::InvalidParameter);
+        assert!(engine.is_paused(SsdId(1)), "the hot-plug stays pending");
+        let onto_2 = BmsCommand::HotPlugComplete {
+            old: SsdId(1),
+            new: SsdId(2),
+        };
+        assert_eq!(status(&mut engine, onto_2), MiStatus::Success);
+        assert!(!engine.is_paused(SsdId(1)));
+        assert_eq!(ctl.hotplug_reports()[0].retargeted_entries, 2);
     }
 
     #[test]

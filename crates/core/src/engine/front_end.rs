@@ -7,7 +7,7 @@
 //! transparency claim. A function becomes usable once the
 //! BMS-Controller *binds* a namespace (a set of mapped chunks) to it.
 
-use crate::engine::mapping::{MapEntry, ENTRIES_PER_ROW};
+use crate::engine::mapping::ENTRIES_PER_ROW;
 use crate::engine::qos::{NamespaceQos, QosLimit};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Nsid, QueueId};
@@ -21,12 +21,12 @@ pub struct Binding {
     pub size_bytes: u64,
     /// Logical block size.
     pub block_size: u64,
-    /// First mapping-table row of this binding.
+    /// First mapping-table row of this binding. Rows are never reused,
+    /// so it also tells this binding apart from a later one.
     pub row_base: usize,
-    /// Rows occupied.
+    /// Rows occupied. The mapping table's entries in them are the only
+    /// record of the namespace's chunks.
     pub rows: usize,
-    /// The chunk entries (kept for release on unbind).
-    pub entries: Vec<MapEntry>,
     /// QoS state for this namespace.
     pub qos: NamespaceQos,
 }
@@ -204,7 +204,6 @@ impl FrontEndFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bm_ssd::SsdId;
 
     fn func() -> FrontEndFunction {
         FrontEndFunction::new(FunctionId::new(3).unwrap())
@@ -216,9 +215,6 @@ mod tests {
             block_size: 4096,
             row_base: 0,
             rows: Binding::rows_for_chunks(chunks),
-            entries: (0..chunks)
-                .map(|i| MapEntry::new(i as u8, SsdId(0)).unwrap())
-                .collect(),
             qos: NamespaceQos::new(QosLimit::UNLIMITED),
         }
     }
@@ -271,7 +267,8 @@ mod tests {
         assert_eq!(b.nsid().raw(), 1);
         assert!(f.set_qos(QosLimit::iops(100.0)));
         let old = f.unbind().unwrap();
-        assert_eq!(old.entries.len(), 24);
+        assert_eq!(old.rows, 3);
+        assert!(f.binding().is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! originating function, host queue, and host CID again.
 
 use crate::engine::dma_routing::ChipWindow;
-use bm_nvme::command::{CQE_SIZE, SQE_SIZE};
+use bm_nvme::command::{IoOpcode, CQE_SIZE, SQE_SIZE};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Cid, QueueId};
 use bm_nvme::{Cqe, Sqe};
@@ -45,8 +45,8 @@ pub struct Outstanding {
     pub host_cid: Cid,
     /// Transfer size in bytes.
     pub bytes: u64,
-    /// Whether the command writes.
-    pub is_write: bool,
+    /// The command's opcode.
+    pub op: IoOpcode,
     /// When the engine fetched the command from the host.
     pub fetched_at: SimTime,
     /// When this forwarding attempt was pushed into the back-end ring
@@ -58,6 +58,14 @@ pub struct Outstanding {
     pub seq: u64,
     /// Telemetry correlation ID ([`CmdId::NONE`] when telemetry is off).
     pub cmd: CmdId,
+}
+
+impl Outstanding {
+    /// The host command this attempt serves: every back-end attempt of
+    /// one host command shares it.
+    pub(super) fn host_key(&self) -> super::HostKey {
+        (self.func.index(), self.host_qid.0, self.host_cid.0)
+    }
 }
 
 /// One SSD's back-end port.
@@ -457,7 +465,6 @@ impl HostAdaptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bm_nvme::command::IoOpcode;
     use bm_nvme::types::{Lba, Nsid};
 
     fn origin(i: u8) -> Outstanding {
@@ -466,7 +473,7 @@ mod tests {
             host_qid: QueueId(1),
             host_cid: Cid(i as u16 * 10),
             bytes: 4096,
-            is_write: false,
+            op: IoOpcode::Read,
             fetched_at: SimTime::ZERO,
             pushed_at: SimTime::ZERO,
             seq: i as u64,

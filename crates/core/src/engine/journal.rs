@@ -1,347 +1,44 @@
 //! The crash journal — the engine's persistent-model region (§IV-D
 //! extended: "store I/O context", applied to a full firmware crash).
 //!
-//! On a crash the engine serializes its volatile pipeline state — the
+//! On a crash the engine moves its volatile pipeline state — the
 //! command table (span-level in-flight attempts), per-SSD backlogs,
 //! QoS-deferred commands, the fan-out countdown table, and the pause
-//! bitmap — into a flat byte image modelling the small battery-backed
-//! region the card firmware journals to. On restart the image is
-//! decoded and every journaled command is replayed or aborted per
-//! [`super::FailPolicy`]. The format is internal: writer and reader
-//! are always the same engine build, so a decode failure indicates a
-//! modelling bug, not hostile input — decoding is still total (no
-//! panics), returning `None` so recovery can degrade to abort-all.
+//! flags — into a [`Journal`], modelling the small battery-backed region
+//! the card firmware journals to. On restart every journaled command is
+//! replayed or aborted per [`super::FailPolicy`]. The journal holds the
+//! engine's own typed records: the one engine writes it and reads it
+//! back, so there is nothing to encode or decode, and nothing that can
+//! fail to.
 
-use super::PendingIo;
-use bm_nvme::types::{Cid, QueueId};
-use bm_nvme::{Sqe, Status};
-use bm_pcie::{FunctionId, PciAddr};
-use bm_sim::telemetry::CmdId;
-use bm_sim::SimTime;
-
-/// Journal image format version (first byte of the encoding).
-const VERSION: u8 = 1;
-
-/// An in-flight attempt that has no command-table copy to replay from
-/// (the timeout machinery was disarmed, so no [`super::RetryEntry`]
-/// kept the pristine command). Recovery can only abort it to the host.
-#[derive(Debug, Clone)]
-pub(super) struct OrphanOrigin {
-    pub(super) func: FunctionId,
-    pub(super) host_qid: QueueId,
-    pub(super) host_cid: Cid,
-    pub(super) bytes: u64,
-    pub(super) is_write: bool,
-    pub(super) fetched_at: SimTime,
-    pub(super) cmd: CmdId,
-}
-
-/// Fan-out countdown key: (function index, host queue id, host cid).
-pub(super) type FanoutKey = (u8, u16, u16);
-/// Fan-out countdown value: (remaining spans, worst status so far).
-pub(super) type FanoutState = (u8, Status);
+use super::host_adaptor::Outstanding;
+use super::{HostIo, HostKey, Span};
+use bm_nvme::Status;
+use std::collections::BTreeMap;
 
 /// Everything the crash journal captures.
 #[derive(Debug, Default)]
-pub(super) struct JournalImage {
+pub(super) struct Journal {
     /// Per-SSD pause flags (quiesce state survives the crash — it is
     /// management-plane state, re-asserted on restart).
     pub(super) paused: Vec<bool>,
-    /// Fan-out countdown entries: key, remaining spans, worst status.
-    pub(super) fanout: Vec<(FanoutKey, FanoutState)>,
-    /// SSD-tagged span-level commands: in-flight attempts (from the
-    /// command table, in forwarding order) then buffered backlog.
-    pub(super) spans: Vec<(u8, PendingIo)>,
-    /// QoS-deferred commands, not yet mapped to a back-end span;
-    /// replay re-enters at the forwarding step (admission already ran).
-    pub(super) unmapped: Vec<PendingIo>,
-    /// In-flight attempts with no replayable copy (see [`OrphanOrigin`]).
-    pub(super) orphans: Vec<OrphanOrigin>,
+    /// Fan-out countdowns: remaining spans and the worst status so far.
+    pub(super) fanout: BTreeMap<HostKey, (u8, Status)>,
+    /// Span-level commands: in-flight attempts (from the command table,
+    /// in forwarding order), then the buffered backlog.
+    pub(super) spans: Vec<Span>,
+    /// QoS-deferred commands, not yet mapped to back-end spans; replay
+    /// re-enters at the forwarding step (admission already ran).
+    pub(super) deferred: Vec<HostIo>,
+    /// In-flight attempts with no replayable copy: the timeout machinery
+    /// was off, so no retry entry kept the span. Recovery can only
+    /// abort them to the host.
+    pub(super) orphans: Vec<Outstanding>,
 }
 
-impl OrphanOrigin {
-    /// Rebuilds an [`Outstanding`]-shaped origin for the recovery abort
-    /// path (`seq` 0: the attempt sequence died with the old instance).
-    pub(super) fn to_origin(&self, now: SimTime) -> super::host_adaptor::Outstanding {
-        super::host_adaptor::Outstanding {
-            func: self.func,
-            host_qid: self.host_qid,
-            host_cid: self.host_cid,
-            bytes: self.bytes,
-            is_write: self.is_write,
-            fetched_at: self.fetched_at,
-            pushed_at: now,
-            seq: 0,
-            cmd: self.cmd,
-        }
-    }
-}
-
-impl JournalImage {
+impl Journal {
     /// Number of journaled records (the crash event's `journaled` count).
     pub(super) fn len(&self) -> usize {
-        self.spans.len() + self.unmapped.len() + self.orphans.len()
-    }
-}
-
-// --- encoding -------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_io(out: &mut Vec<u8>, io: &PendingIo) {
-    out.push(io.func.index());
-    put_u16(out, io.host_qid.0);
-    put_u16(out, io.host_cid.0);
-    out.extend_from_slice(&io.sqe.to_bytes());
-    put_u64(out, io.fetched_at.as_nanos());
-    put_u64(out, io.orig_prp1.raw());
-    put_u64(out, io.orig_prp2.raw());
-    put_u32(out, io.orig_blocks);
-    put_u32(out, io.retries);
-    put_u64(out, io.cmd.0);
-}
-
-/// Serializes `image` into the persistent-model byte region.
-pub(super) fn encode(image: &JournalImage) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(VERSION);
-    put_u32(&mut out, image.paused.len() as u32);
-    for &p in &image.paused {
-        out.push(u8::from(p));
-    }
-    put_u32(&mut out, image.fanout.len() as u32);
-    for &((func, qid, cid), (remaining, status)) in &image.fanout {
-        out.push(func);
-        put_u16(&mut out, qid);
-        put_u16(&mut out, cid);
-        out.push(remaining);
-        let (sct, sc) = status.to_wire();
-        out.push(sct);
-        out.push(sc);
-    }
-    put_u32(&mut out, image.spans.len() as u32);
-    for (ssd, io) in &image.spans {
-        out.push(*ssd);
-        put_io(&mut out, io);
-    }
-    put_u32(&mut out, image.unmapped.len() as u32);
-    for io in &image.unmapped {
-        put_io(&mut out, io);
-    }
-    put_u32(&mut out, image.orphans.len() as u32);
-    for o in &image.orphans {
-        out.push(o.func.index());
-        put_u16(&mut out, o.host_qid.0);
-        put_u16(&mut out, o.host_cid.0);
-        put_u64(&mut out, o.bytes);
-        out.push(u8::from(o.is_write));
-        put_u64(&mut out, o.fetched_at.as_nanos());
-        put_u64(&mut out, o.cmd.0);
-    }
-    out
-}
-
-// --- decoding -------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.buf.get(self.pos..self.pos + 2)?;
-        self.pos += 2;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn io(&mut self) -> Option<PendingIo> {
-        let func = FunctionId::new(self.u8()?)?;
-        let host_qid = QueueId(self.u16()?);
-        let host_cid = Cid(self.u16()?);
-        let sqe_bytes = self.buf.get(self.pos..self.pos + 64)?;
-        self.pos += 64;
-        let mut raw = [0u8; 64];
-        raw.copy_from_slice(sqe_bytes);
-        let sqe = Sqe::from_bytes(&raw).ok()?;
-        Some(PendingIo {
-            func,
-            host_qid,
-            host_cid,
-            sqe,
-            fetched_at: SimTime::from_nanos(self.u64()?),
-            orig_prp1: PciAddr::new(self.u64()?),
-            orig_prp2: PciAddr::new(self.u64()?),
-            orig_blocks: self.u32()?,
-            retries: self.u32()?,
-            cmd: CmdId(self.u64()?),
-        })
-    }
-}
-
-/// Decodes a journal written by [`encode`]. `None` on a malformed
-/// image (a modelling bug — recovery degrades to recovering nothing).
-pub(super) fn decode(buf: &[u8]) -> Option<JournalImage> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.u8()? != VERSION {
-        return None;
-    }
-    let mut image = JournalImage::default();
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        image.paused.push(r.u8()? != 0);
-    }
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        let func = r.u8()?;
-        let qid = r.u16()?;
-        let cid = r.u16()?;
-        let remaining = r.u8()?;
-        let sct = r.u8()?;
-        let sc = r.u8()?;
-        image
-            .fanout
-            .push(((func, qid, cid), (remaining, Status::from_wire(sct, sc))));
-    }
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        let ssd = r.u8()?;
-        image.spans.push((ssd, r.io()?));
-    }
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        image.unmapped.push(r.io()?);
-    }
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        let func = FunctionId::new(r.u8()?)?;
-        let host_qid = QueueId(r.u16()?);
-        let host_cid = Cid(r.u16()?);
-        let bytes = r.u64()?;
-        let is_write = r.u8()? != 0;
-        let fetched_at = SimTime::from_nanos(r.u64()?);
-        let cmd = CmdId(r.u64()?);
-        image.orphans.push(OrphanOrigin {
-            func,
-            host_qid,
-            host_cid,
-            bytes,
-            is_write,
-            fetched_at,
-            cmd,
-        });
-    }
-    if r.pos == buf.len() {
-        Some(image)
-    } else {
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bm_nvme::command::IoOpcode;
-    use bm_nvme::types::{Lba, Nsid};
-
-    fn sample_io(cid: u16) -> PendingIo {
-        PendingIo {
-            func: FunctionId::new(3).unwrap(),
-            host_qid: QueueId(1),
-            host_cid: Cid(cid),
-            sqe: Sqe::io(
-                IoOpcode::Write,
-                Cid(cid),
-                Nsid::new(1).unwrap(),
-                Lba(42),
-                4,
-                PciAddr::new(0x20_0000),
-                PciAddr::new(0x20_1000),
-            ),
-            fetched_at: SimTime::from_nanos(1234),
-            orig_prp1: PciAddr::new(0x20_0000),
-            orig_prp2: PciAddr::new(0x20_1000),
-            orig_blocks: 4,
-            retries: 1,
-            cmd: CmdId(77),
-        }
-    }
-
-    #[test]
-    fn image_round_trips() {
-        let image = JournalImage {
-            paused: vec![false, true, false, false],
-            fanout: vec![((0, 1, 9), (2, Status::Success))],
-            spans: vec![(1, sample_io(9)), (2, sample_io(9))],
-            unmapped: vec![sample_io(11)],
-            orphans: vec![OrphanOrigin {
-                func: FunctionId::new(0).unwrap(),
-                host_qid: QueueId(1),
-                host_cid: Cid(5),
-                bytes: 4096,
-                is_write: false,
-                fetched_at: SimTime::from_nanos(99),
-                cmd: CmdId::NONE,
-            }],
-        };
-        let bytes = encode(&image);
-        let back = decode(&bytes).expect("round trip");
-        assert_eq!(back.paused, image.paused);
-        assert_eq!(back.fanout.len(), 1);
-        assert_eq!(back.fanout[0].0, (0, 1, 9));
-        assert_eq!(back.spans.len(), 2);
-        assert_eq!(back.spans[0].0, 1);
-        assert_eq!(back.spans[0].1.host_cid, Cid(9));
-        assert_eq!(back.spans[0].1.sqe.slba, Lba(42));
-        assert_eq!(back.spans[0].1.retries, 1);
-        assert_eq!(back.unmapped.len(), 1);
-        assert_eq!(back.orphans.len(), 1);
-        assert_eq!(back.orphans[0].host_cid, Cid(5));
-        assert_eq!(back.len(), 4);
-    }
-
-    #[test]
-    fn truncated_or_oversized_images_are_rejected() {
-        let image = JournalImage::default();
-        let mut bytes = encode(&image);
-        assert!(decode(&bytes).is_some());
-        bytes.push(0);
-        assert!(decode(&bytes).is_none(), "trailing bytes rejected");
-        let image = JournalImage {
-            spans: vec![(0, sample_io(1))],
-            ..JournalImage::default()
-        };
-        let bytes = encode(&image);
-        assert!(decode(&bytes[..bytes.len() - 3]).is_none(), "truncation");
+        self.spans.len() + self.deferred.len() + self.orphans.len()
     }
 }

@@ -199,6 +199,16 @@ impl MappingTable {
         Ok((entry.ssd(), Lba(pl))) // (3)
     }
 
+    /// The valid entries of rows `row_base..row_base + rows`, in table
+    /// order: a binding's chunks, in the order it installed them.
+    pub fn chunks(&self, row_base: usize, rows: usize) -> impl Iterator<Item = MapEntry> + '_ {
+        self.rows.iter().skip(row_base).take(rows).flat_map(|row| {
+            (0..ENTRIES_PER_ROW)
+                .filter(|&slot| row.valid & (1 << slot) != 0)
+                .map(|slot| MapEntry::from_raw(row.entries[slot]))
+        })
+    }
+
     /// Rows `row_base..row_base + n` cleared (namespace deletion).
     ///
     /// # Errors
@@ -218,23 +228,19 @@ impl MappingTable {
     /// instead, preserving chunk bases — the hot-plug path: a replaced
     /// SSD keeps its chunk layout under a new device (§IV-D).
     ///
-    /// Returns the number of entries rewritten.
+    /// Returns the number of entries rewritten: none for a `to` that
+    /// does not fit the 2-bit SSD field.
     pub fn retarget_ssd(&mut self, from: SsdId, to: SsdId) -> usize {
         let mut n = 0;
         for row in &mut self.rows {
             for slot in 0..ENTRIES_PER_ROW {
-                if row.valid & (1 << slot) != 0 {
-                    let e = MapEntry::from_raw(row.entries[slot]);
-                    if e.ssd() == from {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "panic-path debt (ROADMAP item 4): the chunk base came from a valid entry"
-                        )]
-                        let new = MapEntry::new(e.chunk_base(), to)
-                            .expect("chunk base already validated");
-                        row.entries[slot] = new.raw();
-                        n += 1;
-                    }
+                let e = MapEntry::from_raw(row.entries[slot]);
+                if row.valid & (1 << slot) == 0 || e.ssd() != from {
+                    continue;
+                }
+                if let Some(new) = MapEntry::new(e.chunk_base(), to) {
+                    row.entries[slot] = new.raw();
+                    n += 1;
                 }
             }
         }
@@ -247,10 +253,12 @@ impl MappingTable {
 /// The multi-VM experiment assigns namespaces "in a Round-Robin style
 /// from four SSDs" (§V-D); this allocator implements that policy plus a
 /// sequential fill used for single-disk bindings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkAllocator {
     /// `free[ssd]` = ascending list of free chunk indices.
     free: Vec<Vec<u8>>,
+    /// Chunks each SSD holds.
+    per_ssd: usize,
     next_rr: usize,
 }
 
@@ -280,6 +288,7 @@ impl ChunkAllocator {
         let chunks = ((capacity_bytes / CHUNK_BYTES) as u8).min(MAX_CHUNK_BASE + 1);
         ChunkAllocator {
             free: (0..ssds).map(|_| (0..chunks).rev().collect()).collect(),
+            per_ssd: usize::from(chunks),
             next_rr: 0,
         }
     }
@@ -343,11 +352,26 @@ impl ChunkAllocator {
             .collect())
     }
 
-    /// Returns chunks to the free pool (namespace deletion / hot-plug).
-    pub fn release(&mut self, entries: &[MapEntry]) {
+    /// Returns chunks to the free pool (namespace deletion).
+    pub fn release(&mut self, entries: impl IntoIterator<Item = MapEntry>) {
         for e in entries {
             self.free[e.ssd().0 as usize].push(e.chunk_base());
         }
+    }
+
+    /// Moves the chunks allocated on `from` to `to`, a cross-bay
+    /// hot-plug: the two SSDs' free lists swap, so `to` owns what `from`
+    /// did and `from` is left with every chunk free. Only a spare `to`,
+    /// one with no chunk allocated, can take them; otherwise this
+    /// changes nothing and returns `false`.
+    pub fn move_bay(&mut self, from: SsdId, to: SsdId) -> bool {
+        let (from, to) = (usize::from(from.0), usize::from(to.0));
+        let spare = self.free.get(to).is_some_and(|f| f.len() == self.per_ssd);
+        if !spare || from >= self.free.len() {
+            return false;
+        }
+        self.free.swap(from, to);
+        true
     }
 }
 
@@ -452,6 +476,9 @@ mod tests {
         assert_eq!(ssd, SsdId(3));
         // The SSD2 entry is untouched.
         assert_eq!(mt.entry(7, 0).unwrap().ssd(), SsdId(2));
+        // An SSD id beyond the 2-bit field rewrites nothing.
+        assert_eq!(mt.retarget_ssd(SsdId(3), SsdId(4)), 0);
+        assert_eq!(mt.map(0, Lba(0)).unwrap().0, SsdId(3));
     }
 
     #[test]
@@ -474,7 +501,7 @@ mod tests {
         let all = alloc.alloc_round_robin(58).unwrap();
         assert_eq!(alloc.alloc_round_robin(1), Err(OutOfChunks));
         assert_eq!(alloc.alloc_on(SsdId(0), 1), Err(OutOfChunks));
-        alloc.release(&all[..4]);
+        alloc.release(all[..4].iter().copied());
         assert_eq!(alloc.free_total(), 4);
         assert!(alloc.alloc_round_robin(4).is_ok());
     }

@@ -34,7 +34,7 @@ use crate::engine::counters::IoCounters;
 use crate::engine::dma_routing::{ChipWindow, DmaRouter, GlobalPrp, RoutingStats};
 use crate::engine::front_end::{Binding, FrontEndFunction};
 use crate::engine::host_adaptor::{HostAdaptor, Outstanding, MAX_FORWARD_PAGES};
-use crate::engine::mapping::{ChunkAllocator, MappingTable, ENTRIES_PER_ROW};
+use crate::engine::mapping::{ChunkAllocator, MapError, MappingTable, ENTRIES_PER_ROW};
 use crate::engine::qos::{Admission, NamespaceQos, QosLimit};
 use crate::engine::retry::SeqWindow;
 use bm_nvme::command::{AdminOpcode, IoOpcode, Opcode, Sqe};
@@ -326,52 +326,112 @@ pub enum Placement {
     RoundRobin,
 }
 
-/// A command waiting in the engine (QoS-deferred, SSD-paused, or
-/// back-end-full).
-#[derive(Debug, Clone)]
-struct PendingIo {
+/// A host command's identity: (function index, host queue id, host
+/// CID). The fan-out table counts a command's spans down under it.
+type HostKey = (u8, u16, u16);
+
+/// One host I/O command, decoded and validated once at the doorbell.
+/// As the target controller hands a checked command down the hardware
+/// pipeline (§IV, Fig. 3), every later stage — QoS, mapping, the
+/// back-end port, retries and the crash journal — carries this record,
+/// or a [`Span`] of it, and none looks the command up again.
+#[derive(Debug, Clone, Copy)]
+struct HostIo {
     func: FunctionId,
-    host_qid: QueueId,
-    host_cid: Cid,
-    sqe: Sqe,
+    qid: QueueId,
+    cid: Cid,
+    op: IoOpcode,
+    /// First host LBA.
+    slba: Lba,
+    /// Transfer length in blocks.
+    blocks: u32,
+    /// The host's data pointers: each span reads its pages through them.
+    prp1: PciAddr,
+    prp2: PciAddr,
+    /// First mapping-table row of the binding that validated the
+    /// command. Rows are never reused, so this also names the binding.
+    row_base: usize,
+    /// When the engine fetched the SQE.
     fetched_at: SimTime,
-    /// The host command's original data pointers (the rewrite replaces
-    /// `sqe`'s, but each span still reads its pages from the host's).
-    orig_prp1: PciAddr,
-    orig_prp2: PciAddr,
-    orig_blocks: u32,
-    /// Timed-out forwarding attempts so far (timeout machinery).
-    retries: u32,
     /// Telemetry correlation ID ([`CmdId::NONE`] when telemetry is off).
     cmd: CmdId,
 }
 
-impl PendingIo {
-    /// Reads the host PRP entries of blocks `first..first + n` of this
-    /// command's transfer into `out`, as the little-endian bytes of a PRP
-    /// list, and tags each in place with the command's function (a
-    /// global PRP, §IV-C). Block 0 is PRP1 and block 1 of a two-block
-    /// command is PRP2; block `b` of a longer one is entry `b - 1` of the
-    /// host's flat PRP list, so a span's list entries take one read.
-    fn read_tagged_prps(&self, first: u32, n: u32, host: &mut HostMemory, out: &mut Vec<u8>) {
+impl HostIo {
+    /// The fan-out table's key for this command.
+    fn key(&self) -> HostKey {
+        (self.func.index(), self.qid.0, self.cid.0)
+    }
+
+    /// The origin-table record of an attempt that moves `blocks` of
+    /// this command's blocks (a flush moves none).
+    fn origin(&self, blocks: u32, pushed_at: SimTime, seq: u64) -> Outstanding {
+        let bytes = if self.op == IoOpcode::Flush {
+            0
+        } else {
+            u64::from(blocks) * BLOCK_SIZE
+        };
+        Outstanding {
+            func: self.func,
+            host_qid: self.qid,
+            host_cid: self.cid,
+            bytes,
+            op: self.op,
+            fetched_at: self.fetched_at,
+            pushed_at,
+            seq,
+            cmd: self.cmd,
+        }
+    }
+}
+
+/// The blocks of a [`HostIo`] one back-end command carries: blocks
+/// `first..first + blocks` of the host transfer at `lba` on `ssd` (a
+/// flush's span names the whole command). [`BmsEngine::push_to_port`]
+/// builds the back-end SQE from it on every forwarding attempt.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    io: HostIo,
+    ssd: SsdId,
+    /// Physical LBA of the span's first block.
+    lba: Lba,
+    first: u32,
+    blocks: u32,
+    /// Timed-out forwarding attempts so far (timeout machinery).
+    retries: u32,
+}
+
+// Backlogs, retry entries and the journal hold spans by value, so a
+// span's size is every queued command's footprint: keep it in 96 bytes.
+const _: () = assert!(std::mem::size_of::<Span>() <= 96);
+
+impl Span {
+    /// Reads the host PRP entries of this span's blocks into `out`, as
+    /// the little-endian bytes of a PRP list, and tags each in place
+    /// with the command's function (a global PRP, §IV-C). Block 0 is
+    /// PRP1 and block 1 of a two-block command is PRP2; block `b` of a
+    /// longer one is entry `b - 1` of the host's flat PRP list, so a
+    /// span's list entries take one read.
+    fn read_tagged_prps(&self, host: &mut HostMemory, out: &mut Vec<u8>) {
+        let io = &self.io;
         out.clear();
-        let end = first + n;
-        let mut b = first;
+        let end = self.first + self.blocks;
+        let mut b = self.first;
         if b == 0 {
-            out.extend_from_slice(&self.orig_prp1.raw().to_le_bytes());
+            out.extend_from_slice(&io.prp1.raw().to_le_bytes());
             b = 1;
         }
         if b < end {
-            if self.orig_blocks == 2 {
-                out.extend_from_slice(&self.orig_prp2.raw().to_le_bytes());
+            if io.blocks == 2 {
+                out.extend_from_slice(&io.prp2.raw().to_le_bytes());
             } else {
                 let at = out.len();
                 out.resize(at + (end - b) as usize * 8, 0);
-                host.read(self.orig_prp2 + u64::from(b - 1) * 8, &mut out[at..]);
+                host.read(io.prp2 + u64::from(b - 1) * 8, &mut out[at..]);
             }
         }
         for entry in out.chunks_exact_mut(8) {
-            let tagged = GlobalPrp::tag(prp_at(entry, 0), self.func, false);
+            let tagged = GlobalPrp::tag(prp_at(entry, 0), io.func, false);
             entry.copy_from_slice(&tagged.raw().to_le_bytes());
         }
     }
@@ -389,7 +449,19 @@ fn prp_at(list: &[u8], i: usize) -> PciAddr {
 struct QosRelease {
     at: SimTime,
     seq: u64,
-    io: PendingIo,
+    io: HostIo,
+}
+
+/// Where the doorbell's checks send a valid command.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Map and forward it now.
+    Forward,
+    /// QoS holds it until this instant.
+    Defer(SimTime),
+    /// A flush: one back-end flush to each SSD in the set (bit `i` =
+    /// SSD `i`), the SSDs the binding's mapping rows point at.
+    FanOut(u8),
 }
 
 impl PartialEq for QosRelease {
@@ -436,10 +508,10 @@ pub struct BmsEngine {
     qos_seq: u64,
     /// Per-SSD: paused flag and buffered commands.
     paused: Vec<bool>,
-    backlog: Vec<VecDeque<PendingIo>>,
+    backlog: Vec<VecDeque<Span>>,
     /// Host commands expanded into several back-end commands: counts
     /// down to zero, tracking the worst status seen.
-    fanout: BTreeMap<(u8, u16, u16), (u8, Status)>,
+    fanout: BTreeMap<HostKey, (u8, Status)>,
     /// Present only in the store-and-forward ablation.
     copy_link: Option<BandwidthLink>,
     /// Monotonic id for forwarding attempts (also assigned with the
@@ -473,13 +545,13 @@ pub struct BmsEngine {
     /// When the firmware cold-restart completes (valid while crashed).
     restart_at: SimTime,
     /// The persistent-model journal region written by [`Self::crash`].
-    journal: Vec<u8>,
+    journal: journal::Journal,
     /// Where spans and stage accounting go. Off by default (every call
     /// is then a no-op); a harness lends its own for one call at a time
     /// through [`Self::with_observer`].
     obs: Observer,
     /// Reused span buffer for [`Self::forward_io`] (hot path).
-    span_scratch: Vec<(SsdId, Lba, u32, u32)>,
+    span_scratch: Vec<Span>,
     /// Reused SQE fetch buffer for [`Self::host_doorbell_write_into`]:
     /// parsed entries, or the CID and status of ones that did not parse.
     sqe_scratch: Vec<Result<Sqe, BadSqe>>,
@@ -529,28 +601,16 @@ fn coalesce_actions(actions: &mut Vec<EngineAction>, from: usize) {
     actions.truncate(actions.len().min(kept + 1));
 }
 
-/// Reconstructs the NVMe opcode byte of an [`Outstanding`] origin from
-/// its direction and size (the origin table doesn't keep the full SQE).
-fn origin_opcode(origin: &Outstanding) -> u8 {
-    if origin.bytes == 0 {
-        IoOpcode::Flush.code()
-    } else if origin.is_write {
-        IoOpcode::Write.code()
-    } else {
-        IoOpcode::Read.code()
-    }
-}
-
 /// Retry bookkeeping for one in-flight forwarding attempt.
 #[derive(Debug, Clone)]
 struct RetryEntry {
-    ssd: SsdId,
+    /// The attempt's back-end CID.
     cid: Cid,
     /// When the attempt times out.
     deadline: SimTime,
-    /// Pristine span-level command, re-enqueued verbatim on retry
-    /// (`push_to_port` rebuilds its data pointers each attempt).
-    io: PendingIo,
+    /// The span, re-enqueued as it is on retry (`push_to_port` builds
+    /// its SQE afresh each attempt).
+    span: Span,
 }
 
 impl std::fmt::Debug for BmsEngine {
@@ -602,7 +662,7 @@ impl BmsEngine {
             ring_epochs: vec![0; cfg.ssd_count],
             crashed_at: SimTime::ZERO,
             restart_at: SimTime::ZERO,
-            journal: Vec::new(),
+            journal: journal::Journal::default(),
             obs: Observer::default(),
             span_scratch: Vec::new(),
             sqe_scratch: Vec::new(),
@@ -693,7 +753,7 @@ impl BmsEngine {
                 origin.cmd,
                 origin.func.index() as u16,
                 origin.func.index(),
-                origin_opcode(origin),
+                origin.op.code(),
                 TelemetryStage::Backend,
                 start,
                 end,
@@ -793,22 +853,22 @@ impl BmsEngine {
             block_size: BLOCK_SIZE,
             row_base,
             rows,
-            entries,
             qos: NamespaceQos::new(QosLimit::UNLIMITED),
         });
         Ok(())
     }
 
-    /// Unbinds `func`'s namespace, releasing its chunks. (Mapping rows
-    /// are leaked until the table is rebuilt — matching the simple
-    /// allocator the shipped firmware uses.)
+    /// Unbinds `func`'s namespace, releasing the chunks its mapping rows
+    /// hold. (Mapping rows are leaked until the table is rebuilt —
+    /// matching the simple allocator the shipped firmware uses.)
     ///
     /// Returns whether a binding existed.
     pub fn unbind_namespace(&mut self, func: FunctionId) -> bool {
         let idx = func.index() as usize;
         match self.functions[idx].unbind() {
             Some(binding) => {
-                self.chunk_alloc.release(&binding.entries);
+                self.chunk_alloc
+                    .release(self.mapping.chunks(binding.row_base, binding.rows));
                 #[expect(
                     clippy::expect_used,
                     reason = "panic-path debt (ROADMAP item 4): a binding's rows were installed in the table"
@@ -863,11 +923,18 @@ impl BmsEngine {
         actions
     }
 
-    /// Rewrites every mapping entry targeting `from` to `to` — the
-    /// hot-plug identity-preserving replacement (§IV-D). Returns how
-    /// many entries were rewritten.
-    pub fn retarget_ssd(&mut self, from: SsdId, to: SsdId) -> usize {
-        self.mapping.retarget_ssd(from, to)
+    /// Moves every chunk on `from` to the same chunk on `to` — the
+    /// hot-plug identity-preserving migration to another bay (§IV-D):
+    /// the mapping entries targeting `from` target `to` instead, and the
+    /// chunk allocator's two free lists swap, so `to` owns the moved
+    /// chunks and `from` is left a spare bay. Returns how many entries
+    /// were rewritten, or `None`, changing nothing, unless `to` is a
+    /// spare bay: one with no chunk allocated.
+    pub fn retarget_ssd(&mut self, from: SsdId, to: SsdId) -> Option<usize> {
+        if !self.chunk_alloc.move_bay(from, to) {
+            return None;
+        }
+        Some(self.mapping.retarget_ssd(from, to))
     }
 
     /// Fires the deadline timer (call at the
@@ -919,7 +986,8 @@ impl BmsEngine {
         host: &mut HostMemory,
         actions: &mut Vec<EngineAction>,
     ) {
-        let ssd = entry.ssd;
+        let mut span = entry.span;
+        let ssd = span.ssd;
         let Some(origin) = self.adaptor.port_mut(ssd).abandon(entry.cid) else {
             return; // slot already resolved (defensive)
         };
@@ -933,7 +1001,7 @@ impl BmsEngine {
                 origin.cmd,
                 origin.func.index() as u16,
                 origin.func.index(),
-                origin_opcode(&origin),
+                origin.op.code(),
                 TelemetryStage::Dma,
                 origin.pushed_at,
                 now,
@@ -941,15 +1009,14 @@ impl BmsEngine {
             );
         }
         let tenant = origin.func.index() as u16;
-        let opcode = origin_opcode(&origin);
-        let mut io = entry.io;
-        if io.retries < self.cfg.max_retries {
-            io.retries += 1;
+        let opcode = origin.op.code();
+        if span.retries < self.cfg.max_retries {
+            span.retries += 1;
             self.resilience.retries += 1;
             self.obs.count(metric_names::ENGINE_RETRIES, 1);
             self.recovery_log.push(RecoveryEvent::TimeoutRetry {
                 ssd,
-                attempt: io.retries,
+                attempt: span.retries,
             });
             if origin.cmd.is_some() {
                 self.obs.event(
@@ -958,11 +1025,11 @@ impl BmsEngine {
                     tenant,
                     opcode,
                     TelemetryEventKind::Retry {
-                        attempt: io.retries,
+                        attempt: span.retries,
                     },
                 );
             }
-            self.enqueue_backend(now, ssd, io, host, actions);
+            self.enqueue_backend(now, span, host, actions);
         } else {
             match self.cfg.fail_policy {
                 FailPolicy::AbortToHost => {
@@ -987,7 +1054,7 @@ impl BmsEngine {
                 }
                 FailPolicy::QuiesceReplay => {
                     self.pause_ssd(ssd);
-                    self.backlog[ssd.0 as usize].push_front(io);
+                    self.backlog[ssd.0 as usize].push_front(span);
                     self.resilience.quiesces += 1;
                     self.recovery_log.push(RecoveryEvent::TimeoutQuiesce {
                         ssd,
@@ -1045,7 +1112,7 @@ impl BmsEngine {
         self.ring_epochs[ssd.0 as usize] += 1;
         let mut actions = Vec::new();
         for origin in origins {
-            // The pristine retry copy dies with the attempt — the
+            // The retry entry's span dies with the attempt — the
             // deadline timer must not resurrect the command.
             self.pending_retry.remove(origin.seq);
             self.finish_origin(now, origin, Status::Aborted, &mut actions);
@@ -1121,34 +1188,31 @@ impl BmsEngine {
         }
         self.crashed_at = now;
         self.restart_at = restart_at;
-        let mut image = journal::JournalImage {
+        let mut journal = journal::Journal {
             paused: self.paused.clone(),
-            fanout: self.fanout.iter().map(|(&k, &v)| (k, v)).collect(),
-            ..journal::JournalImage::default()
+            fanout: std::mem::take(&mut self.fanout),
+            ..journal::Journal::default()
         };
-        self.fanout.clear();
-        // Command table first: in-flight attempts that kept a pristine
-        // copy (the timeout machinery's retry entries), in forwarding
-        // order — replay must not reorder attempts. The deadline timer
-        // goes with them; the replays re-arm it.
+        // Command table first: in-flight attempts that kept their span
+        // (the timeout machinery's retry entries), in forwarding order
+        // — replay must not reorder attempts. The deadline timer goes
+        // with them; the replays re-arm it.
         let pending = std::mem::take(&mut self.pending_retry);
         self.deadline_timer = None;
         let mut journaled_seqs = BTreeSet::new();
         for (seq, entry) in pending.into_entries() {
             journaled_seqs.insert(seq);
-            image.spans.push((entry.ssd.0, entry.io));
+            journal.spans.push(entry.span);
         }
         // Then the buffered backlog behind them, per SSD in FIFO order.
-        for (sidx, backlog) in self.backlog.iter_mut().enumerate() {
-            for io in backlog.drain(..) {
-                image.spans.push((sidx as u8, io));
-            }
+        for backlog in &mut self.backlog {
+            journal.spans.extend(backlog.drain(..));
         }
         // QoS-deferred commands, in release order. The release FIFO does
         // not survive — replay re-enters at the forwarding step.
         let mut deferred: Vec<QosRelease> = self.qos_heap.drain().collect();
         deferred.sort_by_key(|r| (r.at, r.seq));
-        image.unmapped.extend(deferred.into_iter().map(|r| r.io));
+        journal.deferred.extend(deferred.into_iter().map(|r| r.io));
         for f in &mut self.functions {
             if let Some(b) = f.binding_mut() {
                 b.qos.clear_buffered();
@@ -1164,32 +1228,23 @@ impl BmsEngine {
             let port = self.adaptor.port_mut(ssd);
             for origin in port.abandon_all_live() {
                 if !journaled_seqs.contains(&origin.seq) {
-                    image.orphans.push(journal::OrphanOrigin {
-                        func: origin.func,
-                        host_qid: origin.host_qid,
-                        host_cid: origin.host_cid,
-                        bytes: origin.bytes,
-                        is_write: origin.is_write,
-                        fetched_at: origin.fetched_at,
-                        cmd: origin.cmd,
-                    });
+                    journal.orphans.push(origin);
                 }
             }
             port.reap_zombies();
             port.reset_rings(&mut self.chip);
         }
         if self.cfg.debug_drop_journal_tail {
-            image.spans.pop();
+            journal.spans.pop();
         }
-        let journaled = image.len();
-        self.journal = journal::encode(&image);
+        let journaled = journal.len();
+        self.journal = journal;
         self.recovery_log
             .push(RecoveryEvent::EngineCrashed { journaled });
     }
 
-    /// The firmware cold-restart completes: decode the crash journal
-    /// and replay or abort every journaled command per
-    /// [`EngineConfig::fail_policy`].
+    /// The firmware cold-restart completes: replay or abort every
+    /// command in the crash journal per [`EngineConfig::fail_policy`].
     ///
     /// `QuiesceReplay` re-enqueues journaled span attempts and
     /// re-forwards QoS-deferred commands (restoring the fan-out
@@ -1206,44 +1261,29 @@ impl BmsEngine {
             return Vec::new();
         }
         self.crashed = false;
-        let journal_bytes = std::mem::take(&mut self.journal);
-        let image = match journal::decode(&journal_bytes) {
-            Some(image) => image,
-            None => {
-                debug_assert!(false, "crash journal failed to decode");
-                journal::JournalImage::default()
-            }
-        };
-        let journal::JournalImage {
+        let journal::Journal {
             paused,
             fanout,
             spans,
-            unmapped,
+            deferred,
             orphans,
-        } = image;
+        } = std::mem::take(&mut self.journal);
         // Management-plane quiesce state survives the restart.
-        if paused.len() == self.paused.len() {
-            self.paused = paused;
-        }
-        let orphan_keys: BTreeSet<(u8, u16, u16)> = orphans
-            .iter()
-            .map(|o| (o.func.index(), o.host_qid.0, o.host_cid.0))
-            .collect();
+        self.paused = paused;
+        let orphan_keys: BTreeSet<HostKey> = orphans.iter().map(Outstanding::host_key).collect();
         let mut actions = Vec::new();
         let mut replayed: u32 = 0;
         let mut aborted: u32 = 0;
         // One abort per host command, however many journaled records
         // share its key.
         let mut abort_seen = BTreeSet::new();
-        let mut abort_once = |this: &mut Self,
-                              key: (u8, u16, u16),
-                              origin: Outstanding,
-                              actions: &mut Vec<EngineAction>| {
-            if abort_seen.insert(key) {
-                aborted += 1;
-                this.finish_origin(now, origin, Status::Aborted, actions);
-            }
-        };
+        let mut abort_once =
+            |this: &mut Self, origin: Outstanding, actions: &mut Vec<EngineAction>| {
+                if abort_seen.insert(origin.host_key()) {
+                    aborted += 1;
+                    this.finish_origin(now, origin, Status::Aborted, actions);
+                }
+            };
         match self.cfg.fail_policy {
             FailPolicy::QuiesceReplay => {
                 // Restore the fan-out countdown for replayed commands.
@@ -1257,50 +1297,33 @@ impl BmsEngine {
                         self.fanout.insert(key, v);
                     }
                 }
-                for (ssd, io) in spans {
-                    let key = (io.func.index(), io.host_qid.0, io.host_cid.0);
-                    if orphan_keys.contains(&key) {
+                for span in spans {
+                    if orphan_keys.contains(&span.io.key()) {
                         continue;
                     }
                     replayed += 1;
-                    self.enqueue_backend(now, SsdId(ssd), io, host, &mut actions);
+                    self.enqueue_backend(now, span, host, &mut actions);
                 }
-                for io in unmapped {
-                    let key = (io.func.index(), io.host_qid.0, io.host_cid.0);
-                    if orphan_keys.contains(&key) {
+                for io in deferred {
+                    if orphan_keys.contains(&io.key()) {
                         continue;
                     }
                     replayed += 1;
                     self.forward_io(now, io, host, &mut actions);
                 }
-                for o in &orphans {
-                    let key = (o.func.index(), o.host_qid.0, o.host_cid.0);
-                    abort_once(self, key, o.to_origin(now), &mut actions);
-                }
             }
             FailPolicy::AbortToHost => {
                 // The fan-out table is not restored: each command gets
                 // exactly one untracked abort completion.
-                for io in spans.into_iter().map(|(_, io)| io).chain(unmapped) {
-                    let key = (io.func.index(), io.host_qid.0, io.host_cid.0);
-                    let origin = Outstanding {
-                        func: io.func,
-                        host_qid: io.host_qid,
-                        host_cid: io.host_cid,
-                        bytes: io.sqe.transfer_len(BLOCK_SIZE),
-                        is_write: io.sqe.io_opcode() == Some(IoOpcode::Write),
-                        fetched_at: io.fetched_at,
-                        pushed_at: now,
-                        seq: 0,
-                        cmd: io.cmd,
-                    };
-                    abort_once(self, key, origin, &mut actions);
-                }
-                for o in &orphans {
-                    let key = (o.func.index(), o.host_qid.0, o.host_cid.0);
-                    abort_once(self, key, o.to_origin(now), &mut actions);
+                let attempts = spans.iter().map(|s| s.io.origin(s.blocks, now, 0));
+                let held = deferred.iter().map(|io| io.origin(io.blocks, now, 0));
+                for origin in attempts.chain(held) {
+                    abort_once(self, origin, &mut actions);
                 }
             }
+        }
+        for origin in orphans {
+            abort_once(self, origin, &mut actions);
         }
         self.resilience.recoveries += 1;
         self.resilience.replayed += u64::from(replayed);
@@ -1424,7 +1447,7 @@ impl BmsEngine {
                         at: fetch_at + EngineTiming::PAPER.admin_processing,
                     });
                 }
-                Opcode::Io(_) => {
+                Opcode::Io(op) => {
                     // Join the submitter's span tree: the doorbell →
                     // SQE-fetched window is the SR-IOV layer's share.
                     let (cmd, opcode) = self.obs.lookup(func.index() as u16, sqe.cid.0);
@@ -1440,23 +1463,21 @@ impl BmsEngine {
                             true,
                         );
                     }
-                    self.handle_io(
-                        fetch_at,
-                        PendingIo {
-                            func,
-                            host_qid: qid,
-                            host_cid: sqe.cid,
-                            orig_prp1: sqe.prp1,
-                            orig_prp2: sqe.prp2,
-                            orig_blocks: sqe.nlb_blocks(),
-                            sqe,
-                            fetched_at: fetch_at,
-                            retries: 0,
-                            cmd,
-                        },
-                        host,
-                        actions,
-                    );
+                    match self.decode_io(fetch_at, func, qid, op, &sqe, cmd) {
+                        Ok((io, route)) => self.start_io(fetch_at, io, route, host, actions),
+                        Err(status) => {
+                            self.counters.record(func, false, 0, true);
+                            actions.push(EngineAction::HostCompletion {
+                                func,
+                                qid,
+                                cid: sqe.cid,
+                                status,
+                                at: fetch_at
+                                    + EngineTiming::PAPER.pipeline
+                                    + EngineTiming::PAPER.cqe_forward,
+                            });
+                        }
+                    }
                 }
             }
         }
@@ -1532,13 +1553,13 @@ impl BmsEngine {
     }
 
     /// Records one engine stage span for `io` (no-op without a CmdId).
-    fn tel_span(&mut self, io: &PendingIo, stage: TelemetryStage, start: SimTime, end: SimTime) {
+    fn tel_span(&mut self, io: &HostIo, stage: TelemetryStage, start: SimTime, end: SimTime) {
         if io.cmd.is_some() {
             self.obs.span(
                 io.cmd,
                 io.func.index() as u16,
                 io.func.index(),
-                io.sqe.opcode.code(),
+                io.op.code(),
                 stage,
                 start,
                 end,
@@ -1547,54 +1568,83 @@ impl BmsEngine {
         }
     }
 
-    /// The target-controller I/O path: validate → QoS → map → rewrite →
-    /// forward.
-    fn handle_io(
+    /// The target controller's one look at a fetched I/O command: the
+    /// checks, QoS admission and, for a flush, the SSDs it fans out to,
+    /// all against the binding `func` has now. Returns the command's
+    /// record and where it goes next, or the status it is refused with.
+    fn decode_io(
         &mut self,
         now: SimTime,
-        io: PendingIo,
-        host: &mut HostMemory,
-        actions: &mut Vec<EngineAction>,
-    ) {
-        let idx = io.func.index() as usize;
-        let bytes = io.sqe.transfer_len(BLOCK_SIZE);
-        let is_flush = io.sqe.io_opcode() == Some(IoOpcode::Flush);
-        let in_range = |b: &Binding| {
-            is_flush
-                || io
-                    .sqe
-                    .slba
-                    .checked_add(io.sqe.nlb_blocks() as u64)
-                    .is_some_and(|end| end.raw() <= b.blocks())
+        func: FunctionId,
+        qid: QueueId,
+        op: IoOpcode,
+        sqe: &Sqe,
+        cmd: CmdId,
+    ) -> Result<(HostIo, Route), Status> {
+        let binding = self.functions[func.index() as usize]
+            .binding_mut()
+            .ok_or(Status::InvalidNamespace)?;
+        let io = HostIo {
+            func,
+            qid,
+            cid: sqe.cid,
+            op,
+            slba: sqe.slba,
+            blocks: sqe.nlb_blocks(),
+            prp1: sqe.prp1,
+            prp2: sqe.prp2,
+            row_base: binding.row_base,
+            fetched_at: now,
+            cmd,
         };
+        if sqe.nsid != Some(Nsid::ONE) {
+            return Err(Status::LbaOutOfRange);
+        }
+        if op == IoOpcode::Flush {
+            // Flushes move no data and bypass QoS.
+            let ssds = self
+                .mapping
+                .chunks(binding.row_base, binding.rows)
+                .fold(0u8, |set, e| set | (1 << e.ssd().0));
+            return Ok((io, Route::FanOut(ssds)));
+        }
+        let in_range = io
+            .slba
+            .checked_add(u64::from(io.blocks))
+            .is_some_and(|end| end.raw() <= binding.blocks());
+        if !in_range {
+            return Err(Status::LbaOutOfRange);
+        }
         // A transfer needs PRP1, and PRP2 once it spans a second page
         // (what `PrpPair::segments` demands on the native path). Its PRP
         // list must also fit the chip-memory slot each forwarded command
         // gets; a longer one would overwrite the next slot's.
-        let prps_ok = is_flush
-            || (!(io.orig_prp1.is_null() || (io.orig_blocks > 1 && io.orig_prp2.is_null()))
-                && io.orig_blocks <= MAX_FORWARD_PAGES);
-        let rejected = match self.functions[idx].binding() {
-            None => Some(Status::InvalidNamespace),
-            Some(b) if io.sqe.nsid != Some(Nsid::ONE) || !in_range(b) => {
-                Some(Status::LbaOutOfRange)
-            }
-            Some(_) if !prps_ok => Some(Status::InvalidField),
-            Some(_) => None,
-        };
-        if let Some(status) = rejected {
-            self.counters.record(io.func, false, 0, true);
-            actions.push(EngineAction::HostCompletion {
-                func: io.func,
-                qid: io.host_qid,
-                cid: io.host_cid,
-                status,
-                at: now + EngineTiming::PAPER.pipeline + EngineTiming::PAPER.cqe_forward,
-            });
-            return;
+        if io.prp1.is_null()
+            || (io.blocks > 1 && io.prp2.is_null())
+            || io.blocks > MAX_FORWARD_PAGES
+        {
+            return Err(Status::InvalidField);
         }
-        // The command is now inside the pipeline: gauge it and attribute
-        // the mapping/rewrite pipeline window to the Translate stage.
+        let route = match binding.qos.admit(now, u64::from(io.blocks) * BLOCK_SIZE) {
+            Admission::Immediate => Route::Forward,
+            Admission::Deferred(at) => Route::Defer(at),
+        };
+        Ok((io, route))
+    }
+
+    /// Takes a command the doorbell accepted into the pipeline: gauges
+    /// it, then forwards it, holds it for QoS, or fans a flush out.
+    fn start_io(
+        &mut self,
+        now: SimTime,
+        io: HostIo,
+        route: Route,
+        host: &mut HostMemory,
+        actions: &mut Vec<EngineAction>,
+    ) {
+        // Attribute the mapping/rewrite pipeline window to the
+        // Translate stage.
+        let idx = io.func.index() as usize;
         self.counters.command_started(io.func);
         if let Some(m) = self.obs.metrics_mut() {
             let outstanding = self.counters.regs(io.func).outstanding;
@@ -1612,203 +1662,150 @@ impl BmsEngine {
             now,
             now + EngineTiming::PAPER.pipeline,
         );
-        // QoS admission (flush bypasses QoS).
-        if io.sqe.io_opcode() != Some(IoOpcode::Flush) {
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
-            )]
-            let binding = self.functions[idx].binding_mut().expect("validated");
-            match binding.qos.admit(now, bytes) {
-                Admission::Immediate => {}
-                Admission::Deferred(at) => {
-                    self.counters.record_deferred(io.func);
-                    let wait = at.saturating_since(now);
-                    self.obs.stage_busy(MetricStage::Qos, wait, 1);
-                    self.tel_span(&io, TelemetryStage::Qos, now, at);
-                    self.qos_seq += 1;
-                    self.qos_heap.push(QosRelease {
-                        at,
-                        seq: self.qos_seq,
+        match route {
+            Route::Forward => self.forward_io(now, io, host, actions),
+            Route::Defer(at) => {
+                self.counters.record_deferred(io.func);
+                let wait = at.saturating_since(now);
+                self.obs.stage_busy(MetricStage::Qos, wait, 1);
+                self.tel_span(&io, TelemetryStage::Qos, now, at);
+                self.qos_seq += 1;
+                self.qos_heap.push(QosRelease {
+                    at,
+                    seq: self.qos_seq,
+                    io,
+                });
+                actions.push(EngineAction::QosWakeup { at });
+            }
+            Route::FanOut(ssds) => {
+                let n = u64::from(ssds.count_ones());
+                let busy = EngineTiming::PAPER.pipeline * n;
+                self.obs.stage_busy(MetricStage::Mapping, busy, n);
+                // Single-target commands skip the fan-out table:
+                // `finish_origin` treats an untracked origin as its own
+                // completion, with the same status and timing.
+                if n > 1 {
+                    self.fanout.insert(io.key(), (n as u8, Status::Success));
+                }
+                for i in (0..8).filter(|i| ssds & (1 << i) != 0) {
+                    let span = Span {
                         io,
-                    });
-                    actions.push(EngineAction::QosWakeup { at });
-                    return;
+                        ssd: SsdId(i),
+                        lba: io.slba,
+                        first: 0,
+                        blocks: io.blocks,
+                        retries: 0,
+                    };
+                    self.enqueue_backend(now, span, host, actions);
                 }
             }
         }
-        self.forward_io(now, io, host, actions);
     }
 
-    /// Maps and forwards one admitted command, splitting across chunk
-    /// boundaries / fanning out flushes as needed.
+    /// Maps an admitted read or write through the mapping rows it was
+    /// validated against and forwards it, one back-end command per chunk
+    /// it touches. A command whose rows were cleared while QoS held it
+    /// (its namespace was unbound) completes with
+    /// [`Status::InvalidNamespace`] and sends nothing to the back end.
     fn forward_io(
         &mut self,
         now: SimTime,
-        io: PendingIo,
+        io: HostIo,
         host: &mut HostMemory,
         actions: &mut Vec<EngineAction>,
     ) {
-        let key = (io.func.index(), io.host_qid.0, io.host_cid.0);
-        if io.sqe.io_opcode() == Some(IoOpcode::Flush) {
-            // Fan a flush out to every SSD backing the namespace.
-            let idx = io.func.index() as usize;
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
-            )]
-            let binding = self.functions[idx].binding().expect("validated");
-            let mut ssds: Vec<SsdId> = binding.entries.iter().map(|e| e.ssd()).collect();
-            ssds.sort_unstable();
-            ssds.dedup();
-            let n = ssds.len() as u64;
+        // Split on chunk boundaries into a reused buffer — single-span
+        // commands dominate and must not allocate.
+        let mut spans = std::mem::take(&mut self.span_scratch);
+        if self.split_spans_into(&io, &mut spans).is_err() {
+            let origin = io.origin(0, now, 0);
+            self.finish_origin(now, origin, Status::InvalidNamespace, actions);
+        } else {
+            let n = spans.len() as u64;
             let busy = EngineTiming::PAPER.pipeline * n;
             self.obs.stage_busy(MetricStage::Mapping, busy, n);
-            // Single-target commands skip the fan-out table:
-            // `finish_origin` treats an untracked origin as its own
-            // completion, with the same status and timing.
-            if ssds.len() > 1 {
-                self.fanout.insert(key, (ssds.len() as u8, Status::Success));
+            // Single-span commands skip the fan-out table (see the
+            // flush fan-out in `start_io`).
+            if spans.len() > 1 {
+                self.fanout
+                    .insert(io.key(), (spans.len() as u8, Status::Success));
             }
-            for ssd in ssds {
-                let mut sqe = io.sqe;
-                sqe.nsid = Some(Nsid::ONE);
-                self.enqueue_backend(now, ssd, PendingIo { sqe, ..io.clone() }, host, actions);
+            for &span in &spans {
+                self.enqueue_backend(now, span, host, actions);
             }
-            return;
-        }
-        // Split read/write on chunk boundaries (into a reused buffer —
-        // single-span commands dominate and must not allocate).
-        let mut spans = std::mem::take(&mut self.span_scratch);
-        self.split_spans_into(&io, &mut spans);
-        let n = spans.len() as u64;
-        let busy = EngineTiming::PAPER.pipeline * n;
-        self.obs.stage_busy(MetricStage::Mapping, busy, n);
-        // Single-span commands skip the fan-out table (see the flush
-        // branch above).
-        if spans.len() > 1 {
-            self.fanout
-                .insert(key, (spans.len() as u8, Status::Success));
-        }
-        for &(ssd, pl, block_off, nblocks) in &spans {
-            let sqe = Self::rewrite_io(&io, pl, block_off, nblocks);
-            // `PendingIo` is all-`Copy` fields: this clone is a memcpy.
-            self.enqueue_backend(now, ssd, PendingIo { sqe, ..io.clone() }, host, actions);
         }
         spans.clear();
         self.span_scratch = spans;
     }
 
-    /// Computes the back-end spans of an I/O command into `spans`:
-    /// `(ssd, physical LBA, block offset into transfer, block count)`.
-    fn split_spans_into(&self, io: &PendingIo, spans: &mut Vec<(SsdId, Lba, u32, u32)>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): the doorbell validated that the function has a binding"
-        )]
-        let binding = self.functions[io.func.index() as usize]
-            .binding()
-            .expect("validated");
+    /// Maps `io` through its binding's rows into `spans`, one per chunk
+    /// it touches, or fails if a row entry is no longer valid.
+    fn split_spans_into(&self, io: &HostIo, spans: &mut Vec<Span>) -> Result<(), MapError> {
         let cs = self.mapping.chunk_blocks();
         spans.clear();
-        let mut hl = io.sqe.slba.raw();
-        let mut remaining = io.sqe.nlb_blocks() as u64;
-        let mut offset = 0u32;
-        while remaining > 0 {
-            let in_chunk = cs - (hl % cs);
-            let n = remaining.min(in_chunk);
-            #[expect(
-                clippy::expect_used,
-                reason = "panic-path debt (ROADMAP item 4): the doorbell validated the LBA range against the binding's size"
-            )]
-            let (ssd, pl) = self
-                .mapping
-                .map(binding.row_base, Lba(hl))
-                .expect("validated against binding size");
-            spans.push((ssd, pl, offset, n as u32));
-            hl += n;
-            offset += n as u32;
-            remaining -= n;
+        let mut first = 0;
+        while first < io.blocks {
+            let hl = io.slba.raw() + u64::from(first);
+            let in_chunk = cs - hl % cs;
+            let blocks = u64::from(io.blocks - first).min(in_chunk) as u32;
+            let (ssd, lba) = self.mapping.map(io.row_base, Lba(hl))?;
+            spans.push(Span {
+                io: *io,
+                ssd,
+                lba,
+                first,
+                blocks,
+                retries: 0,
+            });
+            first += blocks;
         }
+        Ok(())
     }
 
-    /// Builds the rewritten back-end SQE for one span: its physical LBA
-    /// and block count, with the span's block offset into the host
-    /// transfer stashed in `cdw12`'s upper bits (reserved in our subset).
-    /// [`Self::push_to_port`] fills in the global-PRP data pointers once
-    /// the command has its chip slot.
-    fn rewrite_io(io: &PendingIo, pl: Lba, block_off: u32, nblocks: u32) -> Sqe {
-        #[expect(
-            clippy::expect_used,
-            reason = "panic-path debt (ROADMAP item 4): only I/O commands reach the back-end rewrite"
-        )]
-        let mut sqe = Sqe::io(
-            io.sqe.io_opcode().expect("I/O command"),
-            io.host_cid, // replaced with the back-end CID at enqueue
-            Nsid::ONE,
-            pl,
-            nblocks,
-            PciAddr::NULL,
-            PciAddr::NULL,
-        );
-        sqe.cdw12 |= block_off << 16;
-        sqe
-    }
-
-    /// Queues one rewritten command toward `ssd` (or buffers it if the
-    /// SSD is paused / the ring is full).
+    /// Queues one span toward its SSD (or buffers it if the SSD is
+    /// paused / the ring is full).
     fn enqueue_backend(
         &mut self,
         now: SimTime,
-        ssd: SsdId,
-        io: PendingIo,
+        span: Span,
         host: &mut HostMemory,
         actions: &mut Vec<EngineAction>,
     ) {
-        let sidx = ssd.0 as usize;
+        let sidx = span.ssd.0 as usize;
         if self.paused[sidx]
             || !self.backlog[sidx].is_empty()
-            || !self.adaptor.port(ssd).has_capacity()
+            || !self.adaptor.port(span.ssd).has_capacity()
         {
-            self.backlog[sidx].push_back(io);
+            self.backlog[sidx].push_back(span);
             return;
         }
-        self.push_to_port(now, ssd, io, host, actions);
+        self.push_to_port(now, span, host, actions);
     }
 
+    /// Forwards one span: reserves its back-end CID, builds its SQE —
+    /// the physical LBA, and global PRPs for the span's host pages —
+    /// and rings the SSD's doorbell.
     fn push_to_port(
         &mut self,
         now: SimTime,
-        ssd: SsdId,
-        io: PendingIo,
+        span: Span,
         host: &mut HostMemory,
         actions: &mut Vec<EngineAction>,
     ) {
-        let bytes = io.sqe.transfer_len(BLOCK_SIZE);
-        let is_write = io.sqe.io_opcode() == Some(IoOpcode::Write);
+        let (io, ssd) = (span.io, span.ssd);
         self.cmd_seq += 1;
         let seq = self.cmd_seq;
-        let port = self.adaptor.port_mut(ssd);
-        let backend_cid = port.reserve(Outstanding {
-            func: io.func,
-            host_qid: io.host_qid,
-            host_cid: io.host_cid,
-            bytes,
-            is_write,
-            fetched_at: io.fetched_at,
-            pushed_at: now,
-            seq,
-            cmd: io.cmd,
-        });
+        let origin = io.origin(span.blocks, now, seq);
+        let bytes = origin.bytes;
+        let backend_cid = self.adaptor.port_mut(ssd).reserve(origin);
         if let Some(timeout) = self.cfg.command_timeout {
             let deadline = now + timeout;
             self.pending_retry.insert(
                 seq,
                 RetryEntry {
-                    ssd,
                     cid: backend_cid,
                     deadline,
-                    io: io.clone(),
+                    span,
                 },
             );
             // An armed timer fires no later than this deadline; it
@@ -1819,39 +1816,44 @@ impl BmsEngine {
                 actions.push(EngineAction::CommandDeadline { at: deadline });
             }
         }
-        let mut sqe = io.sqe;
-        let block_off = sqe.cdw12 >> 16;
-        sqe.cdw12 &= 0xFFFF; // strip the stashed offset
-        sqe.cid = backend_cid;
-        if sqe.io_opcode() != Some(IoOpcode::Flush) {
-            // Global PRPs for the span's host pages. A span of more than
-            // two pages gets its tagged list in the command's chip slot
-            // (the "global PRP stored into chip memory" of §IV-C): its
-            // 256-byte block for up to 32 entries, its page beyond.
+        let (prp1, prp2) = if io.op == IoOpcode::Flush {
+            (PciAddr::NULL, PciAddr::NULL)
+        } else {
+            // A span of more than two pages gets its tagged list in the
+            // command's chip slot (the "global PRP stored into chip
+            // memory" of §IV-C): its 256-byte block for up to 32
+            // entries, its page beyond.
             debug_assert_eq!(
                 BLOCK_SIZE, PAGE_SIZE,
                 "block == page keeps PRP slicing exact"
             );
-            let nblocks = sqe.nlb_blocks();
             let prps = &mut self.prp_scratch;
-            io.read_tagged_prps(block_off, nblocks, host, prps);
-            sqe.prp1 = prp_at(prps, 0);
-            sqe.prp2 = match nblocks {
+            span.read_tagged_prps(host, prps);
+            let prp2 = match span.blocks {
                 1 => PciAddr::NULL,
                 2 => prp_at(prps, 1),
-                _ => {
-                    let list_slot = self.adaptor.port(ssd).list_slot(backend_cid, nblocks - 1);
+                n => {
+                    let list_slot = self.adaptor.port(ssd).list_slot(backend_cid, n - 1);
                     ChipWindow(&mut self.chip).dma_write(list_slot, &prps[8..]);
                     list_slot
                 }
             };
-        }
-        let port = self.adaptor.port_mut(ssd);
-        let tail = port.push_sqe(&mut self.chip, &sqe);
+            (prp_at(prps, 0), prp2)
+        };
+        let sqe = Sqe::io(
+            io.op,
+            backend_cid,
+            Nsid::ONE,
+            span.lba,
+            span.blocks,
+            prp1,
+            prp2,
+        );
+        let tail = self.adaptor.port_mut(ssd).push_sqe(&mut self.chip, &sqe);
         let mut at = now + EngineTiming::PAPER.pipeline + EngineTiming::PAPER.backend_forward;
         // Store-and-forward ablation: write payloads must land in card
         // DRAM before the SSD can fetch them.
-        if is_write && bytes > 0 {
+        if io.op == IoOpcode::Write {
             if let Some(link) = &mut self.copy_link {
                 at = at.max(link.transfer(now, bytes));
             }
@@ -1879,8 +1881,10 @@ impl BmsEngine {
             let Some(rel) = self.qos_heap.pop() else {
                 break;
             };
-            // Keep the namespace's buffer bookkeeping in sync.
-            if let Some(b) = self.functions[rel.io.func.index() as usize].binding_mut() {
+            // Keep the buffer bookkeeping of the binding that admitted
+            // the command in sync; a later binding never buffered it.
+            let binding = self.functions[rel.io.func.index() as usize].binding_mut();
+            if let Some(b) = binding.filter(|b| b.row_base == rel.io.row_base) {
                 let _ = b.qos.pop_due(now);
             }
             self.forward_io(now, rel.io, host, &mut actions);
@@ -1929,7 +1933,7 @@ impl BmsEngine {
                     origin.cmd,
                     origin.func.index() as u16,
                     origin.func.index(),
-                    origin_opcode(&origin),
+                    origin.op.code(),
                     TelemetryStage::Dma,
                     origin.pushed_at,
                     now,
@@ -1952,7 +1956,7 @@ impl BmsEngine {
         status: Status,
         actions: &mut Vec<EngineAction>,
     ) {
-        let key = (origin.func.index(), origin.host_qid.0, origin.host_cid.0);
+        let key = origin.host_key();
         let entry = self.fanout.get_mut(&key);
         let finished = match entry {
             Some((remaining, worst)) => {
@@ -1971,14 +1975,14 @@ impl BmsEngine {
         if let Some(final_status) = finished {
             self.counters.record(
                 origin.func,
-                origin.is_write,
+                origin.op.is_write(),
                 origin.bytes,
                 !final_status.is_success(),
             );
             let mut at = now + EngineTiming::PAPER.cqe_forward;
             // Store-and-forward ablation: read payloads cross the card
             // DRAM on the way up.
-            if !origin.is_write && origin.bytes > 0 {
+            if origin.op == IoOpcode::Read && origin.bytes > 0 {
                 if let Some(link) = &mut self.copy_link {
                     at = at.max(link.transfer(now, origin.bytes) + EngineTiming::PAPER.cqe_forward);
                 }
@@ -2013,7 +2017,7 @@ impl BmsEngine {
                     origin.cmd,
                     origin.func.index() as u16,
                     origin.func.index(),
-                    origin_opcode(&origin),
+                    origin.op.code(),
                     TelemetryStage::Completion,
                     now,
                     at,
@@ -2041,10 +2045,10 @@ impl BmsEngine {
     ) {
         let sidx = ssd.0 as usize;
         while !self.paused[sidx] && self.adaptor.port(ssd).has_capacity() {
-            let Some(io) = self.backlog[sidx].pop_front() else {
+            let Some(span) = self.backlog[sidx].pop_front() else {
                 break;
             };
-            self.push_to_port(now, ssd, io, host, actions);
+            self.push_to_port(now, span, host, actions);
         }
     }
 
@@ -2077,6 +2081,7 @@ impl BmsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::mapping::MapEntry;
 
     fn engine() -> (BmsEngine, HostMemory) {
         let engine = BmsEngine::new(EngineConfig::paper_default(4));
@@ -2102,9 +2107,10 @@ mod tests {
             .bind_namespace(fid(0), 1536 << 30, Placement::Single(SsdId(0)))
             .unwrap();
         let b = engine.function(fid(0)).binding().unwrap();
-        assert_eq!(b.entries.len(), 24);
         assert_eq!(b.rows, 3);
-        assert!(b.entries.iter().all(|e| e.ssd() == SsdId(0)));
+        let chunks: Vec<_> = engine.mapping().chunks(b.row_base, b.rows).collect();
+        assert_eq!(chunks.len(), 24);
+        assert!(chunks.iter().all(|e| e.ssd() == SsdId(0)));
         // Mapping resolves inside the binding.
         let (ssd, _) = engine.mapping().map(b.row_base, Lba(0)).unwrap();
         assert_eq!(ssd, SsdId(0));
@@ -2422,52 +2428,38 @@ mod tests {
     }
 
     #[test]
-    fn io_spanning_three_chunks_fans_out_and_completes_once() {
-        let (mut engine, mut host) = engine();
+    fn io_across_a_chunk_boundary_splits_into_two_spans() {
+        let (mut engine, _) = engine();
         engine
             .bind_namespace(fid(0), 256 << 30, Placement::RoundRobin)
             .unwrap();
-        engine.set_function_enabled(fid(0), true);
-        let sq_base = host.alloc(64 * 64).unwrap();
-        let cq_base = host.alloc(64 * 16).unwrap();
-        engine
-            .function_mut(fid(0))
-            .create_io_cq(QueueId(1), cq_base, 64);
-        engine
-            .function_mut(fid(0))
-            .create_io_sq(QueueId(1), sq_base, 64);
+        let row_base = engine.function(fid(0)).binding().unwrap().row_base;
         let cs = engine.mapping().chunk_blocks();
-        // Start 8 blocks before a boundary, span 2 whole chunks + a bit:
+        // Start 8 blocks before a boundary and run 8 blocks past it:
         // impossible for one back-end command, so the engine must split.
-        let io = PendingIo {
+        let io = HostIo {
             func: fid(0),
-            host_qid: QueueId(1),
-            host_cid: Cid(5),
-            sqe: Sqe::io(
-                IoOpcode::Read,
-                Cid(5),
-                Nsid::new(1).unwrap(),
-                Lba(cs - 8),
-                16,
-                PciAddr::new(0x10_0000),
-                PciAddr::new(0x10_1000),
-            ),
+            qid: QueueId(1),
+            cid: Cid(5),
+            op: IoOpcode::Read,
+            slba: Lba(cs - 8),
+            blocks: 16,
+            prp1: PciAddr::new(0x10_0000),
+            prp2: PciAddr::new(0x10_1000),
+            row_base,
             fetched_at: SimTime::ZERO,
-            orig_prp1: PciAddr::new(0x10_0000),
-            orig_prp2: PciAddr::new(0x10_1000),
-            orig_blocks: 16,
-            retries: 0,
             cmd: CmdId::NONE,
         };
         let mut spans = Vec::new();
-        engine.split_spans_into(&io, &mut spans);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].2, 0, "first span starts at block 0");
-        assert_eq!(spans[0].3, 8, "first span covers to the boundary");
-        assert_eq!(spans[1].2, 8);
-        assert_eq!(spans[1].3, 8);
+        engine.split_spans_into(&io, &mut spans).unwrap();
+        let layout: Vec<_> = spans.iter().map(|s| (s.first, s.blocks)).collect();
+        assert_eq!(layout, [(0, 8), (8, 8)], "split at the boundary");
+        for span in &spans {
+            let hl = Lba(cs - 8 + u64::from(span.first));
+            assert_eq!(engine.mapping().map(row_base, hl), Ok((span.ssd, span.lba)));
+        }
         // Round-robin placement puts adjacent chunks on different SSDs.
-        assert_ne!(spans[0].0, spans[1].0);
+        assert_ne!(spans[0].ssd, spans[1].ssd);
     }
 
     #[test]
@@ -2477,10 +2469,69 @@ mod tests {
             .bind_namespace(fid(0), 256 << 30, Placement::Single(SsdId(1)))
             .unwrap();
         let row_base = engine.function(fid(0)).binding().unwrap().row_base;
-        let n = engine.retarget_ssd(SsdId(1), SsdId(3));
-        assert_eq!(n, 4);
+        assert_eq!(engine.retarget_ssd(SsdId(1), SsdId(3)), Some(4));
         let (ssd, _) = engine.mapping().map(row_base, Lba(0)).unwrap();
         assert_eq!(ssd, SsdId(3));
+    }
+
+    /// Every chunk `funcs`' bindings hold, per the mapping table.
+    fn chunks_of(engine: &BmsEngine, funcs: &[u8]) -> Vec<MapEntry> {
+        funcs
+            .iter()
+            .filter_map(|&f| engine.function(fid(f)).binding())
+            .flat_map(|b| engine.mapping().chunks(b.row_base, b.rows))
+            .collect()
+    }
+
+    #[test]
+    fn cross_bay_hot_plug_moves_chunk_ownership() {
+        let (mut engine, _) = engine();
+        let start = engine.chunk_alloc.free_total();
+        engine
+            .bind_namespace(fid(0), 128 << 30, Placement::Single(SsdId(1)))
+            .unwrap();
+        assert_eq!(engine.retarget_ssd(SsdId(1), SsdId(3)), Some(2));
+        // Bay 3 now owns the moved chunks: a namespace placed there
+        // gets others.
+        engine
+            .bind_namespace(fid(1), 128 << 30, Placement::Single(SsdId(3)))
+            .unwrap();
+        let held = chunks_of(&engine, &[0, 1]);
+        let distinct: BTreeSet<u8> = held.iter().map(|e| e.raw()).collect();
+        assert_eq!((held.len(), distinct.len()), (4, 4), "{held:?}");
+        // Unbinding the moved namespace returns its chunks to bay 3.
+        assert!(engine.unbind_namespace(fid(0)));
+        assert!(engine.unbind_namespace(fid(1)));
+        assert_eq!(engine.chunk_alloc.free_total(), start);
+        // Every chunk is handed out once when the whole card is bound.
+        engine
+            .bind_namespace(
+                fid(2),
+                start as u64 * mapping::CHUNK_BYTES,
+                Placement::RoundRobin,
+            )
+            .unwrap();
+        let all = chunks_of(&engine, &[2]);
+        let distinct: BTreeSet<u8> = all.iter().map(|e| e.raw()).collect();
+        assert_eq!((all.len(), distinct.len()), (start, start));
+    }
+
+    #[test]
+    fn hot_plug_onto_an_occupied_bay_is_refused() {
+        let (mut engine, _) = engine();
+        for (f, ssd) in [(0, 1), (1, 3)] {
+            engine
+                .bind_namespace(fid(f), 128 << 30, Placement::Single(SsdId(ssd)))
+                .unwrap();
+        }
+        let table = chunks_of(&engine, &[0, 1]);
+        let alloc = engine.chunk_alloc.clone();
+        assert_eq!(engine.retarget_ssd(SsdId(1), SsdId(3)), None);
+        assert_eq!(chunks_of(&engine, &[0, 1]), table);
+        assert_eq!(engine.chunk_alloc, alloc);
+        // A bay the card lacks is no spare either.
+        assert_eq!(engine.retarget_ssd(SsdId(1), SsdId(4)), None);
+        assert_eq!(chunks_of(&engine, &[0, 1]), table);
     }
 
     /// Every back-end SSD's ring epoch, in SSD order.
@@ -2905,7 +2956,7 @@ mod tests {
 
     #[test]
     fn crash_without_timeout_machinery_orphans_abort() {
-        // No command timeout → no pristine retry copy is kept, so the
+        // No command timeout → no retry entry keeps the span, so the
         // in-flight attempt is an orphan recovery can only abort, even
         // under the replay policy.
         let mut cfg = EngineConfig::paper_default(4);

@@ -1,6 +1,7 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, unbind racing in-flight I/O, missing data pointers,
-//! malformed SQEs, and observers lent in turn.
+//! paused SSD, unbind racing in-flight and QoS-held I/O, flushes after a
+//! cross-bay hot-plug, missing data pointers, malformed SQEs, and
+//! observers lent in turn.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
@@ -27,11 +28,21 @@ fn rig(entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
 
 /// [`rig`] for any function `func`.
 fn rig_on(func: FunctionId, entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
-    let mut engine = BmsEngine::new(EngineConfig::paper_default(2));
+    rig_with(2, func, Placement::Single(SsdId(0)), entries)
+}
+
+/// An engine of `ssds` SSDs with a 256 GiB namespace bound to `func`
+/// by `placement`, `func` enabled, and a registered I/O queue of
+/// `entries` slots; returns the host-side SQ view.
+fn rig_with(
+    ssds: usize,
+    func: FunctionId,
+    placement: Placement,
+    entries: u16,
+) -> (BmsEngine, HostMemory, SubmissionQueue) {
+    let mut engine = BmsEngine::new(EngineConfig::paper_default(ssds));
     let mut host = HostMemory::new(1 << 30);
-    engine
-        .bind_namespace(func, 256 << 30, Placement::Single(SsdId(0)))
-        .unwrap();
+    engine.bind_namespace(func, 256 << 30, placement).unwrap();
     engine.set_function_enabled(func, true);
     let sq_base = host.alloc(entries as u64 * 64).unwrap();
     let cq_base = host.alloc(entries as u64 * 16).unwrap();
@@ -217,6 +228,110 @@ fn unbind_after_forwarding_still_completes_inflight() {
             ..
         }
     ));
+}
+
+/// Rings function 0's queue-1 doorbell at `now` with `tail`.
+fn ring(
+    engine: &mut BmsEngine,
+    host: &mut HostMemory,
+    now: SimTime,
+    tail: u16,
+) -> Vec<EngineAction> {
+    let db = DoorbellLayout::sq_tail_offset(QueueId(1));
+    engine.host_doorbell_write(now, fid(0), db, u32::from(tail), host)
+}
+
+/// Submits 12 reads under a 100 IOPS limit: the 10-token burst forwards
+/// ten, and commands 10 and 11 wait in QoS.
+fn defer_two_reads() -> (BmsEngine, HostMemory) {
+    let (mut engine, mut host, mut host_sq) = rig(64);
+    engine.set_qos_limit(fid(0), QosLimit::iops(100.0));
+    for i in 0..12u16 {
+        host_sq.push(&mut host, &read_sqe(i)).unwrap();
+    }
+    let actions = ring(&mut engine, &mut host, SimTime::ZERO, host_sq.tail());
+    let wakeups = actions
+        .iter()
+        .filter(|a| matches!(a, EngineAction::QosWakeup { .. }))
+        .count();
+    assert_eq!(wakeups, 2);
+    (engine, host)
+}
+
+/// The host completions in `actions`; panics on any other action.
+fn completions(actions: &[EngineAction]) -> Vec<(u16, Status)> {
+    actions
+        .iter()
+        .map(|a| match a {
+            EngineAction::HostCompletion { cid, status, .. } => (cid.0, *status),
+            other => panic!("a QoS-held command of a dead namespace went on: {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn qos_held_commands_of_an_unbound_namespace_complete_invalid_namespace() {
+    let (mut engine, mut host) = defer_two_reads();
+    assert!(engine.unbind_namespace(fid(0)));
+    let actions = engine.qos_wakeup(SimTime::ZERO + SimDuration::from_secs(1), &mut host);
+    let dead = [
+        (10, Status::InvalidNamespace),
+        (11, Status::InvalidNamespace),
+    ];
+    assert_eq!(completions(&actions), dead);
+    // Counted as failed commands, and the outstanding gauge holds only
+    // the ten forwarded reads still at the SSD.
+    assert_eq!(engine.counters().function(fid(0)).errors, 2);
+    assert_eq!(engine.monitor_regs(fid(0)).outstanding, 10);
+}
+
+#[test]
+fn qos_held_commands_never_reach_a_namespace_bound_after_them() {
+    let (mut engine, mut host) = defer_two_reads();
+    assert!(engine.unbind_namespace(fid(0)));
+    engine
+        .bind_namespace(fid(0), 256 << 30, Placement::Single(SsdId(1)))
+        .unwrap();
+    let actions = engine.qos_wakeup(SimTime::ZERO + SimDuration::from_secs(1), &mut host);
+    let dead = [
+        (10, Status::InvalidNamespace),
+        (11, Status::InvalidNamespace),
+    ];
+    assert_eq!(completions(&actions), dead);
+    assert_eq!(engine.adaptor().port(SsdId(1)).forwarded(), 0);
+}
+
+#[test]
+fn flush_after_a_cross_bay_hot_plug_rings_the_new_bay_only() {
+    let (mut engine, mut host, mut host_sq) = rig_with(4, fid(0), Placement::Single(SsdId(1)), 64);
+    // What HotPlugPrepare { ssd: 1 } and HotPlugComplete { old: 1,
+    // new: 3 } do to the engine.
+    engine.pause_ssd(SsdId(1));
+    engine.retarget_ssd(SsdId(1), SsdId(3));
+    let now = SimTime::from_nanos(1_000);
+    assert!(engine.resume_ssd(now, SsdId(3), &mut host).is_empty());
+    assert!(engine.resume_ssd(now, SsdId(1), &mut host).is_empty());
+    let row_base = engine.function(fid(0)).binding().unwrap().row_base;
+    assert_eq!(engine.mapping().map(row_base, Lba(0)).unwrap().0, SsdId(3));
+    let flush = Sqe::io(
+        IoOpcode::Flush,
+        Cid(1),
+        Nsid::ONE,
+        Lba(0),
+        1,
+        PciAddr::NULL,
+        PciAddr::NULL,
+    );
+    host_sq.push(&mut host, &flush).unwrap();
+    let actions = ring(&mut engine, &mut host, now, host_sq.tail());
+    let rung: Vec<SsdId> = actions
+        .iter()
+        .filter_map(|a| match a {
+            EngineAction::BackendDoorbell { ssd, .. } => Some(*ssd),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rung, [SsdId(3)], "{actions:?}");
 }
 
 #[test]

@@ -162,25 +162,36 @@ proptest! {
         iops in any::<u32>(),
         mbps in any::<u32>(),
         image in proptest::collection::vec(any::<u8>(), 0..512),
-        ssd in 0u8..4,
+        // Half the cases take the one id that cannot round-trip.
+        ssd in prop_oneof![Just(u8::MAX), any::<u8>()],
+        other in any::<u8>(),
         slot in 0u8..4,
     ) {
         let f = FunctionId::new(func).unwrap();
+        let single = BmsCommand::CreateAndBind { func: f, size_bytes: size, single_ssd: Some(SsdId(ssd)) };
         let cmds = vec![
             BmsCommand::CreateAndBind { func: f, size_bytes: size, single_ssd: None },
-            BmsCommand::CreateAndBind { func: f, size_bytes: size, single_ssd: Some(SsdId(ssd)) },
             BmsCommand::Unbind { func: f },
             BmsCommand::SetQos { func: f, iops, mbps },
             BmsCommand::QueryStats { func: f },
             BmsCommand::HealthPoll { ssd: SsdId(ssd) },
             BmsCommand::FirmwareUpgrade { ssd: SsdId(ssd), slot, image },
             BmsCommand::HotPlugPrepare { ssd: SsdId(ssd) },
-            BmsCommand::HotPlugComplete { old: SsdId(ssd), new: SsdId(3 - ssd) },
+            BmsCommand::HotPlugComplete { old: SsdId(ssd), new: SsdId(other) },
             BmsCommand::QueryVersion { ssd: SsdId(ssd) },
         ];
         for cmd in cmds {
             let back = BmsCommand::from_request(&cmd.to_request()).unwrap();
             prop_assert_eq!(back, cmd);
+        }
+        // A single-SSD bind travels as `ssd + 1`: the last id cannot
+        // round-trip, but must still name one SSD, never round-robin.
+        let back = BmsCommand::from_request(&single.to_request()).unwrap();
+        if ssd < u8::MAX {
+            prop_assert_eq!(back, single);
+        } else {
+            let placed = matches!(back, BmsCommand::CreateAndBind { single_ssd: Some(_), .. });
+            prop_assert!(placed, "SSD 255 decoded as {:?}", back);
         }
     }
 

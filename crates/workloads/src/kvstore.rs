@@ -304,7 +304,10 @@ impl Client for KvClient {
         let mut out = Vec::new();
         if c.tag & BG_TAG != 0 {
             self.bg_inflight = false;
-            self.stats.borrow_mut().background_bytes += c.bytes;
+            // Only background I/O that succeeded moved its bytes.
+            if c.status.is_success() {
+                self.stats.borrow_mut().background_bytes += c.bytes;
+            }
             if now < self.measure_end {
                 out.extend(self.pump_background());
             }

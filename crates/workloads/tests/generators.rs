@@ -159,4 +159,19 @@ fn failed_ios_count_as_failed_work_not_committed() {
         (0, 0, 0, 0),
         "failed operations counted as completed"
     );
+    // Enough writes to fill small memtables: the flushes and their
+    // compactions run, but their failed I/O moved no bytes.
+    let spec = YcsbSpec {
+        workload: YcsbWorkload::A,
+        threads: 8,
+        ramp: SimDuration::from_ms(10),
+        runtime: SimDuration::from_ms(300),
+    };
+    let lsm = LsmConfig {
+        memtable_bytes: 4 << 20,
+        ..LsmConfig::default()
+    };
+    let (kv, _) = run_ycsb(cfg(), spec, lsm);
+    assert!(kv.flushes > 0, "no memtable flushed");
+    assert_eq!(kv.background_bytes, 0, "failed background I/O counted");
 }
