@@ -573,6 +573,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_byte_bind_is_an_invalid_parameter() {
+        let (mut ctl, mut engine, mut backend, mut host) = rig();
+        let func = FunctionId::new(1).unwrap();
+        let cmd = BmsCommand::CreateAndBind {
+            func,
+            size_bytes: 0,
+            single_ssd: None,
+        };
+        let (resp, _) = send(&mut ctl, &mut engine, &mut backend, &mut host, cmd);
+        assert_eq!(resp.status, MiStatus::InvalidParameter);
+        assert!(engine.function(func).binding().is_none());
+    }
+
+    #[test]
     fn telemetry_query_serves_log_page_over_mctp() {
         let (mut ctl, mut engine, mut backend, mut host) = rig();
         let func = FunctionId::new(2).unwrap();

@@ -303,6 +303,8 @@ pub enum BindError {
     OutOfRows,
     /// The function already has a binding.
     AlreadyBound,
+    /// The namespace would hold no bytes.
+    ZeroSize,
 }
 
 impl std::fmt::Display for BindError {
@@ -311,6 +313,7 @@ impl std::fmt::Display for BindError {
             BindError::OutOfCapacity => write!(f, "insufficient back-end capacity"),
             BindError::OutOfRows => write!(f, "mapping table exhausted"),
             BindError::AlreadyBound => write!(f, "function already bound"),
+            BindError::ZeroSize => write!(f, "namespace size is zero"),
         }
     }
 }
@@ -815,8 +818,8 @@ impl BmsEngine {
     ///
     /// # Errors
     ///
-    /// Returns a [`BindError`] if the function, capacity, or mapping
-    /// rows are unavailable.
+    /// Returns a [`BindError`] if `size_bytes` is zero or the function,
+    /// capacity, or mapping rows are unavailable.
     pub fn bind_namespace(
         &mut self,
         func: FunctionId,
@@ -826,6 +829,9 @@ impl BmsEngine {
         let idx = func.index() as usize;
         if self.functions[idx].binding().is_some() {
             return Err(BindError::AlreadyBound);
+        }
+        if size_bytes == 0 {
+            return Err(BindError::ZeroSize);
         }
         let chunks = size_bytes.div_ceil(mapping::CHUNK_BYTES) as usize;
         let rows = Binding::rows_for_chunks(chunks);
@@ -927,13 +933,18 @@ impl BmsEngine {
     /// hot-plug identity-preserving migration to another bay (§IV-D):
     /// the mapping entries targeting `from` target `to` instead, and the
     /// chunk allocator's two free lists swap, so `to` owns the moved
-    /// chunks and `from` is left a spare bay. Returns how many entries
-    /// were rewritten, or `None`, changing nothing, unless `to` is a
-    /// spare bay: one with no chunk allocated.
+    /// chunks and `from` is left a spare bay. Commands buffered toward
+    /// `from` follow, in order, behind any buffered toward `to`; each
+    /// keeps its physical LBA, since chunk `i` of `from` is now chunk `i`
+    /// of `to`. Returns how many entries were rewritten, or `None`,
+    /// changing nothing, unless `to` is a spare bay: one with no chunk
+    /// allocated.
     pub fn retarget_ssd(&mut self, from: SsdId, to: SsdId) -> Option<usize> {
         if !self.chunk_alloc.move_bay(from, to) {
             return None;
         }
+        let moved = std::mem::take(&mut self.backlog[from.0 as usize]);
+        self.backlog[to.0 as usize].extend(moved.into_iter().map(|span| Span { ssd: to, ..span }));
         Some(self.mapping.retarget_ssd(from, to))
     }
 

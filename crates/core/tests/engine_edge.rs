@@ -1,7 +1,7 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, unbind racing in-flight and QoS-held I/O, flushes after a
-//! cross-bay hot-plug, missing data pointers, malformed SQEs, and
-//! observers lent in turn.
+//! paused SSD, unbind racing in-flight and QoS-held I/O, flushes and
+//! buffered commands across a cross-bay hot-plug, zero-byte namespaces,
+//! missing data pointers, malformed SQEs, and observers lent in turn.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
@@ -14,7 +14,7 @@ use bm_sim::telemetry::{AggKey, TelemetryRecorder, TelemetryStage};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use bmstore_core::engine::qos::QosLimit;
-use bmstore_core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
+use bmstore_core::engine::{BindError, BmsEngine, EngineAction, EngineConfig, Placement};
 
 fn fid(i: u8) -> FunctionId {
     FunctionId::new(i).unwrap()
@@ -332,6 +332,48 @@ fn flush_after_a_cross_bay_hot_plug_rings_the_new_bay_only() {
         })
         .collect();
     assert_eq!(rung, [SsdId(3)], "{actions:?}");
+}
+
+#[test]
+fn buffered_commands_follow_a_cross_bay_hot_plug() {
+    let (mut engine, mut host, mut host_sq) = rig_with(4, fid(0), Placement::Single(SsdId(1)), 64);
+    // HotPlugPrepare { ssd: 1 } pauses the bay; a read arrives and
+    // buffers; HotPlugComplete { old: 1, new: 3 } retargets and resumes
+    // the new bay, then the old one.
+    engine.pause_ssd(SsdId(1));
+    host_sq.push(&mut host, &read_sqe(1)).unwrap();
+    let now = SimTime::from_nanos(1_000);
+    assert!(ring(&mut engine, &mut host, now, host_sq.tail()).is_empty());
+    assert_eq!(engine.backlog_len(SsdId(1)), 1);
+    engine.retarget_ssd(SsdId(1), SsdId(3)).unwrap();
+    let mut actions = engine.resume_ssd(now, SsdId(3), &mut host);
+    actions.extend(engine.resume_ssd(now, SsdId(1), &mut host));
+    let rung: Vec<SsdId> = actions
+        .iter()
+        .filter_map(|a| match a {
+            EngineAction::BackendDoorbell { ssd, .. } => Some(*ssd),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rung, [SsdId(3)], "{actions:?}");
+    assert_eq!(engine.adaptor().port(SsdId(1)).forwarded(), 0);
+}
+
+#[test]
+fn a_zero_byte_namespace_is_refused() {
+    let mut engine = BmsEngine::new(EngineConfig::paper_default(2));
+    let placements = [Placement::RoundRobin, Placement::Single(SsdId(0))];
+    for placement in placements {
+        assert_eq!(
+            engine.bind_namespace(fid(1), 0, placement),
+            Err(BindError::ZeroSize)
+        );
+        assert!(engine.function(fid(1)).binding().is_none());
+    }
+    engine
+        .bind_namespace(fid(1), 1 << 30, Placement::RoundRobin)
+        .unwrap();
+    assert_eq!(engine.function(fid(1)).binding().unwrap().row_base, 0);
 }
 
 #[test]

@@ -1,11 +1,14 @@
-//! Property tests: NVMe wire encodings survive arbitrary field values,
-//! arbitrary entry, page and payload bytes never panic the decoders,
-//! and PRP chains always cover transfers exactly.
+//! Property tests: NVMe and NVMe-MI wire encodings survive arbitrary
+//! field values, arbitrary entry, page and payload bytes never panic the
+//! decoders, and PRP chains always cover transfers exactly.
 
 use bm_nvme::command::{AdminOpcode, Cqe, IoOpcode, Sqe};
 use bm_nvme::identify::{IdentifyController, IdentifyNamespace};
-use bm_nvme::log_page::{TelemetryLogPage, TELEMETRY_LOG_PAGE_ID, TELEMETRY_LOG_VERSION};
-use bm_nvme::mi::HealthStatus;
+use bm_nvme::log_page::{
+    TelemetryLogPage, TELEMETRY_LATENCY_BUCKETS, TELEMETRY_LOG_PAGE_ID, TELEMETRY_LOG_PAGE_LEN,
+    TELEMETRY_LOG_VERSION,
+};
+use bm_nvme::mi::{HealthStatus, MiOpcode, MiRequest, MiResponse, MiStatus};
 use bm_nvme::prp::PrpPair;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::Status;
@@ -52,7 +55,88 @@ fn status() -> impl Strategy<Value = Status> {
     ]
 }
 
+/// Every MI opcode that round-trips. A `Vendor` code below 0xC0 is not a
+/// vendor code on the wire: it decodes as a standard opcode or not at
+/// all. Nothing builds one, since BM-Store's verbs start at 0xC0, so
+/// vendor codes are drawn from 0xC0..=0xFF only.
+fn mi_opcode() -> impl Strategy<Value = MiOpcode> {
+    prop_oneof![
+        Just(MiOpcode::ReadDataStructure),
+        Just(MiOpcode::SubsystemHealthPoll),
+        Just(MiOpcode::ControllerHealthPoll),
+        Just(MiOpcode::ConfigSet),
+        Just(MiOpcode::ConfigGet),
+        Just(MiOpcode::VpdRead),
+        (0xC0u8..=0xFF).prop_map(MiOpcode::Vendor),
+    ]
+}
+
+fn mi_status() -> impl Strategy<Value = MiStatus> {
+    prop_oneof![
+        Just(MiStatus::Success),
+        Just(MiStatus::InProgress),
+        Just(MiStatus::InvalidParameter),
+        Just(MiStatus::NotFound),
+        Just(MiStatus::Busy),
+        Just(MiStatus::InternalError),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn telemetry_log_page_round_trips(
+        function in any::<u8>(),
+        counters in proptest::collection::vec(any::<u64>(), 7),
+        outstanding in any::<u32>(),
+        peak_outstanding in any::<u32>(),
+        buckets in proptest::collection::vec(any::<u64>(), TELEMETRY_LATENCY_BUCKETS),
+    ) {
+        let page = TelemetryLogPage {
+            function,
+            reads: counters[0],
+            writes: counters[1],
+            read_bytes: counters[2],
+            write_bytes: counters[3],
+            errors: counters[4],
+            qos_deferred: counters[5],
+            total_latency_ns: counters[6],
+            outstanding,
+            peak_outstanding,
+            latency_buckets: buckets.try_into().unwrap(),
+        };
+        let bytes = page.to_bytes();
+        prop_assert_eq!(bytes.len(), TELEMETRY_LOG_PAGE_LEN);
+        prop_assert_eq!(TelemetryLogPage::from_bytes(&bytes), Ok(page));
+    }
+
+    #[test]
+    fn health_status_round_trips(
+        temperature_k in any::<u16>(),
+        percent_used in any::<u8>(),
+        available_spare in any::<u8>(),
+        critical_warning in any::<u8>(),
+    ) {
+        let health = HealthStatus {
+            temperature_k,
+            percent_used,
+            available_spare,
+            critical_warning,
+        };
+        prop_assert_eq!(HealthStatus::from_bytes(&health.to_bytes()), Ok(health));
+    }
+
+    #[test]
+    fn mi_frames_round_trip(
+        opcode in mi_opcode(),
+        status in mi_status(),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let request = MiRequest { opcode, payload: payload.clone() };
+        prop_assert_eq!(MiRequest::from_bytes(&request.to_bytes()), Ok(request));
+        let response = MiResponse { status, payload };
+        prop_assert_eq!(MiResponse::from_bytes(&response.to_bytes()), Ok(response));
+    }
+
     #[test]
     fn io_sqe_round_trips(
         op in io_opcode(),

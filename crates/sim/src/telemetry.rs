@@ -178,20 +178,20 @@ struct OpenCmd {
     started: SimTime,
 }
 
-/// One ring entry: a [`TelemetryEvent`] packed into 24 bytes, half a
-/// decoded event's 48.
+/// One ring entry, 24 bytes: a whole stage span, or one
+/// [`TelemetryEvent`] packed into half a decoded event's 48.
 #[derive(Debug, Clone, Copy)]
 struct Record {
-    /// [`TelemetryEvent::at`], in nanoseconds.
+    /// [`TelemetryEvent::at`], or a span's start, in nanoseconds.
     at: u64,
     cmd: u64,
     tenant: u16,
     opcode: u8,
-    /// The kind in bits 0–1 (`KIND_*`), the span stage in bits 2–4 and
-    /// `ok` in bit 5.
+    /// The kind in bits 0–2 (`KIND_*`), the span stage in bits 3–5 and
+    /// `ok` in bit 6.
     tag: u8,
-    /// The retry attempt, or the index of a `Mark` label in
-    /// [`TelemetryRecorder::labels`].
+    /// A span's duration in nanoseconds, a retry's attempt, or the index
+    /// of a `Mark` label in [`TelemetryRecorder::labels`].
     arg: u32,
 }
 
@@ -201,8 +201,28 @@ const KIND_BEGIN: u8 = 0;
 const KIND_END: u8 = 1;
 const KIND_RETRY: u8 = 2;
 const KIND_MARK: u8 = 3;
-const STAGE_SHIFT: u8 = 2;
-const OK_BIT: u8 = 1 << 5;
+/// A whole span: its `SpanBegin` at `at` and its `SpanEnd` `arg` ns later.
+const KIND_SPAN: u8 = 4;
+const KIND_MASK: u8 = 0b111;
+const STAGE_SHIFT: u8 = 3;
+const OK_BIT: u8 = 1 << 6;
+
+impl Record {
+    /// How many events the record holds.
+    fn event_count(&self) -> u64 {
+        if self.tag & KIND_MASK == KIND_SPAN {
+            2
+        } else {
+            1
+        }
+    }
+}
+
+/// The tag bits of a span's stage and `ok`.
+fn stage_tag(stage: TelemetryStage, ok: bool) -> u8 {
+    let ok = if ok { OK_BIT } else { 0 };
+    (stage as u8) << STAGE_SHIFT | ok
+}
 
 /// The recorder: a bounded ring of [`TelemetryEvent`]s plus streaming
 /// per-key latency aggregation. Owns [`CmdId`] allocation so IDs are
@@ -211,17 +231,20 @@ const OK_BIT: u8 = 1 << 5;
 /// Every per-command call is O(1): open commands sit in a table per
 /// tenant indexed by CID, and each histogram in a dense slot behind
 /// the ordered [`AggKey`] index, which only the roll-ups and
-/// [`histogram`](Self::histogram) read. The ring keeps each event as a
-/// 24-byte record (its time, command, tenant, opcode, a tag byte for
-/// the kind, stage and `ok`, and a 32-bit argument: a retry's attempt
-/// or the index of a `Mark` label in a per-recorder table), and
-/// [`events`](Self::events) decodes them.
+/// [`histogram`](Self::histogram) read. The ring keeps a stage span as
+/// one 24-byte record and any other event as one record of its own
+/// (its time, command, tenant, opcode, a tag byte for the kind, stage
+/// and `ok`, and a 32-bit argument: a span's duration in nanoseconds, a
+/// retry's attempt or the index of a `Mark` label in a per-recorder
+/// table), and [`events`](Self::events) decodes them.
 #[derive(Debug)]
 pub struct TelemetryRecorder {
+    /// The most records the ring holds.
     capacity: usize,
     ring: VecDeque<Record>,
     /// The distinct `Mark` labels recorded, in first-use order.
     labels: Vec<&'static str>,
+    /// Events (not records) evicted from the ring.
     dropped: u64,
     next_cmd: u64,
     /// `[tenant][host cid]` → open root span, grown on demand to the
@@ -238,11 +261,23 @@ pub struct TelemetryRecorder {
 }
 
 impl TelemetryRecorder {
-    /// Default ring capacity: enough for ~8k commands' full span trees.
-    pub const DEFAULT_CAPACITY: usize = 1 << 17;
+    /// Default ring capacity, in records: enough for ~8k commands' span
+    /// trees, since a 4K read takes 8 records (six stage spans plus the
+    /// root's begin and end). The ring is then 1.5 MB of records, and
+    /// counting records rather than events keeps it at that size, under
+    /// a 2 MB L2, while eviction never splits a span.
+    pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-    /// Creates a recorder holding at most `capacity` events; older
-    /// events are evicted (and counted in [`dropped`](Self::dropped)).
+    /// Creates a recorder whose ring holds at most `capacity` records
+    /// (at least 2, so a span that takes two records fits).
+    ///
+    /// A stage span takes one record when it ends at or after its start
+    /// and its duration fits in a `u32` of nanoseconds (4.29 s); any
+    /// other span takes a begin and an end record, and every other event
+    /// one record. When the ring is full, the oldest record is evicted
+    /// with all of its events, and [`dropped`](Self::dropped) counts the
+    /// events. The ring is allocated once, at `capacity` records, when
+    /// the first record arrives, and never grows.
     pub fn new(capacity: usize) -> Self {
         TelemetryRecorder {
             capacity: capacity.max(2),
@@ -257,22 +292,27 @@ impl TelemetryRecorder {
         }
     }
 
-    fn push(&mut self, ev: TelemetryEvent) {
-        let stage_bits = |stage: TelemetryStage| (stage as u8) << STAGE_SHIFT;
-        let (tag, arg) = match ev.kind {
-            TelemetryEventKind::SpanBegin { stage } => (KIND_BEGIN | stage_bits(stage), 0),
-            TelemetryEventKind::SpanEnd { stage, ok } => {
-                let ok = if ok { OK_BIT } else { 0 };
-                (KIND_END | stage_bits(stage) | ok, 0)
+    /// Appends `r`, evicting the oldest record when the ring is full.
+    fn push_record(&mut self, r: Record) {
+        if self.ring.len() == self.capacity {
+            if let Some(old) = self.ring.pop_front() {
+                self.dropped += old.event_count();
             }
+        } else if self.ring.capacity() == 0 {
+            self.ring.reserve_exact(self.capacity);
+        }
+        self.ring.push_back(r);
+    }
+
+    /// Appends `ev` as a record of its own.
+    fn push(&mut self, ev: TelemetryEvent) {
+        let (tag, arg) = match ev.kind {
+            TelemetryEventKind::SpanBegin { stage } => (KIND_BEGIN | stage_tag(stage, false), 0),
+            TelemetryEventKind::SpanEnd { stage, ok } => (KIND_END | stage_tag(stage, ok), 0),
             TelemetryEventKind::Retry { attempt } => (KIND_RETRY, attempt),
             TelemetryEventKind::Mark { label } => (KIND_MARK, self.intern(label)),
         };
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(Record {
+        self.push_record(Record {
             at: ev.at.as_nanos(),
             cmd: ev.cmd.0,
             tenant: ev.tenant,
@@ -294,27 +334,36 @@ impl TelemetryRecorder {
         i as u32
     }
 
-    /// The event `r` packs.
-    fn decode(&self, r: &Record) -> TelemetryEvent {
+    /// The events `r` packs: one, or a span's begin and then its end.
+    fn decode(&self, r: &Record) -> (TelemetryEvent, Option<TelemetryEvent>) {
         let stage = TelemetryStage::ALL[usize::from((r.tag >> STAGE_SHIFT) & 0b111)];
-        let kind = match r.tag & 0b11 {
-            KIND_BEGIN => TelemetryEventKind::SpanBegin { stage },
-            KIND_END => TelemetryEventKind::SpanEnd {
-                stage,
-                ok: r.tag & OK_BIT != 0,
-            },
-            KIND_RETRY => TelemetryEventKind::Retry { attempt: r.arg },
-            _ => TelemetryEventKind::Mark {
-                label: self.labels[r.arg as usize],
-            },
-        };
-        TelemetryEvent {
-            at: SimTime::from_nanos(r.at),
+        let ok = r.tag & OK_BIT != 0;
+        let event = |at: u64, kind| TelemetryEvent {
+            at: SimTime::from_nanos(at),
             cmd: CmdId(r.cmd),
             tenant: r.tenant,
             opcode: r.opcode,
             kind,
-        }
+        };
+        let kind = match r.tag & KIND_MASK {
+            KIND_BEGIN => TelemetryEventKind::SpanBegin { stage },
+            KIND_END => TelemetryEventKind::SpanEnd { stage, ok },
+            KIND_RETRY => TelemetryEventKind::Retry { attempt: r.arg },
+            KIND_MARK => TelemetryEventKind::Mark {
+                label: self.labels[r.arg as usize],
+            },
+            _ => {
+                let end = event(
+                    r.at + u64::from(r.arg),
+                    TelemetryEventKind::SpanEnd { stage, ok },
+                );
+                return (
+                    event(r.at, TelemetryEventKind::SpanBegin { stage }),
+                    Some(end),
+                );
+            }
+        };
+        (event(r.at, kind), None)
     }
 
     /// Opens the root span for a newly submitted command and returns its
@@ -379,7 +428,9 @@ impl TelemetryRecorder {
     }
 
     /// Records a completed stage span in one shot (both endpoints are
-    /// known exactly in sim time when the layer observes them).
+    /// known exactly in sim time when the layer observes them): one ring
+    /// record when `end - start` fits in a `u32` of nanoseconds, and a
+    /// begin and an end record otherwise, so every span stays exact.
     #[expect(
         clippy::too_many_arguments,
         reason = "one flat call per observed stage keeps the hot path free of a span struct"
@@ -395,20 +446,33 @@ impl TelemetryRecorder {
         end: SimTime,
         ok: bool,
     ) {
-        self.push(TelemetryEvent {
-            at: start,
-            cmd,
-            tenant,
-            opcode,
-            kind: TelemetryEventKind::SpanBegin { stage },
-        });
-        self.push(TelemetryEvent {
-            at: end,
-            cmd,
-            tenant,
-            opcode,
-            kind: TelemetryEventKind::SpanEnd { stage, ok },
-        });
+        let duration = end.as_nanos().checked_sub(start.as_nanos());
+        match duration.and_then(|d| u32::try_from(d).ok()) {
+            Some(d) => self.push_record(Record {
+                at: start.as_nanos(),
+                cmd: cmd.0,
+                tenant,
+                opcode,
+                tag: KIND_SPAN | stage_tag(stage, ok),
+                arg: d,
+            }),
+            None => {
+                self.push(TelemetryEvent {
+                    at: start,
+                    cmd,
+                    tenant,
+                    opcode,
+                    kind: TelemetryEventKind::SpanBegin { stage },
+                });
+                self.push(TelemetryEvent {
+                    at: end,
+                    cmd,
+                    tenant,
+                    opcode,
+                    kind: TelemetryEventKind::SpanEnd { stage, ok },
+                });
+            }
+        }
         self.aggregate(tenant, function, opcode, stage, end.saturating_since(start));
     }
 
@@ -471,12 +535,17 @@ impl TelemetryRecorder {
     }
 
     /// The event stream, oldest first (bounded by the ring capacity),
-    /// decoded from the ring's records.
+    /// decoded from the ring's records. A one-record span yields its
+    /// `SpanBegin` and then its `SpanEnd`.
     pub fn events(&self) -> impl Iterator<Item = TelemetryEvent> + '_ {
-        self.ring.iter().map(|r| self.decode(r))
+        self.ring.iter().flat_map(|r| {
+            let (first, second) = self.decode(r);
+            std::iter::once(first).chain(second)
+        })
     }
 
-    /// Events evicted from the ring because it was full.
+    /// Events evicted from the ring because it was full: an evicted
+    /// record counts every event it held.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -761,7 +830,7 @@ mod tests {
         ]);
         // Each field at the top of its range, less the index, so no
         // two entries agree and a truncated field would show.
-        let pushed: Vec<TelemetryEvent> = (0u8..)
+        let mut pushed: Vec<TelemetryEvent> = (0u8..)
             .zip(kinds)
             .map(|(i, kind)| TelemetryEvent {
                 at: SimTime::from_nanos(u64::MAX - u64::from(i)),
@@ -775,12 +844,89 @@ mod tests {
         for e in &pushed {
             r.event(e.at, e.cmd, e.tenant, e.opcode, e.kind);
         }
-        assert_eq!(r.events().collect::<Vec<_>>(), pushed);
         assert_eq!(
             r.labels,
             ["first", "second"],
             "a repeated label is interned once"
         );
+        // Spans of every stage: one record each when the duration fits
+        // a `u32` of nanoseconds, and a begin and an end record when it
+        // does not or when the span ends before it starts.
+        const MAX: u64 = u32::MAX as u64;
+        let mut spans: Vec<(Option<u64>, bool)> = vec![
+            (Some(0), true),
+            (Some(MAX), true),
+            (Some(MAX + 1), false),
+            (None, false),
+        ];
+        spans.extend((1..=16).map(|d| (Some(d * 1_000), true)));
+        let mut records = pushed.len();
+        // Indices continue past the events', so no entry agrees with one.
+        for (i, &(duration, fits)) in (pushed.len() as u8..).zip(&spans) {
+            let stage = TelemetryStage::ALL[usize::from(i) % TelemetryStage::ALL.len()];
+            let ok = i % 3 != 0;
+            let top = u64::MAX - u64::from(i);
+            let (start, end) = match duration {
+                Some(d) => (top - d, top),
+                None => (top, top - 1),
+            };
+            let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+            let (cmd, tenant, opcode) = (CmdId(top), u16::MAX - u16::from(i), u8::MAX - i);
+            r.span(cmd, tenant, 7, opcode, stage, start, end, ok);
+            let event = |at, kind| TelemetryEvent {
+                at,
+                cmd,
+                tenant,
+                opcode,
+                kind,
+            };
+            pushed.push(event(start, TelemetryEventKind::SpanBegin { stage }));
+            pushed.push(event(end, TelemetryEventKind::SpanEnd { stage, ok }));
+            records += if fits { 1 } else { 2 };
+        }
+        assert_eq!(r.events().collect::<Vec<_>>(), pushed);
+        assert_eq!(r.ring.len(), records);
+    }
+
+    #[test]
+    fn eviction_takes_whole_spans() {
+        let mut r = TelemetryRecorder::new(3);
+        for i in 0..5 {
+            r.span(
+                CmdId(i + 1),
+                0,
+                0,
+                0x02,
+                TelemetryStage::Dma,
+                t(i),
+                t(i + 1),
+                true,
+            );
+        }
+        let events: Vec<_> = r.events().collect();
+        assert_eq!(events.len(), 6, "three whole spans");
+        assert_eq!(r.dropped(), 4, "two evicted spans of two events each");
+        assert_eq!(
+            events[0].kind,
+            TelemetryEventKind::SpanBegin {
+                stage: TelemetryStage::Dma
+            }
+        );
+        assert_eq!(events[0].cmd, CmdId(3));
+        assert_eq!(r.spans().len(), 3);
+    }
+
+    #[test]
+    fn ring_is_allocated_once_at_capacity() {
+        let mut r = TelemetryRecorder::new(100);
+        assert_eq!(r.ring.capacity(), 0, "nothing allocated before use");
+        let cmd = r.begin_command(t(0), 0, 1, 0x02);
+        assert_eq!(r.ring.capacity(), 100);
+        for i in 0..500 {
+            r.span(cmd, 0, 0, 0x02, TelemetryStage::Dma, t(i), t(i + 1), true);
+        }
+        assert_eq!(r.ring.len(), 100);
+        assert_eq!(r.ring.capacity(), 100, "the ring never grows");
     }
 
     #[test]

@@ -302,10 +302,13 @@ impl RecOp {
     }
 }
 
-/// The recorder as plain ordered maps and a ring.
+/// The recorder as plain ordered maps and a ring of records, each
+/// holding one event or a whole span's two.
 struct RecorderModel {
+    /// The most records the ring holds.
     capacity: usize,
-    ring: VecDeque<TelemetryEvent>,
+    ring: VecDeque<Vec<TelemetryEvent>>,
+    /// Events evicted with their records.
     dropped: u64,
     next_cmd: u64,
     open: BTreeMap<(u16, u16), (CmdId, u8, SimTime)>,
@@ -313,18 +316,24 @@ struct RecorderModel {
 }
 
 impl RecorderModel {
-    fn push(&mut self, at: SimTime, cmd: CmdId, tenant: u16, opcode: u8, kind: TelemetryEventKind) {
+    /// Appends one record of `events`, evicting the oldest record and
+    /// counting its events when the ring is full.
+    fn push_record(&mut self, events: Vec<TelemetryEvent>) {
         if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
+            let old = self.ring.pop_front().unwrap_or_default();
+            self.dropped += old.len() as u64;
         }
-        self.ring.push_back(TelemetryEvent {
+        self.ring.push_back(events);
+    }
+
+    fn push(&mut self, at: SimTime, cmd: CmdId, tenant: u16, opcode: u8, kind: TelemetryEventKind) {
+        self.push_record(vec![TelemetryEvent {
             at,
             cmd,
             tenant,
             opcode,
             kind,
-        });
+        }]);
     }
 
     fn aggregate(
@@ -451,8 +460,20 @@ proptest! {
                     // and stand alone otherwise.
                     let (cmd, opcode) = rec.lookup(tenant, cid).unwrap_or((CmdId::NONE, opcode));
                     let function = cid as u8 % 2;
-                    model.push(start, cmd, tenant, opcode, TelemetryEventKind::SpanBegin { stage });
-                    model.push(end, cmd, tenant, opcode, TelemetryEventKind::SpanEnd { stage, ok });
+                    let event = |at, kind| TelemetryEvent { at, cmd, tenant, opcode, kind };
+                    let begin = event(start, TelemetryEventKind::SpanBegin { stage });
+                    let close = event(end, TelemetryEventKind::SpanEnd { stage, ok });
+                    // A span that ends at or after its start, within a
+                    // `u32` of nanoseconds, is one record of two events;
+                    // any other is a begin record and an end record.
+                    let fits = end >= start
+                        && end.saturating_since(start).as_nanos() <= u64::from(u32::MAX);
+                    if fits {
+                        model.push_record(vec![begin, close]);
+                    } else {
+                        model.push_record(vec![begin]);
+                        model.push_record(vec![close]);
+                    }
                     model.aggregate(tenant, function, opcode, stage, end.saturating_since(start));
                     rec.span(cmd, tenant, function, opcode, stage, start, end, ok);
                 }
@@ -497,10 +518,13 @@ proptest! {
             prop_assert_eq!(format!("{:?}", rec.tenant_rollup(stage)), format!("{per_tenant:?}"));
         }
         // The exports read only the ring: a recorder fed the model's
-        // event stream directly must export the same text.
+        // event stream directly, one record per event and with room for
+        // every event, must export the same text.
         prop_assert_eq!(rec.dropped(), model.dropped);
-        let mut reference = TelemetryRecorder::new(capacity);
-        for e in &model.ring {
+        let events: Vec<TelemetryEvent> = model.ring.iter().flatten().copied().collect();
+        prop_assert_eq!(rec.events().collect::<Vec<_>>(), events.clone());
+        let mut reference = TelemetryRecorder::new(events.len());
+        for e in &events {
             reference.event(e.at, e.cmd, e.tenant, e.opcode, e.kind);
         }
         prop_assert_eq!(rec.spans(), reference.spans());

@@ -97,7 +97,9 @@ echo "==> calibrated wall-clock gate (bmbench, release)"
 # fail or that value is below its floor. bm-4k-randread drives the
 # engine's per-command path, bm-128k-seqread its PRP-list path and
 # bm-4k-observed-faults the observers, command timeouts and recovery,
-# which the other two never run. spdk-4k-randwrite runs no engine code:
+# which the other two never run. bm-oltp-kv-mixed covers writes,
+# think-time timers and the OLTP and KV client models, which none of
+# the 4K and 128K workloads run. spdk-4k-randwrite runs no engine code:
 # the event scheduler, which every workload shares, is the largest cost
 # it has left, so a scheduler regression shows there first. Each floor
 # is 0.8 x the lowest calibrated value on record for an unchanged tree
@@ -106,7 +108,8 @@ echo "==> calibrated wall-clock gate (bmbench, release)"
 # step above produced, so benchmark/Cargo.lock stays as committed.
 floor_4k_randread=515934     # 0.8 x 644,918 (lowest on record)
 floor_128k_seqread=655772    # 0.8 x 819,715 (lowest of 12 runs, seed 42)
-floor_4k_observed=423864     # 0.8 x 529,830 (lowest of 12 runs, seed 42)
+floor_4k_observed=501812     # 0.8 x 627,266 (lowest of 12 runs, seed 42)
+floor_oltp_kv=609772         # 0.8 x 762,215 (lowest of 12 runs, seed 42)
 floor_spdk_randwrite=1334240 # 0.8 x 1,667,801 (lowest of 12 runs, seed 42)
 bmbench_gate() { # WORKLOAD FLOOR
     "${CARGO_TARGET_DIR:-benchmark/target}/release/bmbench" \
@@ -122,6 +125,7 @@ bmbench_gate() { # WORKLOAD FLOOR
 bmbench_gate bm-4k-randread "$floor_4k_randread"
 bmbench_gate bm-128k-seqread "$floor_128k_seqread"
 bmbench_gate bm-4k-observed-faults "$floor_4k_observed"
+bmbench_gate bm-oltp-kv-mixed "$floor_oltp_kv"
 bmbench_gate spdk-4k-randwrite "$floor_spdk_randwrite"
 
 echo "==> cargo fmt --check"
