@@ -44,7 +44,7 @@ use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
 use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr};
-use bm_sim::metrics::{names as metric_names, Metric, Stage as MetricStage};
+use bm_sim::metrics::{Metric, Stage as MetricStage};
 use bm_sim::observe::Observer;
 use bm_sim::resource::BandwidthLink;
 use bm_sim::telemetry::{CmdId, TelemetryEventKind, TelemetryStage};
@@ -607,8 +607,11 @@ fn coalesce_actions(actions: &mut Vec<EngineAction>, from: usize) {
 /// Retry bookkeeping for one in-flight forwarding attempt.
 #[derive(Debug, Clone)]
 struct RetryEntry {
-    /// The attempt's back-end CID.
+    /// The attempt's back-end CID, on `port`.
     cid: Cid,
+    /// The bay whose port holds `cid`: the span's SSD when it was
+    /// forwarded. A cross-bay hot-plug retargets the span, not this.
+    port: SsdId,
     /// When the attempt times out.
     deadline: SimTime,
     /// The span, re-enqueued as it is on retry (`push_to_port` builds
@@ -934,9 +937,12 @@ impl BmsEngine {
     /// the mapping entries targeting `from` target `to` instead, and the
     /// chunk allocator's two free lists swap, so `to` owns the moved
     /// chunks and `from` is left a spare bay. Commands buffered toward
-    /// `from` follow, in order, behind any buffered toward `to`; each
-    /// keeps its physical LBA, since chunk `i` of `from` is now chunk `i`
-    /// of `to`. Returns how many entries were rewritten, or `None`,
+    /// `from` follow, in order, behind any buffered toward `to`, and so
+    /// do the spans of attempts in flight on `from`: a retry or a crash
+    /// replay forwards them to `to`, while a timeout still abandons the
+    /// attempt on `from`'s port, which holds its CID. Each span keeps
+    /// its physical LBA, since chunk `i` of `from` is now chunk `i` of
+    /// `to`. Returns how many entries were rewritten, or `None`,
     /// changing nothing, unless `to` is a spare bay: one with no chunk
     /// allocated.
     pub fn retarget_ssd(&mut self, from: SsdId, to: SsdId) -> Option<usize> {
@@ -945,6 +951,11 @@ impl BmsEngine {
         }
         let moved = std::mem::take(&mut self.backlog[from.0 as usize]);
         self.backlog[to.0 as usize].extend(moved.into_iter().map(|span| Span { ssd: to, ..span }));
+        for entry in self.pending_retry.values_mut() {
+            if entry.span.ssd == from {
+                entry.span.ssd = to;
+            }
+        }
         Some(self.mapping.retarget_ssd(from, to))
     }
 
@@ -999,12 +1010,12 @@ impl BmsEngine {
     ) {
         let mut span = entry.span;
         let ssd = span.ssd;
-        let Some(origin) = self.adaptor.port_mut(ssd).abandon(entry.cid) else {
+        let Some(origin) = self.adaptor.port_mut(entry.port).abandon(entry.cid) else {
             return; // slot already resolved (defensive)
         };
         debug_assert_eq!(origin.seq, seq);
         self.resilience.timeouts += 1;
-        self.obs.count(metric_names::ENGINE_TIMEOUTS, 1);
+        self.obs.count(Metric::EngineTimeouts.of(0), 1);
         // The abandoned attempt's DMA window closes here, unsuccessfully;
         // retry/abort events attach to the same owning command.
         if origin.cmd.is_some() {
@@ -1024,7 +1035,7 @@ impl BmsEngine {
         if span.retries < self.cfg.max_retries {
             span.retries += 1;
             self.resilience.retries += 1;
-            self.obs.count(metric_names::ENGINE_RETRIES, 1);
+            self.obs.count(Metric::EngineRetries.of(0), 1);
             self.recovery_log.push(RecoveryEvent::TimeoutRetry {
                 ssd,
                 attempt: span.retries,
@@ -1660,8 +1671,8 @@ impl BmsEngine {
         if let Some(m) = self.obs.metrics_mut() {
             let outstanding = self.counters.regs(io.func).outstanding;
             m.stage_busy(MetricStage::TargetCtrl, EngineTiming::PAPER.pipeline, 1);
-            m.counter_add_id(Metric::EngineStarted.of(idx), 1);
-            m.gauge_set_id(
+            m.counter_add(Metric::EngineStarted.of(idx), 1);
+            m.gauge_set(
                 now,
                 Metric::EngineOutstanding.of(idx),
                 f64::from(outstanding),
@@ -1815,6 +1826,7 @@ impl BmsEngine {
                 seq,
                 RetryEntry {
                     cid: backend_cid,
+                    port: ssd,
                     deadline,
                     span,
                 },
@@ -2016,8 +2028,8 @@ impl BmsEngine {
                     m.stage_busy(MetricStage::DmaRouting, copy_wait, 0);
                 }
                 m.stage_busy(MetricStage::HostAdaptor, busy, 1);
-                m.counter_add_id(Metric::EngineFinished.of(idx), 1);
-                m.gauge_set_id(
+                m.counter_add(Metric::EngineFinished.of(idx), 1);
+                m.gauge_set(
                     now,
                     Metric::EngineOutstanding.of(idx),
                     f64::from(outstanding),

@@ -72,6 +72,11 @@ impl<T> SeqWindow<T> {
         Some((self.base, value))
     }
 
+    /// The live entries, in sequence order, for update in place.
+    pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+
     /// The live entries, in sequence order.
     pub(super) fn into_entries(self) -> impl Iterator<Item = (u64, T)> {
         (self.base..)

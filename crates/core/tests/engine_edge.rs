@@ -1,20 +1,22 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, unbind racing in-flight and QoS-held I/O, flushes and
-//! buffered commands across a cross-bay hot-plug, zero-byte namespaces,
-//! missing data pointers, malformed SQEs, and observers lent in turn.
+//! paused SSD, unbind racing in-flight and QoS-held I/O, flushes,
+//! buffered commands, timeout retries and crash replays across a
+//! cross-bay hot-plug, zero-byte namespaces, missing data pointers,
+//! malformed SQEs, and observers lent in turn.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Status, SubmissionQueue};
 use bm_pcie::{FunctionId, HostMemory, PciAddr};
-use bm_sim::metrics::{names, stages, MetricKey, MetricsRegistry};
+use bm_sim::metrics::{Metric, MetricsRegistry, Stage};
 use bm_sim::observe::Observer;
 use bm_sim::telemetry::{AggKey, TelemetryRecorder, TelemetryStage};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use bmstore_core::engine::qos::QosLimit;
 use bmstore_core::engine::{BindError, BmsEngine, EngineAction, EngineConfig, Placement};
+use bmstore_core::FailPolicy;
 
 fn fid(i: u8) -> FunctionId {
     FunctionId::new(i).unwrap()
@@ -28,19 +30,24 @@ fn rig(entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
 
 /// [`rig`] for any function `func`.
 fn rig_on(func: FunctionId, entries: u16) -> (BmsEngine, HostMemory, SubmissionQueue) {
-    rig_with(2, func, Placement::Single(SsdId(0)), entries)
+    rig_with(
+        EngineConfig::paper_default(2),
+        func,
+        Placement::Single(SsdId(0)),
+        entries,
+    )
 }
 
-/// An engine of `ssds` SSDs with a 256 GiB namespace bound to `func`
+/// An engine built from `cfg` with a 256 GiB namespace bound to `func`
 /// by `placement`, `func` enabled, and a registered I/O queue of
 /// `entries` slots; returns the host-side SQ view.
 fn rig_with(
-    ssds: usize,
+    cfg: EngineConfig,
     func: FunctionId,
     placement: Placement,
     entries: u16,
 ) -> (BmsEngine, HostMemory, SubmissionQueue) {
-    let mut engine = BmsEngine::new(EngineConfig::paper_default(ssds));
+    let mut engine = BmsEngine::new(cfg);
     let mut host = HostMemory::new(1 << 30);
     engine.bind_namespace(func, 256 << 30, placement).unwrap();
     engine.set_function_enabled(func, true);
@@ -264,7 +271,7 @@ fn completions(actions: &[EngineAction]) -> Vec<(u16, Status)> {
         .iter()
         .map(|a| match a {
             EngineAction::HostCompletion { cid, status, .. } => (cid.0, *status),
-            other => panic!("a QoS-held command of a dead namespace went on: {other:?}"),
+            other => panic!("not a host completion: {other:?}"),
         })
         .collect()
 }
@@ -301,16 +308,108 @@ fn qos_held_commands_never_reach_a_namespace_bound_after_them() {
     assert_eq!(engine.adaptor().port(SsdId(1)).forwarded(), 0);
 }
 
+/// An engine of 4 SSDs built from `cfg`, with function 0's namespace
+/// on SSD 1; see [`rig_with`].
+fn on_bay_1_of_4(cfg: EngineConfig) -> (BmsEngine, HostMemory, SubmissionQueue) {
+    rig_with(cfg, fid(0), Placement::Single(SsdId(1)), 64)
+}
+
+/// The SSDs whose back-end doorbells `actions` ring, in order.
+fn rung(actions: &[EngineAction]) -> Vec<SsdId> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            EngineAction::BackendDoorbell { ssd, .. } => Some(*ssd),
+            _ => None,
+        })
+        .collect()
+}
+
+/// What `HotPlugPrepare { ssd: 1 }` and `HotPlugComplete { old: 1,
+/// new: 3 }` do to the engine at `now`.
+fn hot_plug_bay_1_to_3(engine: &mut BmsEngine, host: &mut HostMemory, now: SimTime) {
+    engine.pause_ssd(SsdId(1));
+    engine.retarget_ssd(SsdId(1), SsdId(3)).unwrap();
+    assert!(engine.resume_ssd(now, SsdId(3), host).is_empty());
+    assert!(engine.resume_ssd(now, SsdId(1), host).is_empty());
+}
+
+/// Read 1 forwarded to SSD 1 at time zero under a 100 µs command
+/// timeout and `policy`, then bay 1 hot-plugged to bay 3 at 2 µs.
+/// Returns the read's deadline and the SQE SSD 1 fetched.
+fn read_in_flight_across_a_hot_plug(policy: FailPolicy) -> (BmsEngine, HostMemory, SimTime, Sqe) {
+    let timeout = SimDuration::from_us(100);
+    let cfg = EngineConfig::paper_default(4).with_command_timeout(timeout, policy);
+    let (mut engine, mut host, mut host_sq) = on_bay_1_of_4(cfg);
+    let (mut ssd_sq, _) = engine.ssd_rings(SsdId(1));
+    host_sq.push(&mut host, &read_sqe(1)).unwrap();
+    let actions = ring(&mut engine, &mut host, SimTime::ZERO, host_sq.tail());
+    let [EngineAction::CommandDeadline { at: deadline }, EngineAction::BackendDoorbell {
+        ssd: SsdId(1),
+        tail,
+        ..
+    }] = actions[..]
+    else {
+        panic!("one read forwarded to SSD 1 under one timer: {actions:?}");
+    };
+    ssd_sq.doorbell_tail(tail).unwrap();
+    let mut ssd_mem = HostMemory::new(1 << 20);
+    let fetched = ssd_sq.fetch(&mut engine.dma_router(&mut ssd_mem));
+    let sqe = fetched.unwrap().unwrap();
+    hot_plug_bay_1_to_3(&mut engine, &mut host, SimTime::from_nanos(2_000));
+    (engine, host, deadline, sqe)
+}
+
+#[test]
+fn a_timed_out_read_retries_on_the_bay_a_hot_plug_moved_it_to() {
+    let (mut engine, mut host, deadline, old) =
+        read_in_flight_across_a_hot_plug(FailPolicy::AbortToHost);
+    let (_, mut ssd1_cq) = engine.ssd_rings(SsdId(1));
+    let (mut ssd3_sq, mut ssd3_cq) = engine.ssd_rings(SsdId(3));
+    let mut ssd_mem = HostMemory::new(1 << 20);
+    // The timeout abandons the attempt on SSD 1's port, which holds its
+    // CID, and retries it on SSD 3 at the same physical LBA.
+    let actions = engine.check_deadline(deadline, &mut host);
+    assert_eq!(rung(&actions), [SsdId(3)], "{actions:?}");
+    let Some(&EngineAction::BackendDoorbell { tail, .. }) = actions.first() else {
+        panic!("no retry: {actions:?}");
+    };
+    ssd3_sq.doorbell_tail(tail).unwrap();
+    let fetched = ssd3_sq.fetch(&mut engine.dma_router(&mut ssd_mem));
+    let retry = fetched.unwrap().unwrap();
+    assert_eq!((retry.opcode, retry.slba), (old.opcode, old.slba));
+    // SSD 1 completes the old CID late: the zombie slot swallows it.
+    let late = deadline + SimDuration::from_us(10);
+    let cqe = bm_nvme::Cqe::success(old.cid, QueueId(1), 1, false);
+    ssd1_cq
+        .post(&mut engine.dma_router(&mut ssd_mem), cqe)
+        .unwrap();
+    let (actions, _) = engine.on_backend_completion(late, SsdId(1), &mut host);
+    assert!(actions.is_empty(), "{actions:?}");
+    // SSD 3 completes the retry: the read completes once, successfully.
+    let cqe = bm_nvme::Cqe::success(retry.cid, QueueId(1), 1, false);
+    ssd3_cq
+        .post(&mut engine.dma_router(&mut ssd_mem), cqe)
+        .unwrap();
+    let (actions, _) = engine.on_backend_completion(late, SsdId(3), &mut host);
+    assert_eq!(completions(&actions), [(1, Status::Success)], "{actions:?}");
+}
+
+#[test]
+fn a_crash_replays_a_hot_plugged_read_on_the_new_bay() {
+    let (mut engine, mut host, _, _) = read_in_flight_across_a_hot_plug(FailPolicy::QuiesceReplay);
+    let crash_at = SimTime::from_nanos(3_000);
+    let restart_at = crash_at + SimDuration::from_us(100);
+    engine.crash(crash_at, restart_at);
+    let actions = engine.recover(restart_at, &mut host);
+    assert_eq!(rung(&actions), [SsdId(3)], "{actions:?}");
+}
+
 #[test]
 fn flush_after_a_cross_bay_hot_plug_rings_the_new_bay_only() {
-    let (mut engine, mut host, mut host_sq) = rig_with(4, fid(0), Placement::Single(SsdId(1)), 64);
-    // What HotPlugPrepare { ssd: 1 } and HotPlugComplete { old: 1,
-    // new: 3 } do to the engine.
-    engine.pause_ssd(SsdId(1));
-    engine.retarget_ssd(SsdId(1), SsdId(3));
+    let (mut engine, mut host, mut host_sq) = on_bay_1_of_4(EngineConfig::paper_default(4));
     let now = SimTime::from_nanos(1_000);
-    assert!(engine.resume_ssd(now, SsdId(3), &mut host).is_empty());
-    assert!(engine.resume_ssd(now, SsdId(1), &mut host).is_empty());
+    hot_plug_bay_1_to_3(&mut engine, &mut host, now);
     let row_base = engine.function(fid(0)).binding().unwrap().row_base;
     assert_eq!(engine.mapping().map(row_base, Lba(0)).unwrap().0, SsdId(3));
     let flush = Sqe::io(
@@ -324,19 +423,12 @@ fn flush_after_a_cross_bay_hot_plug_rings_the_new_bay_only() {
     );
     host_sq.push(&mut host, &flush).unwrap();
     let actions = ring(&mut engine, &mut host, now, host_sq.tail());
-    let rung: Vec<SsdId> = actions
-        .iter()
-        .filter_map(|a| match a {
-            EngineAction::BackendDoorbell { ssd, .. } => Some(*ssd),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rung, [SsdId(3)], "{actions:?}");
+    assert_eq!(rung(&actions), [SsdId(3)], "{actions:?}");
 }
 
 #[test]
 fn buffered_commands_follow_a_cross_bay_hot_plug() {
-    let (mut engine, mut host, mut host_sq) = rig_with(4, fid(0), Placement::Single(SsdId(1)), 64);
+    let (mut engine, mut host, mut host_sq) = on_bay_1_of_4(EngineConfig::paper_default(4));
     // HotPlugPrepare { ssd: 1 } pauses the bay; a read arrives and
     // buffers; HotPlugComplete { old: 1, new: 3 } retargets and resumes
     // the new bay, then the old one.
@@ -348,14 +440,7 @@ fn buffered_commands_follow_a_cross_bay_hot_plug() {
     engine.retarget_ssd(SsdId(1), SsdId(3)).unwrap();
     let mut actions = engine.resume_ssd(now, SsdId(3), &mut host);
     actions.extend(engine.resume_ssd(now, SsdId(1), &mut host));
-    let rung: Vec<SsdId> = actions
-        .iter()
-        .filter_map(|a| match a {
-            EngineAction::BackendDoorbell { ssd, .. } => Some(*ssd),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rung, [SsdId(3)], "{actions:?}");
+    assert_eq!(rung(&actions), [SsdId(3)], "{actions:?}");
     assert_eq!(engine.adaptor().port(SsdId(1)).forwarded(), 0);
 }
 
@@ -589,12 +674,11 @@ fn lent_observers_count_only_their_own_calls() {
     // deepest burst each one saw.
     for (obs, want, peak) in [(&observers[0], 8u64, 5.0), (&observers[1], 7, 7.0)] {
         let reg = obs.metrics().unwrap();
-        let f0 = |name| MetricKey::labeled(name, "function", "f0");
-        let ssd_arrivals = MetricKey::labeled(names::STAGE_ARRIVALS, "stage", stages::SSD);
-        assert_eq!(reg.counter(&f0(names::ENGINE_STARTED)), want);
-        assert_eq!(reg.counter(&f0(names::ENGINE_FINISHED)), want);
-        assert_eq!(reg.counter(&ssd_arrivals), want);
-        let outstanding = reg.gauge(&f0(names::ENGINE_OUTSTANDING)).unwrap();
+        let ssd_arrivals = Metric::StageArrivals.of(Stage::Ssd as usize);
+        assert_eq!(reg.counter(Metric::EngineStarted.of(0)), want);
+        assert_eq!(reg.counter(Metric::EngineFinished.of(0)), want);
+        assert_eq!(reg.counter(ssd_arrivals), want);
+        let outstanding = reg.gauge(Metric::EngineOutstanding.of(0)).unwrap();
         assert_eq!((outstanding.value(), outstanding.peak()), (0.0, peak));
         let rec = obs.telemetry().unwrap();
         for stage in [

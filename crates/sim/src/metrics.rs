@@ -3,8 +3,7 @@
 //! [`telemetry`](crate::telemetry) answers *"what happened to command
 //! X"* (spans and traces); this module answers *"where is the system
 //! saturated, and is it getting slower release over release"*. It is a
-//! registry of three metric shapes, all identified by a
-//! ([`MetricKey`]) metric name plus ordered label pairs:
+//! registry of three metric shapes, each addressed by a [`MetricId`]:
 //!
 //! * **counters** — monotonic `u64` totals (commands started, bytes
 //!   forwarded, retransmits, per-stage busy nanoseconds),
@@ -19,26 +18,25 @@
 //! Fault windows are recorded as [`Annotation`]s so excursions in the
 //! series line up with their cause.
 //!
-//! # Slots
+//! # Keys
 //!
-//! Each counter, gauge and series lives in a dense slot of a `Vec`,
-//! behind an ordered `MetricKey → slot` index. The index is read only
-//! when a key is first written and at export, so every export lists
-//! keys in `BTreeMap` order and never lists one that was not written.
-//! Writes come in two forms that resolve to the same slots:
+//! Every metric the simulator writes is a [`Metric`] variant, which
+//! fixes its name and the shape of its one label (an engine function, a
+//! host device, an SSD or a [`Stage`]). A [`Metric`] with a label index
+//! is a [`MetricId`] ([`Metric::of`]), the registry's only key. The
+//! registry keeps counters, gauges and series in dense tables indexed
+//! by `(metric, label)`, so a write is two array indexings and never
+//! builds or compares a string. There is one write method per shape:
+//! [`MetricsRegistry::counter_add`], [`gauge_set`](MetricsRegistry::gauge_set)
+//! and [`sample`](MetricsRegistry::sample). A gauge's series is the
+//! series with the same id.
 //!
-//! * the **key form** ([`MetricsRegistry::counter_add`],
-//!   [`gauge_set`](MetricsRegistry::gauge_set),
-//!   [`sample`](MetricsRegistry::sample)) looks its key up in the index,
-//! * the **slot form** ([`MetricsRegistry::counter_add_id`],
-//!   [`gauge_set_id`](MetricsRegistry::gauge_set_id),
-//!   [`sample_id`](MetricsRegistry::sample_id),
-//!   [`stage_busy`](MetricsRegistry::stage_busy)) names the metric by
-//!   type — a [`MetricId`] or a [`Stage`] — and finds its slot by array
-//!   index. The per-I/O and per-tick writers use it.
-//!
-//! The slot-form cache lives inside the registry, so an id written
-//! through one registry can never reach another registry's slot.
+//! Keys are rendered (`bm_engine_outstanding{function="f2"}`) and
+//! sorted only when they are exported or iterated: by name, then by
+//! label value compared as a string, so `ssd="10"` comes before
+//! `ssd="2"`. A key never written is never listed, while a counter
+//! written with 0 is. An unlabeled metric has one slot, whatever label
+//! index reaches it.
 //!
 //! # Determinism
 //!
@@ -64,131 +62,29 @@
 //! # Examples
 //!
 //! ```
-//! use bm_sim::metrics::{names, Metric, MetricKey, MetricsRegistry, Stage};
+//! use bm_sim::metrics::{prometheus, Metric, MetricsRegistry, Stage};
 //! use bm_sim::{SimDuration, SimTime};
 //!
 //! let mut r = MetricsRegistry::new();
 //! let t0 = SimTime::ZERO;
 //! r.stage_busy(Stage::Ssd, SimDuration::from_us(80), 1);
-//! r.gauge_set(t0, &MetricKey::new("depth"), 4.0);
-//! r.sample(t0, &MetricKey::new("depth"), 4.0);
-//! // Slot form and key form reach the same counter.
-//! r.counter_add_id(Metric::EngineStarted.of(2), 1);
-//! let key = MetricKey::labeled(names::ENGINE_STARTED, "function", "f2");
-//! r.counter_add(&key, 1);
-//! assert_eq!(r.counter(&key), 2);
+//! let inflight = Metric::BackendInflight.of(0);
+//! r.gauge_set(t0, inflight, 4.0);
+//! r.snapshot_gauges(t0);
+//! assert_eq!(r.series(inflight).map(|s| s.points().len()), Some(1));
+//! r.counter_add(Metric::EngineStarted.of(2), 1);
+//! r.counter_add(Metric::EngineStarted.of(2), 1);
+//! assert_eq!(r.counter(Metric::EngineStarted.of(2)), 2);
+//! assert!(prometheus(&r).contains("bm_engine_commands_started_total{function=\"f2\"} 2\n"));
 //! let report = r.bottleneck_report(SimTime::ZERO + SimDuration::from_us(100), 4);
 //! assert_eq!(report.saturated.as_deref(), Some("ssd"));
 //! ```
 
-use crate::stats::TimeSeries;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::fmt;
 use std::fmt::Write as _;
 
 /// Default capacity of each bounded time series (samples per key).
 pub const DEFAULT_SERIES_CAPACITY: usize = 1 << 14;
-
-/// Canonical metric names, shared by every instrumented crate so the
-/// exposition is consistent and the report generators can find them.
-pub mod names {
-    /// Per-stage busy nanoseconds (counter; label `stage`).
-    pub const STAGE_BUSY_NS: &str = "bm_stage_busy_ns_total";
-    /// Per-stage command arrivals (counter; label `stage`).
-    pub const STAGE_ARRIVALS: &str = "bm_stage_arrivals_total";
-    /// Commands inside the engine pipeline (gauge; label `function`).
-    pub const ENGINE_OUTSTANDING: &str = "bm_engine_outstanding";
-    /// Commands fetched into the pipeline (counter; label `function`).
-    pub const ENGINE_STARTED: &str = "bm_engine_commands_started_total";
-    /// Commands that left the pipeline (counter; label `function`).
-    pub const ENGINE_FINISHED: &str = "bm_engine_commands_finished_total";
-    /// Commands parked behind a paused/full back-end port (gauge; label `ssd`).
-    pub const DOORBELL_BACKLOG: &str = "bm_engine_doorbell_backlog";
-    /// Back-end SQ slots in flight, zombies included (gauge; label `ssd`).
-    pub const BACKEND_INFLIGHT: &str = "bm_backend_sq_inflight";
-    /// SQEs pushed to a back-end ring (counter; label `ssd`).
-    pub const BACKEND_FORWARDED: &str = "bm_backend_forwarded_total";
-    /// CQEs drained from a back-end ring (counter; label `ssd`).
-    pub const BACKEND_COMPLETED: &str = "bm_backend_completed_total";
-    /// Timed-out attempts abandoned (counter; label `ssd`).
-    pub const BACKEND_ABANDONED: &str = "bm_backend_abandoned_total";
-    /// Live (non-zombie) back-end slots (gauge; label `ssd`).
-    pub const BACKEND_LIVE: &str = "bm_backend_live";
-    /// Zombie slots awaiting stale completions (gauge; label `ssd`).
-    pub const BACKEND_ZOMBIES: &str = "bm_backend_zombie_slots";
-    /// Payload bytes owned by in-flight back-end commands (gauge).
-    pub const DMA_INFLIGHT_BYTES: &str = "bm_dma_inflight_bytes";
-    /// Host-visible SQ entries awaiting completion (gauge; label `function`).
-    pub const HOST_SQ_INFLIGHT: &str = "bm_host_sq_inflight";
-    /// Host submissions waiting for a free ring slot (gauge; label `function`).
-    pub const HOST_SQ_WAITING: &str = "bm_host_sq_waiting";
-    /// SSD media busy nanoseconds (counter; label `ssd`).
-    pub const SSD_BUSY_NS: &str = "bm_ssd_service_busy_ns_total";
-    /// SSD commands serviced (counter; label `ssd`).
-    pub const SSD_OPS: &str = "bm_ssd_service_ops_total";
-    /// In-flight management requests: MCTP reassemblies in progress at
-    /// the controller (SOM received, EOM still missing) (gauge).
-    pub const MCTP_PARTIALS: &str = "bm_mctp_partial_assemblies";
-    /// Management packets lost on the wire (counter).
-    pub const MCTP_DROPPED: &str = "bm_mctp_packets_dropped_total";
-    /// Management retransmissions issued (counter).
-    pub const MCTP_RETRANSMITS: &str = "bm_mctp_retransmits_total";
-    /// Engine command timeouts observed (counter).
-    pub const ENGINE_TIMEOUTS: &str = "bm_engine_timeouts_total";
-    /// Engine command retries issued (counter).
-    pub const ENGINE_RETRIES: &str = "bm_engine_retries_total";
-    /// Simulator events executed (counter; sampled per tick).
-    pub const SCHED_EVENTS_FIRED: &str = "bm_sched_events_fired_total";
-    /// Events pending in the scheduler (gauge; peak twin = high-water).
-    pub const SCHED_PENDING: &str = "bm_sched_pending_events";
-    /// Exact scheduler high-water mark, set once at run end (gauge).
-    pub const SCHED_PEAK_PENDING: &str = "bm_sched_peak_pending_events";
-    /// Past-due schedules clamped to now (counter).
-    pub const SCHED_CLAMPED_PAST: &str = "bm_sched_clamped_past_total";
-    /// Scheduler arena slots allocated (gauge; growth = leak signal).
-    pub const SCHED_ARENA_SLOTS: &str = "bm_sched_arena_slots";
-    /// Engine crash/recovery cycles completed (counter).
-    pub const ENGINE_RECOVERIES: &str = "bm_engine_recoveries_total";
-    /// Journaled commands replayed across recoveries (counter).
-    pub const ENGINE_RECOVERY_REPLAYED: &str = "bm_engine_recovery_replayed_total";
-    /// Journaled commands aborted to host on recovery (counter).
-    pub const ENGINE_RECOVERY_ABORTED: &str = "bm_engine_recovery_aborted_total";
-    /// Nanoseconds spent down across recoveries (counter).
-    pub const ENGINE_RECOVERY_TIME_NS: &str = "bm_engine_recovery_time_ns_total";
-}
-
-/// Engine pipeline stage labels (the `stage` label value of each
-/// [`Stage`]), in paper order (Fig. 3), plus the back-end device.
-pub mod stages {
-    use super::Stage;
-
-    /// Label of [`Stage::FrontEnd`].
-    pub const FRONT_END: &str = "front_end";
-    /// Label of [`Stage::TargetCtrl`].
-    pub const TARGET_CTRL: &str = "target_ctrl";
-    /// Label of [`Stage::Mapping`].
-    pub const MAPPING: &str = "mapping";
-    /// Label of [`Stage::Qos`].
-    pub const QOS: &str = "qos";
-    /// Label of [`Stage::DmaRouting`].
-    pub const DMA_ROUTING: &str = "dma_routing";
-    /// Label of [`Stage::HostAdaptor`].
-    pub const HOST_ADAPTOR: &str = "host_adaptor";
-    /// Label of [`Stage::Ssd`].
-    pub const SSD: &str = "ssd";
-
-    /// All stages the bottleneck report knows about, in display order.
-    pub const ALL: [Stage; 7] = [
-        Stage::FrontEnd,
-        Stage::TargetCtrl,
-        Stage::Mapping,
-        Stage::Qos,
-        Stage::DmaRouting,
-        Stage::HostAdaptor,
-        Stage::Ssd,
-    ];
-}
 
 /// A stage of the bottleneck report: the engine pipeline in paper order
 /// (Fig. 3), plus the back-end device. What
@@ -214,169 +110,225 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// The stage's `stage` label value (see [`stages`]).
+    /// Every stage, in paper order; a stage's index here is its label
+    /// index in [`Metric::StageBusy`] and [`Metric::StageArrivals`].
+    pub const ALL: [Stage; 7] = [
+        Stage::FrontEnd,
+        Stage::TargetCtrl,
+        Stage::Mapping,
+        Stage::Qos,
+        Stage::DmaRouting,
+        Stage::HostAdaptor,
+        Stage::Ssd,
+    ];
+
+    /// The stage's `stage` label value.
     pub fn label(self) -> &'static str {
         match self {
-            Stage::FrontEnd => stages::FRONT_END,
-            Stage::TargetCtrl => stages::TARGET_CTRL,
-            Stage::Mapping => stages::MAPPING,
-            Stage::Qos => stages::QOS,
-            Stage::DmaRouting => stages::DMA_ROUTING,
-            Stage::HostAdaptor => stages::HOST_ADAPTOR,
-            Stage::Ssd => stages::SSD,
+            Stage::FrontEnd => "front_end",
+            Stage::TargetCtrl => "target_ctrl",
+            Stage::Mapping => "mapping",
+            Stage::Qos => "qos",
+            Stage::DmaRouting => "dma_routing",
+            Stage::HostAdaptor => "host_adaptor",
+            Stage::Ssd => "ssd",
         }
     }
 }
 
-/// A metric identity: name plus ordered `(label, value)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// Metric name (Prometheus-style snake case).
-    pub name: &'static str,
-    /// Label pairs, in a fixed order chosen by the instrumentation site.
-    pub labels: Vec<(&'static str, String)>,
-}
-
-impl MetricKey {
-    /// A key with no labels.
-    pub fn new(name: &'static str) -> Self {
-        MetricKey {
-            name,
-            labels: Vec::new(),
-        }
-    }
-
-    /// A key with one label.
-    pub fn labeled(name: &'static str, label: &'static str, value: impl fmt::Display) -> Self {
-        MetricKey {
-            name,
-            labels: vec![(label, value.to_string())],
-        }
-    }
-
-    /// The value of `label`, if present.
-    pub fn label(&self, label: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| *k == label)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn render(&self) -> String {
-        self.render_as(self.name)
-    }
-
-    /// Renders with `name` substituted for the key's own (peak twins:
-    /// the suffix must precede the label set in Prometheus syntax).
-    fn render_as(&self, name: &str) -> String {
-        if self.labels.is_empty() {
-            return name.to_string();
-        }
-        let mut out = String::from(name);
-        out.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{k}=\"{v}\"");
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// The metrics the simulator writes per I/O or per sampler tick, named
-/// by type so the registry finds their slots by array index. Each one,
-/// with a label index, is a [`MetricId`]; its [`MetricId::key`] is the
-/// key a key-form write of the same metric uses.
+/// Every metric the simulator writes. Each variant fixes the metric's
+/// exported name and the shape of its one label; with a label index it
+/// is a [`MetricId`] ([`Metric::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
-    /// [`names::ENGINE_STARTED`], label `function="f<i>"`.
+    /// `bm_stage_busy_ns_total{stage="<stage>"}`: nanoseconds a
+    /// [`Stage`] was busy (counter).
+    StageBusy,
+    /// `bm_stage_arrivals_total{stage="<stage>"}`: commands that entered
+    /// a [`Stage`] (counter).
+    StageArrivals,
+    /// `bm_engine_commands_started_total{function="f<i>"}`: commands
+    /// fetched into the pipeline (counter).
     EngineStarted,
-    /// [`names::ENGINE_FINISHED`], label `function="f<i>"`.
+    /// `bm_engine_commands_finished_total{function="f<i>"}`: commands
+    /// that left the pipeline (counter).
     EngineFinished,
-    /// [`names::ENGINE_OUTSTANDING`], label `function="f<i>"`.
+    /// `bm_engine_outstanding{function="f<i>"}`: commands inside the
+    /// engine pipeline (gauge).
     EngineOutstanding,
-    /// [`names::HOST_SQ_INFLIGHT`], label `function="<i>"`.
+    /// `bm_engine_timeouts_total`: engine command timeouts (counter).
+    EngineTimeouts,
+    /// `bm_engine_retries_total`: engine command retries issued
+    /// (counter).
+    EngineRetries,
+    /// `bm_engine_recoveries_total`: engine crash/recovery cycles
+    /// completed (counter).
+    EngineRecoveries,
+    /// `bm_engine_recovery_replayed_total`: journaled commands replayed
+    /// across recoveries (counter).
+    EngineRecoveryReplayed,
+    /// `bm_engine_recovery_aborted_total`: journaled commands aborted to
+    /// the host on recovery (counter).
+    EngineRecoveryAborted,
+    /// `bm_engine_recovery_time_ns_total`: nanoseconds spent down
+    /// across recoveries (counter).
+    EngineRecoveryTime,
+    /// `bm_host_sq_inflight{function="<i>"}`: host-visible SQ entries
+    /// awaiting completion (gauge).
     HostSqInflight,
-    /// [`names::HOST_SQ_WAITING`], label `function="<i>"`.
+    /// `bm_host_sq_waiting{function="<i>"}`: host submissions waiting
+    /// for a free ring slot (gauge).
     HostSqWaiting,
-    /// [`names::SSD_BUSY_NS`], label `ssd="<i>"`.
+    /// `bm_ssd_service_busy_ns_total{ssd="<i>"}`: SSD media busy
+    /// nanoseconds (sampled as a series).
     SsdBusy,
-    /// [`names::SSD_OPS`], label `ssd="<i>"`.
+    /// `bm_ssd_service_ops_total{ssd="<i>"}`: SSD commands serviced
+    /// (sampled as a series).
     SsdOps,
-    /// [`names::DOORBELL_BACKLOG`], label `ssd="<i>"`.
+    /// `bm_engine_doorbell_backlog{ssd="<i>"}`: commands parked behind
+    /// a paused or full back-end port (gauge).
     DoorbellBacklog,
-    /// [`names::BACKEND_INFLIGHT`], label `ssd="<i>"`.
+    /// `bm_backend_sq_inflight{ssd="<i>"}`: back-end SQ slots in
+    /// flight, zombies included (gauge).
     BackendInflight,
-    /// [`names::BACKEND_LIVE`], label `ssd="<i>"`.
+    /// `bm_backend_live{ssd="<i>"}`: live (non-zombie) back-end slots
+    /// (gauge).
     BackendLive,
-    /// [`names::BACKEND_ZOMBIES`], label `ssd="<i>"`.
+    /// `bm_backend_zombie_slots{ssd="<i>"}`: zombie slots awaiting
+    /// stale completions (gauge).
     BackendZombies,
-    /// [`names::DMA_INFLIGHT_BYTES`], label `ssd="<i>"`.
+    /// `bm_dma_inflight_bytes{ssd="<i>"}`: payload bytes owned by
+    /// in-flight back-end commands (gauge).
     DmaInflightBytes,
-    /// [`names::BACKEND_FORWARDED`], label `ssd="<i>"`.
+    /// `bm_backend_forwarded_total{ssd="<i>"}`: SQEs pushed to a
+    /// back-end ring (sampled as a series).
     BackendForwarded,
-    /// [`names::BACKEND_COMPLETED`], label `ssd="<i>"`.
+    /// `bm_backend_completed_total{ssd="<i>"}`: CQEs drained from a
+    /// back-end ring (sampled as a series).
     BackendCompleted,
-    /// [`names::BACKEND_ABANDONED`], label `ssd="<i>"`.
+    /// `bm_backend_abandoned_total{ssd="<i>"}`: timed-out attempts
+    /// abandoned (sampled as a series).
     BackendAbandoned,
-    /// [`names::SCHED_EVENTS_FIRED`], unlabeled.
+    /// `bm_sched_events_fired_total`: simulator events executed
+    /// (counter at run end; sampled per tick).
     SchedEventsFired,
-    /// [`names::SCHED_PENDING`], unlabeled.
+    /// `bm_sched_pending_events`: events pending in the scheduler
+    /// (gauge; its peak twin is the sampled high-water mark).
     SchedPending,
-    /// [`names::SCHED_CLAMPED_PAST`], unlabeled.
+    /// `bm_sched_peak_pending_events`: the scheduler's exact high-water
+    /// mark, set once at run end (gauge).
+    SchedPeakPending,
+    /// `bm_sched_clamped_past_total`: past-due schedules clamped to now
+    /// (counter at run end; sampled per tick).
     SchedClampedPast,
-    /// [`names::SCHED_ARENA_SLOTS`], unlabeled.
+    /// `bm_sched_arena_slots`: scheduler arena slots allocated (gauge;
+    /// growth is a leak signal).
     SchedArenaSlots,
-    /// [`names::MCTP_PARTIALS`], unlabeled.
+    /// `bm_mctp_partial_assemblies`: MCTP reassemblies in progress at
+    /// the controller, SOM received and EOM still missing (gauge).
     MctpPartials,
+    /// `bm_mctp_packets_dropped_total`: management packets lost on the
+    /// wire (counter).
+    MctpDropped,
+    /// `bm_mctp_retransmits_total`: management retransmissions issued
+    /// (counter).
+    MctpRetransmits,
 }
 
 /// How a [`Metric`]'s one label renders from its index `i`.
 #[derive(Debug, Clone, Copy)]
 enum LabelShape {
-    /// No label; `i` is ignored.
-    Unlabeled,
     /// `function="f<i>"`: an engine function.
     EngineFunction,
     /// `function="<i>"`: a host device.
     HostFunction,
     /// `ssd="<i>"`.
     Ssd,
+    /// `stage="<label>"` of `Stage::ALL[i]`; an index past the last
+    /// stage renders as the number.
+    Stage,
 }
 
 impl Metric {
-    fn spec(self) -> (&'static str, LabelShape) {
-        use LabelShape::{EngineFunction, HostFunction, Ssd, Unlabeled};
+    /// Every metric, in declaration order, so that a table row's index
+    /// names its metric.
+    const ALL: [Metric; 31] = [
+        Metric::StageBusy,
+        Metric::StageArrivals,
+        Metric::EngineStarted,
+        Metric::EngineFinished,
+        Metric::EngineOutstanding,
+        Metric::EngineTimeouts,
+        Metric::EngineRetries,
+        Metric::EngineRecoveries,
+        Metric::EngineRecoveryReplayed,
+        Metric::EngineRecoveryAborted,
+        Metric::EngineRecoveryTime,
+        Metric::HostSqInflight,
+        Metric::HostSqWaiting,
+        Metric::SsdBusy,
+        Metric::SsdOps,
+        Metric::DoorbellBacklog,
+        Metric::BackendInflight,
+        Metric::BackendLive,
+        Metric::BackendZombies,
+        Metric::DmaInflightBytes,
+        Metric::BackendForwarded,
+        Metric::BackendCompleted,
+        Metric::BackendAbandoned,
+        Metric::SchedEventsFired,
+        Metric::SchedPending,
+        Metric::SchedPeakPending,
+        Metric::SchedClampedPast,
+        Metric::SchedArenaSlots,
+        Metric::MctpPartials,
+        Metric::MctpDropped,
+        Metric::MctpRetransmits,
+    ];
+
+    /// The metric's name and label shape (`None`: unlabeled).
+    fn spec(self) -> (&'static str, Option<LabelShape>) {
+        use LabelShape::{EngineFunction, HostFunction, Ssd, Stage};
         match self {
-            Metric::EngineStarted => (names::ENGINE_STARTED, EngineFunction),
-            Metric::EngineFinished => (names::ENGINE_FINISHED, EngineFunction),
-            Metric::EngineOutstanding => (names::ENGINE_OUTSTANDING, EngineFunction),
-            Metric::HostSqInflight => (names::HOST_SQ_INFLIGHT, HostFunction),
-            Metric::HostSqWaiting => (names::HOST_SQ_WAITING, HostFunction),
-            Metric::SsdBusy => (names::SSD_BUSY_NS, Ssd),
-            Metric::SsdOps => (names::SSD_OPS, Ssd),
-            Metric::DoorbellBacklog => (names::DOORBELL_BACKLOG, Ssd),
-            Metric::BackendInflight => (names::BACKEND_INFLIGHT, Ssd),
-            Metric::BackendLive => (names::BACKEND_LIVE, Ssd),
-            Metric::BackendZombies => (names::BACKEND_ZOMBIES, Ssd),
-            Metric::DmaInflightBytes => (names::DMA_INFLIGHT_BYTES, Ssd),
-            Metric::BackendForwarded => (names::BACKEND_FORWARDED, Ssd),
-            Metric::BackendCompleted => (names::BACKEND_COMPLETED, Ssd),
-            Metric::BackendAbandoned => (names::BACKEND_ABANDONED, Ssd),
-            Metric::SchedEventsFired => (names::SCHED_EVENTS_FIRED, Unlabeled),
-            Metric::SchedPending => (names::SCHED_PENDING, Unlabeled),
-            Metric::SchedClampedPast => (names::SCHED_CLAMPED_PAST, Unlabeled),
-            Metric::SchedArenaSlots => (names::SCHED_ARENA_SLOTS, Unlabeled),
-            Metric::MctpPartials => (names::MCTP_PARTIALS, Unlabeled),
+            Metric::StageBusy => ("bm_stage_busy_ns_total", Some(Stage)),
+            Metric::StageArrivals => ("bm_stage_arrivals_total", Some(Stage)),
+            Metric::EngineStarted => ("bm_engine_commands_started_total", Some(EngineFunction)),
+            Metric::EngineFinished => ("bm_engine_commands_finished_total", Some(EngineFunction)),
+            Metric::EngineOutstanding => ("bm_engine_outstanding", Some(EngineFunction)),
+            Metric::EngineTimeouts => ("bm_engine_timeouts_total", None),
+            Metric::EngineRetries => ("bm_engine_retries_total", None),
+            Metric::EngineRecoveries => ("bm_engine_recoveries_total", None),
+            Metric::EngineRecoveryReplayed => ("bm_engine_recovery_replayed_total", None),
+            Metric::EngineRecoveryAborted => ("bm_engine_recovery_aborted_total", None),
+            Metric::EngineRecoveryTime => ("bm_engine_recovery_time_ns_total", None),
+            Metric::HostSqInflight => ("bm_host_sq_inflight", Some(HostFunction)),
+            Metric::HostSqWaiting => ("bm_host_sq_waiting", Some(HostFunction)),
+            Metric::SsdBusy => ("bm_ssd_service_busy_ns_total", Some(Ssd)),
+            Metric::SsdOps => ("bm_ssd_service_ops_total", Some(Ssd)),
+            Metric::DoorbellBacklog => ("bm_engine_doorbell_backlog", Some(Ssd)),
+            Metric::BackendInflight => ("bm_backend_sq_inflight", Some(Ssd)),
+            Metric::BackendLive => ("bm_backend_live", Some(Ssd)),
+            Metric::BackendZombies => ("bm_backend_zombie_slots", Some(Ssd)),
+            Metric::DmaInflightBytes => ("bm_dma_inflight_bytes", Some(Ssd)),
+            Metric::BackendForwarded => ("bm_backend_forwarded_total", Some(Ssd)),
+            Metric::BackendCompleted => ("bm_backend_completed_total", Some(Ssd)),
+            Metric::BackendAbandoned => ("bm_backend_abandoned_total", Some(Ssd)),
+            Metric::SchedEventsFired => ("bm_sched_events_fired_total", None),
+            Metric::SchedPending => ("bm_sched_pending_events", None),
+            Metric::SchedPeakPending => ("bm_sched_peak_pending_events", None),
+            Metric::SchedClampedPast => ("bm_sched_clamped_past_total", None),
+            Metric::SchedArenaSlots => ("bm_sched_arena_slots", None),
+            Metric::MctpPartials => ("bm_mctp_partial_assemblies", None),
+            Metric::MctpDropped => ("bm_mctp_packets_dropped_total", None),
+            Metric::MctpRetransmits => ("bm_mctp_retransmits_total", None),
         }
     }
 
-    /// The metric for function, device or SSD number `label`. An
-    /// unlabeled metric's key ignores `label`.
+    /// The metric for function, device, SSD or stage number `label`.
+    /// Every label index reaches an unlabeled metric's one slot.
     #[inline]
     pub fn of(self, label: usize) -> MetricId {
+        let label = if self.spec().1.is_some() { label } else { 0 };
         MetricId {
             metric: self,
             label,
@@ -384,8 +336,16 @@ impl Metric {
     }
 }
 
-/// A metric in slot form: a [`Metric`] plus a small label index. Build
-/// one with [`Metric::of`].
+const _: () = {
+    let mut i = 0;
+    while i < Metric::ALL.len() {
+        assert!(Metric::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// A metric and a label index: the registry's key. Build one with
+/// [`Metric::of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId {
     metric: Metric,
@@ -393,16 +353,34 @@ pub struct MetricId {
 }
 
 impl MetricId {
-    /// The key this id writes, e.g. `bm_engine_outstanding{function="f2"}`.
-    pub fn key(self) -> MetricKey {
-        let ((name, shape), i) = (self.metric.spec(), self.label);
-        match shape {
-            LabelShape::Unlabeled => MetricKey::new(name),
-            LabelShape::EngineFunction => {
-                MetricKey::labeled(name, "function", format_args!("f{i}"))
+    /// The metric's exported name, e.g. `bm_engine_outstanding`.
+    pub fn name(self) -> &'static str {
+        self.metric.spec().0
+    }
+
+    /// The `(label, value)` pair, e.g. `("function", "f2")`, or `None`
+    /// for an unlabeled metric.
+    pub fn label(self) -> Option<(&'static str, String)> {
+        let i = self.label;
+        Some(match self.metric.spec().1? {
+            LabelShape::EngineFunction => ("function", format!("f{i}")),
+            LabelShape::HostFunction => ("function", i.to_string()),
+            LabelShape::Ssd => ("ssd", i.to_string()),
+            LabelShape::Stage => {
+                let stage = Stage::ALL.get(i).map(|s| s.label().to_string());
+                ("stage", stage.unwrap_or_else(|| i.to_string()))
             }
-            LabelShape::HostFunction => MetricKey::labeled(name, "function", i),
-            LabelShape::Ssd => MetricKey::labeled(name, "ssd", i),
+        })
+    }
+
+    /// The exposition key with `suffix` appended to the name, e.g.
+    /// `bm_engine_outstanding_peak{function="f2"}` (a peak twin's suffix
+    /// must precede the label set in Prometheus syntax).
+    fn render(self, suffix: &str) -> String {
+        let name = self.name();
+        match self.label() {
+            None => format!("{name}{suffix}"),
+            Some((label, value)) => format!("{name}{suffix}{{{label}=\"{value}\"}}"),
         }
     }
 }
@@ -462,43 +440,29 @@ impl GaugeState {
 
 /// A capacity-bounded time series. Once full, further samples are
 /// dropped and counted — determinism over completeness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BoundedSeries {
-    series: TimeSeries,
-    capacity: usize,
+    points: Vec<(SimTime, f64)>,
     dropped: u64,
 }
 
 impl BoundedSeries {
-    fn new(key: &MetricKey, capacity: usize) -> Self {
-        BoundedSeries {
-            series: TimeSeries::new(key.render()),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, at: SimTime, value: f64) {
-        if self.series.len() < self.capacity {
-            self.series.push(at, value);
+    fn push(&mut self, capacity: usize, at: SimTime, value: f64) {
+        if self.points.len() < capacity {
+            self.points.push((at, value));
         } else {
             self.dropped += 1;
         }
     }
 
-    /// The recorded points.
+    /// The recorded points, in sampling order.
     pub fn points(&self) -> &[(SimTime, f64)] {
-        self.series.points()
+        &self.points
     }
 
     /// Samples discarded after the series filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The underlying series (name, aggregates).
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
     }
 }
 
@@ -517,7 +481,7 @@ pub struct Annotation {
 /// One stage's row in the [`BottleneckReport`].
 #[derive(Debug, Clone)]
 pub struct StageReport {
-    /// Stage label (see [`stages`]).
+    /// Stage label (see [`Stage::label`]).
     pub stage: String,
     /// Commands that entered the stage.
     pub arrivals: u64,
@@ -545,87 +509,51 @@ pub struct BottleneckReport {
     pub top_tenants: Vec<(String, f64)>,
 }
 
-/// One metric shape's store: values in dense slots behind the ordered
-/// key index (see the [module docs](self#slots)).
+/// One metric shape's values, dense by `[metric][label]`; a `None`
+/// cell is a key never written (see the [module docs](self#keys)).
 #[derive(Debug)]
-struct Slots<T> {
-    /// Key → slot. Read when a key is first written and at export.
-    index: BTreeMap<MetricKey, usize>,
-    values: Vec<T>,
-    /// The slot form's cache of `index`: `[metric][label]` → slot.
-    by_id: Vec<Vec<Option<usize>>>,
+struct Table<T> {
+    rows: [Vec<Option<T>>; Metric::ALL.len()],
 }
 
-impl<T> Slots<T> {
+impl<T> Table<T> {
     fn new() -> Self {
-        Slots {
-            index: BTreeMap::new(),
-            values: Vec::new(),
-            by_id: Vec::new(),
+        Table {
+            rows: std::array::from_fn(|_| Vec::new()),
         }
     }
 
-    fn get(&self, key: &MetricKey) -> Option<&T> {
-        self.index.get(key).map(|&slot| &self.values[slot])
+    fn get(&self, id: MetricId) -> Option<&T> {
+        self.rows[id.metric as usize].get(id.label)?.as_ref()
     }
 
-    /// The slot of `key`, created with `init` on the key's first write.
-    fn slot(&mut self, key: &MetricKey, init: impl FnOnce(&MetricKey) -> T) -> usize {
-        if let Some(&slot) = self.index.get(key) {
-            return slot;
-        }
-        self.values.push(init(key));
-        let slot = self.values.len() - 1;
-        self.index.insert(key.clone(), slot);
-        slot
-    }
-
-    /// The slot of `id`: two array indexings once resolved. The first
-    /// write of an id resolves its key through [`Self::slot`].
+    /// `id`'s cell; the row grows to reach it.
     #[inline]
-    fn id_slot(&mut self, id: MetricId, init: impl FnOnce(&MetricKey) -> T) -> usize {
-        let cached = self.by_id.get(id.metric as usize);
-        match cached.and_then(|labels| labels.get(id.label)) {
-            Some(&Some(slot)) => slot,
-            _ => self.resolve(id, init),
+    fn cell(&mut self, id: MetricId) -> &mut Option<T> {
+        let row = &mut self.rows[id.metric as usize];
+        if row.len() <= id.label {
+            row.resize_with(id.label + 1, || None);
         }
+        &mut row[id.label]
     }
 
-    #[cold]
-    fn resolve(&mut self, id: MetricId, init: impl FnOnce(&MetricKey) -> T) -> usize {
-        let slot = self.slot(&id.key(), init);
-        let metric = id.metric as usize;
-        if self.by_id.len() <= metric {
-            self.by_id.resize_with(metric + 1, Vec::new);
-        }
-        let labels = &mut self.by_id[metric];
-        if labels.len() <= id.label {
-            labels.resize(id.label + 1, None);
-        }
-        labels[id.label] = Some(slot);
-        slot
+    /// Every written `(id, value)`, in table order.
+    fn written(&self) -> impl Iterator<Item = (MetricId, &T)> {
+        Metric::ALL
+            .into_iter()
+            .zip(&self.rows)
+            .flat_map(|(metric, row)| {
+                let cells = row.iter().enumerate();
+                cells.filter_map(move |(label, cell)| Some((metric.of(label), cell.as_ref()?)))
+            })
     }
 
-    /// `(key, value)` pairs in key order.
-    fn iter(&self) -> impl Iterator<Item = (&MetricKey, &T)> {
-        self.index.iter().map(|(k, &slot)| (k, &self.values[slot]))
-    }
-}
-
-/// A gauge's slot: its state and, once the sampler has snapshotted it,
-/// the slot of its same-key series.
-#[derive(Debug)]
-struct GaugeSlot {
-    state: GaugeState,
-    series: Option<usize>,
-}
-
-impl GaugeSlot {
-    fn new(now: SimTime, value: f64) -> Self {
-        GaugeSlot {
-            state: GaugeState::new(now, value),
-            series: None,
-        }
+    /// Every written `(id, value)`, in key order: by name, then by
+    /// label value compared as a string.
+    fn sorted(&self) -> impl Iterator<Item = (MetricId, &T)> {
+        let mut written: Vec<_> = self.written().collect();
+        written.sort_by_cached_key(|(id, _)| (id.name(), id.label()));
+        written.into_iter()
     }
 }
 
@@ -635,18 +563,12 @@ impl GaugeSlot {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     series_capacity: usize,
-    started: SimTime,
     last_sample: Option<SimTime>,
     sample_ticks: u64,
-    counters: Slots<u64>,
-    gauges: Slots<GaugeSlot>,
-    /// Gauges whose series slot is known: every slot below this.
-    gauges_linked: usize,
-    series: Slots<BoundedSeries>,
+    counters: Table<u64>,
+    gauges: Table<GaugeState>,
+    series: Table<BoundedSeries>,
     annotations: Vec<Annotation>,
-    /// Per-stage `[busy, arrivals]` counter slots, resolved on first
-    /// write by [`MetricsRegistry::stage_busy`].
-    stage_slots: [[Option<usize>; 2]; stages::ALL.len()],
 }
 
 impl MetricsRegistry {
@@ -659,133 +581,79 @@ impl MetricsRegistry {
     pub fn with_capacity(series_capacity: usize) -> Self {
         MetricsRegistry {
             series_capacity,
-            started: SimTime::ZERO,
             last_sample: None,
             sample_ticks: 0,
-            counters: Slots::new(),
-            gauges: Slots::new(),
-            gauges_linked: 0,
-            series: Slots::new(),
+            counters: Table::new(),
+            gauges: Table::new(),
+            series: Table::new(),
             annotations: Vec::new(),
-            stage_slots: [[None; 2]; stages::ALL.len()],
         }
     }
 
-    /// Adds `delta` to a counter, creating it at zero. The key form: it
-    /// looks `key` up in the ordered index. Per-I/O writers use
-    /// [`Self::counter_add_id`] or [`Self::stage_busy`] instead.
-    pub fn counter_add(&mut self, key: &MetricKey, delta: u64) {
-        let slot = self.counters.slot(key, |_| 0);
-        self.counters.values[slot] += delta;
-    }
-
-    /// [`Self::counter_add`] in slot form.
-    pub fn counter_add_id(&mut self, id: MetricId, delta: u64) {
-        let slot = self.counters.id_slot(id, |_| 0);
-        self.counters.values[slot] += delta;
+    /// Adds `delta` to a counter, creating it at zero.
+    #[inline]
+    pub fn counter_add(&mut self, id: MetricId, delta: u64) {
+        *self.counters.cell(id).get_or_insert(0) += delta;
     }
 
     /// Reads a counter (zero if never written).
-    pub fn counter(&self, key: &MetricKey) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+    pub fn counter(&self, id: MetricId) -> u64 {
+        self.counters.get(id).copied().unwrap_or(0)
     }
 
     /// Sets a gauge, folding the elapsed interval into its integral.
-    pub fn gauge_set(&mut self, now: SimTime, key: &MetricKey, value: f64) {
-        let mut created = false;
-        let slot = self.gauges.slot(key, |_| {
-            created = true;
-            GaugeSlot::new(now, value)
-        });
-        if !created {
-            self.gauges.values[slot].state.set(now, value);
-        }
-    }
-
-    /// [`Self::gauge_set`] in slot form.
-    pub fn gauge_set_id(&mut self, now: SimTime, id: MetricId, value: f64) {
-        let mut created = false;
-        let slot = self.gauges.id_slot(id, |_| {
-            created = true;
-            GaugeSlot::new(now, value)
-        });
-        if !created {
-            self.gauges.values[slot].state.set(now, value);
+    #[inline]
+    pub fn gauge_set(&mut self, now: SimTime, id: MetricId, value: f64) {
+        let cell = self.gauges.cell(id);
+        match cell {
+            Some(gauge) => gauge.set(now, value),
+            None => *cell = Some(GaugeState::new(now, value)),
         }
     }
 
     /// Reads a gauge.
-    pub fn gauge(&self, key: &MetricKey) -> Option<&GaugeState> {
-        self.gauges.get(key).map(|g| &g.state)
+    pub fn gauge(&self, id: MetricId) -> Option<&GaugeState> {
+        self.gauges.get(id)
     }
 
     /// Appends one point to a bounded series, creating it on first use.
-    pub fn sample(&mut self, at: SimTime, key: &MetricKey, value: f64) {
-        let capacity = self.series_capacity;
-        let slot = self.series.slot(key, |k| BoundedSeries::new(k, capacity));
-        self.series.values[slot].push(at, value);
+    pub fn sample(&mut self, at: SimTime, id: MetricId, value: f64) {
+        let series = self
+            .series
+            .cell(id)
+            .get_or_insert_with(BoundedSeries::default);
+        series.push(self.series_capacity, at, value);
     }
 
-    /// [`Self::sample`] in slot form.
-    pub fn sample_id(&mut self, at: SimTime, id: MetricId, value: f64) {
-        let capacity = self.series_capacity;
-        let slot = self.series.id_slot(id, |k| BoundedSeries::new(k, capacity));
-        self.series.values[slot].push(at, value);
-    }
-
-    /// Snapshots every gauge's current value into its series at `now`
-    /// — the periodic sampler's bulk step, equivalent to calling
-    /// [`MetricsRegistry::sample`] per gauge. Each gauge remembers its
-    /// series slot, so only a gauge's first snapshot reads the index.
+    /// Snapshots every gauge's current value into the series with the
+    /// same id at `now` — the periodic sampler's bulk step, equivalent
+    /// to calling [`MetricsRegistry::sample`] per gauge.
     pub fn snapshot_gauges(&mut self, now: SimTime) {
-        if self.gauges_linked < self.gauges.values.len() {
-            let capacity = self.series_capacity;
-            for (key, &slot) in &self.gauges.index {
-                let gauge = &mut self.gauges.values[slot];
-                if gauge.series.is_none() {
-                    let series = self.series.slot(key, |k| BoundedSeries::new(k, capacity));
-                    gauge.series = Some(series);
-                }
-            }
-            self.gauges_linked = self.gauges.values.len();
-        }
-        for gauge in &self.gauges.values {
-            if let Some(series) = gauge.series {
-                self.series.values[series].push(now, gauge.state.value());
-            }
+        for (id, gauge) in self.gauges.written() {
+            let series = self
+                .series
+                .cell(id)
+                .get_or_insert_with(BoundedSeries::default);
+            series.push(self.series_capacity, now, gauge.value());
         }
     }
 
     /// Reads a series.
-    pub fn series(&self, key: &MetricKey) -> Option<&BoundedSeries> {
-        self.series.get(key)
+    pub fn series(&self, id: MetricId) -> Option<&BoundedSeries> {
+        self.series.get(id)
     }
 
     /// Accounts one stage traversal: `busy` occupancy-time (waiting
-    /// included) and `arrivals` commands entering the stage, on the
-    /// stage's `bm_stage_busy_ns_total` and `bm_stage_arrivals_total`
-    /// counters. Slot form: after a stage's first call, each counter is
-    /// one array indexing away.
-    pub fn stage_busy(&mut self, stage: Stage, busy: SimDuration, arrivals: u64) {
-        self.stage_add(stage, 0, busy.as_nanos());
-        if arrivals > 0 {
-            self.stage_add(stage, 1, arrivals);
-        }
-    }
-
-    /// Adds `delta` to stage counter `which` (0 busy, 1 arrivals).
+    /// included) on the stage's [`Metric::StageBusy`] counter and
+    /// `arrivals` commands entering the stage on its
+    /// [`Metric::StageArrivals`] counter, which only a nonzero count
+    /// writes.
     #[inline]
-    fn stage_add(&mut self, stage: Stage, which: usize, delta: u64) {
-        let cached = &mut self.stage_slots[stage as usize][which];
-        let slot = match *cached {
-            Some(slot) => slot,
-            None => {
-                let name = [names::STAGE_BUSY_NS, names::STAGE_ARRIVALS][which];
-                let key = MetricKey::labeled(name, "stage", stage.label());
-                *cached.insert(self.counters.slot(&key, |_| 0))
-            }
-        };
-        self.counters.values[slot] += delta;
+    pub fn stage_busy(&mut self, stage: Stage, busy: SimDuration, arrivals: u64) {
+        self.counter_add(Metric::StageBusy.of(stage as usize), busy.as_nanos());
+        if arrivals > 0 {
+            self.counter_add(Metric::StageArrivals.of(stage as usize), arrivals);
+        }
     }
 
     /// Records a labeled window annotation (e.g. a fault injection).
@@ -819,40 +687,37 @@ impl MetricsRegistry {
     }
 
     /// All counters, in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, v)| (k, *v))
+    pub fn counters(&self) -> impl Iterator<Item = (MetricId, u64)> + '_ {
+        self.counters.sorted().map(|(id, v)| (id, *v))
     }
 
     /// All gauges, in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, &GaugeState)> {
-        self.gauges.iter().map(|(k, g)| (k, &g.state))
+    pub fn gauges(&self) -> impl Iterator<Item = (MetricId, &GaugeState)> {
+        self.gauges.sorted()
     }
 
     /// All series, in key order.
-    pub fn series_iter(&self) -> impl Iterator<Item = (&MetricKey, &BoundedSeries)> {
-        self.series.iter()
+    pub fn series_iter(&self) -> impl Iterator<Item = (MetricId, &BoundedSeries)> {
+        self.series.sorted()
     }
 
     /// Total samples dropped across all series after filling.
     pub fn series_dropped(&self) -> u64 {
-        self.series.values.iter().map(|s| s.dropped).sum()
+        self.series.written().map(|(_, s)| s.dropped).sum()
     }
 
-    /// Builds the utilization / Little's-law summary as of `now`,
+    /// Builds the utilization / Little's-law summary of `[0, now]`,
     /// listing up to `top_k` tenants by mean pipeline occupancy.
     pub fn bottleneck_report(&self, now: SimTime, top_k: usize) -> BottleneckReport {
-        let window = now.saturating_since(self.started);
+        let window = now.saturating_since(SimTime::ZERO);
         let window_ns = window.as_nanos_f64();
         let mut stage_rows = Vec::new();
-        for (key, busy_ns) in self.counters.iter() {
-            if key.name != names::STAGE_BUSY_NS {
-                continue;
-            }
-            let Some(stage) = key.label("stage") else {
+        for (id, &busy_ns) in self.counters.written() {
+            let (Metric::StageBusy, Some((_, stage))) = (id.metric, id.label()) else {
                 continue;
             };
-            let arrivals = self.counter(&MetricKey::labeled(names::STAGE_ARRIVALS, "stage", stage));
-            let busy = SimDuration::from_nanos(*busy_ns);
+            let arrivals = self.counter(Metric::StageArrivals.of(id.label));
+            let busy = SimDuration::from_nanos(busy_ns);
             let occupancy = if window_ns > 0.0 {
                 busy.as_nanos_f64() / window_ns
             } else {
@@ -868,7 +733,7 @@ impl MetricsRegistry {
                 .map(SimDuration::from_nanos)
                 .unwrap_or(SimDuration::ZERO);
             stage_rows.push(StageReport {
-                stage: stage.to_string(),
+                stage,
                 arrivals,
                 busy,
                 occupancy,
@@ -887,12 +752,10 @@ impl MetricsRegistry {
             .map(|s| s.stage.clone());
 
         let mut tenants: Vec<(String, f64)> = self
-            .gauges()
-            .filter(|(k, _)| k.name == names::ENGINE_OUTSTANDING)
-            .filter_map(|(k, g)| {
-                k.label("function")
-                    .map(|f| (f.to_string(), g.mean_over(self.started, now)))
-            })
+            .gauges
+            .written()
+            .filter(|(id, _)| id.metric == Metric::EngineOutstanding)
+            .filter_map(|(id, g)| Some((id.label()?.1, g.mean_over(SimTime::ZERO, now))))
             .collect();
         tenants.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         tenants.truncate(top_k);
@@ -924,38 +787,32 @@ fn fmt_f64(v: f64) -> String {
 /// Renders the registry as Prometheus text-format exposition
 /// (counters and gauges; series are exported via [`csv`]). Annotations
 /// and sampler health appear as trailing comments. Deterministic: keys
-/// are emitted in `BTreeMap` order.
+/// are emitted in key order (see the [module docs](self#keys)).
 pub fn prometheus(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
     let mut last_name = "";
-    for (key, value) in reg.counters() {
-        if key.name != last_name {
-            let _ = writeln!(out, "# TYPE {} counter", key.name);
-            last_name = key.name;
+    for (id, value) in reg.counters() {
+        if id.name() != last_name {
+            let _ = writeln!(out, "# TYPE {} counter", id.name());
+            last_name = id.name();
         }
-        let _ = writeln!(out, "{} {}", key.render(), value);
+        let _ = writeln!(out, "{} {}", id.render(""), value);
     }
     last_name = "";
-    for (key, gauge) in reg.gauges() {
-        if key.name != last_name {
-            let _ = writeln!(out, "# TYPE {} gauge", key.name);
-            last_name = key.name;
+    for (id, gauge) in reg.gauges() {
+        if id.name() != last_name {
+            let _ = writeln!(out, "# TYPE {} gauge", id.name());
+            last_name = id.name();
         }
-        let _ = writeln!(out, "{} {}", key.render(), fmt_f64(gauge.value()));
+        let _ = writeln!(out, "{} {}", id.render(""), fmt_f64(gauge.value()));
     }
     last_name = "";
-    for (key, gauge) in reg.gauges() {
-        let peak_name = format!("{}_peak", key.name);
-        if key.name != last_name {
-            let _ = writeln!(out, "# TYPE {peak_name} gauge");
-            last_name = key.name;
+    for (id, gauge) in reg.gauges() {
+        if id.name() != last_name {
+            let _ = writeln!(out, "# TYPE {}_peak gauge", id.name());
+            last_name = id.name();
         }
-        let _ = writeln!(
-            out,
-            "{} {}",
-            key.render_as(&peak_name),
-            fmt_f64(gauge.peak())
-        );
+        let _ = writeln!(out, "{} {}", id.render("_peak"), fmt_f64(gauge.peak()));
     }
     let _ = writeln!(out, "# TYPE bm_metrics_sample_ticks counter");
     let _ = writeln!(out, "bm_metrics_sample_ticks {}", reg.sample_ticks());
@@ -978,11 +835,11 @@ pub fn prometheus(reg: &MetricsRegistry) -> String {
 }
 
 /// Renders every bounded series as CSV: `series,t_ns,value`, one row
-/// per sample, keys in `BTreeMap` order.
+/// per sample, keys in key order.
 pub fn csv(reg: &MetricsRegistry) -> String {
     let mut out = String::from("series,t_ns,value\n");
-    for (key, series) in reg.series_iter() {
-        let rendered = key.render();
+    for (id, series) in reg.series_iter() {
+        let rendered = id.render("");
         for (at, v) in series.points() {
             let _ = writeln!(out, "\"{}\",{},{}", rendered, at.as_nanos(), fmt_f64(*v));
         }
@@ -1036,21 +893,21 @@ mod tests {
     #[test]
     fn counters_accumulate_and_default_to_zero() {
         let mut reg = MetricsRegistry::new();
-        let key = MetricKey::labeled(names::ENGINE_STARTED, "function", 0);
-        assert_eq!(reg.counter(&key), 0);
-        reg.counter_add(&key, 2);
-        reg.counter_add(&key, 3);
-        assert_eq!(reg.counter(&key), 5);
+        let id = Metric::EngineStarted.of(0);
+        assert_eq!(reg.counter(id), 0);
+        reg.counter_add(id, 2);
+        reg.counter_add(id, 3);
+        assert_eq!(reg.counter(id), 5);
     }
 
     #[test]
     fn gauge_integral_gives_time_weighted_mean() {
         let mut reg = MetricsRegistry::new();
-        let key = MetricKey::new("depth");
+        let id = Metric::SchedPending.of(0);
         // 0..10µs at 4, 10..20µs at 8 → mean 6 over 20µs.
-        reg.gauge_set(us(0), &key, 4.0);
-        reg.gauge_set(us(10), &key, 8.0);
-        let g = reg.gauge(&key).unwrap();
+        reg.gauge_set(us(0), id, 4.0);
+        reg.gauge_set(us(10), id, 8.0);
+        let g = reg.gauge(id).unwrap();
         assert_eq!(g.value(), 8.0);
         assert_eq!(g.peak(), 8.0);
         let mean = g.mean_over(SimTime::ZERO, us(20));
@@ -1060,21 +917,21 @@ mod tests {
     #[test]
     fn gauge_created_mid_window_counts_zero_before() {
         let mut reg = MetricsRegistry::new();
-        let key = MetricKey::new("depth");
-        reg.gauge_set(us(10), &key, 10.0);
+        let id = Metric::SchedPending.of(0);
+        reg.gauge_set(us(10), id, 10.0);
         // 0..10µs implicit zero, 10..20µs at 10 → mean 5.
-        let mean = reg.gauge(&key).unwrap().mean_over(SimTime::ZERO, us(20));
+        let mean = reg.gauge(id).unwrap().mean_over(SimTime::ZERO, us(20));
         assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
     }
 
     #[test]
     fn bounded_series_counts_overflow() {
         let mut reg = MetricsRegistry::with_capacity(2);
-        let key = MetricKey::new("s");
+        let id = Metric::SsdOps.of(0);
         for i in 0..5u64 {
-            reg.sample(us(i), &key, i as f64);
+            reg.sample(us(i), id, i as f64);
         }
-        let s = reg.series(&key).unwrap();
+        let s = reg.series(id).unwrap();
         assert_eq!(s.points().len(), 2);
         assert_eq!(s.dropped(), 3);
         assert_eq!(reg.series_dropped(), 3);
@@ -1088,7 +945,7 @@ mod tests {
         reg.stage_busy(Stage::Ssd, SimDuration::from_us(80) * 100, 100);
         reg.stage_busy(Stage::FrontEnd, SimDuration::from_us(1) * 100, 100);
         let report = reg.bottleneck_report(us(1_000), 4);
-        assert_eq!(report.saturated.as_deref(), Some(stages::SSD));
+        assert_eq!(report.saturated.as_deref(), Some(Stage::Ssd.label()));
         let ssd = &report.stages[0];
         assert_eq!(ssd.arrivals, 100);
         assert!((ssd.occupancy - 8.0).abs() < 1e-9);
@@ -1102,9 +959,8 @@ mod tests {
     #[test]
     fn bottleneck_ranks_tenants_by_mean_occupancy() {
         let mut reg = MetricsRegistry::new();
-        for (f, depth) in [(0u8, 2.0), (1, 9.0), (2, 4.0)] {
-            let key = MetricKey::labeled(names::ENGINE_OUTSTANDING, "function", format!("f{f}"));
-            reg.gauge_set(us(0), &key, depth);
+        for (f, depth) in [(0, 2.0), (1, 9.0), (2, 4.0)] {
+            reg.gauge_set(us(0), Metric::EngineOutstanding.of(f), depth);
         }
         let report = reg.bottleneck_report(us(100), 2);
         assert_eq!(report.top_tenants.len(), 2);
@@ -1125,29 +981,36 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_deterministic_and_typed() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_add(&MetricKey::labeled(names::SSD_OPS, "ssd", 1), 7);
-        reg.counter_add(&MetricKey::labeled(names::SSD_OPS, "ssd", 0), 3);
-        reg.gauge_set(us(5), &MetricKey::new(names::DMA_INFLIGHT_BYTES), 4096.0);
+        reg.counter_add(Metric::SsdOps.of(2), 7);
+        reg.counter_add(Metric::SsdOps.of(10), 3);
+        reg.counter_add(Metric::SsdOps.of(0), 0);
+        // Any label index reaches an unlabeled metric's one slot.
+        reg.gauge_set(us(5), Metric::MctpPartials.of(0), 4.0);
+        reg.gauge_set(us(6), Metric::MctpPartials.of(3), 2.0);
         reg.annotate(us(1), Some(us(2)), "fault: spike ssd0");
         let text = prometheus(&reg);
         let again = prometheus(&reg);
         assert_eq!(text, again);
-        assert!(text.contains("# TYPE bm_ssd_service_ops_total counter"));
-        // BTreeMap order: ssd="0" before ssd="1".
-        let a = text.find("ssd=\"0\"").unwrap();
-        let b = text.find("ssd=\"1\"").unwrap();
-        assert!(a < b);
-        assert!(text.contains("bm_dma_inflight_bytes 4096"));
-        assert!(text.contains("bm_dma_inflight_bytes_peak 4096"));
+        // Label values compare as strings; a counter written with 0 is listed.
+        let ops = "# TYPE bm_ssd_service_ops_total counter\n\
+                   bm_ssd_service_ops_total{ssd=\"0\"} 0\n\
+                   bm_ssd_service_ops_total{ssd=\"10\"} 3\n\
+                   bm_ssd_service_ops_total{ssd=\"2\"} 7\n";
+        assert!(text.starts_with(ops), "{text}");
+        let partials = "\n# TYPE bm_mctp_partial_assemblies gauge\n\
+                        bm_mctp_partial_assemblies 2\n\
+                        # TYPE bm_mctp_partial_assemblies_peak gauge\n\
+                        bm_mctp_partial_assemblies_peak 4\n";
+        assert!(text.contains(partials), "{text}");
         assert!(text.contains("# ANNOTATION 1000 2000 fault: spike ssd0"));
     }
 
     #[test]
     fn csv_lists_every_sample() {
         let mut reg = MetricsRegistry::new();
-        let key = MetricKey::labeled(names::BACKEND_INFLIGHT, "ssd", 0);
-        reg.sample(us(1), &key, 3.0);
-        reg.sample(us(2), &key, 5.0);
+        let id = Metric::BackendInflight.of(0);
+        reg.sample(us(1), id, 3.0);
+        reg.sample(us(2), id, 5.0);
         let text = csv(&reg);
         assert!(text.starts_with("series,t_ns,value\n"));
         assert!(text.contains("\"bm_backend_sq_inflight{ssd=\"0\"}\",1000,3"));

@@ -16,16 +16,20 @@
 //! or off.
 //!
 //! ```
-//! use bm_sim::metrics::{MetricsRegistry, Stage};
+//! use bm_sim::metrics::{Metric, MetricsRegistry, Stage};
 //! use bm_sim::observe::Observer;
 //! use bm_sim::SimDuration;
 //!
 //! let mut obs = Observer::new(None, Some(MetricsRegistry::new()), None, None);
 //! obs.stage_busy(Stage::Ssd, SimDuration::from_us(80), 1);
-//! assert!(obs.metrics().is_some() && obs.telemetry().is_none());
+//! obs.count(Metric::EngineRetries.of(0), 1);
+//! let m = obs.metrics().unwrap();
+//! assert_eq!(m.counter(Metric::StageArrivals.of(Stage::Ssd as usize)), 1);
+//! assert_eq!(m.counter(Metric::EngineRetries.of(0)), 1);
+//! assert!(obs.telemetry().is_none());
 //! ```
 
-use crate::metrics::{MetricKey, MetricsRegistry, Stage};
+use crate::metrics::{MetricId, MetricsRegistry, Stage};
 use crate::slo::{AlertKind, AlertState, SloEngine};
 use crate::telemetry::{CmdId, TelemetryEventKind, TelemetryRecorder, TelemetryStage};
 use crate::time::{SimDuration, SimTime};
@@ -164,11 +168,11 @@ impl Observer {
         }
     }
 
-    /// Adds `delta` to the unlabeled counter `name`.
+    /// Adds `delta` to counter `id`.
     #[inline]
-    pub fn count(&mut self, name: &'static str, delta: u64) {
+    pub fn count(&mut self, id: MetricId, delta: u64) {
         if let Some(m) = &mut self.metrics {
-            m.counter_add(&MetricKey::new(name), delta);
+            m.counter_add(id, delta);
         }
     }
 
@@ -234,6 +238,7 @@ impl Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
 
     fn assert_send<T: Send>() {}
 
@@ -251,7 +256,7 @@ mod tests {
         assert_eq!(obs.lookup(0, 1), (CmdId::NONE, 0));
         obs.span(CmdId(1), 0, 0, 0, TelemetryStage::Dma, t, t, true);
         obs.stage_busy(Stage::Ssd, SimDuration::from_us(1), 1);
-        obs.count("x", 1);
+        obs.count(Metric::MctpDropped.of(0), 1);
         obs.fault(t, None, "fault:x");
         obs.completion(t, 0, 1, SimDuration::ZERO, true);
         obs.sampler_tick(t, 0);

@@ -1,11 +1,11 @@
-//! Measurement primitives: latency histograms, throughput accounting and
-//! time-series recorders.
+//! Measurement primitives: latency histograms and throughput
+//! accounting.
 //!
 //! The benchmark harness reports the same metrics fio does — IOPS,
 //! bandwidth, average latency, and tail percentiles — so this module is
 //! shaped around those.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Number of sub-buckets per power of two; 32 gives ~3% relative error,
 /// plenty for percentile reporting.
@@ -272,71 +272,6 @@ impl IoStats {
     }
 }
 
-/// A `(time, value)` series sampled during a run — e.g. the per-second
-/// IOPS trace plotted in the paper's Fig. 15.
-///
-/// # Examples
-///
-/// ```
-/// use bm_sim::stats::TimeSeries;
-/// use bm_sim::SimTime;
-///
-/// let mut ts = TimeSeries::new("iops");
-/// ts.push(SimTime::from_nanos(0), 100.0);
-/// ts.push(SimTime::from_nanos(1_000_000_000), 110.0);
-/// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.points()[1].1, 110.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    name: String,
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// All samples in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The mean value (zero if empty).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        // bm-lint: allow(float-determinism): points is an insertion-ordered Vec, so the summation order is pinned by construction
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,16 +393,5 @@ mod tests {
         assert_eq!(a.ops(), 2);
         assert_eq!(a.bytes(), 1536);
         assert_eq!(a.latency().mean(), SimDuration::from_us(10));
-    }
-
-    #[test]
-    fn time_series_aggregates() {
-        let mut ts = TimeSeries::new("bw");
-        assert!(ts.is_empty());
-        ts.push(SimTime::from_nanos(0), 2.0);
-        ts.push(SimTime::from_nanos(1), 4.0);
-        ts.push(SimTime::from_nanos(2), 6.0);
-        assert_eq!(ts.mean(), 4.0);
-        assert_eq!(ts.name(), "bw");
     }
 }

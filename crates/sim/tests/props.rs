@@ -2,7 +2,7 @@
 //! resource conservation, event-loop ordering, and the observers'
 //! slot tables against plain ordered-map models.
 
-use bm_sim::metrics::{self, names, stages, Metric, MetricId, MetricKey, MetricsRegistry, Stage};
+use bm_sim::metrics::{self, Metric, MetricId, MetricsRegistry, Stage};
 use bm_sim::resource::{BandwidthLink, FifoServer, MultiServer, TokenBucket};
 use bm_sim::stats::LatencyHistogram;
 use bm_sim::telemetry::{
@@ -141,10 +141,18 @@ proptest! {
 }
 
 /// Every [`Metric`], for drawing random ids.
-const METRICS: [Metric; 20] = [
+const METRICS: [Metric; 31] = [
+    Metric::StageBusy,
+    Metric::StageArrivals,
     Metric::EngineStarted,
     Metric::EngineFinished,
     Metric::EngineOutstanding,
+    Metric::EngineTimeouts,
+    Metric::EngineRetries,
+    Metric::EngineRecoveries,
+    Metric::EngineRecoveryReplayed,
+    Metric::EngineRecoveryAborted,
+    Metric::EngineRecoveryTime,
     Metric::HostSqInflight,
     Metric::HostSqWaiting,
     Metric::SsdBusy,
@@ -159,9 +167,12 @@ const METRICS: [Metric; 20] = [
     Metric::BackendAbandoned,
     Metric::SchedEventsFired,
     Metric::SchedPending,
+    Metric::SchedPeakPending,
     Metric::SchedClampedPast,
     Metric::SchedArenaSlots,
     Metric::MctpPartials,
+    Metric::MctpDropped,
+    Metric::MctpRetransmits,
 ];
 
 /// One registry write, decoded from random numbers.
@@ -183,7 +194,7 @@ impl RegOp {
             1 => RegOp::Gauge(at, id, n as f64),
             2 => RegOp::Sample(at, id, n as f64),
             3 => RegOp::Stage(
-                stages::ALL[metric % stages::ALL.len()],
+                Stage::ALL[metric % Stage::ALL.len()],
                 SimDuration::from_nanos(n),
                 label as u64,
             ),
@@ -191,25 +202,30 @@ impl RegOp {
         }
     }
 
-    /// Applies the write in slot form (`slot`) or key form.
-    fn apply(self, reg: &mut MetricsRegistry, slot: bool) {
+    fn apply(self, reg: &mut MetricsRegistry) {
         match self {
-            RegOp::Counter(id, n) if slot => reg.counter_add_id(id, n),
-            RegOp::Counter(id, n) => reg.counter_add(&id.key(), n),
-            RegOp::Gauge(at, id, v) if slot => reg.gauge_set_id(at, id, v),
-            RegOp::Gauge(at, id, v) => reg.gauge_set(at, &id.key(), v),
-            RegOp::Sample(at, id, v) if slot => reg.sample_id(at, id, v),
-            RegOp::Sample(at, id, v) => reg.sample(at, &id.key(), v),
-            RegOp::Stage(stage, busy, arrivals) if slot => reg.stage_busy(stage, busy, arrivals),
-            RegOp::Stage(stage, busy, arrivals) => {
-                let key = |name| MetricKey::labeled(name, "stage", stage.label());
-                reg.counter_add(&key(names::STAGE_BUSY_NS), busy.as_nanos());
-                if arrivals > 0 {
-                    reg.counter_add(&key(names::STAGE_ARRIVALS), arrivals);
-                }
-            }
+            RegOp::Counter(id, n) => reg.counter_add(id, n),
+            RegOp::Gauge(at, id, v) => reg.gauge_set(at, id, v),
+            RegOp::Sample(at, id, v) => reg.sample(at, id, v),
+            RegOp::Stage(stage, busy, arrivals) => reg.stage_busy(stage, busy, arrivals),
             RegOp::Snapshot(at) => reg.snapshot_gauges(at),
         }
+    }
+}
+
+/// A key as the model orders it: the name, then the `(label, value)`
+/// pair, with no pair before any pair.
+type ModelKey = (&'static str, Option<(&'static str, String)>);
+
+fn model_key(id: MetricId) -> ModelKey {
+    (id.name(), id.label())
+}
+
+/// Renders a model key for an exposition, `suffix` after the name.
+fn render(key: &ModelKey, suffix: &str) -> String {
+    match key {
+        (name, None) => format!("{name}{suffix}"),
+        (name, Some((label, value))) => format!("{name}{suffix}{{{label}=\"{value}\"}}"),
     }
 }
 
@@ -219,13 +235,13 @@ type ModelGauge = (f64, f64, f64, SimTime);
 /// The registry as plain ordered maps.
 #[derive(Default)]
 struct RegistryModel {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, ModelGauge>,
-    series: BTreeMap<MetricKey, (Vec<(SimTime, f64)>, u64)>,
+    counters: BTreeMap<ModelKey, u64>,
+    gauges: BTreeMap<ModelKey, ModelGauge>,
+    series: BTreeMap<ModelKey, (Vec<(SimTime, f64)>, u64)>,
 }
 
 impl RegistryModel {
-    fn sample(&mut self, capacity: usize, key: MetricKey, at: SimTime, v: f64) {
+    fn sample(&mut self, capacity: usize, key: ModelKey, at: SimTime, v: f64) {
         let (points, dropped) = self.series.entry(key).or_default();
         if points.len() < capacity {
             points.push((at, v));
@@ -236,23 +252,29 @@ impl RegistryModel {
 
     fn apply(&mut self, capacity: usize, op: RegOp) {
         match op {
-            RegOp::Counter(id, n) => *self.counters.entry(id.key()).or_default() += n,
-            RegOp::Gauge(at, id, v) => match self.gauges.get_mut(&id.key()) {
+            RegOp::Counter(id, n) => *self.counters.entry(model_key(id)).or_default() += n,
+            RegOp::Gauge(at, id, v) => match self.gauges.get_mut(&model_key(id)) {
                 Some((value, peak, integral, last)) => {
                     *integral += *value * at.saturating_since(*last).as_nanos_f64();
                     (*value, *last) = (v, at);
                     *peak = peak.max(v);
                 }
                 None => {
-                    self.gauges.insert(id.key(), (v, v, 0.0, at));
+                    self.gauges.insert(model_key(id), (v, v, 0.0, at));
                 }
             },
-            RegOp::Sample(at, id, v) => self.sample(capacity, id.key(), at, v),
+            RegOp::Sample(at, id, v) => self.sample(capacity, model_key(id), at, v),
             RegOp::Stage(stage, busy, arrivals) => {
-                let key = |name| MetricKey::labeled(name, "stage", stage.label());
-                *self.counters.entry(key(names::STAGE_BUSY_NS)).or_default() += busy.as_nanos();
+                let key = |name| (name, Some(("stage", stage.label().to_string())));
+                *self
+                    .counters
+                    .entry(key("bm_stage_busy_ns_total"))
+                    .or_default() += busy.as_nanos();
                 if arrivals > 0 {
-                    *self.counters.entry(key(names::STAGE_ARRIVALS)).or_default() += arrivals;
+                    *self
+                        .counters
+                        .entry(key("bm_stage_arrivals_total"))
+                        .or_default() += arrivals;
                 }
             }
             RegOp::Snapshot(at) => {
@@ -262,6 +284,47 @@ impl RegistryModel {
                 }
             }
         }
+    }
+
+    /// [`metrics::prometheus`] of the model, for integral values.
+    fn prometheus(&self) -> String {
+        let mut out = String::new();
+        let mut last = "";
+        for (key, v) in &self.counters {
+            if key.0 != last {
+                out += &format!("# TYPE {} counter\n", key.0);
+                last = key.0;
+            }
+            out += &format!("{} {v}\n", render(key, ""));
+        }
+        for (suffix, peak) in [("", false), ("_peak", true)] {
+            last = "";
+            for (key, &(value, max, ..)) in &self.gauges {
+                if key.0 != last {
+                    out += &format!("# TYPE {}{suffix} gauge\n", key.0);
+                    last = key.0;
+                }
+                let v = if peak { max } else { value };
+                out += &format!("{} {}\n", render(key, suffix), v as i64);
+            }
+        }
+        let dropped: u64 = self.series.values().map(|(_, d)| d).sum();
+        out += "# TYPE bm_metrics_sample_ticks counter\nbm_metrics_sample_ticks 0\n";
+        out += &format!(
+            "# TYPE bm_metrics_series_dropped counter\nbm_metrics_series_dropped {dropped}\n"
+        );
+        out
+    }
+
+    /// [`metrics::csv`] of the model, for integral values.
+    fn csv(&self) -> String {
+        let mut out = String::from("series,t_ns,value\n");
+        for (key, (points, _)) in &self.series {
+            for (at, v) in points {
+                out += &format!("\"{}\",{},{}\n", render(key, ""), at.as_nanos(), *v as i64);
+            }
+        }
+        out
     }
 }
 
@@ -362,43 +425,33 @@ fn hist_text(h: Option<&LatencyHistogram>) -> Option<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The slot form, the key form and a mix of both on one registry
-    /// reach the same slots: all three export what a plain ordered-map
-    /// model holds, in key order, and nothing that was never written.
+    /// One registry exports what a plain ordered-map model holds, in
+    /// key order: by name, then by label value as a string, so labels
+    /// from 0 to 11 put `ssd="10"` before `ssd="2"`. An unlabeled
+    /// metric keeps one slot whatever label index reaches it, and
+    /// nothing that was never written is listed.
     #[test]
-    fn registry_forms_match_ordered_map_model(
+    fn registry_matches_ordered_map_model(
         capacity in 1usize..5,
         ops in proptest::collection::vec(
-            ((0u8..5, 0usize..40, 0usize..4, 0u64..1_000, 0u64..50), any::<bool>()),
+            (0u8..5, 0usize..62, 0usize..12, 0u64..1_000, 0u64..50),
             0..160,
         ),
     ) {
-        let mut by_slot = MetricsRegistry::with_capacity(capacity);
-        let mut by_key = MetricsRegistry::with_capacity(capacity);
-        let mut mixed = MetricsRegistry::with_capacity(capacity);
+        let mut reg = MetricsRegistry::with_capacity(capacity);
         let mut model = RegistryModel::default();
-        for &(raw, slot) in &ops {
+        for &raw in &ops {
             let op = RegOp::decode(raw);
-            op.apply(&mut by_slot, true);
-            op.apply(&mut by_key, false);
-            op.apply(&mut mixed, slot);
+            op.apply(&mut reg);
             model.apply(capacity, op);
         }
         let end = SimTime::from_nanos(1_000);
-        let export = |reg: &MetricsRegistry| {
-            let report = metrics::render_bottleneck(&reg.bottleneck_report(end, 4));
-            (metrics::prometheus(reg), metrics::csv(reg), report)
-        };
-        let want = export(&by_key);
-        prop_assert_eq!(&export(&by_slot), &want);
-        prop_assert_eq!(&export(&mixed), &want);
-
-        let counters: Vec<_> = by_slot.counters().map(|(k, v)| (k.clone(), v)).collect();
+        let counters: Vec<_> = reg.counters().map(|(id, v)| (model_key(id), v)).collect();
         let model_counters: Vec<_> = model.counters.clone().into_iter().collect();
         prop_assert_eq!(counters, model_counters);
-        let gauges: Vec<_> = by_slot
+        let gauges: Vec<_> = reg
             .gauges()
-            .map(|(k, g)| (k.clone(), g.value(), g.peak(), g.mean_over(SimTime::ZERO, end)))
+            .map(|(id, g)| (model_key(id), g.value(), g.peak(), g.mean_over(SimTime::ZERO, end)))
             .collect();
         let model_gauges: Vec<_> = model
             .gauges
@@ -409,9 +462,9 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(gauges, model_gauges);
-        let series: Vec<_> = by_slot
+        let series: Vec<_> = reg
             .series_iter()
-            .map(|(k, s)| (k.clone(), s.points().to_vec(), s.dropped()))
+            .map(|(id, s)| (model_key(id), s.points().to_vec(), s.dropped()))
             .collect();
         let model_series: Vec<_> = model
             .series
@@ -419,6 +472,8 @@ proptest! {
             .map(|(k, (points, dropped))| (k.clone(), points.clone(), *dropped))
             .collect();
         prop_assert_eq!(series, model_series);
+        prop_assert_eq!(metrics::prometheus(&reg), model.prometheus());
+        prop_assert_eq!(metrics::csv(&reg), model.csv());
     }
 
     /// The recorder's CID tables and histogram slots answer every query

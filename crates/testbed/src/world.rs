@@ -39,7 +39,7 @@ use bm_pcie::mctp::Eid;
 use bm_pcie::{HostMemory, PciAddr};
 use bm_prof::{Profiler, Snapshot};
 use bm_sim::faults::FaultKind;
-use bm_sim::metrics::{names as metric_names, Metric, MetricKey, MetricsRegistry};
+use bm_sim::metrics::{Metric, MetricsRegistry};
 use bm_sim::observe::Observer;
 use bm_sim::resource::FifoServer;
 use bm_sim::slo::{self, Alert, SloEngine};
@@ -678,22 +678,20 @@ impl World {
     /// are the exact totals).
     fn export_run_stats(&mut self, now: SimTime) {
         let resilience = self.tb.engine().map(|e| e.resilience_stats());
-        let obs = &mut self.tb.obs;
-        obs.count(metric_names::SCHED_EVENTS_FIRED, self.events_fired);
-        obs.count(metric_names::SCHED_CLAMPED_PAST, self.clamped_past);
+        let Some(m) = self.tb.obs.metrics_mut() else {
+            return;
+        };
+        m.counter_add(Metric::SchedEventsFired.of(0), self.events_fired);
+        m.counter_add(Metric::SchedClampedPast.of(0), self.clamped_past);
         if let Some(r) = resilience {
-            obs.count(metric_names::ENGINE_RECOVERIES, r.recoveries);
-            obs.count(metric_names::ENGINE_RECOVERY_REPLAYED, r.replayed);
-            obs.count(metric_names::ENGINE_RECOVERY_ABORTED, r.aborted_on_recovery);
-            let recovery_ns = r.recovery_time.as_nanos();
-            obs.count(metric_names::ENGINE_RECOVERY_TIME_NS, recovery_ns);
+            m.counter_add(Metric::EngineRecoveries.of(0), r.recoveries);
+            m.counter_add(Metric::EngineRecoveryReplayed.of(0), r.replayed);
+            m.counter_add(Metric::EngineRecoveryAborted.of(0), r.aborted_on_recovery);
+            m.counter_add(Metric::EngineRecoveryTime.of(0), r.recovery_time.as_nanos());
         }
-        if let Some(m) = obs.metrics_mut() {
-            let peak = self.peak_event_queue as f64;
-            m.gauge_set(now, &MetricKey::new(metric_names::SCHED_PEAK_PENDING), peak);
-            let arena = self.arena_slots as f64;
-            m.gauge_set(now, &MetricKey::new(metric_names::SCHED_ARENA_SLOTS), arena);
-        }
+        let peak = self.peak_event_queue as f64;
+        m.gauge_set(now, Metric::SchedPeakPending.of(0), peak);
+        m.gauge_set(now, Metric::SchedArenaSlots.of(0), self.arena_slots as f64);
     }
 
     /// Borrow a client back after a run (e.g. to read its statistics).
@@ -1175,10 +1173,10 @@ impl World {
         let Some(m) = self.tb.obs.metrics_mut() else {
             return;
         };
-        m.sample_id(now, Metric::SchedEventsFired.of(0), s.events_fired() as f64);
-        m.gauge_set_id(now, Metric::SchedPending.of(0), s.pending() as f64);
-        m.sample_id(now, Metric::SchedClampedPast.of(0), s.clamped_past() as f64);
-        m.gauge_set_id(now, Metric::SchedArenaSlots.of(0), s.arena_slots() as f64);
+        m.sample(now, Metric::SchedEventsFired.of(0), s.events_fired() as f64);
+        m.gauge_set(now, Metric::SchedPending.of(0), s.pending() as f64);
+        m.sample(now, Metric::SchedClampedPast.of(0), s.clamped_past() as f64);
+        m.gauge_set(now, Metric::SchedArenaSlots.of(0), s.arena_slots() as f64);
     }
 
     /// One SLO evaluation tick: burn rates + the stall watchdog over
@@ -1209,40 +1207,40 @@ impl World {
         m.mark_sample_tick(now);
         // Host-side tenant queues (every scheme).
         for (i, dev) in tb.devices.iter().enumerate() {
-            m.gauge_set_id(now, Metric::HostSqInflight.of(i), dev.pending.len() as f64);
-            m.gauge_set_id(now, Metric::HostSqWaiting.of(i), dev.waiting.len() as f64);
+            m.gauge_set(now, Metric::HostSqInflight.of(i), dev.pending.len() as f64);
+            m.gauge_set(now, Metric::HostSqWaiting.of(i), dev.waiting.len() as f64);
         }
         // SSD service tallies (cumulative counters, sampled as series so
         // windowed service-time utilization falls out of any two ticks).
         for (i, ssd) in tb.ssds.iter().enumerate() {
             let stats = ssd.service_stats();
-            m.sample_id(now, Metric::SsdBusy.of(i), stats.busy.as_nanos_f64());
-            m.sample_id(now, Metric::SsdOps.of(i), stats.ops as f64);
+            m.sample(now, Metric::SsdBusy.of(i), stats.busy.as_nanos_f64());
+            m.sample(now, Metric::SsdOps.of(i), stats.ops as f64);
         }
         // BM-Store engine: per-port occupancy and the conservation
         // tallies (live == forwarded - completed - abandoned).
         if let Some(engine) = tb.scheme.as_deref().and_then(|s| s.engine()) {
             for (i, port) in engine.adaptor().ports().enumerate() {
                 let backlog = engine.backlog_len(SsdId(i as u8)) as f64;
-                m.gauge_set_id(now, Metric::DoorbellBacklog.of(i), backlog);
-                m.gauge_set_id(now, Metric::BackendInflight.of(i), port.inflight() as f64);
-                m.gauge_set_id(now, Metric::BackendLive.of(i), port.live() as f64);
-                m.gauge_set_id(
+                m.gauge_set(now, Metric::DoorbellBacklog.of(i), backlog);
+                m.gauge_set(now, Metric::BackendInflight.of(i), port.inflight() as f64);
+                m.gauge_set(now, Metric::BackendLive.of(i), port.live() as f64);
+                m.gauge_set(
                     now,
                     Metric::BackendZombies.of(i),
                     port.zombie_count() as f64,
                 );
                 let bytes = port.inflight_bytes() as f64;
-                m.gauge_set_id(now, Metric::DmaInflightBytes.of(i), bytes);
-                m.sample_id(now, Metric::BackendForwarded.of(i), port.forwarded() as f64);
-                m.sample_id(now, Metric::BackendCompleted.of(i), port.completed() as f64);
-                m.sample_id(now, Metric::BackendAbandoned.of(i), port.abandoned() as f64);
+                m.gauge_set(now, Metric::DmaInflightBytes.of(i), bytes);
+                m.sample(now, Metric::BackendForwarded.of(i), port.forwarded() as f64);
+                m.sample(now, Metric::BackendCompleted.of(i), port.completed() as f64);
+                m.sample(now, Metric::BackendAbandoned.of(i), port.abandoned() as f64);
             }
         }
         // Management plane: torn reassemblies pending at the controller.
         if let Some(controller) = tb.scheme.as_deref().and_then(|s| s.controller()) {
             let partials = controller.assembler().in_progress() as f64;
-            m.gauge_set_id(now, Metric::MctpPartials.of(0), partials);
+            m.gauge_set(now, Metric::MctpPartials.of(0), partials);
         }
         // Snapshot every gauge into its series at this tick.
         m.snapshot_gauges(now);
@@ -1369,7 +1367,7 @@ impl World {
                 // most a reassembly error) is discarded and the console
                 // resends.
                 self.observe_fault(now, FaultTraceEvent::MctpRetransmit { attempt });
-                self.tb.obs.count(metric_names::MCTP_RETRANSMITS, 1);
+                self.tb.obs.count(Metric::MctpRetransmits.of(0), 1);
             }
             let Some((actions, dropped)) = self.send_management(now, &cmd) else {
                 break;
@@ -1383,7 +1381,7 @@ impl World {
             }
             self.tb
                 .obs
-                .count(metric_names::MCTP_DROPPED, u64::from(dropped));
+                .count(Metric::MctpDropped.of(0), u64::from(dropped));
         }
         self.tb.obs.exit();
     }

@@ -5,7 +5,7 @@
 //! vs DMA-bound workloads.
 
 use bmstore::sim::faults::{FaultKind, FaultPlan};
-use bmstore::sim::metrics::{names, stages, MetricKey, MetricsRegistry};
+use bmstore::sim::metrics::{Metric, MetricsRegistry, Stage};
 use bmstore::sim::{SimDuration, SimTime};
 use bmstore::testbed::TestbedConfig;
 use bmstore::workloads::fio::{run_fio, FioSpec, RwMode};
@@ -26,12 +26,8 @@ fn spec(mode: RwMode, block_bytes: u64, iodepth: u32) -> FioSpec {
     }
 }
 
-fn ssd_series<'a>(
-    reg: &'a MetricsRegistry,
-    name: &'static str,
-    ssd: usize,
-) -> &'a [(SimTime, f64)] {
-    reg.series(&MetricKey::labeled(name, "ssd", ssd))
+fn ssd_series(reg: &MetricsRegistry, metric: Metric, ssd: usize) -> &[(SimTime, f64)] {
+    reg.series(metric.of(ssd))
         .map(|s| s.points())
         .unwrap_or(&[])
 }
@@ -41,12 +37,12 @@ fn ssd_series<'a>(
 /// command is ever double-counted or lost by the port accounting.
 fn assert_conservation(reg: &MetricsRegistry, ssds: usize) {
     for ssd in 0..ssds {
-        let live = ssd_series(reg, names::BACKEND_LIVE, ssd);
-        let fwd = ssd_series(reg, names::BACKEND_FORWARDED, ssd);
-        let comp = ssd_series(reg, names::BACKEND_COMPLETED, ssd);
-        let aband = ssd_series(reg, names::BACKEND_ABANDONED, ssd);
-        let infl = ssd_series(reg, names::BACKEND_INFLIGHT, ssd);
-        let zomb = ssd_series(reg, names::BACKEND_ZOMBIES, ssd);
+        let live = ssd_series(reg, Metric::BackendLive, ssd);
+        let fwd = ssd_series(reg, Metric::BackendForwarded, ssd);
+        let comp = ssd_series(reg, Metric::BackendCompleted, ssd);
+        let aband = ssd_series(reg, Metric::BackendAbandoned, ssd);
+        let infl = ssd_series(reg, Metric::BackendInflight, ssd);
+        let zomb = ssd_series(reg, Metric::BackendZombies, ssd);
         assert!(!live.is_empty(), "ssd {ssd}: no samples recorded");
         let ticks = live
             .len()
@@ -84,20 +80,12 @@ fn conservation_holds_at_every_sample_tick() {
             assert_conservation(reg, 2);
             // Engine flow totals close out at drain: every started
             // command finished, and the outstanding gauge read zero.
-            let started = reg.counter(&MetricKey::labeled(names::ENGINE_STARTED, "function", "f0"));
-            let finished = reg.counter(&MetricKey::labeled(
-                names::ENGINE_FINISHED,
-                "function",
-                "f0",
-            ));
+            let started = reg.counter(Metric::EngineStarted.of(0));
+            let finished = reg.counter(Metric::EngineFinished.of(0));
             assert!(started > 0);
             assert_eq!(started, finished);
             let outstanding = reg
-                .gauge(&MetricKey::labeled(
-                    names::ENGINE_OUTSTANDING,
-                    "function",
-                    "f0",
-                ))
+                .gauge(Metric::EngineOutstanding.of(0))
                 .expect("outstanding gauge exists");
             assert_eq!(outstanding.value(), 0.0);
         })
@@ -167,14 +155,10 @@ fn littles_law_relates_backend_occupancy_to_ssd_busy() {
         .map(|reg| {
             let end = reg.last_sample().expect("sampler ran");
             let window_ns = end.saturating_since(SimTime::ZERO).as_nanos() as f64;
-            let busy_ns = reg.counter(&MetricKey::labeled(
-                names::STAGE_BUSY_NS,
-                "stage",
-                stages::SSD,
-            )) as f64;
+            let busy_ns = reg.counter(Metric::StageBusy.of(Stage::Ssd as usize)) as f64;
             let expected_l = busy_ns / window_ns;
             let measured_l = reg
-                .gauge(&MetricKey::labeled(names::BACKEND_LIVE, "ssd", 0))
+                .gauge(Metric::BackendLive.of(0))
                 .expect("live gauge exists")
                 .mean_over(SimTime::ZERO, end);
             assert!(expected_l > 1.0, "workload too light: L = {expected_l}");
@@ -207,7 +191,7 @@ fn bottleneck_report_names_ssd_for_ssd_bound_load() {
                 let report = reg.bottleneck_report(end, 3);
                 assert_eq!(
                     report.saturated.as_deref(),
-                    Some(stages::SSD),
+                    Some(Stage::Ssd.label()),
                     "stages: {:?}",
                     report
                         .stages
@@ -237,7 +221,7 @@ fn bottleneck_report_names_dma_routing_for_dma_bound_load() {
             let report = reg.bottleneck_report(end, 3);
             assert_eq!(
                 report.saturated.as_deref(),
-                Some(stages::DMA_ROUTING),
+                Some(Stage::DmaRouting.label()),
                 "stages: {:?}",
                 report
                     .stages
