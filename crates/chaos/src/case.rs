@@ -85,10 +85,10 @@ pub enum Violation {
     },
     /// Total time spent crashed exceeded the commanded outage budget.
     UnboundedRecovery {
-        /// Nanoseconds actually spent crashed.
-        spent_ns: u64,
+        /// Time actually spent crashed.
+        spent: SimDuration,
         /// Budget: commanded restart delays plus fixed slack.
-        bound_ns: u64,
+        bound: SimDuration,
     },
 }
 
@@ -135,9 +135,11 @@ impl fmt::Display for Violation {
                 f,
                 "{crash_events} crash events injected but no recovery cycle completed"
             ),
-            Violation::UnboundedRecovery { spent_ns, bound_ns } => write!(
+            Violation::UnboundedRecovery { spent, bound } => write!(
                 f,
-                "recovery took {spent_ns} ns, over the {bound_ns} ns outage budget"
+                "recovery took {} ns, over the {} ns outage budget",
+                spent.as_nanos(),
+                bound.as_nanos()
             ),
         }
     }
@@ -374,8 +376,8 @@ fn run_case_inner(
         }
         if stats.recovery_time > bound {
             report.violations.push(Violation::UnboundedRecovery {
-                spent_ns: stats.recovery_time.as_nanos(),
-                bound_ns: bound.as_nanos(),
+                spent: stats.recovery_time,
+                bound,
             });
         }
     }

@@ -26,16 +26,16 @@ const PLAN_SALT: u64 = 0xC4A0_55ED_0DD5_EED5;
 pub fn generate_plan(cfg: &ChaosConfig, seed: u64) -> FaultPlan {
     let mut rng = SimRng::seed_from(seed ^ PLAN_SALT);
     let mut plan = FaultPlan::new(seed);
-    let churn_ns = cfg.churn.as_nanos();
-    let lo = 1_000_000u64.min(churn_ns / 4);
-    let hi = churn_ns.saturating_sub(2_000_000).max(lo + 1);
+    let lo = SimDuration::from_ms(1).min(cfg.churn / 4);
+    let hi = cfg.churn.saturating_sub(SimDuration::from_ms(2));
+    let window = hi.saturating_sub(lo).as_nanos().max(1);
     let n = 1 + rng.below(cfg.max_events.max(1) as u64) as usize;
     let quiesce = matches!(cfg.fail_policy, FailPolicy::QuiesceReplay);
     // Kinds 0..=6 are safe under both policies; 7..=8 only when an
     // exhausted timeout aborts to the host.
     let kinds: u64 = if quiesce { 7 } else { 9 };
     for _ in 0..n {
-        let at = SimTime::ZERO + SimDuration::from_nanos(lo + rng.below(hi - lo));
+        let at = SimTime::ZERO + lo + SimDuration::from_nanos(rng.below(window));
         let ssd = rng.below(cfg.tenants.max(1) as u64) as usize;
         match rng.below(kinds) {
             0 => plan.push(

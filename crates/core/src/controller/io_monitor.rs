@@ -113,7 +113,7 @@ impl IoMonitor {
             write_bytes: c.write_bytes,
             errors: c.errors,
             qos_deferred: c.qos_deferred,
-            total_latency_ns: regs.total_latency_ns,
+            total_latency_ns: regs.total_latency.as_nanos(),
             outstanding: regs.outstanding,
             peak_outstanding: regs.peak_outstanding,
             latency_buckets: regs.latency_buckets,

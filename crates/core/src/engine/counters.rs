@@ -31,8 +31,8 @@ pub struct MonitorRegs {
     /// Completion counts by engine-observed latency; see
     /// [`LATENCY_BUCKET_BOUNDS_US`].
     pub latency_buckets: [u64; LATENCY_BUCKETS],
-    /// Sum of engine-observed latencies, nanoseconds.
-    pub total_latency_ns: u64,
+    /// Sum of engine-observed latencies.
+    pub total_latency: SimDuration,
 }
 
 impl MonitorRegs {
@@ -50,11 +50,12 @@ impl MonitorRegs {
         self.latency_buckets.iter().sum()
     }
 
-    /// Mean engine-observed latency in nanoseconds (zero if idle).
-    pub fn mean_latency_ns(&self) -> u64 {
-        self.total_latency_ns
-            .checked_div(self.completions())
-            .unwrap_or(0)
+    /// Mean engine-observed latency (zero if idle).
+    pub fn mean_latency(&self) -> SimDuration {
+        match self.completions() {
+            0 => SimDuration::ZERO,
+            n => self.total_latency / n,
+        }
     }
 }
 
@@ -125,9 +126,8 @@ impl IoCounters {
             .outstanding
             .checked_sub(1)
             .expect("outstanding gauge underflow");
-        let ns = latency.as_nanos();
-        r.latency_buckets[MonitorRegs::bucket_for(ns)] += 1;
-        r.total_latency_ns += ns;
+        r.latency_buckets[MonitorRegs::bucket_for(latency.as_nanos())] += 1;
+        r.total_latency += latency;
     }
 
     /// Reads one function's monitoring registers.
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(r.completions(), 2);
         assert_eq!(r.latency_buckets[2], 1, "90µs lands in the ≤100µs bucket");
         assert_eq!(r.latency_buckets[5], 1, "700µs lands in the ≤1000µs bucket");
-        assert_eq!(r.mean_latency_ns(), (90_000 + 700_000) / 2);
+        assert_eq!(r.mean_latency(), SimDuration::from_us((90 + 700) / 2));
         // The other function's registers are untouched.
         assert_eq!(c.regs(f(1)), MonitorRegs::default());
     }

@@ -77,6 +77,30 @@ impl MapEntry {
     pub fn ssd(self) -> SsdId {
         SsdId(self.0 & 0x3)
     }
+
+    /// The physical chunk (bits `[7:2]`, so always 6 bits wide).
+    fn chunk(self) -> ChunkId {
+        ChunkId(self.0 >> 2)
+    }
+}
+
+/// A physical chunk index that fits the entry's 6-bit field; the
+/// allocator's free lists hold only these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChunkId(u8);
+
+impl ChunkId {
+    /// Chunk `base`, or `None` past [`MAX_CHUNK_BASE`].
+    fn new(base: u8) -> Option<ChunkId> {
+        (base <= MAX_CHUNK_BASE).then_some(ChunkId(base))
+    }
+
+    /// The entry for this chunk on the SSD whose free list it came
+    /// from. [`ChunkAllocator::new`] keeps a list only for each SSD id
+    /// that fits the 2-bit field, so the mask never changes `ssd`.
+    fn on(self, ssd: usize) -> MapEntry {
+        MapEntry((self.0 << 2) | (ssd as u8 & MAX_SSD_ID))
+    }
 }
 
 /// One row: eight entries plus the validation byte.
@@ -255,8 +279,8 @@ impl MappingTable {
 /// sequential fill used for single-disk bindings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkAllocator {
-    /// `free[ssd]` = ascending list of free chunk indices.
-    free: Vec<Vec<u8>>,
+    /// `free[ssd]` = free chunks, the next to allocate last.
+    free: Vec<Vec<ChunkId>>,
     /// Chunks each SSD holds.
     per_ssd: usize,
     next_rr: usize,
@@ -285,9 +309,12 @@ impl ChunkAllocator {
             ssds > 0 && ssds <= (MAX_SSD_ID as usize + 1),
             "1..=4 SSDs fit the 2-bit id"
         );
-        let chunks = ((capacity_bytes / CHUNK_BYTES) as u8).min(MAX_CHUNK_BASE + 1);
+        // Clamp before narrowing: 256 chunks would wrap to 0 as a `u8`.
+        let chunks = (capacity_bytes / CHUNK_BYTES).min(u64::from(MAX_CHUNK_BASE) + 1) as u8;
         ChunkAllocator {
-            free: (0..ssds).map(|_| (0..chunks).rev().collect()).collect(),
+            free: (0..ssds)
+                .map(|_| (0..chunks).rev().filter_map(ChunkId::new).collect())
+                .collect(),
             per_ssd: usize::from(chunks),
             next_rr: 0,
         }
@@ -318,11 +345,7 @@ impl ChunkAllocator {
             let ssd = cursor % self.free.len();
             cursor += 1;
             if let Some(chunk) = self.free[ssd].pop() {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): free chunk ids fit 6 bits"
-                )]
-                out.push(MapEntry::new(chunk, SsdId(ssd as u8)).expect("chunk fits 6 bits"));
+                out.push(chunk.on(ssd));
             }
         }
         self.next_rr = start + 1;
@@ -336,26 +359,21 @@ impl ChunkAllocator {
     ///
     /// Returns [`OutOfChunks`] if `ssd` has fewer than `n` free chunks.
     pub fn alloc_on(&mut self, ssd: SsdId, n: usize) -> Result<Vec<MapEntry>, OutOfChunks> {
-        let free = self.free.get_mut(ssd.0 as usize).ok_or(OutOfChunks)?;
+        let ssd = usize::from(ssd.0);
+        let free = self.free.get_mut(ssd).ok_or(OutOfChunks)?;
         let keep = free.len().checked_sub(n).ok_or(OutOfChunks)?;
         // The last `n` chunks, last first: the order `n` pops would give.
         Ok(free
             .drain(keep..)
             .rev()
-            .map(|chunk| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "panic-path debt (ROADMAP item 4): free chunk ids fit 6 bits"
-                )]
-                MapEntry::new(chunk, ssd).expect("chunk fits 6 bits")
-            })
+            .map(|chunk| chunk.on(ssd))
             .collect())
     }
 
     /// Returns chunks to the free pool (namespace deletion).
     pub fn release(&mut self, entries: impl IntoIterator<Item = MapEntry>) {
         for e in entries {
-            self.free[e.ssd().0 as usize].push(e.chunk_base());
+            self.free[e.ssd().0 as usize].push(e.chunk());
         }
     }
 
@@ -504,6 +522,14 @@ mod tests {
         alloc.release(all[..4].iter().copied());
         assert_eq!(alloc.free_total(), 4);
         assert!(alloc.alloc_round_robin(4).is_ok());
+    }
+
+    #[test]
+    fn sixteen_and_seventeen_tib_ssds_hold_the_full_64_chunks() {
+        for tib in [15u64, 16, 17, 20] {
+            let alloc = ChunkAllocator::new(1, tib << 40);
+            assert_eq!(alloc.free_total(), 64, "{tib} TiB");
+        }
     }
 
     #[test]

@@ -392,7 +392,8 @@ impl MetricId {
 pub struct GaugeState {
     value: f64,
     peak: f64,
-    integral_ns: f64,
+    /// Value × nanoseconds, summed over the intervals before `last_update`.
+    integral: f64,
     last_update: SimTime,
 }
 
@@ -401,14 +402,14 @@ impl GaugeState {
         GaugeState {
             value,
             peak: value,
-            integral_ns: 0.0,
+            integral: 0.0,
             last_update: now,
         }
     }
 
     fn set(&mut self, now: SimTime, value: f64) {
         let dt = now.saturating_since(self.last_update).as_nanos_f64();
-        self.integral_ns += self.value * dt;
+        self.integral += self.value * dt;
         self.last_update = now;
         self.value = value;
         if value > self.peak {
@@ -434,7 +435,7 @@ impl GaugeState {
             return self.value;
         }
         let tail = now.saturating_since(self.last_update).as_nanos_f64();
-        (self.integral_ns + self.value * tail) / window
+        (self.integral + self.value * tail) / window
     }
 }
 
@@ -710,28 +711,24 @@ impl MetricsRegistry {
     /// listing up to `top_k` tenants by mean pipeline occupancy.
     pub fn bottleneck_report(&self, now: SimTime, top_k: usize) -> BottleneckReport {
         let window = now.saturating_since(SimTime::ZERO);
-        let window_ns = window.as_nanos_f64();
         let mut stage_rows = Vec::new();
-        for (id, &busy_ns) in self.counters.written() {
+        for (id, busy) in self.counters.written() {
             let (Metric::StageBusy, Some((_, stage))) = (id.metric, id.label()) else {
                 continue;
             };
             let arrivals = self.counter(Metric::StageArrivals.of(id.label));
-            let busy = SimDuration::from_nanos(busy_ns);
-            let occupancy = if window_ns > 0.0 {
-                busy.as_nanos_f64() / window_ns
+            let busy = SimDuration::from_nanos(*busy);
+            let (occupancy, arrival_rate_per_s) = if window > SimDuration::ZERO {
+                let window = window.as_nanos_f64();
+                (busy.as_nanos_f64() / window, arrivals as f64 * 1e9 / window)
             } else {
-                0.0
+                (0.0, 0.0)
             };
-            let arrival_rate_per_s = if window_ns > 0.0 {
-                arrivals as f64 * 1e9 / window_ns
+            let implied_latency = if arrivals == 0 {
+                SimDuration::ZERO
             } else {
-                0.0
+                busy / arrivals
             };
-            let implied_latency = busy_ns
-                .checked_div(arrivals)
-                .map(SimDuration::from_nanos)
-                .unwrap_or(SimDuration::ZERO);
             stage_rows.push(StageReport {
                 stage,
                 arrivals,
@@ -775,9 +772,13 @@ impl Default for MetricsRegistry {
     }
 }
 
+/// Whole values below this magnitude print as integers. An `f64` holds
+/// every integer up to 2^53 (about 9.0e15) exactly, so the threshold
+/// is exact too.
+const INTEGER_PRINT_BOUND: f64 = 1e15;
+
 fn fmt_f64(v: f64) -> String {
-    // bm-lint: allow(float-determinism): integer-rendering threshold in a formatter; it inspects an already-computed value, not sim state
-    if v == v.trunc() && v.abs() < 1e15 {
+    if v == v.trunc() && v.abs() < INTEGER_PRINT_BOUND {
         format!("{}", v as i64)
     } else {
         format!("{v:.6}")

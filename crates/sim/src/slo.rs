@@ -523,11 +523,34 @@ fn summary_field(line: &str, key: &str) -> Result<u64, String> {
         .map_err(|e| format!("incident summary field `{key}`: {e}"))
 }
 
+/// Whether a timeline line is an [`Alert::render`] line. An extra event
+/// or annotation that merely contains `ns alert` is not; one whose text
+/// spells a whole alert line is indistinguishable from it.
+fn is_alert_line(line: &str) -> bool {
+    let Some((at, alert)) = line
+        .strip_prefix("  t=")
+        .and_then(|l| l.split_once("ns alert "))
+    else {
+        return false;
+    };
+    let tenant = |t: &str| {
+        t.strip_prefix("tenant=")
+            .is_some_and(|t| t == "-" || t.parse::<u16>().is_ok())
+    };
+    at.parse::<u64>().is_ok()
+        && matches!(
+            alert.split(' ').collect::<Vec<_>>().as_slice(),
+            ["fire" | "clear", "latency" | "stall", t, "severity=critical", burn]
+                if tenant(t) && burn.starts_with("burn=")
+        )
+}
+
 /// Validates a rendered incident report and extracts its digest.
-/// Checks the version header, the `end` terminator, and that the
-/// timeline's alert-line count matches the summary's claim — so a
-/// truncated or hand-mangled report fails loudly instead of parsing to
-/// a rosier story.
+/// Checks the version header, that the timeline holds as many entries
+/// as its header claims, the `end` terminator, and that the timeline's
+/// alert-line count matches the summary's claim — so a truncated or
+/// hand-mangled report fails loudly instead of parsing to a rosier
+/// story.
 pub fn parse_incident(text: &str) -> Result<IncidentSummary, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty incident report")?;
@@ -549,15 +572,14 @@ pub fn parse_incident(text: &str) -> Result<IncidentSummary, String> {
         .parse::<u64>()
         .map_err(|e| format!("timeline count: {e}"))?;
     let mut alert_lines = 0u64;
-    let mut saw_end = false;
-    for line in lines {
-        if line == "end" {
-            saw_end = true;
-        } else if line.starts_with("  t=") && line.contains("ns alert ") {
-            alert_lines += 1;
-        }
+    for _ in 0..timeline_events {
+        let entry = lines
+            .next()
+            .filter(|l| l.starts_with("  t="))
+            .ok_or("incident timeline holds fewer entries than its header claims")?;
+        alert_lines += u64::from(is_alert_line(entry));
     }
-    if !saw_end {
+    if !lines.any(|l| l == "end") {
         return Err("incident report missing `end` terminator".to_string());
     }
     if alert_lines != alerts {

@@ -1,9 +1,13 @@
 //! Property tests on the simulation primitives: histogram accuracy,
-//! resource conservation, event-loop ordering, and the observers'
-//! slot tables against plain ordered-map models.
+//! resource conservation, event-loop ordering, the observers' slot
+//! tables against plain ordered-map models, and the incident report's
+//! text codec.
 
-use bm_sim::metrics::{self, Metric, MetricId, MetricsRegistry, Stage};
+use bm_sim::metrics::{self, Annotation, Metric, MetricId, MetricsRegistry, Stage};
 use bm_sim::resource::{BandwidthLink, FifoServer, MultiServer, TokenBucket};
+use bm_sim::slo::{
+    parse_incident, render_incident, Alert, AlertKind, AlertState, IncidentInput, IncidentSummary,
+};
 use bm_sim::stats::LatencyHistogram;
 use bm_sim::telemetry::{
     self, AggKey, CmdId, TelemetryEvent, TelemetryEventKind, TelemetryRecorder, TelemetryStage,
@@ -585,5 +589,146 @@ proptest! {
         prop_assert_eq!(rec.spans(), reference.spans());
         prop_assert_eq!(telemetry::chrome_trace(&rec), telemetry::chrome_trace(&reference));
         prop_assert_eq!(telemetry::jsonl(&rec), telemetry::jsonl(&reference));
+    }
+}
+
+/// Incident keywords, near misses and multi-byte text.
+const INCIDENT_WORDS: &[&str] = &[
+    "bmstore-incident v1",
+    "summary",
+    "alerts=",
+    "faults=",
+    "recoveries=",
+    "timeline (",
+    " events):",
+    "t=",
+    "ns",
+    "alert",
+    "ns alert",
+    "fire",
+    "latency",
+    "tenant=",
+    "severity=critical",
+    "burn=",
+    "fault:",
+    "slo:",
+    "end",
+    "µs",
+    "18446744073709551616",
+    "-1",
+];
+
+/// A word, a number, or printable text, space-separated: one line.
+fn incident_line() -> impl Strategy<Value = String> {
+    let word = prop_oneof![
+        any::<prop::sample::Index>()
+            .prop_map(|w| INCIDENT_WORDS[w.index(INCIDENT_WORDS.len())].to_string()),
+        any::<u64>().prop_map(|n| n.to_string()),
+        prop::collection::vec(any::<char>(), 0..8).prop_map(|c| c.into_iter().collect()),
+    ];
+    prop::collection::vec(word, 0..6).prop_map(|w| w.join(" "))
+}
+
+/// A latency alert of one tenant, or a stall alert of none.
+fn alert() -> impl Strategy<Value = Alert> {
+    let fields = (
+        any::<u64>(),
+        any::<u16>(),
+        any::<bool>(),
+        any::<bool>(),
+        0.0f64..100.0,
+    );
+    fields.prop_map(|(at, tenant, stall, fire, burn)| Alert {
+        at: SimTime::from_nanos(at),
+        tenant: (!stall).then_some(tenant),
+        kind: [AlertKind::Latency, AlertKind::Stall][usize::from(stall)],
+        state: [AlertState::Clear, AlertState::Fire][usize::from(fire)],
+        burn,
+    })
+}
+
+/// A fault window, an SLO annotation or any other one-line label.
+fn annotation() -> impl Strategy<Value = Annotation> {
+    let fields = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<bool>(),
+        0usize..3,
+        incident_line(),
+    );
+    fields.prop_map(|(start, end, open, prefix, text)| Annotation {
+        start: SimTime::from_nanos(start),
+        end: (!open).then_some(SimTime::from_nanos(end)),
+        label: format!("{}{text}", ["", "fault:", "slo:"][prefix]),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Whatever the text, after no header, the v1 header, the header
+    /// and a summary line, or those and a timeline header, the incident
+    /// parser returns; a digest it accepts has as many alert lines as
+    /// its summary claims.
+    #[test]
+    fn arbitrary_text_never_panics_the_incident_parser(
+        framing in 0usize..4,
+        alerts in 0u64..4,
+        events in 0u64..4,
+        lines in prop::collection::vec(incident_line(), 0..8),
+    ) {
+        let frames = [
+            "bmstore-incident v1".to_string(),
+            format!("summary alerts={alerts} faults=1 recoveries=2"),
+            format!("timeline ({events} events):"),
+        ];
+        let mut text = String::new();
+        for line in frames[..framing].iter().chain(&lines) {
+            text.push_str(line);
+            text.push('\n');
+        }
+        if let Ok(digest) = parse_incident(&text) {
+            prop_assert_eq!(digest.alert_lines, digest.alerts);
+        }
+    }
+
+    /// A rendered report parses back to the alert, fault, recovery and
+    /// timeline counts it was rendered from, whatever single-line text
+    /// its annotations and extra events carry.
+    #[test]
+    fn rendered_incidents_parse_back_to_their_counts(
+        alerts in prop::collection::vec(alert(), 0..6),
+        annotations in prop::collection::vec(annotation(), 0..6),
+        extras in prop::collection::vec((any::<u64>(), incident_line()), 0..6),
+        recoveries in any::<u64>(),
+    ) {
+        let extra_events: Vec<(SimTime, String)> = extras
+            .into_iter()
+            .map(|(at, text)| (SimTime::from_nanos(at), text))
+            .collect();
+        let text = render_incident(&IncidentInput {
+            alerts: &alerts,
+            annotations: &annotations,
+            blame: None,
+            extra_events: &extra_events,
+            recoveries,
+            replayed: 0,
+            aborted_on_recovery: 0,
+            top_k: 3,
+        });
+        let labels = annotations.iter().map(|a| a.label.as_str());
+        let faults = labels.clone().filter(|l| l.starts_with("fault:")).count();
+        let shown = labels.filter(|l| !l.starts_with("slo:")).count();
+        let rendered = alerts.len() as u64;
+        prop_assert_eq!(
+            parse_incident(&text),
+            Ok(IncidentSummary {
+                alerts: rendered,
+                faults: faults as u64,
+                recoveries,
+                timeline_events: (shown + alerts.len() + extra_events.len()) as u64,
+                alert_lines: rendered,
+            })
+        );
     }
 }

@@ -28,8 +28,8 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # collections, panic paths, stray output and wildcard arms are cheap to
 # catch here and expensive to debug as a byte-diff in the figure
 # pipeline. The rules live in clippy.toml, the workspace lints table
-# and each crate root; bm-lint's float-determinism and time-unit rules
-# run in the test suite below (crates/lint/tests/rules.rs).
+# and each crate root; the float and time-unit hazards clippy cannot
+# express are a text scan in the test suite below (tests/determinism.rs).
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"

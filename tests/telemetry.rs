@@ -184,7 +184,7 @@ fn out_of_band_scrape_matches_in_band_accounting() {
         assert_eq!(fin.read_bytes, counters.read_bytes);
         assert_eq!(fin.write_bytes, counters.write_bytes);
         assert_eq!(fin.latency_buckets, regs.latency_buckets);
-        assert_eq!(fin.total_latency_ns, regs.total_latency_ns);
+        assert_eq!(fin.total_latency_ns, regs.total_latency.as_nanos());
         assert_eq!(fin.peak_outstanding, regs.peak_outstanding);
     }
 }
